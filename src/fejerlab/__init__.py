@@ -32,8 +32,6 @@ from .geometry import (
     codimension,
     dual_cone_contains,
     full_space,
-    project,
-    reflect,
     sample_witnesses,
 )
 from .operators import (
@@ -50,7 +48,6 @@ from .operators import (
     Reflector,
     ScalarPiecewiseLinear,
     Translation,
-    apply,
     certify,
     fixed_set_description,
     random_scalar_piecewise_linear,
@@ -67,7 +64,6 @@ from .dynamics import (
     iterate,
     normalized_orbit,
     shadow,
-    two_ball_displacement,
 )
 from .analysis import (
     ClusterSet,

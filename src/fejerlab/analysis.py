@@ -42,9 +42,12 @@ def _points_of(trajectory) -> np.ndarray:
     return np.asarray(trajectory, dtype=float)
 
 
-def _auto_witness_radius(points: np.ndarray, C: ConvexSet) -> float:
-    reach = float(np.linalg.norm(points - C.anchor(), axis=1).max())
-    return max(1.0, 2.0 * reach)
+def _witness_points(points, C: ConvexSet, count, seed, radius):
+    """Witnesses of C; the default radius is twice the points' reach from C's anchor."""
+    if radius is None:
+        reach = float(np.linalg.norm(points - C.anchor(), axis=1).max())
+        radius = max(1.0, 2.0 * reach)
+    return radius, np.stack(sample_witnesses(C, count, seed=seed, radius=radius))
 
 
 def check_fejer(
@@ -62,10 +65,7 @@ def check_fejer(
     pts = _points_of(trajectory)
     if pts.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
-    radius = (
-        _auto_witness_radius(pts, C) if witness_radius is None else witness_radius
-    )
-    ws = np.stack(sample_witnesses(C, witnesses, seed=seed, radius=radius))
+    radius, ws = _witness_points(pts, C, witnesses, seed, witness_radius)
     dists = np.linalg.norm(pts[:, None, :] - ws[None, :, :], axis=2)
     increases = dists[1:] - dists[:-1]
     sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
@@ -270,10 +270,7 @@ def check_cluster_orthogonality(
             "check_cluster_orthogonality", PASS, params=params, seed=seed,
             metadata={"semantics": NECESSARY_CONDITION, "vacuous": True},
         )
-    radius = (
-        _auto_witness_radius(reps, C) if witness_radius is None else witness_radius
-    )
-    ws = np.stack(sample_witnesses(C, witnesses, seed=seed, radius=radius))
+    radius, ws = _witness_points(reps, C, witnesses, seed, witness_radius)
     ii, jj = np.triu_indices(reps.shape[0], k=1)
     wdiff = reps[ii] - reps[jj]
     kk, ll = np.triu_indices(ws.shape[0], k=1)
@@ -319,11 +316,7 @@ def check_shadow_superset(
     The verdict is INCONCLUSIVE when the cluster hypothesis is unmet or a
     shadow limit cannot be detected at the requested tolerance.
     """
-    traj = (
-        trajectory
-        if isinstance(trajectory, Trajectory)
-        else Trajectory(np.asarray(trajectory, dtype=float))
-    )
+    traj = trajectory if isinstance(trajectory, Trajectory) else Trajectory(trajectory)
     for w in sample_witnesses(C, witnesses, seed=seed):
         if not A.contains(w, tol=1e-8):
             raise ValueError("C is not contained in A on sampled witnesses")
@@ -403,11 +396,7 @@ def check_codim1_theorem(
         if operator is None or x0 is None:
             raise ValueError("pass either a trajectory or (operator, x0)")
         trajectory = iterate(operator, x0, n_steps)
-    traj = (
-        trajectory
-        if isinstance(trajectory, Trajectory)
-        else Trajectory(np.asarray(trajectory, dtype=float))
-    )
+    traj = trajectory if isinstance(trajectory, Trajectory) else Trajectory(trajectory)
     cod = codimension(C, traj.dim)
     fejer = check_fejer(traj, C, witnesses=witnesses, seed=seed, tol=fejer_tol)
     ar = check_asymptotic_regularity(traj, tol=ar_tol)

@@ -8,12 +8,14 @@ errors raise :class:`ConfigError` with the offending field path.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, UnsupportedSetError
 from .geometry import (
     AffineSubspace,
     Ball,
@@ -44,6 +46,8 @@ from .operators import (
 from .scenarios import CheckDef, ScenarioSpec, TrajectoryDef
 
 __all__ = [
+    "SET_KINDS",
+    "OPERATOR_KINDS",
     "parse_scenario",
     "load_scenario",
     "serialize_scenario",
@@ -53,6 +57,38 @@ __all__ = [
     "operator_from_config",
     "operator_to_config",
 ]
+
+# One entry per kind; both directions of the conversion are derived from the
+# class's fields and constructor signature.
+SET_KINDS = {
+    "point": Point,
+    "ball": Ball,
+    "halfspace": Halfspace,
+    "hyperplane": Hyperplane,
+    "affine_subspace": AffineSubspace,
+    "linear_subspace": LinearSubspace,
+    "box": Box,
+    "ray": Ray,
+    "orthant": Orthant,
+    "minkowski_sum": MinkowskiSum,
+}
+
+OPERATOR_KINDS = {
+    "identity": Identity,
+    "negation": Negation,
+    "translation": Translation,
+    "linear": Linear,
+    "affine_map": AffineMap,
+    "projector": Projector,
+    "reflector": Reflector,
+    "convex_combination": ConvexCombination,
+    "composition": Composition,
+    "douglas_rachford": DouglasRachford,
+    "scalar_piecewise_linear": ScalarPiecewiseLinear,
+}
+
+# Fields whose YAML key is not the field name.
+_KEYS = {"target": "set", "set_name": "set"}
 
 
 def _need(d: dict, key: str, path: str):
@@ -68,86 +104,20 @@ def _floats(value, path: str) -> list:
         raise ConfigError(f"{path}: expected numbers, got {value!r}") from exc
 
 
-# ---------------------------------------------------------------------------
-# ConvexSet <-> dict
-# ---------------------------------------------------------------------------
-
-
-def set_from_config(d: dict, path: str = "set") -> ConvexSet:
+def _mapping(d, path: str) -> dict:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(d).__name__}")
-    kind = _need(d, "kind", path)
-    try:
-        if kind == "point":
-            return Point(_need(d, "coords", path))
-        if kind == "ball":
-            return Ball(_need(d, "center", path), float(_need(d, "radius", path)))
-        if kind == "halfspace":
-            return Halfspace(_need(d, "normal", path), float(_need(d, "offset", path)))
-        if kind == "hyperplane":
-            return Hyperplane(_need(d, "normal", path), float(_need(d, "offset", path)))
-        if kind == "affine_subspace":
-            return AffineSubspace(_need(d, "base", path), _need(d, "basis", path))
-        if kind == "linear_subspace":
-            return LinearSubspace(
-                _need(d, "basis", path), ambient_dim=d.get("ambient_dim")
-            )
-        if kind == "box":
-            return Box(_need(d, "lower", path), _need(d, "upper", path))
-        if kind == "ray":
-            return Ray(_need(d, "base", path), _need(d, "direction", path))
-        if kind == "orthant":
-            return Orthant(_need(d, "signs", path))
-        if kind == "minkowski_sum":
-            return MinkowskiSum(
-                set_from_config(_need(d, "summand", path), f"{path}.summand"),
-                set_from_config(_need(d, "cone", path), f"{path}.cone"),
-            )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}: unknown set kind {kind!r}")
+    return d
 
 
-def set_to_config(s: ConvexSet) -> dict:
-    if isinstance(s, Point):
-        return {"kind": "point", "coords": s.coords.tolist()}
-    if isinstance(s, Ball):
-        return {"kind": "ball", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Halfspace):
-        return {"kind": "halfspace", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, Hyperplane):
-        return {"kind": "hyperplane", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, AffineSubspace):
-        return {
-            "kind": "affine_subspace",
-            "base": s.base.tolist(),
-            "basis": s.basis.tolist(),
-        }
-    if isinstance(s, LinearSubspace):
-        return {
-            "kind": "linear_subspace",
-            "basis": s.basis.tolist(),
-            "ambient_dim": s.ambient_dim,
-        }
-    if isinstance(s, Box):
-        return {"kind": "box", "lower": s.lower.tolist(), "upper": s.upper.tolist()}
-    if isinstance(s, Ray):
-        return {"kind": "ray", "base": s.base.tolist(), "direction": s.direction.tolist()}
-    if isinstance(s, Orthant):
-        return {"kind": "orthant", "signs": s.signs.tolist()}
-    if isinstance(s, MinkowskiSum):
-        return {
-            "kind": "minkowski_sum",
-            "summand": set_to_config(s.summand),
-            "cone": set_to_config(s.cone),
-        }
-    raise ConfigError(f"cannot serialize set of type {type(s).__name__}")
+def _check_keys(d: dict, allowed, path: str) -> None:
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{path}: unknown field {key!r}")
 
 
 # ---------------------------------------------------------------------------
-# OperatorExpr <-> dict (set operands may be named references)
+# ConvexSet / OperatorExpr <-> dict (set operands may be named references)
 # ---------------------------------------------------------------------------
 
 
@@ -159,179 +129,93 @@ def _operand_set(value, sets: dict, path: str) -> ConvexSet:
     return set_from_config(value, path)
 
 
-def operator_from_config(d: dict, sets: dict, path: str = "operator") -> OperatorExpr:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(d).__name__}")
-    kind = _need(d, "kind", path)
+def _from_config(d, kinds: dict, noun: str, sets: dict, path: str):
+    kind = _need(_mapping(d, path), "kind", path)
+    if kind not in kinds:
+        raise ConfigError(f"{path}: unknown {noun} kind {kind!r}")
+    cls = kinds[kind]
+    params = {
+        _KEYS.get(name, name): p
+        for name, p in inspect.signature(cls).parameters.items()
+    }
+    _check_keys(d, ["kind", *params], path)
+    args = {}
+    for key, p in params.items():
+        if key not in d:
+            if p.default is p.empty:
+                raise ConfigError(f"{path}: missing field {key!r}")
+            continue
+        value = d[key]
+        if p.annotation == "ConvexSet":
+            value = _operand_set(value, sets, f"{path}.{key}")
+        elif p.annotation == "OperatorExpr":
+            value = operator_from_config(value, sets, f"{path}.{key}")
+        args[p.name] = value
     try:
-        if kind == "identity":
-            return Identity()
-        if kind == "negation":
-            return Negation()
-        if kind == "translation":
-            return Translation(_need(d, "shift", path))
-        if kind == "linear":
-            return Linear(np.asarray(_need(d, "matrix", path), dtype=float))
-        if kind == "affine_map":
-            return AffineMap(
-                np.asarray(_need(d, "matrix", path), dtype=float),
-                _need(d, "shift", path),
-            )
-        if kind == "projector":
-            return Projector(_operand_set(_need(d, "set", path), sets, f"{path}.set"))
-        if kind == "reflector":
-            return Reflector(_operand_set(_need(d, "set", path), sets, f"{path}.set"))
-        if kind == "convex_combination":
-            return ConvexCombination(
-                float(_need(d, "alpha", path)),
-                operator_from_config(_need(d, "left", path), sets, f"{path}.left"),
-                operator_from_config(_need(d, "right", path), sets, f"{path}.right"),
-            )
-        if kind == "composition":
-            return Composition(
-                operator_from_config(_need(d, "outer", path), sets, f"{path}.outer"),
-                operator_from_config(_need(d, "inner", path), sets, f"{path}.inner"),
-            )
-        if kind == "douglas_rachford":
-            return DouglasRachford(
-                _operand_set(_need(d, "first", path), sets, f"{path}.first"),
-                _operand_set(_need(d, "second", path), sets, f"{path}.second"),
-            )
-        if kind == "scalar_piecewise_linear":
-            return ScalarPiecewiseLinear(
-                _need(d, "breakpoints", path),
-                _need(d, "slopes", path),
-                float(d.get("anchor_value", 0.0)),
-            )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return cls(**args)
+    except (TypeError, ValueError, UnsupportedSetError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}: unknown operator kind {kind!r}")
+
+
+def _to_config(obj, kinds: dict, noun: str) -> dict:
+    kind = next((k for k, cls in kinds.items() if isinstance(obj, cls)), None)
+    if kind is None:
+        raise ConfigError(f"cannot serialize {noun} of type {type(obj).__name__}")
+    out = {"kind": kind}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, ConvexSet):
+            value = set_to_config(value)
+        elif isinstance(value, OperatorExpr):
+            value = operator_to_config(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        out[_KEYS.get(f.name, f.name)] = value
+    return out
+
+
+def set_from_config(d: dict, path: str = "set") -> ConvexSet:
+    return _from_config(d, SET_KINDS, "set", {}, path)
+
+
+def set_to_config(s: ConvexSet) -> dict:
+    return _to_config(s, SET_KINDS, "set")
+
+
+def operator_from_config(d: dict, sets: dict, path: str = "operator") -> OperatorExpr:
+    return _from_config(d, OPERATOR_KINDS, "operator", sets, path)
 
 
 def operator_to_config(op: OperatorExpr) -> dict:
-    if isinstance(op, Identity):
-        return {"kind": "identity"}
-    if isinstance(op, Negation):
-        return {"kind": "negation"}
-    if isinstance(op, Translation):
-        return {"kind": "translation", "shift": op.shift.tolist()}
-    if isinstance(op, Linear):
-        return {"kind": "linear", "matrix": op.matrix.tolist()}
-    if isinstance(op, AffineMap):
-        return {
-            "kind": "affine_map",
-            "matrix": op.matrix.tolist(),
-            "shift": op.shift.tolist(),
-        }
-    if isinstance(op, Projector):
-        return {"kind": "projector", "set": set_to_config(op.target)}
-    if isinstance(op, Reflector):
-        return {"kind": "reflector", "set": set_to_config(op.target)}
-    if isinstance(op, ConvexCombination):
-        return {
-            "kind": "convex_combination",
-            "alpha": op.alpha,
-            "left": operator_to_config(op.left),
-            "right": operator_to_config(op.right),
-        }
-    if isinstance(op, Composition):
-        return {
-            "kind": "composition",
-            "outer": operator_to_config(op.outer),
-            "inner": operator_to_config(op.inner),
-        }
-    if isinstance(op, DouglasRachford):
-        return {
-            "kind": "douglas_rachford",
-            "first": set_to_config(op.first),
-            "second": set_to_config(op.second),
-        }
-    if isinstance(op, ScalarPiecewiseLinear):
-        return {
-            "kind": "scalar_piecewise_linear",
-            "breakpoints": op.breakpoints.tolist(),
-            "slopes": op.slopes.tolist(),
-            "anchor_value": op.anchor_value,
-        }
-    raise ConfigError(f"cannot serialize operator of type {type(op).__name__}")
+    return _to_config(op, OPERATOR_KINDS, "operator")
 
 
 # ---------------------------------------------------------------------------
 # ScenarioSpec <-> dict / YAML
 # ---------------------------------------------------------------------------
 
-_TRAJECTORY_KINDS = {
-    "raw",
-    "normalized",
-    "difference",
-    "shadow",
-    "alternating",
-    "harmonic_rotation",
-    "points",
-}
+
+def _def_from_config(cls, d, path: str):
+    """A TrajectoryDef or CheckDef from its mapping; kinds are checked later."""
+    name = _need(_mapping(d, path), "name", path)
+    path = f"{path}.{name}"
+    _need(d, "kind", path)
+    fields = {_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+    _check_keys(d, fields, path)
+    args = {fields[key]: value for key, value in d.items()}
+    for key in ("start", "partner", "shift"):
+        value = args.get(key)
+        if value is not None and not (key == "shift" and isinstance(value, str)):
+            args[key] = _floats(value, f"{path}.{key}")
+    return cls(**args)
 
 
-def _trajectory_from_config(d: dict, path: str) -> TrajectoryDef:
-    name = _need(d, "name", path)
-    kind = _need(d, "kind", f"{path}.{name}")
-    if kind not in _TRAJECTORY_KINDS:
-        raise ConfigError(f"{path}.{name}: unknown trajectory kind {kind!r}")
-    shift = d.get("shift")
-    if shift is not None and not isinstance(shift, str):
-        shift = _floats(shift, f"{path}.{name}.shift")
-    return TrajectoryDef(
-        name=name,
-        kind=kind,
-        operator=d.get("operator"),
-        start=None if d.get("start") is None else _floats(d["start"], f"{path}.{name}.start"),
-        partner=None if d.get("partner") is None else _floats(d["partner"], f"{path}.{name}.partner"),
-        shift=shift,
-        base=d.get("base"),
-        set_name=d.get("set"),
-        points=d.get("points"),
-        n_steps=d.get("n_steps"),
-    )
-
-
-def _trajectory_to_config(t: TrajectoryDef) -> dict:
-    out = {"name": t.name, "kind": t.kind}
-    if t.operator is not None:
-        out["operator"] = t.operator
-    for key, val in (
-        ("start", t.start),
-        ("partner", t.partner),
-        ("shift", t.shift),
-        ("base", t.base),
-        ("set", t.set_name),
-        ("points", t.points),
-        ("n_steps", t.n_steps),
-    ):
-        if val is not None:
-            out[key] = val
-    return out
-
-
-def _check_from_config(d: dict, path: str) -> CheckDef:
-    name = _need(d, "name", path)
-    return CheckDef(
-        name=name,
-        kind=_need(d, "kind", f"{path}.{name}"),
-        trajectory=d.get("trajectory"),
-        expect=d.get("expect"),
-        params=d.get("params", {}),
-    )
-
-
-def _check_to_config(c: CheckDef) -> dict:
-    out = {"name": c.name, "kind": c.kind}
-    if c.trajectory is not None:
-        out["trajectory"] = c.trajectory
-    if c.expect is not None:
-        out["expect"] = c.expect
-    if c.params:
-        out["params"] = c.params
+def _def_to_config(obj) -> dict:
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None and not (isinstance(value, dict) and not value):
+            out[_KEYS.get(f.name, f.name)] = value
     return out
 
 
@@ -339,6 +223,7 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     """Build a validated ScenarioSpec from a plain config mapping."""
     if not isinstance(data, dict):
         raise ConfigError("scenario: expected a mapping at the top level")
+    _check_keys(data, [f.name for f in dataclasses.fields(ScenarioSpec)], "scenario")
     name = _need(data, "name", "scenario")
     sets = {
         key: set_from_config(val, f"sets.{key}")
@@ -349,10 +234,10 @@ def parse_scenario(data: dict) -> ScenarioSpec:
         for key, val in data.get("operators", {}).items()
     }
     trajectories = [
-        _trajectory_from_config(t, "trajectories")
+        _def_from_config(TrajectoryDef, t, "trajectories")
         for t in data.get("trajectories", [])
     ]
-    checks = [_check_from_config(c, "checks") for c in data.get("checks", [])]
+    checks = [_def_from_config(CheckDef, c, "checks") for c in data.get("checks", [])]
     spec = ScenarioSpec(
         name=name,
         description=data.get("description", ""),
@@ -371,21 +256,12 @@ def parse_scenario(data: dict) -> ScenarioSpec:
 
 
 def serialize_scenario(spec: ScenarioSpec) -> dict:
-    return {
-        "name": spec.name,
-        "description": spec.description,
-        "topic": spec.topic,
-        "n_steps": spec.n_steps,
-        "seed": spec.seed,
-        "tol": spec.tol,
-        "tail_window": spec.tail_window,
-        "sets": {key: set_to_config(val) for key, val in spec.sets.items()},
-        "operators": {
-            key: operator_to_config(val) for key, val in spec.operators.items()
-        },
-        "trajectories": [_trajectory_to_config(t) for t in spec.trajectories],
-        "checks": [_check_to_config(c) for c in spec.checks],
-    }
+    out = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    out["sets"] = {key: set_to_config(val) for key, val in spec.sets.items()}
+    out["operators"] = {key: operator_to_config(val) for key, val in spec.operators.items()}
+    out["trajectories"] = [_def_to_config(t) for t in spec.trajectories]
+    out["checks"] = [_def_to_config(c) for c in spec.checks]
+    return out
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -20,8 +20,8 @@ from .errors import (
     MonotonicityViolationError,
     NonFiniteValueError,
 )
-from .geometry import Ball, ConvexSet, as_vector
-from .operators import OperatorExpr, certify, two_ball_gap_vector
+from .geometry import ConvexSet, as_vector
+from .operators import OperatorExpr, certify
 
 DEFAULT_N_STEPS = 100_000
 DEFAULT_TAIL_WINDOW = 1000
@@ -166,7 +166,7 @@ def iterate(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x0 = as_vector(x0, T.dim)
-    sfn = T.scalar_function()
+    sfn = T._sfn  # plain-float evaluator, None unless closed-form on the line
     if scalar_fast and sfn is not None and x0.size == 1:
         pts = _iterate_scalar(sfn, float(x0[0]), n_steps, norm_cap)
     else:
@@ -299,15 +299,6 @@ def estimate_displacement(
     return DisplacementEstimate(
         v=v, method="step_difference_tail", residual=residual, certified=certified
     )
-
-
-def two_ball_displacement(A: Ball, B: Ball) -> np.ndarray:
-    """Closed-form drift vector of the Douglas-Rachford operator on two balls.
-
-    Zero when the balls intersect; otherwise of norm ||cA - cB|| - rA - rB
-    along the line of centers, oriented so that A and B + v touch.
-    """
-    return two_ball_gap_vector(A, B)
 
 
 def _oscillation_clusters(tail: np.ndarray, tol: float):

@@ -170,9 +170,6 @@ class Point(ConvexSet):
     def _project_batch(self, pts):
         return np.broadcast_to(self.coords, pts.shape).copy()
 
-    def anchor(self):
-        return self.coords.copy()
-
     def _aff_span(self):
         return np.zeros((0, self.dim))
 
@@ -226,8 +223,8 @@ def ball(center, radius: float) -> ConvexSet:
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace(ConvexSet):
-    """{x : <normal, x> <= offset}."""
+class _NormalOffset(ConvexSet):
+    """Shared data of Halfspace and Hyperplane: a nonzero normal and an offset."""
 
     normal: np.ndarray
     offset: float
@@ -236,11 +233,16 @@ class Halfspace(ConvexSet):
         object.__setattr__(self, "normal", _frozen_array(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
         if not np.linalg.norm(self.normal) > 0.0:
-            raise ValueError("Halfspace normal must be nonzero")
+            raise ValueError(f"{type(self).__name__} normal must be nonzero")
 
     @property
     def dim(self) -> int:
         return self.normal.size
+
+
+@dataclass(frozen=True, eq=False)
+class Halfspace(_NormalOffset):
+    """{x : <normal, x> <= offset}."""
 
     def _project(self, x):
         excess = float(self.normal @ x) - self.offset
@@ -258,21 +260,8 @@ class Halfspace(ConvexSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Hyperplane(ConvexSet):
+class Hyperplane(_NormalOffset):
     """{x : <normal, x> = offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", _frozen_array(self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.linalg.norm(self.normal) > 0.0:
-            raise ValueError("Hyperplane normal must be nonzero")
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
 
     def _project(self, x):
         excess = float(self.normal @ x) - self.offset
@@ -467,9 +456,6 @@ class Orthant(ConvexSet):
     def _project_batch(self, pts):
         return np.where(self.signs * pts >= 0.0, pts, 0.0)
 
-    def anchor(self):
-        return np.zeros(self.dim)
-
     def _aff_span(self):
         return np.eye(self.dim)
 
@@ -535,18 +521,8 @@ class MinkowskiSum(ConvexSet):
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation surface
+# Cones, codimension, witnesses
 # ---------------------------------------------------------------------------
-
-
-def project(C: ConvexSet, x) -> np.ndarray:
-    """Metric projection of ``x`` onto ``C``."""
-    return C.project(x)
-
-
-def reflect(C: ConvexSet, x) -> np.ndarray:
-    """Reflection 2 P_C(x) - x of ``x`` through ``C``."""
-    return C.reflect(x)
 
 
 def dual_cone_contains(K: ConvexSet, u, tol: float = MEMBERSHIP_TOL) -> bool:

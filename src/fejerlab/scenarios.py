@@ -9,6 +9,8 @@ convergence verdict would overclaim).
 
 from __future__ import annotations
 
+import inspect
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,18 +30,21 @@ from .analysis import (
 )
 from .dynamics import (
     CONVERGED,
+    DIVERGING,
+    OSCILLATING,
     Trajectory,
     detect_limit,
     difference_monotonicity_slack,
     difference_orbit,
     displacement_from_orbit,
+    estimate_displacement,
     iterate,
     normalized_from_raw,
     normalized_orbit,
     shadow,
-    two_ball_displacement,
 )
 from .errors import ConfigError
+from .exports import export_run
 from .geometry import (
     Ball,
     ConvexSet,
@@ -60,9 +65,10 @@ from .operators import (
     Translation,
     fixed_set_description,
     random_scalar_piecewise_linear,
+    two_ball_gap_vector,
     verify_nonexpansive,
 )
-from .report import FAIL, PASS, DiagnosticsReport
+from .report import FAIL, PASS, VERDICTS, DiagnosticsReport
 
 __all__ = [
     "TrajectoryDef",
@@ -108,6 +114,18 @@ def harmonic_rotation_sequence(n_steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Parameter sweeps (aggregate checks reused by the acceptance suite)
 # ---------------------------------------------------------------------------
+
+
+def _sweep_report(checker, failures, params, seed, **counts) -> DiagnosticsReport:
+    """PASS when no instance failed, else FAIL with the first failure."""
+    return DiagnosticsReport(
+        checker,
+        FAIL if failures else PASS,
+        {"first_failure": failures[0]} if failures else {},
+        params=params,
+        seed=seed,
+        metadata={**counts, "failures": len(failures)},
+    )
 
 
 def run_scalar_averaged_sweep(
@@ -176,14 +194,8 @@ def run_scalar_averaged_sweep(
         "tail_window": tail_window,
         "tol": tol,
     }
-    meta = {"converged": converged, "failures": len(failures)}
-    if not failures:
-        return DiagnosticsReport(
-            "scalar_averaged_sweep", PASS, params=params, seed=seed, metadata=meta
-        )
-    return DiagnosticsReport(
-        "scalar_averaged_sweep", FAIL, {"first_failure": failures[0]},
-        params=params, seed=seed, metadata=meta,
+    return _sweep_report(
+        "scalar_averaged_sweep", failures, params, seed, converged=converged
     )
 
 
@@ -237,15 +249,7 @@ def run_affine_limit_sweep(
                 }
             )
     params = {"instances": instances, "dims": list(dims), "n_steps": n_steps, "tol": tol}
-    meta = {"failures": len(failures)}
-    if not failures:
-        return DiagnosticsReport(
-            "affine_limit_sweep", PASS, params=params, seed=seed, metadata=meta
-        )
-    return DiagnosticsReport(
-        "affine_limit_sweep", FAIL, {"first_failure": failures[0]},
-        params=params, seed=seed, metadata=meta,
-    )
+    return _sweep_report("affine_limit_sweep", failures, params, seed)
 
 
 def run_codim1_sweep(
@@ -277,15 +281,7 @@ def run_codim1_sweep(
                 {"instance": i, "verdict": rep.verdict, "witness": rep.witness}
             )
     params = {"instances": instances, "dims": list(dims), "n_steps": n_steps}
-    meta = {"failures": len(failures)}
-    if not failures:
-        return DiagnosticsReport(
-            "codim1_sweep", PASS, params=params, seed=seed, metadata=meta
-        )
-    return DiagnosticsReport(
-        "codim1_sweep", FAIL, {"first_failure": failures[0]},
-        params=params, seed=seed, metadata=meta,
-    )
+    return _sweep_report("codim1_sweep", failures, params, seed)
 
 
 def _dual_cone_interior_point(rng, K: ConvexSet, margin: float = 0.3) -> np.ndarray:
@@ -410,15 +406,7 @@ def run_decoupling_sweep(
             )
         built += 1
     params = {"instances": instances, "witnesses": witnesses, "tol": tol}
-    meta = {"failures": len(failures)}
-    if not failures:
-        return DiagnosticsReport(
-            "decoupling_sweep", PASS, params=params, seed=seed, metadata=meta
-        )
-    return DiagnosticsReport(
-        "decoupling_sweep", FAIL, {"first_failure": failures[0]},
-        params=params, seed=seed, metadata=meta,
-    )
+    return _sweep_report("decoupling_sweep", failures, params, seed)
 
 
 def run_two_ball_sweep(
@@ -446,7 +434,7 @@ def run_two_ball_sweep(
         x0 = ca + rng.uniform(-3, 3, 3)
         orbit = iterate(T, x0, n_steps)
         v_est, residual = displacement_from_orbit(orbit, tail)
-        v_closed = two_ball_displacement(A, B)
+        v_closed = two_ball_gap_vector(A, B)
         gap = float(np.linalg.norm(v_est - v_closed))
         if gap > match_tol:
             failures.append({"pair": i, "problem": "displacement", "gap": gap})
@@ -465,29 +453,15 @@ def run_two_ball_sweep(
         "match_tol": match_tol,
         "fejer_tol": fejer_tol,
     }
-    meta = {"failures": len(failures)}
-    if not failures:
-        return DiagnosticsReport(
-            "two_ball_sweep", PASS, params=params, seed=seed, metadata=meta
-        )
-    return DiagnosticsReport(
-        "two_ball_sweep", FAIL, {"first_failure": failures[0]},
-        params=params, seed=seed, metadata=meta,
-    )
+    return _sweep_report("two_ball_sweep", failures, params, seed)
 
 
 # ---------------------------------------------------------------------------
 # Scenario model
 # ---------------------------------------------------------------------------
 
-EXPECTED_OUTCOMES = {
-    "pass",
-    "fail",
-    "inconclusive",
-    "converged",
-    "diverging",
-    "oscillating",
-}
+# report verdicts, plus the statuses a limit check reports
+EXPECTED_OUTCOMES = {*VERDICTS, CONVERGED, DIVERGING, OSCILLATING}
 
 
 @dataclass
@@ -495,8 +469,7 @@ class TrajectoryDef:
     """How to build one named trajectory of a scenario."""
 
     name: str
-    kind: str  # raw | normalized | difference | shadow | alternating
-    #            | harmonic_rotation | points
+    kind: str  # a key of TRAJECTORY_KINDS
     operator: str | None = None
     start: list | None = None
     partner: list | None = None
@@ -516,7 +489,7 @@ class CheckDef:
     """
 
     name: str
-    kind: str
+    kind: str  # a key of CHECK_KINDS
     trajectory: str | None = None
     expect: str | None = None
     params: dict = field(default_factory=dict)
@@ -537,11 +510,16 @@ class ScenarioSpec:
     checks: list = field(default_factory=list)
 
     def validate(self) -> None:
+        """Check every name, kind and check parameter against the tables."""
         names = set()
         for t in self.trajectories:
             if t.name in names:
                 raise ConfigError(f"trajectories: duplicate name {t.name!r}")
             names.add(t.name)
+            if t.kind not in TRAJECTORY_KINDS:
+                raise ConfigError(
+                    f"trajectories.{t.name}: unknown trajectory kind {t.kind!r}"
+                )
             if t.operator is not None and t.operator not in self.operators:
                 raise ConfigError(
                     f"trajectories.{t.name}: unknown operator {t.operator!r}"
@@ -557,14 +535,20 @@ class ScenarioSpec:
             if c.name in check_names:
                 raise ConfigError(f"checks: duplicate name {c.name!r}")
             check_names.add(c.name)
+            kind = CHECK_KINDS.get(c.kind)
+            if kind is None:
+                raise ConfigError(f"checks.{c.name}: unknown check kind {c.kind!r}")
             if c.trajectory is not None and c.trajectory not in names:
                 raise ConfigError(
                     f"checks.{c.name}: unknown trajectory {c.trajectory!r}"
                 )
+            if kind.needs_trajectory and c.trajectory is None:
+                raise ConfigError(f"checks.{c.name}: missing field 'trajectory'")
             if c.expect is not None and c.expect not in EXPECTED_OUTCOMES:
                 raise ConfigError(
                     f"checks.{c.name}: unknown expected outcome {c.expect!r}"
                 )
+            kind.validate(c.params, self, f"checks.{c.name}.params")
 
 
 @dataclass(frozen=True)
@@ -590,62 +574,101 @@ class RunArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# Runner
+# Trajectory kinds: build(spec, tdef, built, n_steps) -> Trajectory
 # ---------------------------------------------------------------------------
 
 
-def _build_trajectory(spec, tdef, built, n_steps, seed):
-    n = tdef.n_steps if tdef.n_steps is not None else n_steps
-    if tdef.kind == "alternating":
-        return Trajectory(alternating_sequence(n))
-    if tdef.kind == "harmonic_rotation":
-        return Trajectory(harmonic_rotation_sequence(n))
-    if tdef.kind == "points":
-        return Trajectory(np.asarray(tdef.points, dtype=float))
-    if tdef.kind == "shadow":
-        return shadow(built[tdef.base], spec.sets[tdef.set_name])
+def _vector(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+def _normalized(spec, tdef, built, n):
     op = spec.operators[tdef.operator]
-    if tdef.kind == "raw":
-        return iterate(op, np.asarray(tdef.start, dtype=float), n)
-    if tdef.kind == "difference":
-        return difference_orbit(
-            op,
-            np.asarray(tdef.start, dtype=float),
-            np.asarray(tdef.partner, dtype=float),
-            n,
-        )
-    if tdef.kind == "normalized":
-        if tdef.shift == "two_ball":
-            if not isinstance(op, DouglasRachford):
-                raise ConfigError(
-                    f"trajectories.{tdef.name}: shift 'two_ball' needs a "
-                    "Douglas-Rachford operator on two balls"
-                )
-            v = two_ball_displacement(op.first, op.second)
-        elif tdef.shift == "estimate":
-            from .dynamics import estimate_displacement
-
-            v = estimate_displacement(
-                op, np.asarray(tdef.start, dtype=float), n, min(1000, n // 2)
-            ).v
-        else:
-            v = np.asarray(tdef.shift, dtype=float)
-        if tdef.base is not None:
-            return normalized_from_raw(built[tdef.base], v)
-        return normalized_orbit(op, np.asarray(tdef.start, dtype=float), v, n)
-    raise ConfigError(f"trajectories.{tdef.name}: unknown kind {tdef.kind!r}")
+    if tdef.shift == "two_ball":
+        if not isinstance(op, DouglasRachford):
+            raise ConfigError(
+                f"trajectories.{tdef.name}: shift 'two_ball' needs a "
+                "Douglas-Rachford operator on two balls"
+            )
+        v = two_ball_gap_vector(op.first, op.second)
+    elif tdef.shift == "estimate":
+        v = estimate_displacement(op, _vector(tdef.start), n, min(1000, n // 2)).v
+    else:
+        v = _vector(tdef.shift)
+    if tdef.base is not None:
+        return normalized_from_raw(built[tdef.base], v)
+    return normalized_orbit(op, _vector(tdef.start), v, n)
 
 
-_SWEEPS = {
-    "scalar_averaged_sweep": run_scalar_averaged_sweep,
-    "affine_limit_sweep": run_affine_limit_sweep,
-    "codim1_sweep": run_codim1_sweep,
-    "decoupling_sweep": run_decoupling_sweep,
-    "two_ball_sweep": run_two_ball_sweep,
+TRAJECTORY_KINDS = {
+    "raw": lambda spec, t, built, n: iterate(
+        spec.operators[t.operator], _vector(t.start), n
+    ),
+    "normalized": _normalized,
+    "difference": lambda spec, t, built, n: difference_orbit(
+        spec.operators[t.operator], _vector(t.start), _vector(t.partner), n
+    ),
+    "shadow": lambda spec, t, built, n: shadow(built[t.base], spec.sets[t.set_name]),
+    "alternating": lambda spec, t, built, n: Trajectory(alternating_sequence(n)),
+    "harmonic_rotation": lambda spec, t, built, n: Trajectory(
+        harmonic_rotation_sequence(n)
+    ),
+    "points": lambda spec, t, built, n: Trajectory(_vector(t.points)),
 }
 
 
-def _limit_report(name, est, expect):
+# ---------------------------------------------------------------------------
+# Check kinds
+# ---------------------------------------------------------------------------
+
+# A default that takes the run's value: the run's seed and tol, the
+# scenario's n_steps and tail_window.
+FROM_RUN = object()
+
+
+@dataclass(frozen=True)
+class CheckKind:
+    """How one check kind runs and which ``params`` it accepts.
+
+    ``run(trajectory, expect, **params)`` returns the report and the actual
+    outcome that is compared with ``expect``.  The params listed in ``sets``
+    and ``operators`` name a set or an operator of the scenario and arrive
+    resolved; they are required unless ``defaults`` has them.  Every other
+    accepted param is a key of ``defaults``.
+    """
+
+    run: Callable
+    sets: tuple = ()
+    operators: tuple = ()
+    defaults: dict = field(default_factory=dict)
+    needs_trajectory: bool = True
+
+    def validate(self, params, spec, path: str) -> None:
+        if not isinstance(params, dict):
+            raise ConfigError(f"{path}: expected a mapping, got {type(params).__name__}")
+        for key in params:
+            if key not in self.defaults and key not in self.sets + self.operators:
+                raise ConfigError(f"{path}: unknown parameter {key!r}")
+        for label, keys, named in (
+            ("set", self.sets, spec.sets),
+            ("operator", self.operators, spec.operators),
+        ):
+            for key in keys:
+                if params.get(key) is None:
+                    if key not in self.defaults:
+                        raise ConfigError(f"{path}: missing parameter {key!r}")
+                elif not isinstance(params[key], str) or params[key] not in named:
+                    raise ConfigError(
+                        f"{path}.{key}: unknown {label} reference {params[key]!r}"
+                    )
+
+
+def _verdict(report):
+    return report, report.verdict
+
+
+def _limit(traj, expect, tail_window, tol):
+    est = detect_limit(traj, min(tail_window, len(traj)), tol)
     meta = {"status": est.status}
     for key in ("limit", "residual", "growth_rate", "cluster_gap"):
         val = getattr(est, key)
@@ -653,132 +676,143 @@ def _limit_report(name, est, expect):
             meta[key] = val
     if est.cluster_points is not None:
         meta["clusters"] = est.cluster_points
-    matched = expect is None or est.status == expect
-    if matched:
-        return DiagnosticsReport("detect_limit", PASS, metadata=meta)
-    return DiagnosticsReport(
-        "detect_limit",
-        FAIL,
-        {"expected_status": expect, "actual_status": est.status},
-        metadata=meta,
+    if expect is None or est.status == expect:
+        return DiagnosticsReport("detect_limit", PASS, metadata=meta), est.status
+    witness = {"expected_status": expect, "actual_status": est.status}
+    return DiagnosticsReport("detect_limit", FAIL, witness, metadata=meta), est.status
+
+
+def _displacement_match(traj, expect, operator, tail, tol):
+    if not isinstance(operator, DouglasRachford):
+        raise ConfigError(
+            "displacement_match needs a Douglas-Rachford operator on two balls"
+        )
+    v_est, residual = displacement_from_orbit(traj, tail)
+    v_closed = two_ball_gap_vector(operator.first, operator.second)
+    gap = float(np.linalg.norm(v_est - v_closed))
+    return _verdict(
+        DiagnosticsReport(
+            "displacement_match",
+            PASS if gap <= tol else FAIL,
+            {} if gap <= tol else {"gap": gap},
+            params={"tol": tol, "tail": tail},
+            metadata={
+                "estimated": v_est,
+                "closed_form": v_closed,
+                "gap": gap,
+                "tail_residual": residual,
+            },
+        )
     )
 
 
-def _run_check(spec, cdef, built, seed, tol, tail_window):
-    p = dict(cdef.params)
-    kind = cdef.kind
-    traj = built.get(cdef.trajectory) if cdef.trajectory else None
-    if kind == "fejer":
-        rep = check_fejer(
-            traj,
-            spec.sets[p["set"]],
-            witnesses=p.get("witnesses", 10),
-            seed=p.get("seed", seed),
-            tol=p.get("tol", 1e-10),
-        )
-        return rep, rep.verdict
-    if kind == "asymptotic_regularity":
-        rep = check_asymptotic_regularity(traj, tol=p.get("tol", 1e-9))
-        return rep, rep.verdict
-    if kind == "limit":
-        window = min(p.get("tail_window", tail_window), len(traj))
-        est = detect_limit(traj, window, p.get("tol", tol))
-        rep = _limit_report(cdef.name, est, cdef.expect)
-        return rep, est.status
-    if kind == "connectivity":
-        cluster = estimate_cluster_set(
-            traj,
-            tail_fraction=p.get("tail_fraction", 0.5),
-            radius=p.get("radius"),
-        )
-        rep = check_connectivity(cluster)
-        return rep, rep.verdict
-    if kind == "cluster_orthogonality":
-        cluster = estimate_cluster_set(
-            traj,
-            tail_fraction=p.get("tail_fraction", 0.5),
-            radius=p.get("radius"),
-        )
-        rep = check_cluster_orthogonality(
-            cluster,
-            spec.sets[p["set"]],
-            witnesses=p.get("witnesses", 10),
-            seed=p.get("seed", seed),
-            tol=p.get("tol", 1e-8),
-        )
-        return rep, rep.verdict
-    if kind == "sum_decoupling":
-        rep = check_sum_decoupling(
-            traj,
-            spec.sets[p["summand"]],
-            spec.sets[p["cone"]],
-            witnesses=p.get("witnesses", 10),
-            seed=p.get("seed", seed),
-            tol=p.get("tol", 1e-10),
-        )
-        return rep, rep.verdict
-    if kind == "shadow_superset":
-        rep = check_shadow_superset(
-            traj,
-            spec.sets[p["inner"]],
-            spec.sets[p["outer"]],
-            tol=p.get("tol", 1e-6),
-            witnesses=p.get("witnesses", 10),
-            seed=p.get("seed", seed),
-        )
-        return rep, rep.verdict
-    if kind == "codim1":
-        rep = check_codim1_theorem(
-            spec.sets[p["set"]],
-            trajectory=traj,
-            operator=spec.operators.get(p.get("operator")),
-            x0=p.get("start"),
-            n_steps=p.get("n_steps", spec.n_steps),
-            seed=p.get("seed", seed),
-        )
-        return rep, rep.verdict
-    if kind == "nonexpansive":
-        rep = verify_nonexpansive(
-            spec.operators[p["operator"]],
-            trials=p.get("trials", 1000),
-            seed=p.get("seed", seed),
-            tol=p.get("tol", 1e-9),
-            dim=p.get("dim"),
-        )
-        return rep, rep.verdict
-    if kind == "displacement_match":
-        op = spec.operators[p["operator"]]
-        if not isinstance(op, DouglasRachford):
-            raise ConfigError(
-                f"checks.{cdef.name}: displacement_match needs a Douglas-Rachford "
-                "operator on two balls"
+def _sweep_kind(name: str) -> CheckKind:
+    """A sweep check: its params are the sweep's keyword arguments."""
+    params = inspect.signature(globals()[name]).parameters
+    # the sweep is looked up when the check runs, as every checker here is
+    return CheckKind(
+        lambda traj, expect, **kw: _verdict(globals()[name](**kw)),
+        defaults={key: p.default for key, p in params.items()},
+        needs_trajectory=False,
+    )
+
+
+_WITNESSES = {"witnesses": 10, "seed": FROM_RUN}
+_CLUSTERS = {"tail_fraction": 0.5, "radius": None}
+
+CHECK_KINDS = {
+    "fejer": CheckKind(
+        lambda traj, expect, set, **kw: _verdict(check_fejer(traj, set, **kw)),
+        sets=("set",),
+        defaults={**_WITNESSES, "tol": 1e-10},
+    ),
+    "asymptotic_regularity": CheckKind(
+        lambda traj, expect, **kw: _verdict(check_asymptotic_regularity(traj, **kw)),
+        defaults={"tol": 1e-9},
+    ),
+    "limit": CheckKind(_limit, defaults={"tail_window": FROM_RUN, "tol": FROM_RUN}),
+    "connectivity": CheckKind(
+        lambda traj, expect, **kw: _verdict(
+            check_connectivity(estimate_cluster_set(traj, **kw))
+        ),
+        defaults=_CLUSTERS,
+    ),
+    "cluster_orthogonality": CheckKind(
+        lambda traj, expect, set, tail_fraction, radius, **kw: _verdict(
+            check_cluster_orthogonality(
+                estimate_cluster_set(traj, tail_fraction=tail_fraction, radius=radius),
+                set,
+                **kw,
             )
-        tail = p.get("tail", 1000)
-        v_est, residual = displacement_from_orbit(traj, tail)
-        v_closed = two_ball_displacement(op.first, op.second)
-        gap = float(np.linalg.norm(v_est - v_closed))
-        match_tol = p.get("tol", 1e-6)
-        meta = {
-            "estimated": v_est,
-            "closed_form": v_closed,
-            "gap": gap,
-            "tail_residual": residual,
-        }
-        if gap <= match_tol:
-            rep = DiagnosticsReport(
-                "displacement_match", PASS, params={"tol": match_tol, "tail": tail},
-                metadata=meta,
-            )
-        else:
-            rep = DiagnosticsReport(
-                "displacement_match", FAIL, {"gap": gap},
-                params={"tol": match_tol, "tail": tail}, metadata=meta,
-            )
-        return rep, rep.verdict
-    if kind in _SWEEPS:
-        rep = _SWEEPS[kind](**p)
-        return rep, rep.verdict
-    raise ConfigError(f"checks.{cdef.name}: unknown check kind {kind!r}")
+        ),
+        sets=("set",),
+        defaults={**_CLUSTERS, **_WITNESSES, "tol": 1e-8},
+    ),
+    "sum_decoupling": CheckKind(
+        lambda traj, expect, summand, cone, **kw: _verdict(
+            check_sum_decoupling(traj, summand, cone, **kw)
+        ),
+        sets=("summand", "cone"),
+        defaults={**_WITNESSES, "tol": 1e-10},
+    ),
+    "shadow_superset": CheckKind(
+        lambda traj, expect, inner, outer, **kw: _verdict(
+            check_shadow_superset(traj, inner, outer, **kw)
+        ),
+        sets=("inner", "outer"),
+        defaults={"tol": 1e-6, **_WITNESSES},
+    ),
+    "codim1": CheckKind(
+        lambda traj, expect, set, operator, start, **kw: _verdict(
+            check_codim1_theorem(set, trajectory=traj, operator=operator, x0=start, **kw)
+        ),
+        sets=("set",),
+        operators=("operator",),
+        defaults={"operator": None, "start": None, "n_steps": FROM_RUN, "seed": FROM_RUN},
+        needs_trajectory=False,
+    ),
+    "nonexpansive": CheckKind(
+        lambda traj, expect, operator, **kw: _verdict(verify_nonexpansive(operator, **kw)),
+        operators=("operator",),
+        defaults={"trials": 1000, "seed": FROM_RUN, "tol": 1e-9, "dim": None},
+        needs_trajectory=False,
+    ),
+    "displacement_match": CheckKind(
+        _displacement_match,
+        operators=("operator",),
+        defaults={"tail": 1000, "tol": 1e-6},
+    ),
+    **{
+        kind: _sweep_kind(f"run_{kind}")
+        for kind in (
+            "scalar_averaged_sweep",
+            "affine_limit_sweep",
+            "codim1_sweep",
+            "decoupling_sweep",
+            "two_ball_sweep",
+        )
+    },
+}
+
+
+# ---------------------------------------------------------------------------
+# Runner
+# ---------------------------------------------------------------------------
+
+
+def _run_check(spec, cdef, built, run_values):
+    kind = CHECK_KINDS[cdef.kind]
+    named = {
+        **dict.fromkeys(kind.sets, spec.sets),
+        **dict.fromkeys(kind.operators, spec.operators),
+    }
+    params = {**kind.defaults, **cdef.params}
+    for key, val in params.items():
+        if val is FROM_RUN:
+            params[key] = run_values[key]
+        elif key in named and val is not None:
+            params[key] = named[key][val]
+    return kind.run(built.get(cdef.trajectory), cdef.expect, **params)
 
 
 def run_scenario(
@@ -791,19 +825,24 @@ def run_scenario(
     """Build all trajectories, run all checks, optionally export artifacts."""
     spec.validate()
     n = n_steps if n_steps is not None else spec.n_steps
-    sd = seed if seed is not None else spec.seed
-    tl = tol if tol is not None else spec.tol
+    run_values = {
+        "seed": seed if seed is not None else spec.seed,
+        "tol": tol if tol is not None else spec.tol,
+        "n_steps": spec.n_steps,
+        "tail_window": spec.tail_window,
+    }
     built: dict = {}
     for tdef in spec.trajectories:
-        built[tdef.name] = _build_trajectory(spec, tdef, built, n, sd)
+        steps = tdef.n_steps if tdef.n_steps is not None else n
+        built[tdef.name] = TRAJECTORY_KINDS[tdef.kind](spec, tdef, built, steps)
     reports: dict = {}
     summary: list = []
     for cdef in spec.checks:
         try:
-            rep, actual = _run_check(spec, cdef, built, sd, tl, spec.tail_window)
+            rep, actual = _run_check(spec, cdef, built, run_values)
             matched = cdef.expect is None or actual == cdef.expect
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise ConfigError(f"checks.{cdef.name}: {exc}") from exc
         except Exception as exc:  # runtime error attached to the failing check
             rep = DiagnosticsReport(
                 cdef.kind, FAIL, {"error": f"{type(exc).__name__}: {exc}"}
@@ -813,8 +852,6 @@ def run_scenario(
         summary.append(CheckOutcome(cdef.name, cdef.expect, actual, matched))
     artifacts = RunArtifacts(spec.name, built, reports, summary)
     if out_dir is not None:
-        from .exports import export_run
-
         export_run(artifacts, Path(out_dir))
     return artifacts
 
@@ -1050,9 +1087,10 @@ def _spec_decoupling_demo() -> ScenarioSpec:
     )
 
 
-def _two_ball_spec(name, description, A, B, x0, n_steps, extra_checks=()):
+def _two_ball_spec(name, description, A, B, x0, n_steps, topic=None, partner=None):
+    """Two-ball splitting scenario; a ``partner`` start adds an orbit difference."""
     T = DouglasRachford(A, B)
-    v = two_ball_displacement(A, B)
+    v = two_ball_gap_vector(A, B)
     fix_ray = fixed_set_description(T, v)
     sets = {"first": A, "second": B}
     if fix_ray is not None:
@@ -1070,23 +1108,33 @@ def _two_ball_spec(name, description, A, B, x0, n_steps, extra_checks=()):
         # detection tolerance is loose and the residual is recorded
         CheckDef("normalized-limit", "limit", "normalized", None, {"tol": 1e-4}),
     ]
-    checks.extend(extra_checks)
+    trajectories = [
+        TrajectoryDef("orbit", "raw", operator="T", start=list(x0)),
+        TrajectoryDef(
+            "normalized", "normalized", operator="T", start=list(x0),
+            shift="two_ball", base="orbit",
+        ),
+    ]
+    if partner is not None:
+        trajectories.append(
+            TrajectoryDef(
+                "difference", "difference", operator="T",
+                start=list(x0), partner=list(partner),
+            )
+        )
+        checks.append(
+            CheckDef("difference-limit", "limit", "difference", None, {"tol": 1e-4})
+        )
     return ScenarioSpec(
         name=name,
         description=description,
-        topic="two-ball splitting with drift; conjectured convergence",
+        topic=topic or "two-ball splitting with drift; conjectured convergence",
         n_steps=n_steps,
         seed=9,
         tail_window=1000,
         sets=sets,
         operators={"T": T},
-        trajectories=[
-            TrajectoryDef("orbit", "raw", operator="T", start=list(x0)),
-            TrajectoryDef(
-                "normalized", "normalized", operator="T", start=list(x0),
-                shift="two_ball", base="orbit",
-            ),
-        ],
+        trajectories=trajectories,
         checks=checks,
     )
 
@@ -1111,17 +1159,46 @@ def _spec_dr_two_balls_r3() -> ScenarioSpec:
     )
 
 
-def _spec_open_problem_p1() -> ScenarioSpec:
-    # drift g decays geometrically from 1 to 2^-12, then stays constant:
-    # T = Id + g has no fixed points and minimal displacement 2^-12.
+def _scalar_drift_spec(name, description, topic, seed, anchor_value, v, start, partner):
+    """Line probe T = Id + g: g(0) = ``anchor_value`` falls by 2^-i on the
+    i-th of twelve unit pieces and is constant beyond them.  Orbit
+    differences and the orbit normalized by ``v`` are evidence only."""
     k = 12
     breakpoints = np.arange(0.0, k + 1.0)
     slopes = np.concatenate([[1.0], 1.0 - 0.5 ** np.arange(1.0, k + 1.0), [1.0]])
-    T = ScalarPiecewiseLinear(breakpoints, slopes, anchor_value=1.0)
-    v = -(0.5**k)
+    T = ScalarPiecewiseLinear(breakpoints, slopes, anchor_value=anchor_value)
     return ScenarioSpec(
-        name="open-problem-p1",
-        description=(
+        name=name,
+        description=description,
+        topic=topic,
+        n_steps=100_000,
+        seed=seed,
+        operators={"T": T},
+        trajectories=[
+            TrajectoryDef(
+                "difference", "difference", operator="T", start=[start], partner=[partner]
+            ),
+            TrajectoryDef(
+                "normalized", "normalized", operator="T", start=[start], shift=[v]
+            ),
+        ],
+        checks=[
+            CheckDef(
+                "nonexpansive", "nonexpansive", None, "pass",
+                {"operator": "T", "trials": 500},
+            ),
+            CheckDef("difference-limit", "limit", "difference", None),
+            CheckDef("normalized-limit", "limit", "normalized", None),
+        ],
+    )
+
+
+def _spec_open_problem_p1() -> ScenarioSpec:
+    # drift g decays geometrically from 1 to 2^-12, then stays constant:
+    # T = Id + g has no fixed points and minimal displacement 2^-12.
+    return _scalar_drift_spec(
+        "open-problem-p1",
+        (
             "Probe for the line case with vanishing minimal displacement but "
             "no fixed points.  A map with finitely many linear pieces cannot "
             "realize that class exactly (its displacement infimum is always "
@@ -1130,26 +1207,12 @@ def _spec_open_problem_p1() -> ScenarioSpec:
             "displacement.  Orbit-difference behaviour is exported as "
             "evidence; no convergence verdict is asserted."
         ),
-        topic="open: scalar maps with v = 0 and no fixed points",
-        n_steps=100_000,
+        "open: scalar maps with v = 0 and no fixed points",
         seed=10,
-        operators={"T": T},
-        trajectories=[
-            TrajectoryDef(
-                "difference", "difference", operator="T", start=[-2.0], partner=[-7.0]
-            ),
-            TrajectoryDef(
-                "normalized", "normalized", operator="T", start=[-2.0], shift=[v]
-            ),
-        ],
-        checks=[
-            CheckDef(
-                "nonexpansive", "nonexpansive", None, "pass",
-                {"operator": "T", "trials": 500},
-            ),
-            CheckDef("difference-limit", "limit", "difference", None),
-            CheckDef("normalized-limit", "limit", "normalized", None),
-        ],
+        anchor_value=1.0,
+        v=-(0.5**12),
+        start=-2.0,
+        partner=-7.0,
     )
 
 
@@ -1157,14 +1220,9 @@ def _spec_open_problem_p2() -> ScenarioSpec:
     # same decay pattern on top of a unit drift floor of 1/4: the minimal
     # displacement is attained on the final piece, as it must be for any
     # finitely-piecewise-linear map.
-    k = 12
-    breakpoints = np.arange(0.0, k + 1.0)
-    slopes = np.concatenate([[1.0], 1.0 - 0.5 ** np.arange(1.0, k + 1.0), [1.0]])
-    T = ScalarPiecewiseLinear(breakpoints, slopes, anchor_value=1.25)
-    v = -(0.25 + 0.5**k)
-    return ScenarioSpec(
-        name="open-problem-p2",
-        description=(
+    return _scalar_drift_spec(
+        "open-problem-p2",
+        (
             "Probe for the line case with nonzero minimal displacement but "
             "empty generalized fixed set.  For maps with finitely many "
             "linear pieces the displacement infimum is always attained, so "
@@ -1173,31 +1231,17 @@ def _spec_open_problem_p2() -> ScenarioSpec:
             "with a drift decaying to a floor of 1/4 and exports the "
             "observed behaviour as evidence."
         ),
-        topic="open: scalar maps with v != 0 and empty generalized fixed set",
-        n_steps=100_000,
+        "open: scalar maps with v != 0 and empty generalized fixed set",
         seed=11,
-        operators={"T": T},
-        trajectories=[
-            TrajectoryDef(
-                "difference", "difference", operator="T", start=[3.0], partner=[-4.0]
-            ),
-            TrajectoryDef(
-                "normalized", "normalized", operator="T", start=[3.0], shift=[v]
-            ),
-        ],
-        checks=[
-            CheckDef(
-                "nonexpansive", "nonexpansive", None, "pass",
-                {"operator": "T", "trials": 500},
-            ),
-            CheckDef("difference-limit", "limit", "difference", None),
-            CheckDef("normalized-limit", "limit", "normalized", None),
-        ],
+        anchor_value=1.25,
+        v=-(0.25 + 0.5**12),
+        start=3.0,
+        partner=-4.0,
     )
 
 
 def _spec_open_problem_p3() -> ScenarioSpec:
-    spec = _two_ball_spec(
+    return _two_ball_spec(
         "open-problem-p3",
         (
             "Does averagedness with nonzero drift force convergence of orbit "
@@ -1210,22 +1254,13 @@ def _spec_open_problem_p3() -> ScenarioSpec:
         Ball([4.0, 1.0, 2.0], 0.75),
         (1.0, 2.0, -1.0),
         50_000,
+        topic="open: orbit-difference convergence in dimension >= 3",
+        partner=(-2.0, 0.0, 3.0),
     )
-    spec.trajectories.append(
-        TrajectoryDef(
-            "difference", "difference", operator="T",
-            start=[1.0, 2.0, -1.0], partner=[-2.0, 0.0, 3.0],
-        )
-    )
-    spec.checks.append(
-        CheckDef("difference-limit", "limit", "difference", None, {"tol": 1e-4})
-    )
-    spec.topic = "open: orbit-difference convergence in dimension >= 3"
-    return spec
 
 
 def _spec_open_problem_p4() -> ScenarioSpec:
-    spec = _two_ball_spec(
+    return _two_ball_spec(
         "open-problem-p4",
         (
             "Strong versus weak convergence of orbit differences.  At desk "
@@ -1238,18 +1273,9 @@ def _spec_open_problem_p4() -> ScenarioSpec:
         Ball([0.0, 0.0, 6.0], 2.0),
         (1.0, -2.0, 0.0),
         50_000,
+        topic="open: strong vs weak convergence (coincide at desk scale)",
+        partner=(0.0, 4.0, 1.0),
     )
-    spec.trajectories.append(
-        TrajectoryDef(
-            "difference", "difference", operator="T",
-            start=[1.0, -2.0, 0.0], partner=[0.0, 4.0, 1.0],
-        )
-    )
-    spec.checks.append(
-        CheckDef("difference-limit", "limit", "difference", None, {"tol": 1e-4})
-    )
-    spec.topic = "open: strong vs weak convergence (coincide at desk scale)"
-    return spec
 
 
 _REGISTRY = {

@@ -20,7 +20,6 @@ from fejerlab.geometry import (
     Point,
     Ray,
     full_space,
-    project,
 )
 from fejerlab.operators import (
     ConvexCombination,
@@ -293,7 +292,7 @@ def test_codim1_under_relaxed_reflection_converges():
     rep = check_codim1_theorem(C, operator=T, x0=x0, n_steps=3000)
     assert rep.passed
     assert rep.metadata["codim"] == 1
-    assert np.linalg.norm(rep.metadata["limit"] - project(C, x0)) <= 1e-8
+    assert np.linalg.norm(rep.metadata["limit"] - C.project(x0)) <= 1e-8
 
 
 def test_codim1_inconclusive_without_asymptotic_regularity():

@@ -6,6 +6,8 @@ import yaml
 
 from fejerlab.cli import main
 from fejerlab.config import (
+    OPERATOR_KINDS,
+    SET_KINDS,
     dump_scenario,
     load_scenario,
     operator_from_config,
@@ -24,17 +26,33 @@ from fejerlab.exports import (
     load_trajectory_csv,
     report_to_dict,
 )
-from fejerlab.geometry import Ball, Hyperplane, MinkowskiSum, Orthant, Point, Ray
+from fejerlab.geometry import (
+    AffineSubspace,
+    Ball,
+    Box,
+    Halfspace,
+    Hyperplane,
+    LinearSubspace,
+    MinkowskiSum,
+    Orthant,
+    Point,
+    Ray,
+)
 from fejerlab.operators import (
+    AffineMap,
+    Composition,
     ConvexCombination,
     DouglasRachford,
     Identity,
+    Linear,
     Negation,
+    Projector,
     Reflector,
     ScalarPiecewiseLinear,
+    Translation,
 )
 from fejerlab.report import DiagnosticsReport
-from fejerlab.scenarios import get_scenario
+from fejerlab.scenarios import get_scenario, list_scenarios
 
 
 CONFIG_TEXT = """
@@ -66,35 +84,66 @@ checks:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "s",
-    [
-        Point([1.0, 2.0]),
-        Ball([0.0, -1.0], 2.5),
-        Hyperplane([1.0, 0.0], 0.0),
-        Ray([0.0, 0.0], [0.6, 0.8]),
-        Orthant([1.0, -1.0]),
-        MinkowskiSum(Point([0.0, 0.0]), Ray([0.0, 0.0], [1.0, 0.0])),
-    ],
-    ids=lambda s: type(s).__name__,
-)
+SET_CASES = [
+    Point([1.0, 2.0]),
+    Ball([0.0, -1.0], 2.5),
+    Halfspace([1.0, 1.0], 0.5),
+    Hyperplane([1.0, 0.0], 0.0),
+    AffineSubspace([1.0, 0.0, 0.0], [[0.0, 0.6, 0.8]]),
+    LinearSubspace([[0.0, 1.0, 0.0]]),
+    pytest.param(LinearSubspace(np.zeros((0, 3)), ambient_dim=3), id="LinearSubspace-empty"),
+    Box([-1.0, 0.0], [1.0, 0.0]),
+    Ray([0.0, 0.0], [0.6, 0.8]),
+    Orthant([1.0, -1.0]),
+    MinkowskiSum(Point([0.0, 0.0]), Ray([0.0, 0.0], [1.0, 0.0])),
+]
+
+OPERATOR_CASES = [
+    Identity(),
+    Negation(),
+    Translation([1.0, -2.0]),
+    Linear([[0.0, -1.0], [1.0, 0.0]]),
+    AffineMap([[0.5, 0.0], [0.0, 0.25]], [1.0, 2.0]),
+    Projector(Box([0.0], [1.0])),
+    Reflector(Halfspace([1.0, -1.0], 2.0)),
+    ConvexCombination(0.25, Identity(), Reflector(Ball([0.0], 1.0))),
+    Composition(Projector(Ball([0.0, 0.0], 1.0)), Reflector(Hyperplane([0.0, 1.0], 1.0))),
+    DouglasRachford(Ball([0.0] * 3, 1.0), Ball([5.0, 0.0, 0.0], 1.0)),
+    ScalarPiecewiseLinear([0.0, 1.0], [0.5, -0.5, 1.0], 0.25),
+]
+
+
+def _kinds(cases):
+    return {type(getattr(c, "values", [c])[0]) for c in cases}
+
+
+def test_every_kind_has_a_round_trip_case():
+    assert _kinds(SET_CASES) == set(SET_KINDS.values())
+    assert _kinds(OPERATOR_CASES) == set(OPERATOR_KINDS.values())
+
+
+def _through_yaml(d: dict) -> dict:
+    return yaml.safe_load(yaml.safe_dump(d, sort_keys=False))
+
+
+@pytest.mark.parametrize("s", SET_CASES, ids=lambda s: type(s).__name__)
 def test_set_config_round_trip(s):
-    assert set_from_config(set_to_config(s)) == s
+    assert set_from_config(_through_yaml(set_to_config(s))) == s
 
 
-@pytest.mark.parametrize(
-    "op",
-    [
-        Identity(),
-        Negation(),
-        ConvexCombination(0.25, Identity(), Reflector(Ball([0.0], 1.0))),
-        DouglasRachford(Ball([0.0] * 3, 1.0), Ball([5.0, 0.0, 0.0], 1.0)),
-        ScalarPiecewiseLinear([0.0, 1.0], [0.5, -0.5, 1.0], 0.25),
-    ],
-    ids=lambda o: type(o).__name__,
-)
+@pytest.mark.parametrize("op", OPERATOR_CASES, ids=lambda o: type(o).__name__)
 def test_operator_config_round_trip(op):
-    assert operator_from_config(operator_to_config(op), {}) == op
+    assert operator_from_config(_through_yaml(operator_to_config(op)), {}) == op
+
+
+def test_optional_fields_take_the_signature_default():
+    sub = set_from_config({"kind": "linear_subspace", "basis": [[1.0, 0.0]]})
+    assert sub == LinearSubspace([[1.0, 0.0]], ambient_dim=2)
+    f = operator_from_config(
+        {"kind": "scalar_piecewise_linear", "breakpoints": [0.0], "slopes": [0.5, 0.5]},
+        {},
+    )
+    assert f.anchor_value == 0.0
 
 
 def test_scenario_yaml_round_trip(tmp_path):
@@ -107,8 +156,9 @@ def test_scenario_yaml_round_trip(tmp_path):
 
 
 def test_builtin_specs_serialize_and_round_trip():
-    for name in ("alternating-pair", "codim1-reflection", "dr-two-balls-r3",
-                 "decoupling-demo", "open-problem-p1"):
+    names = [name for name, _, _ in list_scenarios()]
+    assert len(names) == 13
+    for name in names:
         spec = get_scenario(name)
         again = parse_scenario(serialize_scenario(spec))
         assert again == spec
@@ -137,6 +187,52 @@ def test_config_errors_carry_field_paths():
                 "trajectories": [{"name": "t", "kind": "warp"}],
             }
         )
+    with pytest.raises(ConfigError, match="sets.b: unknown field 'radus'"):
+        parse_scenario(
+            {"name": "x", "sets": {"b": {"kind": "ball", "center": [0], "radus": 1}}}
+        )
+    with pytest.raises(ConfigError, match="scenario: unknown field 'n_step'"):
+        parse_scenario({"name": "x", "n_step": 10})
+    with pytest.raises(ConfigError, match="trajectories.t: unknown field 'strat'"):
+        parse_scenario(
+            {"name": "x", "trajectories": [{"name": "t", "kind": "alternating", "strat": [0]}]}
+        )
+
+    def with_check(check):
+        data = yaml.safe_load(CONFIG_TEXT)
+        data["checks"] = [{"name": "c", "trajectory": "orbit", **check}]
+        return data
+
+    for check, message in [
+        ({"kind": "fejr"}, "checks.c: unknown check kind 'fejr'"),
+        ({"kind": "fejer"}, "checks.c.params: missing parameter 'set'"),
+        (
+            {"kind": "fejer", "params": {"set": "nope"}},
+            "checks.c.params.set: unknown set reference 'nope'",
+        ),
+        (
+            {"kind": "limit", "params": {"tolerance": 1e-3}},
+            "checks.c.params: unknown parameter 'tolerance'",
+        ),
+        (
+            {"kind": "nonexpansive", "params": {"operator": "S"}},
+            "checks.c.params.operator: unknown operator reference 'S'",
+        ),
+        (
+            {"kind": "scalar_averaged_sweep", "params": {"instance": 3}},
+            "checks.c.params: unknown parameter 'instance'",
+        ),
+        ({"kind": "fejer", "params": 3}, "checks.c.params: expected a mapping"),
+        ({"kind": "fejer", "params": {"set": None}}, "missing parameter 'set'"),
+        ({"kind": "fejer", "params": {"set": [1]}}, "unknown set reference"),
+        ({"kind": "check", "expect": "pass"}, "unknown check kind"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_scenario(with_check(check))
+    data = with_check({"kind": "fejer", "params": {"set": "line"}})
+    del data["checks"][0]["trajectory"]
+    with pytest.raises(ConfigError, match="checks.c: missing field 'trajectory'"):
+        parse_scenario(data)
 
 
 def test_operator_config_resolves_named_sets():
@@ -256,6 +352,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path.write_text("name: x\nsets:\n  b: {kind: blob}\n", encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+    typo = tmp_path / "typo.yaml"
+    typo.write_text(CONFIG_TEXT.replace("kind: fejer", "kind: fejr"), encoding="utf-8")
+    assert main(["run", "--config", str(typo)]) == 2
+    assert "unknown check kind 'fejr'" in capsys.readouterr().err
 
 
 def test_cli_missing_scenario_is_config_error(capsys):

@@ -17,8 +17,8 @@ from fejerlab.operators import (
     Reflector,
     ScalarPiecewiseLinear,
     Translation,
-    apply,
     fixed_set_description,
+    two_ball_gap_vector,
 )
 from fejerlab.dynamics import (
     CONVERGED,
@@ -33,14 +33,13 @@ from fejerlab.dynamics import (
     iterate,
     normalized_orbit,
     shadow,
-    two_ball_displacement,
 )
 
 
 def _naive_orbit(T, x0, n):
     pts = [np.asarray(x0, dtype=float)]
     for _ in range(n):
-        pts.append(apply(T, pts[-1]))
+        pts.append(T.apply(pts[-1]))
     return np.stack(pts)
 
 
@@ -125,7 +124,7 @@ def test_normalized_orbit_constant_on_generalized_fixed_points():
     A = Ball([0.0, 0.0, 0.0], 1.0)
     B = Ball([5.0, 0.0, 0.0], 1.0)
     T = DouglasRachford(A, B)
-    v = two_ball_displacement(A, B)
+    v = two_ball_gap_vector(A, B)
     F = fixed_set_description(T, v)
     for y in sample_witnesses(F, 5, seed=3, radius=4.0):
         norm = normalized_orbit(T, y, v, 200)
@@ -212,7 +211,7 @@ def test_two_ball_displacement_matches_step_difference_estimate():
     A = Ball([0.0, 0.0, 0.0], 1.0)
     B = Ball([5.0, 0.0, 0.0], 1.0)
     T = DouglasRachford(A, B)
-    closed = two_ball_displacement(A, B)
+    closed = two_ball_gap_vector(A, B)
     assert np.allclose(closed, [-3.0, 0.0, 0.0])
     est = estimate_displacement(T, [0.0, 3.0, 3.0], n_steps=30000, tail=500)
     assert np.linalg.norm(est.v - closed) <= 1e-6
@@ -250,7 +249,7 @@ def test_detect_limit_converged_with_fixed_point_residual():
     traj = iterate(T, [4.0, -2.0], 3000)
     est = detect_limit(traj, tail_window=500, tol=1e-9)
     assert est.status == CONVERGED
-    assert np.linalg.norm(apply(T, est.limit) - est.limit) <= 1e-6
+    assert np.linalg.norm(T.apply(est.limit) - est.limit) <= 1e-6
 
 
 def test_detect_limit_inconclusive_slow_drift():
@@ -304,7 +303,7 @@ def test_normalized_two_ball_orbit_fejer_at_1e10():
     A = Ball([0.0, 0.0, 0.0], 1.0)
     B = Ball([5.0, 0.0, 0.0], 1.0)
     T = DouglasRachford(A, B)
-    v = two_ball_displacement(A, B)
+    v = two_ball_gap_vector(A, B)
     norm = normalized_orbit(T, [0.0, 3.0, 3.0], v, 50_000)
     ray = fixed_set_description(T, v)
     rep = check_fejer(norm, ray, witnesses=10, seed=1, tol=1e-10)

@@ -21,8 +21,6 @@ from fejerlab.geometry import (
     codimension,
     dual_cone_contains,
     full_space,
-    project,
-    reflect,
     sample_witnesses,
 )
 
@@ -54,47 +52,47 @@ def _set_zoo(dim=3):
 
 
 def test_ball_projection():
-    assert np.allclose(project(Ball([0.0, 0.0], 1.0), [2.0, 0.0]), [1.0, 0.0])
+    assert np.allclose(Ball([0.0, 0.0], 1.0).project([2.0, 0.0]), [1.0, 0.0])
 
 
 def test_halfspace_projection():
     C = Halfspace([0.0, 1.0], 0.0)
-    assert np.allclose(project(C, [3.0, 2.0]), [3.0, 0.0])
-    assert np.allclose(project(C, [3.0, -2.0]), [3.0, -2.0])
+    assert np.allclose(C.project([3.0, 2.0]), [3.0, 0.0])
+    assert np.allclose(C.project([3.0, -2.0]), [3.0, -2.0])
 
 
 def test_hyperplane_projection_vertical_line():
     # the line {0} x R: both alternation points project onto the origin
     C = Hyperplane([1.0, 0.0], 0.0)
-    assert np.array_equal(project(C, [1.0, 0.0]), [0.0, 0.0])
-    assert np.array_equal(project(C, [-1.0, 0.0]), [0.0, 0.0])
+    assert np.array_equal(C.project([1.0, 0.0]), [0.0, 0.0])
+    assert np.array_equal(C.project([-1.0, 0.0]), [0.0, 0.0])
 
 
 def test_linear_subspace_projection():
     C = LinearSubspace([[0.0, 1.0]])
-    assert np.allclose(project(C, [5.0, 7.0]), [0.0, 7.0])
+    assert np.allclose(C.project([5.0, 7.0]), [0.0, 7.0])
 
 
 def test_box_projection():
     C = Box([0.0, 0.0], [1.0, 2.0])
-    assert np.allclose(project(C, [3.0, -1.0]), [1.0, 0.0])
+    assert np.allclose(C.project([3.0, -1.0]), [1.0, 0.0])
 
 
 def test_ray_projection():
     C = Ray([1.0, 1.0], [1.0, 0.0])
-    assert np.allclose(project(C, [3.0, 5.0]), [3.0, 1.0])
-    assert np.allclose(project(C, [-4.0, 0.0]), [1.0, 1.0])
+    assert np.allclose(C.project([3.0, 5.0]), [3.0, 1.0])
+    assert np.allclose(C.project([-4.0, 0.0]), [1.0, 1.0])
 
 
 def test_orthant_projection():
     C = Orthant([1.0, -1.0])
-    assert np.allclose(project(C, [2.0, 3.0]), [2.0, 0.0])
-    assert np.allclose(project(C, [-2.0, -3.0]), [0.0, -3.0])
+    assert np.allclose(C.project([2.0, 3.0]), [2.0, 0.0])
+    assert np.allclose(C.project([-2.0, -3.0]), [0.0, -3.0])
 
 
 def test_reflection_examples():
-    assert np.allclose(reflect(Ball([0.0, 0.0], 1.0), [2.0, 0.0]), [0.0, 0.0])
-    assert np.allclose(reflect(Hyperplane([1.0, 0.0], 0.0), [3.0, 2.0]), [-3.0, 2.0])
+    assert np.allclose(Ball([0.0, 0.0], 1.0).reflect([2.0, 0.0]), [0.0, 0.0])
+    assert np.allclose(Hyperplane([1.0, 0.0], 0.0).reflect([3.0, 2.0]), [-3.0, 2.0])
 
 
 @pytest.mark.parametrize("C", _set_zoo(), ids=lambda c: type(c).__name__)
@@ -412,4 +410,4 @@ def test_value_equality():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
-        project(Ball([0.0, 0.0], 1.0), [1.0, 2.0, 3.0])
+        Ball([0.0, 0.0], 1.0).project([1.0, 2.0, 3.0])

@@ -23,7 +23,6 @@ from fejerlab.operators import (
     Reflector,
     ScalarPiecewiseLinear,
     Translation,
-    apply,
     certify,
     fixed_set_description,
     random_scalar_piecewise_linear,
@@ -31,7 +30,6 @@ from fejerlab.operators import (
     verify_averaged,
     verify_nonexpansive,
 )
-from fejerlab.operators import _spectral_norm
 
 
 # ---------------------------------------------------------------------------
@@ -40,31 +38,31 @@ from fejerlab.operators import _spectral_norm
 
 
 def test_negation_on_the_line():
-    assert np.array_equal(apply(Negation(), [5.0]), [-5.0])
+    assert np.array_equal(Negation().apply([5.0]), [-5.0])
 
 
 def test_translation():
     T = Translation([1.0, -2.0])
-    assert np.array_equal(apply(T, [0.0, 0.0]), [1.0, -2.0])
+    assert np.array_equal(T.apply([0.0, 0.0]), [1.0, -2.0])
 
 
 def test_dr_fixes_intersection_points():
     A = B = Ball([0.0, 0.0], 1.0)
     T = DouglasRachford(A, B)
     x = np.array([0.5, 0.0])
-    assert np.allclose(apply(T, x), x, atol=1e-14)
+    assert np.allclose(T.apply(x), x, atol=1e-14)
 
 
 def test_composition_and_combination():
     T = Composition(Translation([1.0]), Negation())
-    assert np.array_equal(apply(T, [2.0]), [-1.0])  # outer(inner(x))
+    assert np.array_equal(T.apply([2.0]), [-1.0])  # outer(inner(x))
     S = ConvexCombination(0.25, Identity(), Negation())
-    assert np.allclose(apply(S, [4.0]), [0.75 * 4.0 - 0.25 * 4.0])
+    assert np.allclose(S.apply([4.0]), [0.75 * 4.0 - 0.25 * 4.0])
 
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatchError):
-        apply(Translation([1.0, 0.0]), [1.0])
+        Translation([1.0, 0.0]).apply([1.0])
     with pytest.raises(DimensionMismatchError):
         ConvexCombination(0.5, Translation([1.0]), Translation([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
@@ -81,7 +79,7 @@ def test_dr_equals_definitional_expansion():
     )
     for _ in range(1000):
         x = rng.uniform(-8, 8, 3)
-        assert np.linalg.norm(apply(dr, x) - apply(expanded, x)) <= 1e-14
+        assert np.linalg.norm(dr.apply(x) - expanded.apply(x)) <= 1e-14
 
 
 def test_scalar_piecewise_linear_evaluation():
@@ -92,7 +90,7 @@ def test_scalar_piecewise_linear_evaluation():
     assert f.value_at(2.0) == 3.5
     assert f.value_at(5.0) == 3.5  # flat tail
     assert f.value_at(-3.0) == 0.5 + (-0.5) * (-2.0)
-    assert np.allclose(apply(f, [0.0]), [1.5])
+    assert np.allclose(f.apply([0.0]), [1.5])
 
 
 def test_scalar_piecewise_linear_validation():
@@ -228,11 +226,19 @@ def test_random_scalar_maps_are_nonexpansive():
         assert verify_nonexpansive(f, trials=400, seed=8, tol=1e-9).passed
 
 
-def test_spectral_norm_power_iteration_matches_svd():
+@pytest.mark.parametrize("excess", [1e-4, 1e-6])
+def test_linear_certificate_rejects_norm_just_above_one(excess):
+    # U diag(1 + excess, 1 - delta, s) V^T: a power iteration with a fixed
+    # budget converges to the top singular value from below and often stops
+    # under 1 when the top two are this close
     rng = np.random.default_rng(12)
-    for d in (1, 2, 4, 6):
-        m = rng.normal(size=(d, d))
-        assert np.isclose(_spectral_norm(m), np.linalg.svd(m)[1][0], rtol=1e-8)
+    for _ in range(20):
+        u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        v = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        delta, s = rng.uniform(0.0, 1e-3), rng.uniform(0.0, 0.9)
+        M = u @ np.diag([1.0 + excess, 1.0 - delta, s]) @ v.T
+        assert not certify(Linear(M)).is_nonexpansive
+        assert not certify(ConvexCombination(0.5, Identity(), Linear(M))).is_averaged
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +276,7 @@ def test_fixed_set_affine_solves_linear_system():
     F = fixed_set_description(T, v)
     assert isinstance(F, AffineSubspace)
     for f in sample_witnesses(F, 6, seed=9, radius=5.0):
-        assert np.linalg.norm(apply(T, f) + v - f) <= 1e-8
+        assert np.linalg.norm(T.apply(f) + v - f) <= 1e-8
 
 
 def test_fixed_set_affine_inconsistent_returns_none():
@@ -291,7 +297,7 @@ def test_fixed_set_two_ball_dr_is_a_ray():
     assert np.allclose(F.base, [1.0, 0.0, 0.0])
     assert np.allclose(F.direction, [1.0, 0.0, 0.0])
     for f in sample_witnesses(F, 8, seed=10, radius=6.0):
-        assert np.linalg.norm(apply(T, f) + v - f) <= 1e-8
+        assert np.linalg.norm(T.apply(f) + v - f) <= 1e-8
     # a wrong v gives no description
     assert fixed_set_description(T, [0.0, 0.0, 0.0]) is None
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fejerlab.errors import ConfigError
-from fejerlab.geometry import Ray
+from fejerlab.geometry import Hyperplane, Ray
 from fejerlab.operators import Negation
 from fejerlab.scenarios import (
     CheckDef,
@@ -99,7 +99,7 @@ def test_open_problems_carry_no_convergence_expectations():
                 assert check.expect is None
 
 
-def test_scenario_validation_errors():
+def test_scenario_validation_errors(monkeypatch):
     spec = ScenarioSpec(
         name="broken",
         description="",
@@ -118,6 +118,46 @@ def test_scenario_validation_errors():
     )
     with pytest.raises(ConfigError):
         run_scenario(spec2)
+
+    # checks are validated against the check-kind table before any orbit
+    import fejerlab.scenarios as scenarios
+
+    def no_orbits(*args, **kwargs):
+        raise AssertionError("an orbit was built before validation")
+
+    monkeypatch.setattr(scenarios, "iterate", no_orbits)
+    for check, message in [
+        (CheckDef("c", "fejr", "orbit", "pass"), "unknown check kind 'fejr'"),
+        (CheckDef("c", "fejer", "orbit", "pass"), "missing parameter 'set'"),
+        (
+            CheckDef("c", "fejer", "orbit", "pass", {"set": "nope"}),
+            "unknown set reference 'nope'",
+        ),
+        (
+            CheckDef("c", "limit", "orbit", None, {"tolerance": 1e-3}),
+            "unknown parameter 'tolerance'",
+        ),
+        (
+            CheckDef("c", "codim1", "orbit", "pass", {"set": "line", "operator": "S"}),
+            "unknown operator reference 'S'",
+        ),
+        (
+            CheckDef("c", "affine_limit_sweep", None, "pass", {"instance": 3}),
+            "unknown parameter 'instance'",
+        ),
+        (CheckDef("c", "connectivity", None, "pass"), "missing field 'trajectory'"),
+    ]:
+        spec3 = ScenarioSpec(
+            name="typo",
+            description="",
+            topic="",
+            sets={"line": Hyperplane([1.0], 0.0)},
+            operators={"T": Negation()},
+            trajectories=[TrajectoryDef("orbit", "raw", operator="T", start=[1.0])],
+            checks=[check],
+        )
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(spec3)
 
 
 def test_run_overrides():
