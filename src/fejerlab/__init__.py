@@ -62,7 +62,7 @@ from .dynamics import (
     difference_orbit,
     estimate_displacement,
     iterate,
-    normalized_orbit,
+    normalized_from_raw,
     shadow,
 )
 from .analysis import (

@@ -19,7 +19,6 @@ from .dynamics import (
     DEFAULT_TOL,
     Trajectory,
     detect_limit,
-    iterate,
     shadow,
 )
 from .errors import UnsupportedSetError
@@ -30,7 +29,6 @@ from .geometry import (
     dual_cone_contains,
     sample_witnesses,
 )
-from .operators import OperatorExpr
 from .report import FAIL, INCONCLUSIVE, PASS, DiagnosticsReport
 
 NECESSARY_CONDITION = "necessary-condition (finite witnesses)"
@@ -374,10 +372,7 @@ def check_shadow_superset(
 
 def check_codim1_theorem(
     C: ConvexSet,
-    trajectory=None,
-    operator: OperatorExpr | None = None,
-    x0=None,
-    n_steps: int = 2000,
+    trajectory,
     witnesses: int = 10,
     seed: int = 0,
     fejer_tol: float = 1e-10,
@@ -392,10 +387,6 @@ def check_codim1_theorem(
     without convergence is a FAIL that signals an implementation bug.
     Unmet hypotheses give INCONCLUSIVE.
     """
-    if trajectory is None:
-        if operator is None or x0 is None:
-            raise ValueError("pass either a trajectory or (operator, x0)")
-        trajectory = iterate(operator, x0, n_steps)
     traj = trajectory if isinstance(trajectory, Trajectory) else Trajectory(trajectory)
     cod = codimension(C, traj.dim)
     fejer = check_fejer(traj, C, witnesses=witnesses, seed=seed, tol=fejer_tol)

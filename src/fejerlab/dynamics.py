@@ -1,10 +1,15 @@
 """Orbit generation and limit diagnostics.
 
+:func:`iterate` is the only code that iterates an operator.  Derived
+trajectories, drift estimates and limit verdicts take the orbits it returns,
+so a caller that needs one orbit several times computes it once.
+
 Trajectories are immutable (points array is read-only after construction).
 Iteration has two engines: a generic one driving the operator's compiled
 vector closure, and a plain-float fast path on the line.  Both terminate a
 run early when the orbit hits an exact fixed point or an exact period-2
-cycle, padding the remaining points with the (exactly continued) pattern.
+cycle, padding the remaining points with the (exactly continued) pattern,
+and both raise NonFiniteValueError past ``DEFAULT_NORM_CAP``.
 """
 
 from __future__ import annotations
@@ -23,15 +28,9 @@ from .errors import (
 from .geometry import ConvexSet, as_vector
 from .operators import OperatorExpr, certify
 
-DEFAULT_N_STEPS = 100_000
 DEFAULT_TAIL_WINDOW = 1000
 DEFAULT_TOL = 1e-9
 DEFAULT_NORM_CAP = 1e12
-
-RAW = "raw"
-NORMALIZED = "normalized"
-DIFFERENCE = "difference"
-SHADOW = "shadow"
 
 CONVERGED = "converged"
 DIVERGING = "diverging"
@@ -41,15 +40,9 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass
 class Trajectory:
-    """A finite orbit with its generation metadata."""
+    """A finite sequence of points in R^d, one row per step."""
 
     points: np.ndarray
-    kind: str = RAW
-    operator: OperatorExpr | None = None
-    start: np.ndarray | None = None
-    shift: np.ndarray | None = None  # per-step normalization v (kind=normalized)
-    partner: np.ndarray | None = None  # second start y0 (kind=difference)
-    shadow_of: ConvexSet | None = None  # target set (kind=shadow)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -70,9 +63,7 @@ class Trajectory:
         return self.points[-count:]
 
     def __repr__(self) -> str:
-        return (
-            f"Trajectory(kind={self.kind!r}, len={len(self)}, dim={self.dim})"
-        )
+        return f"Trajectory(len={len(self)}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -101,14 +92,14 @@ class DisplacementEstimate:
     certified: bool = True
 
 
-def _iterate_scalar(sfn, x0: float, n_steps: int, cap: float) -> np.ndarray:
+def _iterate_scalar(sfn, x0: float, n_steps: int) -> np.ndarray:
     out = np.empty(n_steps + 1)
     out[0] = cur = float(x0)
     prev = None
     i = 1
     while i <= n_steps:
         nxt = sfn(cur)
-        if not (-cap <= nxt <= cap):
+        if not (-DEFAULT_NORM_CAP <= nxt <= DEFAULT_NORM_CAP):
             raise NonFiniteValueError(
                 f"orbit left the representable range at step {i}: {nxt!r}"
             )
@@ -125,10 +116,10 @@ def _iterate_scalar(sfn, x0: float, n_steps: int, cap: float) -> np.ndarray:
     return out.reshape(-1, 1)
 
 
-def _iterate_vector(fn, x0: np.ndarray, n_steps: int, cap: float) -> np.ndarray:
+def _iterate_vector(fn, x0: np.ndarray, n_steps: int) -> np.ndarray:
     out = np.empty((n_steps + 1, x0.size))
     out[0] = cur = x0
-    cap2 = cap * cap
+    cap2 = DEFAULT_NORM_CAP * DEFAULT_NORM_CAP
     cur_b = cur.tobytes()  # byte images make the exact-repeat tests cheap
     prev = None
     prev_b = None
@@ -155,47 +146,24 @@ def _iterate_vector(fn, x0: np.ndarray, n_steps: int, cap: float) -> np.ndarray:
     return out
 
 
-def iterate(
-    T: OperatorExpr,
-    x0,
-    n_steps: int,
-    norm_cap: float = DEFAULT_NORM_CAP,
-    scalar_fast: bool = True,
-) -> Trajectory:
+def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     """Raw orbit x0, Tx0, T^2 x0, ... of length n_steps + 1."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x0 = as_vector(x0, T.dim)
     sfn = T._sfn  # plain-float evaluator, None unless closed-form on the line
-    if scalar_fast and sfn is not None and x0.size == 1:
-        pts = _iterate_scalar(sfn, float(x0[0]), n_steps, norm_cap)
+    if sfn is not None and x0.size == 1:
+        pts = _iterate_scalar(sfn, float(x0[0]), n_steps)
     else:
-        pts = _iterate_vector(T._fn, x0, n_steps, norm_cap)
-    return Trajectory(pts, RAW, operator=T, start=x0)
+        pts = _iterate_vector(T._fn, x0, n_steps)
+    return Trajectory(pts)
 
 
 def normalized_from_raw(raw: Trajectory, v) -> Trajectory:
-    """Shift an existing raw orbit into points[n] = T^n x0 + n * v."""
+    """Drift-compensated orbit points[n] = T^n x0 + n * v of a raw orbit."""
     v = as_vector(v, raw.dim)
     steps = np.arange(len(raw), dtype=float)[:, None]
-    return Trajectory(
-        raw.points + steps * v,
-        NORMALIZED,
-        operator=raw.operator,
-        start=raw.start,
-        shift=v,
-    )
-
-
-def normalized_orbit(
-    T: OperatorExpr,
-    x0,
-    v,
-    n_steps: int,
-    norm_cap: float = DEFAULT_NORM_CAP,
-) -> Trajectory:
-    """Drift-compensated orbit with points[n] = T^n x0 + n * v."""
-    return normalized_from_raw(iterate(T, x0, n_steps, norm_cap), v)
+    return Trajectory(raw.points + steps * v)
 
 
 def difference_monotonicity_slack(
@@ -217,49 +185,31 @@ def difference_monotonicity_slack(
     return tol * np.maximum(scale[1:], scale[:-1])
 
 
-def difference_orbit(
-    T: OperatorExpr,
-    x0,
-    y0,
-    n_steps: int,
-    norm_cap: float = DEFAULT_NORM_CAP,
-    monotone_tol: float = 1e-12,
-) -> Trajectory:
-    """Orbit of differences T^n x0 - T^n y0.
+def difference_orbit(a: Trajectory, b: Trajectory) -> Trajectory:
+    """Orbit of differences T^n x0 - T^n y0 from the raw orbits of x0 and y0.
 
     Nonexpansiveness forces the norms to be nonincreasing; growth beyond
     :func:`difference_monotonicity_slack` raises MonotonicityViolationError
     since it signals a broken operator rather than interesting dynamics.
     """
-    a = iterate(T, x0, n_steps, norm_cap)
-    b = iterate(T, y0, n_steps, norm_cap)
+    if a.points.shape != b.points.shape:
+        raise ValueError("the two orbits must have the same length and dimension")
     diff = a.points - b.points
     norms = np.linalg.norm(diff, axis=1)
     growth = norms[1:] - norms[:-1]
-    excess = growth - difference_monotonicity_slack(
-        a.points, b.points, monotone_tol
-    )
+    excess = growth - difference_monotonicity_slack(a.points, b.points)
     if excess.size and float(excess.max()) > 0.0:
         idx = int(np.argmax(excess))
         raise MonotonicityViolationError(
             f"difference norm grew by {growth[idx]:.3e} at step {idx}; "
             "the operator is not nonexpansive"
         )
-    return Trajectory(
-        diff, DIFFERENCE, operator=T, start=a.start, partner=b.start
-    )
+    return Trajectory(diff)
 
 
 def shadow(trajectory: Trajectory, C: ConvexSet) -> Trajectory:
     """Projection of every trajectory point onto ``C``."""
-    pts = C.project_many(trajectory.points)
-    return Trajectory(
-        pts,
-        SHADOW,
-        operator=trajectory.operator,
-        start=trajectory.start,
-        shadow_of=C,
-    )
+    return Trajectory(C.project_many(trajectory.points))
 
 
 def displacement_from_orbit(orbit: Trajectory, tail: int) -> tuple[np.ndarray, float]:
@@ -275,17 +225,16 @@ def displacement_from_orbit(orbit: Trajectory, tail: int) -> tuple[np.ndarray, f
 
 def estimate_displacement(
     T: OperatorExpr,
-    x0,
-    n_steps: int = DEFAULT_N_STEPS,
+    orbit: Trajectory,
     tail: int = DEFAULT_TAIL_WINDOW,
     allow_uncertified: bool = False,
-    norm_cap: float = DEFAULT_NORM_CAP,
 ) -> DisplacementEstimate:
-    """Estimate the drift vector v from the tail of the step differences.
+    """Estimate the drift vector v from the tail of ``orbit``'s step differences.
 
-    The tail-mean estimator is justified for averaged operators (the step
-    differences converge to v); for anything weaker the caller must opt in
-    with ``allow_uncertified`` and the result is flagged as heuristic.
+    ``orbit`` is a raw orbit of ``T``.  The tail-mean estimator is justified
+    for averaged operators (the step differences converge to v); for
+    anything weaker the caller must opt in with ``allow_uncertified`` and the
+    result is flagged as heuristic.
     """
     cert = certify(T)
     certified = cert.is_averaged
@@ -294,7 +243,6 @@ def estimate_displacement(
             "operator is not certified averaged; pass allow_uncertified=True "
             "to run the estimator heuristically"
         )
-    orbit = iterate(T, x0, n_steps, norm_cap)
     v, residual = displacement_from_orbit(orbit, tail)
     return DisplacementEstimate(
         v=v, method="step_difference_tail", residual=residual, certified=certified

@@ -9,6 +9,7 @@ convergence verdict would overclaim).
 
 from __future__ import annotations
 
+import functools
 import inspect
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -40,7 +41,6 @@ from .dynamics import (
     estimate_displacement,
     iterate,
     normalized_from_raw,
-    normalized_orbit,
     shadow,
 )
 from .errors import ConfigError
@@ -63,6 +63,7 @@ from .operators import (
     Reflector,
     ScalarPiecewiseLinear,
     Translation,
+    certify,
     fixed_set_description,
     random_scalar_piecewise_linear,
     two_ball_gap_vector,
@@ -155,13 +156,7 @@ def run_scalar_averaged_sweep(
         y = float(rng.uniform(-start_span, start_span))
         orbit_x = iterate(T, [x], max_steps)
         orbit_y = iterate(T, [y], max_steps)
-        diff = Trajectory(
-            orbit_x.points - orbit_y.points,
-            kind="difference",
-            operator=T,
-            start=orbit_x.start,
-            partner=orbit_y.start,
-        )
+        diff = Trajectory(orbit_x.points - orbit_y.points)
         a = diff.points[:, 0]
         est = detect_limit(diff, tail_window, tol)
         if est.status != CONVERGED:
@@ -234,7 +229,7 @@ def run_affine_limit_sweep(
         T = AffineMap(L, rng.uniform(-2, 2, d))
         x0 = rng.uniform(-10, 10, d)
         y0 = rng.uniform(-10, 10, d)
-        diff = difference_orbit(T, x0, y0, n_steps)
+        diff = difference_orbit(iterate(T, x0, n_steps), iterate(T, y0, n_steps))
         est = detect_limit(diff, min(500, n_steps), 1e-9)
         null = scipy.linalg.null_space(np.eye(d) - L)
         target = null @ (null.T @ (x0 - y0)) if null.size else np.zeros(d)
@@ -273,9 +268,7 @@ def run_codim1_sweep(
         alpha = float(rng.uniform(0.05, 0.95))
         T = ConvexCombination(alpha, Identity(), Reflector(C))
         x0 = rng.uniform(-5, 5, d)
-        rep = check_codim1_theorem(
-            C, operator=T, x0=x0, n_steps=n_steps, seed=i, tail_window=500
-        )
+        rep = check_codim1_theorem(C, iterate(T, x0, n_steps), seed=i, tail_window=500)
         if not rep.passed:
             failures.append(
                 {"instance": i, "verdict": rep.verdict, "witness": rep.witness}
@@ -513,23 +506,32 @@ class ScenarioSpec:
         """Check every name, kind and check parameter against the tables."""
         names = set()
         for t in self.trajectories:
+            path = f"trajectories.{t.name}"
             if t.name in names:
                 raise ConfigError(f"trajectories: duplicate name {t.name!r}")
             names.add(t.name)
             if t.kind not in TRAJECTORY_KINDS:
-                raise ConfigError(
-                    f"trajectories.{t.name}: unknown trajectory kind {t.kind!r}"
-                )
+                raise ConfigError(f"{path}: unknown trajectory kind {t.kind!r}")
             if t.operator is not None and t.operator not in self.operators:
-                raise ConfigError(
-                    f"trajectories.{t.name}: unknown operator {t.operator!r}"
-                )
+                raise ConfigError(f"{path}: unknown operator {t.operator!r}")
             if t.set_name is not None and t.set_name not in self.sets:
-                raise ConfigError(f"trajectories.{t.name}: unknown set {t.set_name!r}")
+                raise ConfigError(f"{path}: unknown set {t.set_name!r}")
             if t.base is not None and t.base not in names:
-                raise ConfigError(
-                    f"trajectories.{t.name}: base {t.base!r} must be defined earlier"
-                )
+                raise ConfigError(f"{path}: base {t.base!r} must be defined earlier")
+            required = TRAJECTORY_KINDS[t.kind][1]
+            if callable(required):
+                required = required(t)
+            for key in required:
+                if getattr(t, key) is None:
+                    # set_name is spelled "set" in a config
+                    key = "set" if key == "set_name" else key
+                    raise ConfigError(f"{path}: missing field {key!r}")
+            if "shift" in required and isinstance(t.shift, str):
+                if t.shift not in _SHIFTS:
+                    raise ConfigError(f"{path}: unknown shift {t.shift!r}")
+                needs, accepts, _ = _SHIFTS[t.shift]
+                if not accepts(self.operators[t.operator]):
+                    raise ConfigError(f"{path}: shift {t.shift!r} needs {needs}")
         check_names = set()
         for c in self.checks:
             if c.name in check_names:
@@ -574,7 +576,7 @@ class RunArtifacts:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory kinds: build(spec, tdef, built, n_steps) -> Trajectory
+# Trajectory kinds
 # ---------------------------------------------------------------------------
 
 
@@ -582,38 +584,57 @@ def _vector(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _normalized(spec, tdef, built, n):
-    op = spec.operators[tdef.operator]
-    if tdef.shift == "two_ball":
-        if not isinstance(op, DouglasRachford):
-            raise ConfigError(
-                f"trajectories.{tdef.name}: shift 'two_ball' needs a "
-                "Douglas-Rachford operator on two balls"
-            )
-        v = two_ball_gap_vector(op.first, op.second)
-    elif tdef.shift == "estimate":
-        v = estimate_displacement(op, _vector(tdef.start), n, min(1000, n // 2)).v
+# Named shifts of a normalized trajectory: what the operator must be, the
+# test for it, and v computed from the operator and the orbit being shifted.
+_SHIFTS = {
+    "two_ball": (
+        "a Douglas-Rachford operator on two balls",
+        lambda op: isinstance(op, DouglasRachford),
+        lambda op, raw: two_ball_gap_vector(op.first, op.second),
+    ),
+    "estimate": (
+        "an operator certified averaged",
+        lambda op: certify(op).is_averaged,
+        lambda op, raw: estimate_displacement(op, raw, min(1000, (len(raw) - 1) // 2)).v,
+    ),
+}
+
+
+def _normalized(spec, t, built, n, orbit):
+    raw = built[t.base] if t.base is not None else orbit(t.start)
+    if isinstance(t.shift, str):
+        v = _SHIFTS[t.shift][2](spec.operators[t.operator], raw)
     else:
-        v = _vector(tdef.shift)
-    if tdef.base is not None:
-        return normalized_from_raw(built[tdef.base], v)
-    return normalized_orbit(op, _vector(tdef.start), v, n)
+        v = _vector(t.shift)
+    return normalized_from_raw(raw, v)
 
 
+def _normalized_fields(t):
+    """The shift, the base or the operator and start, a named shift's operator."""
+    source = ("base",) if t.base is not None else ("operator", "start")
+    return ("shift", *source, *(("operator",) if isinstance(t.shift, str) else ()))
+
+
+# kind: (build(spec, tdef, built, n_steps, orbit), required fields of tdef).
+# orbit(start) is the run's raw orbit of tdef.operator from start, computed on
+# first use.  The required fields are a tuple, or a function of tdef.
 TRAJECTORY_KINDS = {
-    "raw": lambda spec, t, built, n: iterate(
-        spec.operators[t.operator], _vector(t.start), n
+    "raw": (lambda spec, t, built, n, orbit: orbit(t.start), ("operator", "start")),
+    "normalized": (_normalized, _normalized_fields),
+    "difference": (
+        lambda spec, t, built, n, orbit: difference_orbit(orbit(t.start), orbit(t.partner)),
+        ("operator", "start", "partner"),
     ),
-    "normalized": _normalized,
-    "difference": lambda spec, t, built, n: difference_orbit(
-        spec.operators[t.operator], _vector(t.start), _vector(t.partner), n
+    "shadow": (
+        lambda spec, t, built, n, orbit: shadow(built[t.base], spec.sets[t.set_name]),
+        ("base", "set_name"),
     ),
-    "shadow": lambda spec, t, built, n: shadow(built[t.base], spec.sets[t.set_name]),
-    "alternating": lambda spec, t, built, n: Trajectory(alternating_sequence(n)),
-    "harmonic_rotation": lambda spec, t, built, n: Trajectory(
-        harmonic_rotation_sequence(n)
+    "alternating": (lambda spec, t, built, n, orbit: Trajectory(alternating_sequence(n)), ()),
+    "harmonic_rotation": (
+        lambda spec, t, built, n, orbit: Trajectory(harmonic_rotation_sequence(n)),
+        (),
     ),
-    "points": lambda spec, t, built, n: Trajectory(_vector(t.points)),
+    "points": (lambda spec, t, built, n, orbit: Trajectory(_vector(t.points)), ("points",)),
 }
 
 
@@ -622,7 +643,7 @@ TRAJECTORY_KINDS = {
 # ---------------------------------------------------------------------------
 
 # A default that takes the run's value: the run's seed and tol, the
-# scenario's n_steps and tail_window.
+# scenario's tail_window.
 FROM_RUN = object()
 
 
@@ -632,9 +653,9 @@ class CheckKind:
 
     ``run(trajectory, expect, **params)`` returns the report and the actual
     outcome that is compared with ``expect``.  The params listed in ``sets``
-    and ``operators`` name a set or an operator of the scenario and arrive
-    resolved; they are required unless ``defaults`` has them.  Every other
-    accepted param is a key of ``defaults``.
+    and ``operators`` name a set or an operator of the scenario, are
+    required, and arrive resolved.  Every other accepted param is a key of
+    ``defaults``.
     """
 
     run: Callable
@@ -655,9 +676,8 @@ class CheckKind:
         ):
             for key in keys:
                 if params.get(key) is None:
-                    if key not in self.defaults:
-                        raise ConfigError(f"{path}: missing parameter {key!r}")
-                elif not isinstance(params[key], str) or params[key] not in named:
+                    raise ConfigError(f"{path}: missing parameter {key!r}")
+                if not isinstance(params[key], str) or params[key] not in named:
                     raise ConfigError(
                         f"{path}.{key}: unknown {label} reference {params[key]!r}"
                     )
@@ -763,13 +783,9 @@ CHECK_KINDS = {
         defaults={"tol": 1e-6, **_WITNESSES},
     ),
     "codim1": CheckKind(
-        lambda traj, expect, set, operator, start, **kw: _verdict(
-            check_codim1_theorem(set, trajectory=traj, operator=operator, x0=start, **kw)
-        ),
+        lambda traj, expect, set, **kw: _verdict(check_codim1_theorem(set, traj, **kw)),
         sets=("set",),
-        operators=("operator",),
-        defaults={"operator": None, "start": None, "n_steps": FROM_RUN, "seed": FROM_RUN},
-        needs_trajectory=False,
+        defaults={"seed": FROM_RUN},
     ),
     "nonexpansive": CheckKind(
         lambda traj, expect, operator, **kw: _verdict(verify_nonexpansive(operator, **kw)),
@@ -810,9 +826,17 @@ def _run_check(spec, cdef, built, run_values):
     for key, val in params.items():
         if val is FROM_RUN:
             params[key] = run_values[key]
-        elif key in named and val is not None:
+        elif key in named:
             params[key] = named[key][val]
     return kind.run(built.get(cdef.trajectory), cdef.expect, **params)
+
+
+def _raw_orbit(spec, orbits, operator, n, start):
+    """The raw orbit of ``operator`` from ``start``, computed once per run."""
+    key = (operator, _vector(start).tobytes(), n)
+    if key not in orbits:
+        orbits[key] = iterate(spec.operators[operator], start, n)
+    return orbits[key]
 
 
 def run_scenario(
@@ -828,13 +852,14 @@ def run_scenario(
     run_values = {
         "seed": seed if seed is not None else spec.seed,
         "tol": tol if tol is not None else spec.tol,
-        "n_steps": spec.n_steps,
         "tail_window": spec.tail_window,
     }
     built: dict = {}
+    orbits: dict = {}  # the run's raw orbits, by (operator name, start, steps)
     for tdef in spec.trajectories:
         steps = tdef.n_steps if tdef.n_steps is not None else n
-        built[tdef.name] = TRAJECTORY_KINDS[tdef.kind](spec, tdef, built, steps)
+        orbit = functools.partial(_raw_orbit, spec, orbits, tdef.operator, steps)
+        built[tdef.name] = TRAJECTORY_KINDS[tdef.kind][0](spec, tdef, built, steps, orbit)
     reports: dict = {}
     summary: list = []
     for cdef in spec.checks:

@@ -289,7 +289,7 @@ def test_codim1_under_relaxed_reflection_converges():
     alpha = 0.3
     T = ConvexCombination(alpha, Identity(), Reflector(C))
     x0 = np.array([4.0, -1.0])
-    rep = check_codim1_theorem(C, operator=T, x0=x0, n_steps=3000)
+    rep = check_codim1_theorem(C, iterate(T, x0, 3000))
     assert rep.passed
     assert rep.metadata["codim"] == 1
     assert np.linalg.norm(rep.metadata["limit"] - C.project(x0)) <= 1e-8

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from fejerlab.operators import (
     Translation,
 )
 from fejerlab.report import DiagnosticsReport
-from fejerlab.scenarios import get_scenario, list_scenarios
+from fejerlab.scenarios import CHECK_KINDS, TRAJECTORY_KINDS, get_scenario, list_scenarios
 
 
 CONFIG_TEXT = """
@@ -234,6 +235,43 @@ def test_config_errors_carry_field_paths():
     with pytest.raises(ConfigError, match="checks.c: missing field 'trajectory'"):
         parse_scenario(data)
 
+    def with_trajectory(trajectory):
+        data = yaml.safe_load(CONFIG_TEXT)
+        data["operators"]["S"] = {"kind": "translation", "shift": [1.0, 0.0]}
+        data["trajectories"].append({"name": "t", **trajectory})
+        return data
+
+    for trajectory, message in [
+        ({"kind": "raw", "start": [0, 0]}, "trajectories.t: missing field 'operator'"),
+        ({"kind": "raw", "operator": "T"}, "trajectories.t: missing field 'start'"),
+        (
+            {"kind": "difference", "operator": "T", "start": [0, 0]},
+            "trajectories.t: missing field 'partner'",
+        ),
+        ({"kind": "shadow", "set": "line"}, "trajectories.t: missing field 'base'"),
+        ({"kind": "shadow", "base": "orbit"}, "trajectories.t: missing field 'set'"),
+        ({"kind": "points"}, "trajectories.t: missing field 'points'"),
+        ({"kind": "normalized", "base": "orbit"}, "trajectories.t: missing field 'shift'"),
+        (
+            {"kind": "normalized", "operator": "T", "shift": [0, 0]},
+            "trajectories.t: missing field 'start'",
+        ),
+        (
+            {"kind": "normalized", "base": "orbit", "shift": "two_ball"},
+            "trajectories.t: missing field 'operator'",
+        ),
+        (
+            {"kind": "normalized", "base": "orbit", "shift": "estimate"},
+            "trajectories.t: missing field 'operator'",
+        ),
+        (
+            {"kind": "normalized", "operator": "S", "base": "orbit", "shift": "estimate"},
+            "trajectories.t: shift 'estimate' needs an operator certified averaged",
+        ),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_scenario(with_trajectory(trajectory))
+
 
 def test_operator_config_resolves_named_sets():
     line = Hyperplane([1.0, 0.0], 0.0)
@@ -356,6 +394,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     typo.write_text(CONFIG_TEXT.replace("kind: fejer", "kind: fejr"), encoding="utf-8")
     assert main(["run", "--config", str(typo)]) == 2
     assert "unknown check kind 'fejr'" in capsys.readouterr().err
+    no_start = tmp_path / "no-start.yaml"
+    no_start.write_text(CONFIG_TEXT.replace(", start: [4.0, -1.0]", ""), encoding="utf-8")
+    assert main(["run", "--config", str(no_start)]) == 2
+    assert "trajectories.orbit: missing field 'start'" in capsys.readouterr().err
+
+
+def test_readme_documents_every_kind():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for table in (SET_KINDS, OPERATOR_KINDS, TRAJECTORY_KINDS, CHECK_KINDS):
+        missing = [kind for kind in table if f"`{kind}`" not in readme]
+        assert not missing, missing
 
 
 def test_cli_missing_scenario_is_config_error(capsys):

@@ -6,7 +6,7 @@ from fejerlab.errors import (
     MonotonicityViolationError,
     NonFiniteValueError,
 )
-from fejerlab.geometry import Ball, Hyperplane, sample_witnesses
+from fejerlab.geometry import Ball, Hyperplane, MinkowskiSum, Point, Ray, sample_witnesses
 from fejerlab.operators import (
     ConvexCombination,
     DouglasRachford,
@@ -31,7 +31,7 @@ from fejerlab.dynamics import (
     displacement_from_orbit,
     estimate_displacement,
     iterate,
-    normalized_orbit,
+    normalized_from_raw,
     shadow,
 )
 
@@ -64,13 +64,19 @@ def test_translation_orbit_ramp():
     assert np.allclose(traj.points[:, 0], [0.0, 0.5, 1.0, 1.5])
 
 
-@pytest.mark.parametrize("scalar_fast", [True, False])
-def test_iterate_matches_naive_evaluation(scalar_fast):
+@pytest.mark.parametrize("float_evaluator", [True, False])
+def test_iterate_matches_naive_evaluation(float_evaluator):
+    # both engines at d = 1: the plain-float one drives the piecewise-linear
+    # map, the numpy one the reflector, which has no float evaluator
     rng = np.random.default_rng(1)
-    f = ScalarPiecewiseLinear([-1.0, 1.0], [0.5, -0.8, 0.3], anchor_value=0.7)
-    T = ConvexCombination(0.4, Identity(), f)
+    if float_evaluator:
+        R = ScalarPiecewiseLinear([-1.0, 1.0], [0.5, -0.8, 0.3], anchor_value=0.7)
+    else:
+        R = Reflector(MinkowskiSum(Point([1.0]), Ray([0.0], [1.0])))
+    T = ConvexCombination(0.4, Identity(), R)
+    assert (T._sfn is not None) == float_evaluator
     x0 = rng.uniform(-5, 5, 1)
-    traj = iterate(T, x0, 200, scalar_fast=scalar_fast)
+    traj = iterate(T, x0, 200)
     assert np.array_equal(traj.points, _naive_orbit(T, x0, 200))
 
 
@@ -110,13 +116,13 @@ def test_trajectory_points_read_only():
 def test_normalized_orbit_zero_shift_equals_raw():
     T = Negation()
     raw = iterate(T, [1.0], 10)
-    norm = normalized_orbit(T, [1.0], [0.0], 10)
+    norm = normalized_from_raw(raw, [0.0])
     assert np.array_equal(raw.points, norm.points)
 
 
 def test_normalized_orbit_cancels_translation_drift():
     T = Translation([0.25, -0.5])
-    norm = normalized_orbit(T, [2.0, 3.0], [-0.25, 0.5], 20)
+    norm = normalized_from_raw(iterate(T, [2.0, 3.0], 20), [-0.25, 0.5])
     assert np.allclose(norm.points, norm.points[0], atol=1e-12)
 
 
@@ -127,19 +133,19 @@ def test_normalized_orbit_constant_on_generalized_fixed_points():
     v = two_ball_gap_vector(A, B)
     F = fixed_set_description(T, v)
     for y in sample_witnesses(F, 5, seed=3, radius=4.0):
-        norm = normalized_orbit(T, y, v, 200)
+        norm = normalized_from_raw(iterate(T, y, 200), v)
         drift = np.linalg.norm(norm.points - norm.points[0], axis=1).max()
         assert drift <= 1e-8
 
 
 def test_difference_orbit_equal_starts_zero():
     T = Negation()
-    diff = difference_orbit(T, [3.0], [3.0], 10)
+    diff = difference_orbit(iterate(T, [3.0], 10), iterate(T, [3.0], 10))
     assert np.all(diff.points == 0.0)
 
 
 def test_difference_orbit_negation_alternates():
-    diff = difference_orbit(Negation(), [1.0], [0.0], 5)
+    diff = difference_orbit(iterate(Negation(), [1.0], 5), iterate(Negation(), [0.0], 5))
     assert np.array_equal(diff.points[:, 0], [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
@@ -152,7 +158,7 @@ def test_difference_orbit_affine_is_matrix_power():
 
     T = AffineMap(L, rng.uniform(-1, 1, 2))
     x0, y0 = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
-    diff = difference_orbit(T, x0, y0, 60)
+    diff = difference_orbit(iterate(T, x0, 60), iterate(T, y0, 60))
     expected = x0 - y0
     for n in range(61):
         assert np.linalg.norm(diff.points[n] - expected) <= 1e-10
@@ -161,7 +167,14 @@ def test_difference_orbit_affine_is_matrix_power():
 
 def test_difference_orbit_monotonicity_guard():
     with pytest.raises(MonotonicityViolationError):
-        difference_orbit(Linear(2.0 * np.eye(2)), [1.0, 0.0], [0.0, 0.0], 10)
+        T = Linear(2.0 * np.eye(2))
+        difference_orbit(iterate(T, [1.0, 0.0], 10), iterate(T, [0.0, 0.0], 10))
+
+
+def test_difference_orbit_needs_matching_orbits():
+    T = Negation()
+    with pytest.raises(ValueError):
+        difference_orbit(iterate(T, [1.0], 5), iterate(T, [0.0], 6))
 
 
 def test_shadow_examples():
@@ -184,7 +197,7 @@ def test_estimate_displacement_of_disguised_translation():
     # (1-a) Id + a (Id + 2b) moves every point by exactly b
     b = np.array([0.3, -0.1])
     T = ConvexCombination(0.5, Identity(), Translation(2.0 * b))
-    est = estimate_displacement(T, [1.0, 1.0], n_steps=500, tail=50)
+    est = estimate_displacement(T, iterate(T, [1.0, 1.0], 500), tail=50)
     assert est.certified
     assert est.method == "step_difference_tail"
     assert np.allclose(est.v, -b, atol=1e-12)
@@ -194,15 +207,16 @@ def test_estimate_displacement_of_disguised_translation():
 def test_estimate_displacement_vanishes_with_fixed_points():
     C = Ball([1.0, 2.0], 1.0)
     T = ConvexCombination(0.5, Identity(), Reflector(C))
-    est = estimate_displacement(T, [5.0, 5.0], n_steps=2000, tail=100)
+    est = estimate_displacement(T, iterate(T, [5.0, 5.0], 2000), tail=100)
     assert np.linalg.norm(est.v) <= 1e-10
 
 
 def test_estimate_displacement_requires_certificate():
     T = Translation([1.0])  # certified nonexpansive only
+    orbit = iterate(T, [0.0], 100)
     with pytest.raises(CertificateRequiredError):
-        estimate_displacement(T, [0.0], n_steps=100, tail=10)
-    est = estimate_displacement(T, [0.0], n_steps=100, tail=10, allow_uncertified=True)
+        estimate_displacement(T, orbit, tail=10)
+    est = estimate_displacement(T, orbit, tail=10, allow_uncertified=True)
     assert not est.certified
     assert np.allclose(est.v, [-1.0])
 
@@ -213,7 +227,7 @@ def test_two_ball_displacement_matches_step_difference_estimate():
     T = DouglasRachford(A, B)
     closed = two_ball_gap_vector(A, B)
     assert np.allclose(closed, [-3.0, 0.0, 0.0])
-    est = estimate_displacement(T, [0.0, 3.0, 3.0], n_steps=30000, tail=500)
+    est = estimate_displacement(T, iterate(T, [0.0, 3.0, 3.0], 30000), tail=500)
     assert np.linalg.norm(est.v - closed) <= 1e-6
 
 
@@ -288,10 +302,11 @@ def test_normalized_orbit_with_drift_satisfies_codim1_guarantee():
         0.5, Identity(), Composition(Translation(2.0 * b), Reflector(line))
     )
     v = -b
-    est = estimate_displacement(T, [5.0, 1.0], n_steps=4000, tail=200)
+    raw = iterate(T, [5.0, 1.0], 4000)
+    est = estimate_displacement(T, raw, tail=200)
     assert np.allclose(est.v, v, atol=1e-9)
-    norm = normalized_orbit(T, [5.0, 1.0], v, 4000)
-    rep = check_codim1_theorem(line, trajectory=norm)
+    norm = normalized_from_raw(raw, v)
+    rep = check_codim1_theorem(line, norm)
     assert rep.passed
     assert np.isclose(rep.metadata["limit"][0], 2.0, atol=1e-8)
 
@@ -304,7 +319,7 @@ def test_normalized_two_ball_orbit_fejer_at_1e10():
     B = Ball([5.0, 0.0, 0.0], 1.0)
     T = DouglasRachford(A, B)
     v = two_ball_gap_vector(A, B)
-    norm = normalized_orbit(T, [0.0, 3.0, 3.0], v, 50_000)
+    norm = normalized_from_raw(iterate(T, [0.0, 3.0, 3.0], 50_000), v)
     ray = fixed_set_description(T, v)
     rep = check_fejer(norm, ray, witnesses=10, seed=1, tol=1e-10)
     assert rep.passed

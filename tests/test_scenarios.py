@@ -139,8 +139,9 @@ def test_scenario_validation_errors(monkeypatch):
         ),
         (
             CheckDef("c", "codim1", "orbit", "pass", {"set": "line", "operator": "S"}),
-            "unknown operator reference 'S'",
+            "unknown parameter 'operator'",
         ),
+        (CheckDef("c", "codim1", None, "pass", {"set": "line"}), "missing field 'trajectory'"),
         (
             CheckDef("c", "affine_limit_sweep", None, "pass", {"instance": 3}),
             "unknown parameter 'instance'",
@@ -158,6 +159,113 @@ def test_scenario_validation_errors(monkeypatch):
         )
         with pytest.raises(ConfigError, match=message):
             run_scenario(spec3)
+
+    # trajectory fields are checked per kind, also before any orbit
+    from fejerlab.operators import Translation
+
+    for tdef, message in [
+        (TrajectoryDef("t", "raw", start=[1.0]), "trajectories.t: missing field 'operator'"),
+        (TrajectoryDef("t", "raw", operator="T"), "trajectories.t: missing field 'start'"),
+        (
+            TrajectoryDef("t", "difference", operator="T", start=[1.0]),
+            "trajectories.t: missing field 'partner'",
+        ),
+        (TrajectoryDef("t", "shadow", set_name="line"), "trajectories.t: missing field 'base'"),
+        (TrajectoryDef("t", "shadow", base="orbit"), "trajectories.t: missing field 'set'"),
+        (TrajectoryDef("t", "points"), "trajectories.t: missing field 'points'"),
+        (TrajectoryDef("t", "normalized", base="orbit"), "trajectories.t: missing field 'shift'"),
+        (
+            TrajectoryDef("t", "normalized", operator="T", shift=[0.5]),
+            "trajectories.t: missing field 'start'",
+        ),
+        (
+            TrajectoryDef("t", "normalized", start=[1.0], shift=[0.5]),
+            "trajectories.t: missing field 'operator'",
+        ),
+        (
+            TrajectoryDef("t", "normalized", base="orbit", shift="two_ball"),
+            "trajectories.t: missing field 'operator'",
+        ),
+        (
+            TrajectoryDef("t", "normalized", base="orbit", shift="estimate"),
+            "trajectories.t: missing field 'operator'",
+        ),
+        (
+            TrajectoryDef("t", "normalized", operator="T", base="orbit", shift="two_ball"),
+            "shift 'two_ball' needs a Douglas-Rachford operator",
+        ),
+        (
+            TrajectoryDef("t", "normalized", operator="S", base="orbit", shift="estimate"),
+            "trajectories.t: shift 'estimate' needs an operator certified averaged",
+        ),
+        (
+            TrajectoryDef("t", "normalized", operator="T", base="orbit", shift="guess"),
+            "trajectories.t: unknown shift 'guess'",
+        ),
+    ]:
+        spec4 = ScenarioSpec(
+            name="fields",
+            description="",
+            topic="",
+            sets={"line": Hyperplane([1.0], 0.0)},
+            operators={"T": Negation(), "S": Translation([1.0])},
+            trajectories=[TrajectoryDef("orbit", "raw", operator="T", start=[1.0]), tdef],
+        )
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(spec4)
+
+
+def _count_iterate_calls(monkeypatch):
+    """Count the orbits computed, wherever ``iterate`` is called from."""
+    import fejerlab.dynamics as dynamics
+    import fejerlab.scenarios as scenarios
+
+    calls = []
+    original = dynamics.iterate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "iterate", counted)
+    monkeypatch.setattr(scenarios, "iterate", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, n_steps", [("negation-r1", None), ("open-problem-p3", 3000)]
+)
+def test_each_distinct_orbit_is_computed_once(monkeypatch, name, n_steps):
+    # the difference trajectory reuses the orbit from the shared start
+    calls = _count_iterate_calls(monkeypatch)
+    run_scenario(get_scenario(name), n_steps=n_steps)
+    assert len(calls) == 2
+
+
+def test_estimated_shift_uses_the_orbit_it_normalizes(monkeypatch):
+    from fejerlab.geometry import Ball
+    from fejerlab.operators import DouglasRachford, two_ball_gap_vector
+
+    A, B = Ball([0.0, 0.0, 0.0], 1.0), Ball([5.0, 0.0, 0.0], 1.0)
+    spec = ScenarioSpec(
+        name="estimated-shift",
+        description="",
+        topic="",
+        n_steps=30000,
+        operators={"T": DouglasRachford(A, B)},
+        trajectories=[
+            TrajectoryDef("orbit", "raw", operator="T", start=[0.0, 3.0, 3.0]),
+            TrajectoryDef(
+                "normalized", "normalized", operator="T", start=[0.0, 3.0, 3.0],
+                shift="estimate",
+            ),
+        ],
+    )
+    calls = _count_iterate_calls(monkeypatch)
+    built = run_scenario(spec).trajectories
+    assert len(calls) == 1
+    v = built["normalized"].points[1] - built["orbit"].points[1]
+    assert np.linalg.norm(v - two_ball_gap_vector(A, B)) <= 1e-6
 
 
 def test_run_overrides():
