@@ -95,12 +95,12 @@ def main(argv=None) -> int:
             print(f"error: {spec.name}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         for outcome in artifacts.summary:
-            if outcome.expected is None:
-                status = "evid"
-            elif outcome.matched:
-                status = " ok "
-            else:
+            if not outcome.matched:
                 status = "MISS"
+            elif outcome.expected is None:
+                status = "evid"
+            else:
+                status = " ok "
             expected = outcome.expected if outcome.expected is not None else "-"
             print(
                 f"[{status}] {spec.name}/{outcome.name}: "

@@ -6,15 +6,18 @@ so a caller that needs one orbit several times computes it once.
 
 Trajectories are immutable (points array is read-only after construction).
 Iteration has two engines: a generic one driving the operator's compiled
-vector closure, and a plain-float fast path on the line.  Both terminate a
-run early when the orbit hits an exact fixed point or an exact period-2
-cycle, padding the remaining points with the (exactly continued) pattern,
-and both raise NonFiniteValueError past ``DEFAULT_NORM_CAP``.
+vector closure, and a plain-float one on the line for projection-free trees,
+whose float evaluators do the same arithmetic as their vector closures.
+Either way the orbit equals the orbit of ``T.apply`` bit for bit.  Both
+terminate a run early when the orbit hits an exact fixed point or an exact
+period-2 cycle, padding the remaining points with the (exactly continued)
+pattern, and both raise NonFiniteValueError past ``DEFAULT_NORM_CAP``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -104,10 +107,11 @@ def _iterate_scalar(sfn, x0: float, n_steps: int) -> np.ndarray:
                 f"orbit left the representable range at step {i}: {nxt!r}"
             )
         out[i] = nxt
-        if nxt == cur:
+        # a repeat must match in sign too, as 0.0 == -0.0
+        if nxt == cur and copysign(1.0, nxt) == copysign(1.0, cur):
             out[i + 1 :] = nxt
             break
-        if prev is not None and nxt == prev:
+        if nxt == prev and copysign(1.0, nxt) == copysign(1.0, prev):
             out[i + 1 :: 2] = cur
             out[i + 2 :: 2] = nxt
             break
@@ -151,7 +155,7 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x0 = as_vector(x0, T.dim)
-    sfn = T._sfn  # plain-float evaluator, None unless closed-form on the line
+    sfn = T._sfn  # plain-float evaluator; None off the line or with a projection
     if sfn is not None and x0.size == 1:
         pts = _iterate_scalar(sfn, float(x0[0]), n_steps)
     else:

@@ -76,11 +76,8 @@ def _frozen_matrix(rows, dim: int | None = None) -> np.ndarray:
 
 
 def _check_orthonormal(basis: np.ndarray) -> None:
-    k = basis.shape[0]
-    if k == 0:
-        return
     gram = basis @ basis.T
-    if np.max(np.abs(gram - np.eye(k))) > ORTHONORMAL_TOL:
+    if np.any(np.abs(gram - np.eye(basis.shape[0])) > ORTHONORMAL_TOL):
         raise ValueError("basis rows are not orthonormal within 1e-12")
 
 
@@ -343,13 +340,9 @@ class LinearSubspace(ConvexSet):
         return True
 
     def _project(self, x):
-        if self.basis.shape[0] == 0:
-            return np.zeros_like(x)
         return self.basis.T @ (self.basis @ x)
 
     def _project_batch(self, pts):
-        if self.basis.shape[0] == 0:
-            return np.zeros_like(pts)
         return (pts @ self.basis.T) @ self.basis
 
     def anchor(self):
@@ -539,9 +532,7 @@ def dual_cone_contains(K: ConvexSet, u, tol: float = MEMBERSHIP_TOL) -> bool:
     if isinstance(K, Orthant):
         return bool(np.all(K.signs * v >= -tol))
     if isinstance(K, LinearSubspace):
-        if K.basis.shape[0] == 0:
-            return True
-        return float(np.max(np.abs(K.basis @ v))) <= tol
+        return bool(np.all(np.abs(K.basis @ v) <= tol))
     raise UnsupportedSetError(f"no dual-cone rule for {type(K).__name__}")
 
 
@@ -584,8 +575,6 @@ def sample_witnesses(
     if count < 1:
         raise ValueError("count must be >= 1")
     anchor = C.anchor()
-    if isinstance(C, Point):
-        return [anchor.copy() for _ in range(count)]
     rng = np.random.default_rng(seed)
     out = [anchor]
     for _ in range(count - 1):

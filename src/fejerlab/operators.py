@@ -1,9 +1,11 @@
 """Expression algebra for nonexpansive maps with averagedness certificates.
 
 Operator expressions are immutable trees.  Each node compiles, at
-construction, a vector closure (ndarray -> ndarray) and, when the tree is
-one-dimensional and closed-form, a plain-float closure used by the fast
-scalar iteration path in :mod:`fejerlab.dynamics`.
+construction, a vector closure (ndarray -> ndarray).  A projection-free tree
+that acts on the line also gets a plain-float closure with the same
+arithmetic, which drives the float engine of :func:`fejerlab.dynamics.iterate`.
+Trees with a projector, reflector or Douglas-Rachford node have none: each
+projection is defined once, in :mod:`fejerlab.geometry`.
 
 Averagedness bookkeeping is structural and deliberately conservative: when no
 calculus rule applies the certificate degrades to nonexpansive or unknown
@@ -20,20 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatchError
-from .geometry import (
-    AffineSubspace,
-    Ball,
-    Box,
-    ConvexSet,
-    Halfspace,
-    Hyperplane,
-    LinearSubspace,
-    Orthant,
-    Point,
-    Ray,
-    as_vector,
-    full_space,
-)
+from .geometry import AffineSubspace, Ball, ConvexSet, Ray, as_vector, full_space
 from .report import FAIL, PASS, DiagnosticsReport
 
 __all__ = [
@@ -74,50 +63,6 @@ def _merge_dims(*dims):
     return out
 
 
-def _scalar_projector(C: ConvexSet):
-    """Plain-float projector for supported 1-D sets, else None."""
-    if C.dim != 1:
-        return None
-    if isinstance(C, Point):
-        p = float(C.coords[0])
-        return lambda t: p
-    if isinstance(C, Ball):
-        lo = float(C.center[0]) - C.radius
-        hi = float(C.center[0]) + C.radius
-        return lambda t: lo if t < lo else (hi if t > hi else t)
-    if isinstance(C, Box):
-        lo, hi = float(C.lower[0]), float(C.upper[0])
-        return lambda t: lo if t < lo else (hi if t > hi else t)
-    if isinstance(C, Halfspace):
-        a = float(C.normal[0])
-        bound = C.offset / a
-        if a > 0:
-            return lambda t: t if t <= bound else bound
-        return lambda t: t if t >= bound else bound
-    if isinstance(C, Hyperplane):
-        const = C.offset / float(C.normal[0])
-        return lambda t: const
-    if isinstance(C, AffineSubspace):
-        if C.basis.shape[0] == 0:
-            const = float(C.base[0])
-            return lambda t: const
-        return lambda t: t
-    if isinstance(C, LinearSubspace):
-        if C.basis.shape[0] == 0:
-            return lambda t: 0.0
-        return lambda t: t
-    if isinstance(C, Ray):
-        b = float(C.base[0])
-        if float(C.direction[0]) > 0:
-            return lambda t: t if t >= b else b
-        return lambda t: t if t <= b else b
-    if isinstance(C, Orthant):
-        if float(C.signs[0]) > 0:
-            return lambda t: t if t >= 0.0 else 0.0
-        return lambda t: t if t <= 0.0 else 0.0
-    return None
-
-
 class OperatorExpr:
     """Base class for nonexpansive-map expression nodes."""
 
@@ -130,7 +75,7 @@ class OperatorExpr:
         """Evaluate the expression at ``x``."""
         return self._fn(as_vector(x, self.dim))
 
-    def _install(self, dim, fn, sfn) -> None:
+    def _install(self, dim, fn, sfn=None) -> None:
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_fn", fn)
         object.__setattr__(self, "_sfn", sfn)
@@ -218,8 +163,7 @@ class Projector(OperatorExpr):
     target: ConvexSet
 
     def __post_init__(self):
-        proj = self.target._project
-        self._install(self.target.dim, proj, _scalar_projector(self.target))
+        self._install(self.target.dim, self.target._project)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,9 +172,7 @@ class Reflector(OperatorExpr):
 
     def __post_init__(self):
         proj = self.target._project
-        sp = _scalar_projector(self.target)
-        sfn = (lambda t: 2.0 * sp(t) - t) if sp is not None else None
-        self._install(self.target.dim, lambda x: 2.0 * proj(x) - x, sfn)
+        self._install(self.target.dim, lambda x: 2.0 * proj(x) - x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,16 +230,7 @@ class DouglasRachford(OperatorExpr):
             rb = 2.0 * pb(ra) - ra
             return 0.5 * (x + rb)
 
-        spa, spb = _scalar_projector(self.first), _scalar_projector(self.second)
-        sfn = None
-        if spa is not None and spb is not None:
-
-            def sfn(t):
-                ra = 2.0 * spa(t) - t
-                rb = 2.0 * spb(ra) - ra
-                return 0.5 * (t + rb)
-
-        self._install(dim, fn, sfn)
+        self._install(dim, fn)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,10 @@
 
 A scenario is declarative: named sets, named operator expressions, trajectory
 definitions, and an ordered list of checks with expected verdicts.  A check
-whose ``expect`` is None is evidence-only: its outcome is recorded but never
-counted as a mismatch (used for the open exploratory questions, where a
-convergence verdict would overclaim).
+whose ``expect`` is None is evidence-only: its outcome is recorded but
+counted as a mismatch only when it ends in an error (used for the open
+exploratory questions, where a convergence verdict would overclaim).  A
+trajectory that cannot be built fails every check that reads it.
 """
 
 from __future__ import annotations
@@ -584,12 +585,19 @@ def _vector(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+# What an operator must be for the closed-form two-ball drift, and the test.
+_TWO_BALL_DR = (
+    "a Douglas-Rachford operator on two balls",
+    lambda op: isinstance(op, DouglasRachford)
+    and isinstance(op.first, Ball)
+    and isinstance(op.second, Ball),
+)
+
 # Named shifts of a normalized trajectory: what the operator must be, the
 # test for it, and v computed from the operator and the orbit being shifted.
 _SHIFTS = {
     "two_ball": (
-        "a Douglas-Rachford operator on two balls",
-        lambda op: isinstance(op, DouglasRachford),
+        *_TWO_BALL_DR,
         lambda op, raw: two_ball_gap_vector(op.first, op.second),
     ),
     "estimate": (
@@ -654,8 +662,9 @@ class CheckKind:
     ``run(trajectory, expect, **params)`` returns the report and the actual
     outcome that is compared with ``expect``.  The params listed in ``sets``
     and ``operators`` name a set or an operator of the scenario, are
-    required, and arrive resolved.  Every other accepted param is a key of
-    ``defaults``.
+    required, and arrive resolved.  ``operator_rule``, when given, is what
+    the named operators must be and the test for it.  Every other accepted
+    param is a key of ``defaults``.
     """
 
     run: Callable
@@ -663,6 +672,7 @@ class CheckKind:
     operators: tuple = ()
     defaults: dict = field(default_factory=dict)
     needs_trajectory: bool = True
+    operator_rule: tuple | None = None
 
     def validate(self, params, spec, path: str) -> None:
         if not isinstance(params, dict):
@@ -681,6 +691,11 @@ class CheckKind:
                     raise ConfigError(
                         f"{path}.{key}: unknown {label} reference {params[key]!r}"
                     )
+        if self.operator_rule is not None:
+            needs, accepts = self.operator_rule
+            for key in self.operators:
+                if not accepts(spec.operators[params[key]]):
+                    raise ConfigError(f"{path}.{key}: needs {needs}")
 
 
 def _verdict(report):
@@ -703,10 +718,6 @@ def _limit(traj, expect, tail_window, tol):
 
 
 def _displacement_match(traj, expect, operator, tail, tol):
-    if not isinstance(operator, DouglasRachford):
-        raise ConfigError(
-            "displacement_match needs a Douglas-Rachford operator on two balls"
-        )
     v_est, residual = displacement_from_orbit(traj, tail)
     v_closed = two_ball_gap_vector(operator.first, operator.second)
     gap = float(np.linalg.norm(v_est - v_closed))
@@ -797,6 +808,7 @@ CHECK_KINDS = {
         _displacement_match,
         operators=("operator",),
         defaults={"tail": 1000, "tol": 1e-6},
+        operator_rule=_TWO_BALL_DR,
     ),
     **{
         kind: _sweep_kind(f"run_{kind}")
@@ -856,25 +868,42 @@ def run_scenario(
     }
     built: dict = {}
     orbits: dict = {}  # the run's raw orbits, by (operator name, start, steps)
+    failed: dict = {}  # trajectory not built -> (the one that raised, its error)
     for tdef in spec.trajectories:
+        if tdef.base in failed:
+            failed[tdef.name] = failed[tdef.base]
+            continue
         steps = tdef.n_steps if tdef.n_steps is not None else n
         orbit = functools.partial(_raw_orbit, spec, orbits, tdef.operator, steps)
-        built[tdef.name] = TRAJECTORY_KINDS[tdef.kind][0](spec, tdef, built, steps, orbit)
+        try:
+            built[tdef.name] = TRAJECTORY_KINDS[tdef.kind][0](spec, tdef, built, steps, orbit)
+        except ConfigError:
+            raise
+        except Exception as exc:  # reported by the checks that read the trajectory
+            error = f"trajectories.{tdef.name}: {type(exc).__name__}: {exc}"
+            failed[tdef.name] = (tdef.name, error)
+    unread = dict.fromkeys(name for name, _ in failed.values())
     reports: dict = {}
     summary: list = []
     for cdef in spec.checks:
-        try:
-            rep, actual = _run_check(spec, cdef, built, run_values)
-            matched = cdef.expect is None or actual == cdef.expect
-        except ConfigError as exc:
-            raise ConfigError(f"checks.{cdef.name}: {exc}") from exc
-        except Exception as exc:  # runtime error attached to the failing check
-            rep = DiagnosticsReport(
-                cdef.kind, FAIL, {"error": f"{type(exc).__name__}: {exc}"}
-            )
-            actual, matched = "error", False
+        error = None
+        if cdef.trajectory in failed:
+            source, error = failed[cdef.trajectory]
+            unread.pop(source, None)
+        else:
+            try:
+                rep, actual = _run_check(spec, cdef, built, run_values)
+            except ConfigError as exc:
+                raise ConfigError(f"checks.{cdef.name}: {exc}") from exc
+            except Exception as exc:  # runtime error attached to the failing check
+                error = f"{type(exc).__name__}: {exc}"
+        if error is not None:
+            rep, actual = DiagnosticsReport(cdef.kind, FAIL, {"error": error}), "error"
+        matched = error is None and (cdef.expect is None or actual == cdef.expect)
         reports[cdef.name] = rep
         summary.append(CheckOutcome(cdef.name, cdef.expect, actual, matched))
+    for name in unread:  # a trajectory that failed and that no check reads
+        summary.append(CheckOutcome(f"trajectories.{name}", None, "error", False))
     artifacts = RunArtifacts(spec.name, built, reports, summary)
     if out_dir is not None:
         export_run(artifacts, Path(out_dir))

@@ -199,8 +199,16 @@ def test_config_errors_carry_field_paths():
             {"name": "x", "trajectories": [{"name": "t", "kind": "alternating", "strat": [0]}]}
         )
 
+    # Douglas-Rachford on a half-space and a ball: no closed-form drift
+    dr_mixed = {
+        "kind": "douglas_rachford",
+        "first": {"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0},
+        "second": {"kind": "ball", "center": [3.0, 0.0], "radius": 1.0},
+    }
+
     def with_check(check):
         data = yaml.safe_load(CONFIG_TEXT)
+        data["operators"]["D"] = dr_mixed
         data["checks"] = [{"name": "c", "trajectory": "orbit", **check}]
         return data
 
@@ -227,6 +235,10 @@ def test_config_errors_carry_field_paths():
         ({"kind": "fejer", "params": {"set": None}}, "missing parameter 'set'"),
         ({"kind": "fejer", "params": {"set": [1]}}, "unknown set reference"),
         ({"kind": "check", "expect": "pass"}, "unknown check kind"),
+        (
+            {"kind": "displacement_match", "params": {"operator": "D"}},
+            "checks.c.params.operator: needs a Douglas-Rachford operator on two balls",
+        ),
     ]:
         with pytest.raises(ConfigError, match=message):
             parse_scenario(with_check(check))
@@ -238,6 +250,7 @@ def test_config_errors_carry_field_paths():
     def with_trajectory(trajectory):
         data = yaml.safe_load(CONFIG_TEXT)
         data["operators"]["S"] = {"kind": "translation", "shift": [1.0, 0.0]}
+        data["operators"]["D"] = dr_mixed
         data["trajectories"].append({"name": "t", **trajectory})
         return data
 
@@ -267,6 +280,10 @@ def test_config_errors_carry_field_paths():
         (
             {"kind": "normalized", "operator": "S", "base": "orbit", "shift": "estimate"},
             "trajectories.t: shift 'estimate' needs an operator certified averaged",
+        ),
+        (
+            {"kind": "normalized", "operator": "D", "base": "orbit", "shift": "two_ball"},
+            "trajectories.t: shift 'two_ball' needs a Douglas-Rachford operator on two balls",
         ),
     ]:
         with pytest.raises(ConfigError, match=message):
@@ -398,6 +415,37 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     no_start.write_text(CONFIG_TEXT.replace(", start: [4.0, -1.0]", ""), encoding="utf-8")
     assert main(["run", "--config", str(no_start)]) == 2
     assert "trajectories.orbit: missing field 'start'" in capsys.readouterr().err
+
+
+def test_cli_trajectory_errors_fail_their_checks(tmp_path, capsys):
+    # an orbit that leaves the representable range
+    data = yaml.safe_load(CONFIG_TEXT)
+    data["operators"]["T"] = {"kind": "linear", "matrix": [[3.0]]}
+    data["sets"]["line"] = {"kind": "hyperplane", "normal": [1.0], "offset": 0.0}
+    data["trajectories"][0]["start"] = [1.0]
+    path = tmp_path / "blow-up.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[MISS] custom-reflection/fejer: expected=pass actual=error" in out
+    assert "[MISS] custom-reflection/limit: expected=converged actual=error" in out
+    # a difference orbit whose norm grows; the other checks still run
+    data = yaml.safe_load(CONFIG_TEXT)
+    data["operators"]["G"] = {"kind": "linear", "matrix": [[1.5, 0.0], [0.0, 1.5]]}
+    data["trajectories"].append(
+        {"name": "diff", "kind": "difference", "operator": "G", "start": [1.0, 0.0],
+         "partner": [0.0, 0.0], "n_steps": 20}
+    )
+    data["checks"].append(
+        {"name": "reg", "kind": "asymptotic_regularity", "trajectory": "diff", "expect": "pass"}
+    )
+    path = tmp_path / "growing-difference.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[ ok ] custom-reflection/fejer: expected=pass actual=pass" in out
+    assert "[ ok ] custom-reflection/limit: expected=converged actual=converged" in out
+    assert "[MISS] custom-reflection/reg: expected=pass actual=error" in out
 
 
 def test_readme_documents_every_kind():

@@ -6,7 +6,19 @@ from fejerlab.errors import (
     MonotonicityViolationError,
     NonFiniteValueError,
 )
-from fejerlab.geometry import Ball, Hyperplane, MinkowskiSum, Point, Ray, sample_witnesses
+from fejerlab.geometry import (
+    AffineSubspace,
+    Ball,
+    Box,
+    Halfspace,
+    Hyperplane,
+    LinearSubspace,
+    MinkowskiSum,
+    Orthant,
+    Point,
+    Ray,
+    sample_witnesses,
+)
 from fejerlab.operators import (
     ConvexCombination,
     DouglasRachford,
@@ -64,20 +76,54 @@ def test_translation_orbit_ramp():
     assert np.allclose(traj.points[:, 0], [0.0, 0.5, 1.0, 1.5])
 
 
+def _sets_on_the_line():
+    """One 1-D set of every kind, both orientations where a kind has two."""
+    return [
+        Point([0.7]),
+        Ball([0.3], 1.1),
+        Halfspace([2.0], 0.9),
+        Halfspace([-0.5], 0.2),
+        Hyperplane([3.0], 1.0),
+        AffineSubspace([0.4], np.zeros((0, 1))),
+        AffineSubspace([0.4], [[1.0]]),
+        LinearSubspace(np.zeros((0, 1)), ambient_dim=1),
+        LinearSubspace([[1.0]]),
+        Box([-0.6], [1.3]),
+        Ray([0.2], [1.0]),
+        Ray([0.2], [-1.0]),
+        Orthant([1.0]),
+        Orthant([-1.0]),
+        MinkowskiSum(Point([1.0]), Ray([0.0], [1.0])),
+        MinkowskiSum(Ball([-1.0], 0.5), Orthant([-1.0])),
+    ]
+
+
+def _projection_trees_on_the_line():
+    partner = Halfspace([1.0], -0.4)
+    trees = []
+    for C in _sets_on_the_line():
+        trees.append(ConvexCombination(0.37, Identity(), Reflector(C)))
+        trees.append(DouglasRachford(C, Ball([2.5], 0.5) if C == partner else partner))
+    return trees
+
+
 @pytest.mark.parametrize("float_evaluator", [True, False])
 def test_iterate_matches_naive_evaluation(float_evaluator):
     # both engines at d = 1: the plain-float one drives the piecewise-linear
-    # map, the numpy one the reflector, which has no float evaluator
-    rng = np.random.default_rng(1)
+    # map; the numpy one drives every tree with a projection, none of which
+    # has a float evaluator
+    rng = np.random.default_rng(0)
     if float_evaluator:
         R = ScalarPiecewiseLinear([-1.0, 1.0], [0.5, -0.8, 0.3], anchor_value=0.7)
+        trees = [ConvexCombination(0.4, Identity(), R)]
     else:
-        R = Reflector(MinkowskiSum(Point([1.0]), Ray([0.0], [1.0])))
-    T = ConvexCombination(0.4, Identity(), R)
-    assert (T._sfn is not None) == float_evaluator
-    x0 = rng.uniform(-5, 5, 1)
-    traj = iterate(T, x0, 200)
-    assert np.array_equal(traj.points, _naive_orbit(T, x0, 200))
+        trees = _projection_trees_on_the_line()
+    for T in trees:
+        assert (T._sfn is not None) == float_evaluator, T
+        for _ in range(20):
+            x0 = rng.uniform(-5, 5, 1)
+            traj = iterate(T, x0, 60)
+            assert traj.points.tobytes() == _naive_orbit(T, x0, 60).tobytes(), (T, x0)
 
 
 def test_early_stall_padding_is_exact():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fejerlab.errors import ConfigError
-from fejerlab.geometry import Hyperplane, Ray
-from fejerlab.operators import Negation
+from fejerlab.geometry import Ball, Halfspace, Hyperplane, Ray
+from fejerlab.operators import DouglasRachford, Linear, Negation
 from fejerlab.scenarios import (
     CheckDef,
     ScenarioSpec,
@@ -126,6 +126,8 @@ def test_scenario_validation_errors(monkeypatch):
         raise AssertionError("an orbit was built before validation")
 
     monkeypatch.setattr(scenarios, "iterate", no_orbits)
+    # Douglas-Rachford on a half-space and a ball: no closed-form drift
+    dr_mixed = DouglasRachford(Halfspace([1.0], 0.0), Ball([3.0], 1.0))
     for check, message in [
         (CheckDef("c", "fejr", "orbit", "pass"), "unknown check kind 'fejr'"),
         (CheckDef("c", "fejer", "orbit", "pass"), "missing parameter 'set'"),
@@ -147,13 +149,17 @@ def test_scenario_validation_errors(monkeypatch):
             "unknown parameter 'instance'",
         ),
         (CheckDef("c", "connectivity", None, "pass"), "missing field 'trajectory'"),
+        (
+            CheckDef("c", "displacement_match", "orbit", None, {"operator": "D"}),
+            "checks.c.params.operator: needs a Douglas-Rachford operator on two balls",
+        ),
     ]:
         spec3 = ScenarioSpec(
             name="typo",
             description="",
             topic="",
             sets={"line": Hyperplane([1.0], 0.0)},
-            operators={"T": Negation()},
+            operators={"T": Negation(), "D": dr_mixed},
             trajectories=[TrajectoryDef("orbit", "raw", operator="T", start=[1.0])],
             checks=[check],
         )
@@ -202,17 +208,60 @@ def test_scenario_validation_errors(monkeypatch):
             TrajectoryDef("t", "normalized", operator="T", base="orbit", shift="guess"),
             "trajectories.t: unknown shift 'guess'",
         ),
+        (
+            TrajectoryDef("t", "normalized", operator="D", base="orbit", shift="two_ball"),
+            "trajectories.t: shift 'two_ball' needs a Douglas-Rachford operator on two balls",
+        ),
     ]:
         spec4 = ScenarioSpec(
             name="fields",
             description="",
             topic="",
             sets={"line": Hyperplane([1.0], 0.0)},
-            operators={"T": Negation(), "S": Translation([1.0])},
+            operators={"T": Negation(), "S": Translation([1.0]), "D": dr_mixed},
             trajectories=[TrajectoryDef("orbit", "raw", operator="T", start=[1.0]), tdef],
         )
         with pytest.raises(ConfigError, match=message):
             run_scenario(spec4)
+
+
+def test_trajectory_build_errors_fail_the_checks_that_read_them():
+    spec = ScenarioSpec(
+        name="build-errors",
+        description="",
+        topic="",
+        n_steps=100,
+        operators={"E": Linear([[3.0]]), "G": Linear([[1.5]]), "N": Negation()},
+        trajectories=[
+            TrajectoryDef("blow", "raw", operator="E", start=[1.0]),
+            TrajectoryDef("shifted", "normalized", base="blow", shift=[1.0]),
+            TrajectoryDef(
+                "diff", "difference", operator="G", start=[1.0], partner=[0.0], n_steps=20
+            ),
+            TrajectoryDef("lonely", "raw", operator="E", start=[2.0]),
+            TrajectoryDef("ok", "raw", operator="N", start=[2.0]),
+        ],
+        checks=[
+            CheckDef("via-base", "limit", "shifted", "converged"),
+            CheckDef("direct", "asymptotic_regularity", "diff", None),
+            CheckDef("fine", "limit", "ok", "oscillating"),
+        ],
+    )
+    artifacts = run_scenario(spec)
+    outcomes = {o.name: (o.actual, o.matched) for o in artifacts.summary}
+    assert outcomes == {
+        "via-base": ("error", False),
+        "direct": ("error", False),
+        "fine": ("oscillating", True),
+        "trajectories.lonely": ("error", False),
+    }
+    assert artifacts.reports["via-base"].witness["error"].startswith(
+        "trajectories.blow: NonFiniteValueError: orbit left the representable range"
+    )
+    assert artifacts.reports["direct"].witness["error"].startswith(
+        "trajectories.diff: MonotonicityViolationError: difference norm grew"
+    )
+    assert list(artifacts.trajectories) == ["ok"]  # failed ones are not exported
 
 
 def _count_iterate_calls(monkeypatch):
