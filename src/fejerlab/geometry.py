@@ -12,7 +12,8 @@ Conventions
   equality version.  Normals are stored as given (not normalized).
 * Subspace bases are stored as rows of a 2-D array and must be orthonormal
   within ``ORTHONORMAL_TOL``.
-* Membership tests are absolute with default tolerance ``MEMBERSHIP_TOL``.
+* Membership tests are absolute with default tolerance ``MEMBERSHIP_TOL``;
+  so is the dual-cone test, which reads only the cone's projector.
 """
 
 from __future__ import annotations
@@ -519,21 +520,14 @@ class MinkowskiSum(ConvexSet):
 
 
 def dual_cone_contains(K: ConvexSet, u, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether <u, k> >= -tol for every k in the cone, by closed forms.
+    """Whether <u, k> >= -tol for every unit vector k in the cone K.
 
-    Ray(0, d): dual = {u : <u, d> >= 0}.  Orthant: self-dual.  Linear
-    subspace Y: dual = Y-perp.
+    By Moreau's decomposition, min <u, k> over unit k in K is -||P_K(-u)||.
     """
     if not K.is_cone:
         raise UnsupportedSetError(f"{type(K).__name__} is not a supported cone")
     v = as_vector(u, K.dim)
-    if isinstance(K, Ray):
-        return float(K.direction @ v) >= -tol
-    if isinstance(K, Orthant):
-        return bool(np.all(K.signs * v >= -tol))
-    if isinstance(K, LinearSubspace):
-        return bool(np.all(np.abs(K.basis @ v) <= tol))
-    raise UnsupportedSetError(f"no dual-cone rule for {type(K).__name__}")
+    return float(np.linalg.norm(K._project(-v))) <= tol
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ arithmetic, which drives the float engine of :func:`fejerlab.dynamics.iterate`.
 Trees with a projector, reflector or Douglas-Rachford node have none: each
 projection is defined once, in :mod:`fejerlab.geometry`.
 
-Averagedness bookkeeping is structural and deliberately conservative: when no
-calculus rule applies the certificate degrades to nonexpansive or unknown
-rather than guessing, and every produced certificate is expected to survive
-:func:`verify_averaged` empirically.
+Each node also computes its averagedness certificate at construction, from
+its children's; :func:`certify` reads it.  The calculus is structural and
+deliberately conservative: when no rule applies the certificate degrades to
+nonexpansive or unknown rather than guessing, and every produced certificate
+is expected to survive :func:`verify_averaged` empirically.
 """
 
 from __future__ import annotations
@@ -63,221 +64,6 @@ def _merge_dims(*dims):
     return out
 
 
-class OperatorExpr:
-    """Base class for nonexpansive-map expression nodes."""
-
-    @property
-    def dim(self) -> int | None:
-        """Ambient dimension, or None for dimension-free nodes."""
-        return self._dim
-
-    def apply(self, x) -> np.ndarray:
-        """Evaluate the expression at ``x``."""
-        return self._fn(as_vector(x, self.dim))
-
-    def _install(self, dim, fn, sfn=None) -> None:
-        object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_fn", fn)
-        object.__setattr__(self, "_sfn", sfn)
-
-    # value semantics: equal type and equal fields, as for convex sets
-    __eq__ = ConvexSet.__eq__
-    __hash__ = None
-
-
-@dataclass(frozen=True, eq=False)
-class Identity(OperatorExpr):
-    def __post_init__(self):
-        self._install(None, lambda x: x.copy(), lambda t: t)
-
-
-@dataclass(frozen=True, eq=False)
-class Negation(OperatorExpr):
-    def __post_init__(self):
-        self._install(None, lambda x: -x, lambda t: -t)
-
-
-@dataclass(frozen=True, eq=False)
-class Translation(OperatorExpr):
-    shift: np.ndarray
-
-    def __post_init__(self):
-        b = as_vector(self.shift).copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "shift", b)
-        sfn = None
-        if b.size == 1:
-            b0 = float(b[0])
-            sfn = lambda t: t + b0
-        self._install(b.size, lambda x: x + b, sfn)
-
-
-@dataclass(frozen=True, eq=False)
-class Linear(OperatorExpr):
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError("Linear expects a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite matrix entries")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        sfn = None
-        if m.shape[0] == 1:
-            a = float(m[0, 0])
-            sfn = lambda t: a * t
-        self._install(m.shape[0], lambda x: m @ x, sfn)
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap(OperatorExpr):
-    """x -> matrix @ x + shift."""
-
-    matrix: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError("AffineMap expects a square matrix")
-        b = as_vector(self.shift, m.shape[0]).copy()
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite matrix entries")
-        m = m.copy()
-        m.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "shift", b)
-        sfn = None
-        if m.shape[0] == 1:
-            a, b0 = float(m[0, 0]), float(b[0])
-            sfn = lambda t: a * t + b0
-        self._install(m.shape[0], lambda x: m @ x + b, sfn)
-
-
-@dataclass(frozen=True, eq=False)
-class Projector(OperatorExpr):
-    target: ConvexSet
-
-    def __post_init__(self):
-        self._install(self.target.dim, self.target._project)
-
-
-@dataclass(frozen=True, eq=False)
-class Reflector(OperatorExpr):
-    target: ConvexSet
-
-    def __post_init__(self):
-        proj = self.target._project
-        self._install(self.target.dim, lambda x: 2.0 * proj(x) - x)
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexCombination(OperatorExpr):
-    """(1 - alpha) * left + alpha * right, alpha in (0, 1)."""
-
-    alpha: float
-    left: OperatorExpr
-    right: OperatorExpr
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not 0.0 < a < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        object.__setattr__(self, "alpha", a)
-        dim = _merge_dims(self.left.dim, self.right.dim)
-        lf, rf = self.left._fn, self.right._fn
-        ls, rs = self.left._sfn, self.right._sfn
-        sfn = None
-        if ls is not None and rs is not None and dim in (None, 1):
-            sfn = lambda t: (1.0 - a) * ls(t) + a * rs(t)
-        self._install(dim, lambda x: (1.0 - a) * lf(x) + a * rf(x), sfn)
-
-
-@dataclass(frozen=True, eq=False)
-class Composition(OperatorExpr):
-    """x -> outer(inner(x))."""
-
-    outer: OperatorExpr
-    inner: OperatorExpr
-
-    def __post_init__(self):
-        dim = _merge_dims(self.outer.dim, self.inner.dim)
-        of, inf_ = self.outer._fn, self.inner._fn
-        os_, is_ = self.outer._sfn, self.inner._sfn
-        sfn = None
-        if os_ is not None and is_ is not None and dim in (None, 1):
-            sfn = lambda t: os_(is_(t))
-        self._install(dim, lambda x: of(inf_(x)), sfn)
-
-
-@dataclass(frozen=True, eq=False)
-class DouglasRachford(OperatorExpr):
-    """x -> (x + R_second(R_first(x))) / 2."""
-
-    first: ConvexSet
-    second: ConvexSet
-
-    def __post_init__(self):
-        dim = _merge_dims(self.first.dim, self.second.dim)
-        pa, pb = self.first._project, self.second._project
-
-        def fn(x):
-            ra = 2.0 * pa(x) - x
-            rb = 2.0 * pb(ra) - ra
-            return 0.5 * (x + rb)
-
-        self._install(dim, fn)
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarPiecewiseLinear(OperatorExpr):
-    """Continuous piecewise-linear map on the line with slopes in [-1, 1].
-
-    ``slopes`` has one more entry than ``breakpoints``: slopes[0] applies left
-    of the first breakpoint, slopes[i] between breakpoints i-1 and i, and the
-    last entry beyond the final breakpoint.  ``anchor_value`` is the value at
-    the first breakpoint.
-    """
-
-    breakpoints: np.ndarray
-    slopes: np.ndarray
-    anchor_value: float = 0.0
-
-    def __post_init__(self):
-        xs = as_vector(self.breakpoints).copy()
-        sl = as_vector(self.slopes).copy()
-        if np.any(np.diff(xs) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if sl.size != xs.size + 1:
-            raise ValueError("need exactly len(breakpoints) + 1 slopes")
-        if np.max(np.abs(sl)) > 1.0:
-            raise ValueError("slopes must lie in [-1, 1]")
-        xs.setflags(write=False)
-        sl.setflags(write=False)
-        object.__setattr__(self, "breakpoints", xs)
-        object.__setattr__(self, "slopes", sl)
-        object.__setattr__(self, "anchor_value", float(self.anchor_value))
-        ys = np.concatenate(
-            [[self.anchor_value], self.anchor_value + np.cumsum(sl[1:-1] * np.diff(xs))]
-        )
-        xs_l, ys_l, sl_l = xs.tolist(), ys.tolist(), sl.tolist()
-
-        def sfn(t):
-            j = bisect_right(xs_l, t)
-            if j == 0:
-                return ys_l[0] + sl_l[0] * (t - xs_l[0])
-            return ys_l[j - 1] + sl_l[j] * (t - xs_l[j - 1])
-
-        self._install(1, lambda x: np.array([sfn(float(x[0]))]), sfn)
-
-    def value_at(self, t: float) -> float:
-        return self._sfn(float(t))
-
-
 # ---------------------------------------------------------------------------
 # Averagedness certificates
 # ---------------------------------------------------------------------------
@@ -328,51 +114,264 @@ class AveragednessCertificate:
         return self.kind == FIRMLY_NONEXPANSIVE
 
 
+_UNKNOWN_CERT = AveragednessCertificate.unknown()
+_NONEXPANSIVE_CERT = AveragednessCertificate.nonexpansive()
+_FIRM_CERT = AveragednessCertificate.averaged(0.5)
+
+
+def _averaged(alpha: float) -> AveragednessCertificate:
+    # a rule's constant can round to 0 or 1; nonexpansive still holds then
+    if 0.0 < alpha < 1.0:
+        return AveragednessCertificate.averaged(alpha)
+    return _NONEXPANSIVE_CERT
+
+
 def _linear_certificate(mat: np.ndarray) -> AveragednessCertificate:
     # the SVD gives the largest singular value to rounding; an iterative
     # estimate approaches it from below and would overclaim
     if np.linalg.norm(mat, 2) <= 1.0 + _NONEXPANSIVE_SLACK:
-        return AveragednessCertificate.nonexpansive()
-    return AveragednessCertificate.unknown()
+        return _NONEXPANSIVE_CERT
+    return _UNKNOWN_CERT
+
+
+class OperatorExpr:
+    """Base class for nonexpansive-map expression nodes."""
+
+    @property
+    def dim(self) -> int | None:
+        """Ambient dimension, or None for dimension-free nodes."""
+        return self._dim
+
+    def apply(self, x) -> np.ndarray:
+        """Evaluate the expression at ``x``."""
+        return self._fn(as_vector(x, self.dim))
+
+    def _install(self, dim, fn, cert=_UNKNOWN_CERT, sfn=None) -> None:
+        object.__setattr__(self, "_dim", dim)
+        object.__setattr__(self, "_fn", fn)
+        object.__setattr__(self, "_sfn", sfn)
+        object.__setattr__(self, "_cert", cert)
+
+    # value semantics: equal type and equal fields, as for convex sets
+    __eq__ = ConvexSet.__eq__
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class Identity(OperatorExpr):
+    def __post_init__(self):
+        self._install(None, lambda x: x.copy(), _FIRM_CERT, lambda t: t)
+
+
+@dataclass(frozen=True, eq=False)
+class Negation(OperatorExpr):
+    def __post_init__(self):
+        self._install(None, lambda x: -x, _NONEXPANSIVE_CERT, lambda t: -t)
+
+
+@dataclass(frozen=True, eq=False)
+class Translation(OperatorExpr):
+    shift: np.ndarray
+
+    def __post_init__(self):
+        b = as_vector(self.shift).copy()
+        b.setflags(write=False)
+        object.__setattr__(self, "shift", b)
+        sfn = None
+        if b.size == 1:
+            b0 = float(b[0])
+            sfn = lambda t: t + b0
+        self._install(b.size, lambda x: x + b, _NONEXPANSIVE_CERT, sfn)
+
+
+@dataclass(frozen=True, eq=False)
+class Linear(OperatorExpr):
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatchError("Linear expects a square matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("non-finite matrix entries")
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        sfn = None
+        if m.shape[0] == 1:
+            a = float(m[0, 0])
+            sfn = lambda t: a * t
+        self._install(m.shape[0], lambda x: m @ x, _linear_certificate(m), sfn)
+
+
+@dataclass(frozen=True, eq=False)
+class AffineMap(OperatorExpr):
+    """x -> matrix @ x + shift."""
+
+    matrix: np.ndarray
+    shift: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatchError("AffineMap expects a square matrix")
+        b = as_vector(self.shift, m.shape[0]).copy()
+        if not np.all(np.isfinite(m)):
+            raise ValueError("non-finite matrix entries")
+        m = m.copy()
+        m.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "shift", b)
+        sfn = None
+        if m.shape[0] == 1:
+            a, b0 = float(m[0, 0]), float(b[0])
+            sfn = lambda t: a * t + b0
+        self._install(m.shape[0], lambda x: m @ x + b, _linear_certificate(m), sfn)
+
+
+@dataclass(frozen=True, eq=False)
+class Projector(OperatorExpr):
+    target: ConvexSet
+
+    def __post_init__(self):
+        self._install(self.target.dim, self.target._project, _FIRM_CERT)
+
+
+@dataclass(frozen=True, eq=False)
+class Reflector(OperatorExpr):
+    target: ConvexSet
+
+    def __post_init__(self):
+        proj = self.target._project
+        self._install(self.target.dim, lambda x: 2.0 * proj(x) - x, _NONEXPANSIVE_CERT)
+
+
+@dataclass(frozen=True, eq=False)
+class ConvexCombination(OperatorExpr):
+    """(1 - alpha) * left + alpha * right, alpha in (0, 1)."""
+
+    alpha: float
+    left: OperatorExpr
+    right: OperatorExpr
+
+    def __post_init__(self):
+        a = float(self.alpha)
+        if not 0.0 < a < 1.0:
+            raise ValueError("alpha must lie strictly between 0 and 1")
+        object.__setattr__(self, "alpha", a)
+        dim = _merge_dims(self.left.dim, self.right.dim)
+        lf, rf = self.left._fn, self.right._fn
+        ls, rs = self.left._sfn, self.right._sfn
+        sfn = None
+        if ls is not None and rs is not None and dim in (None, 1):
+            sfn = lambda t: (1.0 - a) * ls(t) + a * rs(t)
+        cl, cr = self.left._cert, self.right._cert
+        if isinstance(self.left, Identity) and cr.is_nonexpansive:
+            cert = _averaged(a * (cr.alpha if cr.is_averaged else 1.0))
+        elif isinstance(self.right, Identity) and cl.is_nonexpansive:
+            cert = _averaged((1.0 - a) * (cl.alpha if cl.is_averaged else 1.0))
+        elif cl.is_averaged and cr.is_averaged:
+            cert = _averaged((1.0 - a) * cl.alpha + a * cr.alpha)
+        elif cl.is_nonexpansive and cr.is_nonexpansive:
+            cert = _NONEXPANSIVE_CERT
+        else:
+            cert = _UNKNOWN_CERT
+        self._install(dim, lambda x: (1.0 - a) * lf(x) + a * rf(x), cert, sfn)
+
+
+@dataclass(frozen=True, eq=False)
+class Composition(OperatorExpr):
+    """x -> outer(inner(x))."""
+
+    outer: OperatorExpr
+    inner: OperatorExpr
+
+    def __post_init__(self):
+        dim = _merge_dims(self.outer.dim, self.inner.dim)
+        of, inf_ = self.outer._fn, self.inner._fn
+        os_, is_ = self.outer._sfn, self.inner._sfn
+        sfn = None
+        if os_ is not None and is_ is not None and dim in (None, 1):
+            sfn = lambda t: os_(is_(t))
+        co, ci = self.outer._cert, self.inner._cert
+        if co.is_averaged and ci.is_averaged:
+            a1, a2 = co.alpha, ci.alpha
+            cert = _averaged((a1 + a2 - 2.0 * a1 * a2) / (1.0 - a1 * a2))
+        elif co.is_nonexpansive and ci.is_nonexpansive:
+            cert = _NONEXPANSIVE_CERT
+        else:
+            cert = _UNKNOWN_CERT
+        self._install(dim, lambda x: of(inf_(x)), cert, sfn)
+
+
+@dataclass(frozen=True, eq=False)
+class DouglasRachford(OperatorExpr):
+    """x -> (x + R_second(R_first(x))) / 2."""
+
+    first: ConvexSet
+    second: ConvexSet
+
+    def __post_init__(self):
+        dim = _merge_dims(self.first.dim, self.second.dim)
+        pa, pb = self.first._project, self.second._project
+
+        def fn(x):
+            ra = 2.0 * pa(x) - x
+            rb = 2.0 * pb(ra) - ra
+            return 0.5 * (x + rb)
+
+        self._install(dim, fn, _FIRM_CERT)
+
+
+@dataclass(frozen=True, eq=False)
+class ScalarPiecewiseLinear(OperatorExpr):
+    """Continuous piecewise-linear map on the line with slopes in [-1, 1].
+
+    ``slopes`` has one more entry than ``breakpoints``: slopes[0] applies left
+    of the first breakpoint, slopes[i] between breakpoints i-1 and i, and the
+    last entry beyond the final breakpoint.  ``anchor_value`` is the value at
+    the first breakpoint.
+    """
+
+    breakpoints: np.ndarray
+    slopes: np.ndarray
+    anchor_value: float = 0.0
+
+    def __post_init__(self):
+        xs = as_vector(self.breakpoints).copy()
+        sl = as_vector(self.slopes).copy()
+        if np.any(np.diff(xs) <= 0.0):
+            raise ValueError("breakpoints must be strictly increasing")
+        if sl.size != xs.size + 1:
+            raise ValueError("need exactly len(breakpoints) + 1 slopes")
+        if np.max(np.abs(sl)) > 1.0:
+            raise ValueError("slopes must lie in [-1, 1]")
+        xs.setflags(write=False)
+        sl.setflags(write=False)
+        object.__setattr__(self, "breakpoints", xs)
+        object.__setattr__(self, "slopes", sl)
+        object.__setattr__(self, "anchor_value", float(self.anchor_value))
+        ys = np.concatenate(
+            [[self.anchor_value], self.anchor_value + np.cumsum(sl[1:-1] * np.diff(xs))]
+        )
+        xs_l, ys_l, sl_l = xs.tolist(), ys.tolist(), sl.tolist()
+
+        def sfn(t):
+            j = bisect_right(xs_l, t)
+            if j == 0:
+                return ys_l[0] + sl_l[0] * (t - xs_l[0])
+            return ys_l[j - 1] + sl_l[j] * (t - xs_l[j - 1])
+
+        self._install(1, lambda x: np.array([sfn(float(x[0]))]), _NONEXPANSIVE_CERT, sfn)
+
+    def value_at(self, t: float) -> float:
+        return self._sfn(float(t))
 
 
 def certify(T: OperatorExpr) -> AveragednessCertificate:
-    """Structural averagedness calculus; degrades rather than guesses."""
-    if isinstance(T, (Identity, Projector, DouglasRachford)):
-        return AveragednessCertificate.averaged(0.5)
-    if isinstance(T, (Negation, Translation, Reflector, ScalarPiecewiseLinear)):
-        return AveragednessCertificate.nonexpansive()
-    if isinstance(T, (Linear, AffineMap)):
-        return _linear_certificate(T.matrix)
-    if isinstance(T, ConvexCombination):
-        a = T.alpha
-        cl, cr = certify(T.left), certify(T.right)
-        if isinstance(T.left, Identity) and cr.is_nonexpansive:
-            return AveragednessCertificate.averaged(
-                a * (cr.alpha if cr.is_averaged else 1.0)
-            )
-        if isinstance(T.right, Identity) and cl.is_nonexpansive:
-            return AveragednessCertificate.averaged(
-                (1.0 - a) * (cl.alpha if cl.is_averaged else 1.0)
-            )
-        if cl.is_averaged and cr.is_averaged:
-            return AveragednessCertificate.averaged(
-                (1.0 - a) * cl.alpha + a * cr.alpha
-            )
-        if cl.is_nonexpansive and cr.is_nonexpansive:
-            return AveragednessCertificate.nonexpansive()
-        return AveragednessCertificate.unknown()
-    if isinstance(T, Composition):
-        co, ci = certify(T.outer), certify(T.inner)
-        if co.is_averaged and ci.is_averaged:
-            a1, a2 = co.alpha, ci.alpha
-            return AveragednessCertificate.averaged(
-                (a1 + a2 - 2.0 * a1 * a2) / (1.0 - a1 * a2)
-            )
-        if co.is_nonexpansive and ci.is_nonexpansive:
-            return AveragednessCertificate.nonexpansive()
-        return AveragednessCertificate.unknown()
-    return AveragednessCertificate.unknown()
+    """The certificate ``T`` computed at construction from its children's."""
+    return T._cert
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +475,20 @@ def two_ball_gap_vector(A: Ball, B: Ball) -> np.ndarray:
     return d * (gap / dist)
 
 
+def fixed_point_system(L: np.ndarray) -> tuple[np.ndarray, float]:
+    """I - L, and the relative cutoff below which its singular values are zero.
+
+    Forming I - L rounds by about eps * (1 + ||L||), however small I - L is,
+    so singular values up to d * eps * (1 + ||L||_2) count as zero.  The
+    default cutoffs of lstsq and null_space scale with ||I - L|| instead and
+    drop a true fixed direction when ||I - L|| is small.
+    """
+    M = np.eye(L.shape[0]) - L
+    cutoff = max(M.shape) * np.finfo(float).eps * (1.0 + np.linalg.norm(L, 2))
+    top = np.linalg.norm(M, 2)
+    return M, cutoff / top if top > cutoff else 1.0
+
+
 def fixed_set_description(T: OperatorExpr, v) -> ConvexSet | None:
     """Closed form for Fix(v + T) = {x : x = v + Tx} where one is known.
 
@@ -499,13 +512,13 @@ def fixed_set_description(T: OperatorExpr, v) -> ConvexSet | None:
     if isinstance(T, (Linear, AffineMap)):
         L = T.matrix
         b = T.shift if isinstance(T, AffineMap) else np.zeros(L.shape[0])
-        M = np.eye(L.shape[0]) - L
+        M, rcond = fixed_point_system(L)
         rhs = b + v
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        sol, *_ = np.linalg.lstsq(M, rhs, rcond=rcond)
         residual = float(np.linalg.norm(M @ sol - rhs))
         if residual > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
             return None
-        null = scipy.linalg.null_space(M)
+        null = scipy.linalg.null_space(M, rcond=rcond)
         return AffineSubspace(sol, null.T)
     if (
         isinstance(T, DouglasRachford)

@@ -54,6 +54,7 @@ from .geometry import (
     Orthant,
     Point,
     Ray,
+    as_vector,
 )
 from .operators import (
     AffineMap,
@@ -65,6 +66,7 @@ from .operators import (
     ScalarPiecewiseLinear,
     Translation,
     certify,
+    fixed_point_system,
     fixed_set_description,
     random_scalar_piecewise_linear,
     two_ball_gap_vector,
@@ -232,7 +234,8 @@ def run_affine_limit_sweep(
         y0 = rng.uniform(-10, 10, d)
         diff = difference_orbit(iterate(T, x0, n_steps), iterate(T, y0, n_steps))
         est = detect_limit(diff, min(500, n_steps), 1e-9)
-        null = scipy.linalg.null_space(np.eye(d) - L)
+        M, rcond = fixed_point_system(L)
+        null = scipy.linalg.null_space(M, rcond=rcond)
         target = null @ (null.T @ (x0 - y0)) if null.size else np.zeros(d)
         if est.status != CONVERGED:
             failures.append({"instance": i, "problem": "limit", "status": est.status})
@@ -527,6 +530,15 @@ class ScenarioSpec:
                     # set_name is spelled "set" in a config
                     key = "set" if key == "set_name" else key
                     raise ConfigError(f"{path}: missing field {key!r}")
+            # finite vectors, of the operator's dimension where it has one
+            dim = self.operators[t.operator].dim if t.operator is not None else None
+            for key in ("start", "partner", "shift"):
+                value = getattr(t, key)
+                if value is not None and not isinstance(value, str):
+                    try:
+                        as_vector(value, dim)
+                    except ValueError as exc:
+                        raise ConfigError(f"{path}.{key}: {exc}") from exc
             if "shift" in required and isinstance(t.shift, str):
                 if t.shift not in _SHIFTS:
                     raise ConfigError(f"{path}: unknown shift {t.shift!r}")

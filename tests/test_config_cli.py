@@ -251,6 +251,7 @@ def test_config_errors_carry_field_paths():
         data = yaml.safe_load(CONFIG_TEXT)
         data["operators"]["S"] = {"kind": "translation", "shift": [1.0, 0.0]}
         data["operators"]["D"] = dr_mixed
+        data["operators"]["L"] = {"kind": "linear", "matrix": [[0.5]]}
         data["trajectories"].append({"name": "t", **trajectory})
         return data
 
@@ -284,6 +285,14 @@ def test_config_errors_carry_field_paths():
         (
             {"kind": "normalized", "operator": "D", "base": "orbit", "shift": "two_ball"},
             "trajectories.t: shift 'two_ball' needs a Douglas-Rachford operator on two balls",
+        ),
+        (
+            {"kind": "raw", "operator": "L", "start": [1.0, 2.0]},
+            "trajectories.t.start: expected dimension 1, got 2",
+        ),
+        (
+            {"kind": "difference", "operator": "T", "start": [0, 0], "partner": [1.0]},
+            "trajectories.t.partner: expected dimension 2, got 1",
         ),
     ]:
         with pytest.raises(ConfigError, match=message):
@@ -415,6 +424,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     no_start.write_text(CONFIG_TEXT.replace(", start: [4.0, -1.0]", ""), encoding="utf-8")
     assert main(["run", "--config", str(no_start)]) == 2
     assert "trajectories.orbit: missing field 'start'" in capsys.readouterr().err
+    data = yaml.safe_load(CONFIG_TEXT)
+    data["operators"]["T"] = {"kind": "linear", "matrix": [[0.5]]}
+    data["trajectories"][0]["start"] = [1.0, 2.0]
+    wrong_dim = tmp_path / "wrong-dim.yaml"
+    wrong_dim.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["run", "--config", str(wrong_dim)]) == 2
+    assert "trajectories.orbit.start: expected dimension 1, got 2" in capsys.readouterr().err
 
 
 def test_cli_trajectory_errors_fail_their_checks(tmp_path, capsys):

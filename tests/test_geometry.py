@@ -255,6 +255,10 @@ def test_dual_cone_examples():
     Y = LinearSubspace([[0.0, 1.0]])
     assert dual_cone_contains(Y, [5.0, 0.0])  # orthogonal complement
     assert not dual_cone_contains(Y, [0.0, 1e-3])
+    # tol bounds <u, k> over unit k: k = (1, 1) / sqrt(2) gives -1.13e-10
+    assert not dual_cone_contains(quad, [-0.8e-10, -0.8e-10])
+    plane = LinearSubspace([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert not dual_cone_contains(plane, [0.8e-10, 0.8e-10, 5.0])
 
 
 def test_dual_cone_rejects_non_cones():

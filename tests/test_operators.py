@@ -154,6 +154,88 @@ def test_certify_identity_combination_with_averaged_inner():
     assert cert.is_averaged and np.isclose(cert.alpha, 0.4 * 0.5)
 
 
+_P = Projector(Ball([0.0], 1.0))  # firmly nonexpansive
+_R = Reflector(Hyperplane([1.0], 0.0))  # nonexpansive
+_U = Linear([[2.0]])  # no certificate
+_RELAXED = ConvexCombination(0.25, Identity(), Negation())  # 1/4-averaged
+_NEAR_ID = ConvexCombination(1.0 - 2.0**-53, Identity(), Negation())
+_FIRM = AveragednessCertificate.averaged(0.5)
+_NONEXPANSIVE = AveragednessCertificate.nonexpansive()
+_UNKNOWN = AveragednessCertificate.unknown()
+
+
+@pytest.mark.parametrize(
+    "T,expected",
+    [
+        pytest.param(Identity(), _FIRM, id="identity"),
+        pytest.param(Negation(), _NONEXPANSIVE, id="negation"),
+        pytest.param(Translation([1.0]), _NONEXPANSIVE, id="translation"),
+        pytest.param(Linear([[0.5]]), _NONEXPANSIVE, id="linear"),
+        pytest.param(_U, _UNKNOWN, id="linear-expansive"),
+        pytest.param(AffineMap([[-1.0]], [3.0]), _NONEXPANSIVE, id="affine"),
+        pytest.param(AffineMap([[1.5]], [0.0]), _UNKNOWN, id="affine-expansive"),
+        pytest.param(_P, _FIRM, id="projector"),
+        pytest.param(_R, _NONEXPANSIVE, id="reflector"),
+        pytest.param(
+            DouglasRachford(Ball([0.0], 1.0), Ball([3.0], 1.0)), _FIRM, id="douglas-rachford"
+        ),
+        pytest.param(
+            ScalarPiecewiseLinear([0.0], [0.5, -1.0]), _NONEXPANSIVE, id="piecewise-linear"
+        ),
+        # (1 - a) left + a right
+        pytest.param(
+            ConvexCombination(0.25, Identity(), _R),
+            AveragednessCertificate.averaged(0.25),
+            id="relax-left-nonexpansive",
+        ),
+        pytest.param(
+            ConvexCombination(0.25, Identity(), _P),
+            AveragednessCertificate.averaged(0.125),
+            id="relax-left-averaged",
+        ),
+        pytest.param(
+            ConvexCombination(0.25, _R, Identity()),
+            AveragednessCertificate.averaged(0.75),
+            id="relax-right-nonexpansive",
+        ),
+        pytest.param(
+            ConvexCombination(0.25, _P, Identity()),
+            AveragednessCertificate.averaged(0.375),
+            id="relax-right-averaged",
+        ),
+        pytest.param(ConvexCombination(0.25, Identity(), _U), _UNKNOWN, id="relax-unknown"),
+        pytest.param(
+            ConvexCombination(0.5, _P, _RELAXED),
+            AveragednessCertificate.averaged(0.375),
+            id="averaged-averaged",
+        ),
+        pytest.param(ConvexCombination(0.5, _P, _R), _NONEXPANSIVE, id="averaged-nonexpansive"),
+        pytest.param(
+            ConvexCombination(0.5, Negation(), _R), _NONEXPANSIVE, id="nonexpansive-pair"
+        ),
+        pytest.param(ConvexCombination(0.5, _U, _P), _UNKNOWN, id="unknown-operand"),
+        # outer(inner(x))
+        pytest.param(
+            Composition(_P, _RELAXED),
+            AveragednessCertificate.averaged(4.0 / 7.0),
+            id="compose-averaged",
+        ),
+        pytest.param(Composition(_P, _R), _NONEXPANSIVE, id="compose-nonexpansive"),
+        pytest.param(Composition(_U, _P), _UNKNOWN, id="compose-unknown"),
+        # a rule's constant that rounds to 0 or to 1 degrades to nonexpansive
+        pytest.param(
+            ConvexCombination(1e-200, Identity(), ConvexCombination(1e-200, Identity(), _R)),
+            _NONEXPANSIVE,
+            id="alpha-underflow",
+        ),
+        pytest.param(Composition(_NEAR_ID, _NEAR_ID), _NONEXPANSIVE, id="alpha-rounds-to-one"),
+    ],
+)
+def test_certify_table(T, expected):
+    # dataclass equality: same kind and the same alpha, bit for bit
+    assert certify(T) == expected
+
+
 @pytest.mark.parametrize(
     "T,dim",
     [
@@ -277,6 +359,22 @@ def test_fixed_set_affine_solves_linear_system():
     assert isinstance(F, AffineSubspace)
     for f in sample_witnesses(F, 6, seed=9, radius=5.0):
         assert np.linalg.norm(T.apply(f) + v - f) <= 1e-8
+
+
+def test_fixed_set_linear_keeps_a_fixed_direction_when_i_minus_l_is_small():
+    # averaged rotation from run_affine_limit_sweep (seed 1167677587, instance
+    # 10): I - L has singular values 0.133, 0.133 and 1.1e-16
+    L = np.array(
+        [
+            [0.9972378114370397, 0.005527810715430156, 0.04537658351804103],
+            [0.00949132500756492, 0.9795388713585325, -0.12258296789728644],
+            [-0.044715833579126646, 0.1228255371557591, 0.976787354356551],
+        ]
+    )
+    fix = fixed_set_description(Linear(L), [0.0, 0.0, 0.0])
+    assert fix.basis.shape == (1, 3)
+    axis = fix.basis[0]
+    assert np.linalg.norm(L @ axis - axis) <= 1e-15
 
 
 def test_fixed_set_affine_inconsistent_returns_none():

@@ -1,9 +1,10 @@
-"""Property test over random operator trees of every set kind in d = 1..4.
+"""Property tests over random operator trees of every set kind in d = 1..4.
 
-It asserts that ``iterate`` computes the orbit of ``T.apply`` bit for bit,
+They assert that ``iterate`` computes the orbit of ``T.apply`` bit for bit,
 and that every certificate ``certify`` gives survives the empirical
-verifier.  The calculus follows Bauschke & Combettes, *Convex Analysis and
-Monotone Operator Theory in Hilbert Spaces*.
+verifier, also on trees drawn at the boundaries of the calculus rules.  The
+calculus follows Bauschke & Combettes, *Convex Analysis and Monotone
+Operator Theory in Hilbert Spaces*.
 """
 
 import functools
@@ -56,12 +57,16 @@ def nonzero_vectors(d):
     return vectors(d).filter(lambda v: np.linalg.norm(v) > 1e-3)
 
 
-def orthonormal_rows(d):
-    """k orthonormal rows, 0 <= k <= d, from the QR factor of a random matrix."""
-    square = st.lists(coords, min_size=d * d, max_size=d * d).map(
-        lambda xs: np.linalg.qr(np.reshape(xs, (d, d)))[0].T
+def orthogonal(d):
+    """Orthogonal matrices: the Q factor of a random square matrix."""
+    return st.lists(coords, min_size=d * d, max_size=d * d).map(
+        lambda xs: np.linalg.qr(np.reshape(xs, (d, d)))[0]
     )
-    return st.tuples(square, st.integers(0, d)).map(lambda qk: qk[0][: qk[1]])
+
+
+def orthonormal_rows(d):
+    """k orthonormal rows, 0 <= k <= d, from an orthogonal matrix."""
+    return st.tuples(orthogonal(d), st.integers(0, d)).map(lambda qk: qk[0].T[: qk[1]])
 
 
 def cones(d):
@@ -134,6 +139,52 @@ def operators(d):
     )
 
 
+@functools.cache
+def rule_boundaries(d):
+    """Trees on which a slightly wrong calculus rule overclaims.
+
+    An expansive leaf is s Q with Q orthogonal and ||s Q||_2 = s in (1, 1.1],
+    so every pair of points moves apart.  A relaxation (1 - b) Id + b N of an
+    isometry N is b-averaged; with N = -Id no smaller constant holds.
+    """
+    norms = st.floats(1.0, 1.1, exclude_min=True)
+    expansive = st.builds(lambda q, s: Linear(s * q), orthogonal(d), norms)
+    isometries = st.one_of(st.just(Negation()), orthogonal(d).map(Linear))
+    relaxed = st.builds(ConvexCombination, alphas, st.just(Identity()), isometries)
+    return st.one_of(
+        expansive,
+        # two averaged operands with different constants
+        st.builds(ConvexCombination, alphas, relaxed, relaxed).filter(
+            lambda T: T.left.alpha != T.right.alpha
+        ),
+        # an expansive operand and a nonexpansive one, on either side: both
+        # (1 - a) s Q + a Q and (1 - a) Q + a s Q expand
+        st.builds(
+            lambda q, s, a: ConvexCombination(a, Linear(s * q), Linear(q)),
+            orthogonal(d),
+            norms,
+            alphas,
+        ),
+        st.builds(
+            lambda q, s, a: ConvexCombination(a, Linear(q), Linear(s * q)),
+            orthogonal(d),
+            norms,
+            alphas,
+        ),
+    )
+
+
+def _assert_certificate_holds(T, d):
+    cert = certify(T)
+    if cert.is_averaged:
+        rep = verify_averaged(T, cert.alpha, trials=200, seed=5, dim=d)
+    elif cert.is_nonexpansive:
+        rep = verify_nonexpansive(T, trials=200, seed=5, dim=d)
+    else:
+        return
+    assert rep.passed, rep.witness
+
+
 def _naive_orbit(T, x0, n):
     pts = [np.asarray(x0, dtype=float)]
     for _ in range(n):
@@ -147,11 +198,11 @@ def test_random_trees_iterate_exactly_and_certify_soundly(case):
     d, T, x0 = case
     traj = iterate(T, x0, STEPS)
     assert traj.points.tobytes() == _naive_orbit(T, x0, STEPS).tobytes()
-    cert = certify(T)
-    if cert.is_averaged:
-        rep = verify_averaged(T, cert.alpha, trials=200, seed=5, dim=d)
-    elif cert.is_nonexpansive:
-        rep = verify_nonexpansive(T, trials=200, seed=5, dim=d)
-    else:
-        return
-    assert rep.passed, rep.witness
+    _assert_certificate_holds(T, d)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), rule_boundaries(d))))
+def test_certificates_hold_at_the_rule_boundaries(case):
+    d, T = case
+    _assert_certificate_holds(T, d)
