@@ -2,11 +2,14 @@
 
 Trajectory CSV: header ``n,x1,...,xd``, one row per index, decimals printed
 with 17 significant digits so a re-import reproduces every float bit for bit.
-Report JSON: deterministic key order, verdict serialized as a tagged object.
+The whole body is one ``%``-template per row, mapped over the columns.
+Report and summary JSON: one writer, two-space indent, sorted keys, a final
+newline; a report's verdict is serialized as a tagged object.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,16 +19,9 @@ from .dynamics import Trajectory
 from .report import DiagnosticsReport
 
 
-def format_float(value: float) -> str:
-    """Round-trip-safe decimal rendering (17 significant digits)."""
-    return format(float(value), ".17g")
-
-
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -33,30 +29,35 @@ def _jsonable(obj):
     return obj
 
 
+def _write(path, text: str) -> Path:
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def _write_json(obj, path) -> Path:
+    return _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def export_trajectory(trajectory: Trajectory, path) -> Path:
     """Write the trajectory as CSV; returns the path written."""
-    path = Path(path)
     pts = trajectory.points
-    header = "n," + ",".join(f"x{i}" for i in range(1, pts.shape[1] + 1))
-    lines = [header]
-    for n, row in enumerate(pts):
-        lines.append(f"{n}," + ",".join(format_float(v) for v in row))
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    except OSError as exc:
-        raise OSError(f"cannot write trajectory to {path}: {exc}") from exc
-    return path
+    n, d = pts.shape
+    header = "n," + ",".join(f"x{i}" for i in range(1, d + 1))
+    row = "%d" + ",%.17g" * d  # 17 significant digits round-trip every float
+    body = "\n".join(row % r for r in zip(range(n), *pts.T.tolist()))
+    return _write(path, f"{header}\n{body}\n")
 
 
 def load_trajectory_csv(path) -> np.ndarray:
     """Read back a trajectory CSV written by :func:`export_trajectory`."""
-    path = Path(path)
     try:
-        lines = path.read_text(encoding="ascii").strip().splitlines()
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
     except OSError as exc:
         raise OSError(f"cannot read trajectory from {path}: {exc}") from exc
-    rows = [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
-    return np.asarray(rows, dtype=float)
 
 
 def report_to_dict(report: DiagnosticsReport) -> dict:
@@ -71,19 +72,13 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
         "verdict": verdict,
         "params": _jsonable(report.params),
         "seed": report.seed,
-        "per_step": _jsonable(report.per_step) if report.per_step is not None else None,
+        "per_step": _jsonable(report.per_step),
         "metadata": _jsonable(report.metadata),
     }
 
 
 def export_report(report: DiagnosticsReport, path) -> Path:
-    path = Path(path)
-    payload = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
-    try:
-        path.write_text(payload + "\n", encoding="ascii")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-    return path
+    return _write_json(report_to_dict(report), path)
 
 
 def export_run(artifacts, out_dir) -> Path:
@@ -101,16 +96,7 @@ def export_run(artifacts, out_dir) -> Path:
     summary = {
         "scenario": artifacts.scenario,
         "all_matched": artifacts.all_matched,
-        "checks": [
-            {
-                "name": o.name,
-                "expected": o.expected,
-                "actual": o.actual,
-                "matched": o.matched,
-            }
-            for o in artifacts.summary
-        ],
+        "checks": [dataclasses.asdict(o) for o in artifacts.summary],
     }
-    payload = json.dumps(summary, indent=2, sort_keys=True)
-    (run_dir / "summary.json").write_text(payload + "\n", encoding="ascii")
+    _write_json(summary, run_dir / "summary.json")
     return run_dir

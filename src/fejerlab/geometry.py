@@ -13,7 +13,9 @@ Conventions
 * Subspace bases are stored as rows of a 2-D array and must be orthonormal
   within ``ORTHONORMAL_TOL``.
 * Membership tests are absolute with default tolerance ``MEMBERSHIP_TOL``;
-  so is the dual-cone test, which reads only the cone's projector.
+  so is the dual-cone test, which reads only the cone's projector and runs
+  row-wise: ``dual_cone_residuals`` tests n vectors with one batched
+  projection, and ``dual_cone_contains`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -519,15 +521,20 @@ class MinkowskiSum(ConvexSet):
 # ---------------------------------------------------------------------------
 
 
-def dual_cone_contains(K: ConvexSet, u, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether <u, k> >= -tol for every unit vector k in the cone K.
+def dual_cone_residuals(K: ConvexSet, vectors) -> np.ndarray:
+    """Row-wise ||P_K(-u)|| of an (n, dim) array, from one batched projection.
 
-    By Moreau's decomposition, min <u, k> over unit k in K is -||P_K(-u)||.
+    By Moreau's decomposition, min <u, k> over unit k in the cone K is
+    -||P_K(-u)||, so u lies in the dual cone exactly when its residual is 0.
     """
     if not K.is_cone:
         raise UnsupportedSetError(f"{type(K).__name__} is not a supported cone")
-    v = as_vector(u, K.dim)
-    return float(np.linalg.norm(K._project(-v))) <= tol
+    return np.linalg.norm(K.project_many(-np.asarray(vectors, dtype=float)), axis=1)
+
+
+def dual_cone_contains(K: ConvexSet, u, tol: float = MEMBERSHIP_TOL) -> bool:
+    """Whether <u, k> >= -tol for every unit vector k in the cone K."""
+    return float(dual_cone_residuals(K, as_vector(u, K.dim)[None, :])[0]) <= tol
 
 
 @dataclass(frozen=True)

@@ -539,6 +539,13 @@ class ScenarioSpec:
                         as_vector(value, dim)
                     except ValueError as exc:
                         raise ConfigError(f"{path}.{key}: {exc}") from exc
+            if t.points is not None:
+                try:
+                    pts = np.asarray(t.points, dtype=float)
+                except (TypeError, ValueError):  # ragged rows or non-numbers
+                    pts = np.empty(0)
+                if pts.ndim != 2 or not pts.size or not np.isfinite(pts).all():
+                    raise ConfigError(f"{path}.points: expected a nonempty finite (n, d) array")
             if "shift" in required and isinstance(t.shift, str):
                 if t.shift not in _SHIFTS:
                     raise ConfigError(f"{path}: unknown shift {t.shift!r}")

@@ -14,12 +14,14 @@ from fejerlab.analysis import (
 from fejerlab.dynamics import Trajectory, iterate
 from fejerlab.geometry import (
     Ball,
+    ConvexSet,
     Hyperplane,
     LinearSubspace,
     Orthant,
     Point,
     Ray,
     full_space,
+    sample_witnesses,
 )
 from fejerlab.operators import (
     ConvexCombination,
@@ -170,6 +172,68 @@ def test_decoupling_fails_on_dual_cone_violation():
     assert rep.metadata["equivalence_agrees"] is True
 
 
+def test_decoupling_reports_first_step_outside_dual_cone():
+    E = Point([0.0, 0.0])
+    K = Ray([0.0, 0.0], [1.0, 0.0])  # dual cone: u_1 >= 0
+    # distances to E shrink; steps 2 and 3 have u_1 < 0
+    pts = np.array([[0.0, 4.0], [0.0, 2.0], [0.5, 1.0], [0.25, 0.5], [0.1, 0.2]])
+    rep = check_sum_decoupling(Trajectory(pts), E, K, witnesses=5, seed=0)
+    assert rep.failed
+    assert rep.metadata["fejer_vs_summand"] == "pass"
+    assert rep.metadata["steps_in_dual_cone"] is False
+    assert rep.witness["violated"] == "step_in_dual_cone"
+    assert rep.witness["step"] == 2
+    assert np.array_equal(rep.witness["step_vector"], pts[3] - pts[2])
+    # a residual of 2e-10 is above tol = 1e-10
+    pts = np.array([[0.0, 4.0], [0.0, 2.0], [-2e-10, 1.0]])
+    rep = check_sum_decoupling(Trajectory(pts), E, K, witnesses=5, seed=0, tol=1e-10)
+    assert rep.witness["violated"] == "step_in_dual_cone"
+    assert rep.witness["step"] == 1
+
+
+def test_decoupling_projects_all_steps_in_one_call(monkeypatch):
+    n = 100_000
+    K = Ray(np.zeros(3), [-1.0, 0.0, 0.0])  # dual cone: u_1 <= 0
+    pts = np.zeros((n + 1, 3))
+    pts[:, 0] = np.linspace(1.0, 0.0, n + 1)
+    calls = []
+    project_many = ConvexSet.project_many
+
+    def counting(self, points):
+        calls.append(len(points))
+        return project_many(self, points)
+
+    monkeypatch.setattr(Ray, "project_many", counting)
+    rep = check_sum_decoupling(pts, Point(np.zeros(3)), K, witnesses=3, seed=0)
+    assert rep.passed
+    assert calls == [n]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_check_fejer_matches_broadcast_formula(d, scale):
+    rng = np.random.default_rng(d)
+    pts = scale * rng.normal(size=(300, d))
+    C = Ball(scale * rng.normal(size=d), scale)
+    rep = check_fejer(pts, C, witnesses=10, seed=5)
+    reach = np.linalg.norm(pts - C.anchor(), axis=1).max()
+    assert rep.params["witness_radius"] == max(1.0, 2.0 * reach)
+    # the (n, w, d) broadcast that check_fejer no longer builds
+    ws = np.stack(sample_witnesses(C, 10, seed=5, radius=rep.params["witness_radius"]))
+    dists = np.linalg.norm(pts[:, None, :] - ws[None, :, :], axis=2)
+    increases = dists[1:] - dists[:-1]
+    sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
+    assert np.array_equal(rep.per_step, sq_anchor[:-1] - sq_anchor[1:])
+    assert rep.metadata["worst_increase"] == increases.max()
+    assert rep.failed  # a random walk moves away from some witness
+    step, widx = np.unravel_index(np.argmax(increases), increases.shape)
+    assert rep.witness["step"] == step
+    assert np.array_equal(rep.witness["witness_point"], ws[widx])
+    assert rep.witness["distance_before"] == dists[step, widx]
+    assert rep.witness["distance_after"] == dists[step + 1, widx]
+    assert rep.witness["increase"] == increases.max()
+
+
 # ---------------------------------------------------------------------------
 # cluster sets, connectivity, orthogonality
 # ---------------------------------------------------------------------------
@@ -268,6 +332,8 @@ def test_shadow_superset_inconclusive_when_clusters_miss_C():
     rep = check_shadow_superset(harmonic_rotation(5000), C, A, tol=1e-6)
     assert rep.verdict == "inconclusive"
     assert "do not all lie in C" in rep.witness["reason"]
+    # the cluster points lie on the unit circle, at distance 1 from C
+    assert rep.witness["worst_membership_residual"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shadow_superset_precondition():

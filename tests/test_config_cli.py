@@ -23,7 +23,6 @@ from fejerlab.errors import ConfigError
 from fejerlab.exports import (
     export_report,
     export_trajectory,
-    format_float,
     load_trajectory_csv,
     report_to_dict,
 )
@@ -55,6 +54,8 @@ from fejerlab.operators import (
 from fejerlab.report import DiagnosticsReport
 from fejerlab.scenarios import CHECK_KINDS, TRAJECTORY_KINDS, get_scenario, list_scenarios
 
+
+POINTS_MESSAGE = r"trajectories.t.points: expected a nonempty finite \(n, d\) array"
 
 CONFIG_TEXT = """
 name: custom-reflection
@@ -294,6 +295,16 @@ def test_config_errors_carry_field_paths():
             {"kind": "difference", "operator": "T", "start": [0, 0], "partner": [1.0]},
             "trajectories.t.partner: expected dimension 2, got 1",
         ),
+        # NaN entries, ragged rows, a 1-D list, no points at all
+        *(
+            ({"kind": "points", "points": points}, POINTS_MESSAGE)
+            for points in (
+                [[1.0, 0.0], [float("nan"), 0.0], [0.5, 0.0]],
+                [[1.0, 0.0], [0.5]],
+                [1.0, 0.5],
+                [],
+            )
+        ),
     ]:
         with pytest.raises(ConfigError, match=message):
             parse_scenario(with_trajectory(trajectory))
@@ -332,18 +343,41 @@ def test_trajectory_csv_schema_and_round_trip(tmp_path):
     assert len(lines) == 4
     back = load_trajectory_csv(path)
     assert np.array_equal(back, pts)  # bit-exact round trip
+    # 17 significant digits reproduce every float bit for bit
+    many = np.random.default_rng(9).uniform(-1e6, 1e6, 200).reshape(100, 2)
+    back = load_trajectory_csv(export_trajectory(Trajectory(many), tmp_path / "many.csv"))
+    assert np.array_equal(back, many)
+
+
+# -0.0, the smallest subnormal, the largest float, and values whose shortest
+# decimal has fewer than 17 digits
+CSV_EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, 2.0, 1e16]
+
+
+def _per_float_csv(pts) -> bytes:
+    """Reference writer: one format(v, ".17g") call per float."""
+    header = "n," + ",".join(f"x{i}" for i in range(1, pts.shape[1] + 1))
+    rows = [f"{n}," + ",".join(format(float(v), ".17g") for v in row) for n, row in enumerate(pts)]
+    return ("\n".join([header, *rows]) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_trajectory_csv_bytes_match_per_float_writer(tmp_path, d):
+    rng = np.random.default_rng(d)
+    scaled = rng.normal(size=20) * 10.0 ** rng.integers(-300, 300, 20)
+    values = np.concatenate([CSV_EDGE_VALUES, np.negative(CSV_EDGE_VALUES), scaled])
+    pts = np.resize(values, (values.size, d))  # every value in every column
+    path = export_trajectory(Trajectory(pts), tmp_path / "t.csv")
+    assert path.read_bytes() == _per_float_csv(pts)
+    back = load_trajectory_csv(path)
+    assert np.array_equal(back, pts)
+    assert np.array_equal(np.signbit(back), np.signbit(pts))  # -0.0 survives
 
 
 def test_trajectory_csv_header_r3(tmp_path):
     traj = Trajectory(np.zeros((2, 3)))
     path = export_trajectory(traj, tmp_path / "t.csv")
     assert path.read_text().splitlines()[0] == "n,x1,x2,x3"
-
-
-def test_format_float_round_trip():
-    rng = np.random.default_rng(9)
-    for v in rng.uniform(-1e6, 1e6, 200):
-        assert float(format_float(v)) == v
 
 
 def test_report_json_schema(tmp_path):
@@ -431,6 +465,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     wrong_dim.write_text(yaml.safe_dump(data), encoding="utf-8")
     assert main(["run", "--config", str(wrong_dim)]) == 2
     assert "trajectories.orbit.start: expected dimension 1, got 2" in capsys.readouterr().err
+    nan_points = tmp_path / "nan-points.yaml"
+    nan_points.write_text(
+        "name: x\ntrajectories:\n  - name: walk\n    kind: points\n"
+        "    points: [[1.0, 0.0], [.nan, 0.0], [0.5, 0.0]]\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(nan_points), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "trajectories.walk.points: expected a nonempty finite (n, d) array" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_trajectory_errors_fail_their_checks(tmp_path, capsys):

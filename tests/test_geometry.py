@@ -20,6 +20,7 @@ from fejerlab.geometry import (
     ball,
     codimension,
     dual_cone_contains,
+    dual_cone_residuals,
     full_space,
     sample_witnesses,
 )
@@ -261,12 +262,31 @@ def test_dual_cone_examples():
     assert not dual_cone_contains(plane, [0.8e-10, 0.8e-10, 5.0])
 
 
+@pytest.mark.parametrize(
+    "K",
+    [C for C in _set_zoo() if C.is_cone]
+    + [Ray(np.zeros(3), [1.0, -2.0, 0.5]), LinearSubspace(np.zeros((0, 3)), ambient_dim=3)],
+    ids=lambda c: type(c).__name__,
+)
+def test_dual_cone_contains_is_the_one_row_residual(K):
+    rng = np.random.default_rng(31)
+    us = rng.uniform(-3, 3, (200, 3)) * 10.0 ** rng.integers(-12, 2, (200, 1))
+    residuals = dual_cone_residuals(K, us)
+    assert residuals.shape == (200,)
+    for u, r in zip(us, residuals):
+        assert r == pytest.approx(np.linalg.norm(K.project(-u)), rel=1e-12, abs=1e-300)
+        for tol in (1e-10, 1e-3):
+            assert dual_cone_contains(K, u, tol=tol) == (r <= tol)
+
+
 def test_dual_cone_rejects_non_cones():
     with pytest.raises(UnsupportedSetError):
         dual_cone_contains(Ball([0.0, 0.0], 1.0), [1.0, 0.0])
     # a ray not through the origin is not a cone
     with pytest.raises(UnsupportedSetError):
         dual_cone_contains(Ray([1.0, 0.0], [1.0, 0.0]), [1.0, 0.0])
+    with pytest.raises(UnsupportedSetError):
+        dual_cone_residuals(Ball([0.0, 0.0], 1.0), np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------

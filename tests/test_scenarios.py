@@ -99,6 +99,11 @@ def test_open_problems_carry_no_convergence_expectations():
                 assert check.expect is None
 
 
+# NaN entries, ragged rows, a 1-D list, no points at all
+BAD_POINTS = [[[1.0, 0.0], [np.nan, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.5]], [1.0, 0.5], []]
+POINTS_MESSAGE = r"trajectories.t.points: expected a nonempty finite \(n, d\) array"
+
+
 def test_scenario_validation_errors(monkeypatch):
     spec = ScenarioSpec(
         name="broken",
@@ -232,6 +237,11 @@ def test_scenario_validation_errors(monkeypatch):
         (
             TrajectoryDef("t", "normalized", operator="L2", start=[1.0, 2.0], shift=[0.5]),
             "trajectories.t.shift: expected dimension 2, got 1",
+        ),
+        # explicit points form a nonempty (n, d) array of finite numbers
+        *(
+            (TrajectoryDef("t", "points", points=points), POINTS_MESSAGE)
+            for points in BAD_POINTS
         ),
     ]:
         spec4 = ScenarioSpec(
