@@ -343,7 +343,10 @@ def test_trajectory_csv_schema_and_round_trip(tmp_path):
     assert len(lines) == 4
     back = load_trajectory_csv(path)
     assert np.array_equal(back, pts)  # bit-exact round trip
-    # 17 significant digits reproduce every float bit for bit
+
+
+def test_format_float_round_trip(tmp_path):
+    # the CSV writer's 17 significant digits reproduce every float bit for bit
     many = np.random.default_rng(9).uniform(-1e6, 1e6, 200).reshape(100, 2)
     back = load_trajectory_csv(export_trajectory(Trajectory(many), tmp_path / "many.csv"))
     assert np.array_equal(back, many)
