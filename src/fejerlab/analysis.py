@@ -25,7 +25,7 @@ from .dynamics import (
     detect_limit,
     shadow,
 )
-from .errors import UnsupportedSetError
+from .errors import NonFiniteValueError, UnsupportedSetError
 from .geometry import (
     ConvexSet,
     MinkowskiSum,
@@ -40,15 +40,19 @@ NECESSARY_CONDITION = "necessary-condition (finite witnesses)"
 
 def _points_of(trajectory) -> np.ndarray:
     if isinstance(trajectory, Trajectory):
-        return trajectory.points
-    return np.asarray(trajectory, dtype=float)
+        pts = trajectory.points
+    else:
+        pts = np.asarray(trajectory, dtype=float)
+    if not np.isfinite(pts).all():
+        raise NonFiniteValueError("trajectory points must be finite")
+    return pts
 
 
 def _witness_points(points, C: ConvexSet, count, seed, radius):
     """Witnesses of C; the default radius is twice the points' reach from C's anchor."""
     if radius is None:
         radius = max(1.0, 2.0 * float(cdist(points, [C.anchor()]).max()))
-    return radius, np.stack(sample_witnesses(C, count, seed=seed, radius=radius))
+    return radius, sample_witnesses(C, count, seed=seed, radius=radius)
 
 
 def check_fejer(

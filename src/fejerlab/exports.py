@@ -4,7 +4,8 @@ Trajectory CSV: header ``n,x1,...,xd``, one row per index, decimals printed
 with 17 significant digits so a re-import reproduces every float bit for bit.
 The whole body is one ``%``-template per row, mapped over the columns.
 Report and summary JSON: one writer, two-space indent, sorted keys, a final
-newline; a report's verdict is serialized as a tagged object.
+newline; a report's verdict is serialized as a tagged object.  A non-finite
+value raises ``ValueError`` naming the file, since JSON has no NaN/Infinity.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ def _write(path, text: str) -> Path:
 
 
 def _write_json(obj, path) -> Path:
-    return _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN and Infinity are not JSON
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+    return _write(path, text + "\n")
 
 
 def export_trajectory(trajectory: Trajectory, path) -> Path:

@@ -12,6 +12,11 @@ Conventions
   equality version.  Normals are stored as given (not normalized).
 * Subspace bases are stored as rows of a 2-D array and must be orthonormal
   within ``ORTHONORMAL_TOL``.
+* Each set kind has one projection kernel, ``_project``, for a (d,) point or
+  an (n, d) array; ``np.vecdot`` and stacked (1, d) matmuls round as the
+  single-vector ``a @ b`` does, so row i of ``project_many(P)`` is bit for bit
+  ``project(P[i])`` (a shadow point is ``C.project`` of its orbit point), and
+  ``sample_witnesses`` returns a (count, d) array from one batched call.
 * Membership tests are absolute with default tolerance ``MEMBERSHIP_TOL``;
   so is the dual-cone test, which reads only the cone's projector and runs
   row-wise: ``dual_cone_residuals`` tests n vectors with one batched
@@ -96,13 +101,13 @@ class ConvexSet:
         return self._project(as_vector(x, self.dim))
 
     def project_many(self, points) -> np.ndarray:
-        """Row-wise projection of an (n, dim) array."""
+        """Row-wise projection of an (n, dim) array; row i is ``project(points[i])``."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"expected shape (n, {self.dim}), got {pts.shape}"
             )
-        return self._project_batch(pts)
+        return self._project(pts)
 
     def reflect(self, x) -> np.ndarray:
         """Reflection 2 P(x) - x through the set."""
@@ -125,10 +130,8 @@ class ConvexSet:
     # -- kernels (inputs trusted, no validation) ------------------------
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        """Projection of a (dim,) point or of each row of an (n, dim) array."""
         raise NotImplementedError
-
-    def _project_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack([self._project(p) for p in pts])
 
     def _aff_span(self) -> np.ndarray:
         """Rows spanning aff(C) - aff(C); rank gives the affine dimension."""
@@ -165,10 +168,7 @@ class Point(ConvexSet):
         return self.coords.size
 
     def _project(self, x):
-        return self.coords.copy()
-
-    def _project_batch(self, pts):
-        return np.broadcast_to(self.coords, pts.shape).copy()
+        return np.full_like(x, self.coords)
 
     def _aff_span(self):
         return np.zeros((0, self.dim))
@@ -193,18 +193,15 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         d = x - self.center
-        n2 = float(d @ d)
-        if n2 <= self.radius * self.radius:
-            return x.copy()
-        return self.center + d * (self.radius / math.sqrt(n2))
-
-    def _project_batch(self, pts):
-        d = pts - self.center
-        n = np.linalg.norm(d, axis=1)
-        scale = np.ones_like(n)
-        outside = n > self.radius
-        scale[outside] = self.radius / n[outside]
-        return self.center + d * scale[:, None]
+        r = self.radius
+        if x.ndim == 1:  # per-step path of iterate: a third of the masked form's cost
+            n2 = float(d @ d)
+            if n2 <= r * r:
+                return x.copy()
+            return self.center + d * (r / math.sqrt(n2))
+        n2 = np.vecdot(d, d)
+        scale = r / np.sqrt(np.maximum(n2, r * r))  # rows inside discard it; no 0 division
+        return np.where((n2 <= r * r)[:, None], x, self.center + d * scale[:, None])
 
     def anchor(self):
         return self.center.copy()
@@ -245,15 +242,9 @@ class Halfspace(_NormalOffset):
     """{x : <normal, x> <= offset}."""
 
     def _project(self, x):
-        excess = float(self.normal @ x) - self.offset
-        if excess <= 0.0:
-            return x.copy()
-        return x - (excess / float(self.normal @ self.normal)) * self.normal
-
-    def _project_batch(self, pts):
-        excess = pts @ self.normal - self.offset
-        excess = np.maximum(excess, 0.0)
-        return pts - np.outer(excess / float(self.normal @ self.normal), self.normal)
+        excess = np.vecdot(x, self.normal) - self.offset
+        step = (excess / float(self.normal @ self.normal))[..., None] * self.normal
+        return np.where((excess <= 0.0)[..., None], x, x - step)
 
     def _aff_span(self):
         return np.eye(self.dim)
@@ -264,12 +255,8 @@ class Hyperplane(_NormalOffset):
     """{x : <normal, x> = offset}."""
 
     def _project(self, x):
-        excess = float(self.normal @ x) - self.offset
-        return x - (excess / float(self.normal @ self.normal)) * self.normal
-
-    def _project_batch(self, pts):
-        excess = pts @ self.normal - self.offset
-        return pts - np.outer(excess / float(self.normal @ self.normal), self.normal)
+        excess = np.vecdot(x, self.normal) - self.offset
+        return x - (excess / float(self.normal @ self.normal))[..., None] * self.normal
 
     def _aff_span(self):
         return scipy.linalg.null_space(self.normal.reshape(1, -1)).T
@@ -304,12 +291,7 @@ class AffineSubspace(ConvexSet):
         return self.base.size
 
     def _project(self, x):
-        d = x - self.base
-        return self.base + self.basis.T @ (self.basis @ d)
-
-    def _project_batch(self, pts):
-        d = pts - self.base
-        return self.base + (d @ self.basis.T) @ self.basis
+        return self.base + _span_project(self.basis, x - self.base)
 
     def _aff_span(self):
         return self.basis
@@ -343,16 +325,18 @@ class LinearSubspace(ConvexSet):
         return True
 
     def _project(self, x):
-        return self.basis.T @ (self.basis @ x)
-
-    def _project_batch(self, pts):
-        return (pts @ self.basis.T) @ self.basis
+        return _span_project(self.basis, x)
 
     def anchor(self):
         return np.zeros(self.dim)
 
     def _aff_span(self):
         return self.basis
+
+
+def _span_project(basis: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """basis.T @ (basis @ d), row by row for an (n, dim) d, as (1, dim) matmuls."""
+    return ((d[..., None, :] @ basis.T) @ basis)[..., 0, :]
 
 
 def full_space(dim: int) -> LinearSubspace:
@@ -378,10 +362,10 @@ class Box(ConvexSet):
         return self.lower.size
 
     def _project(self, x):
-        return np.clip(x, self.lower, self.upper)
-
-    def _project_batch(self, pts):
-        return np.clip(pts, self.lower, self.upper)
+        # not np.clip, whose loops break a +0.0/-0.0 tie one way for a point and
+        # the other way for (n, 1) rows; here the bound wins, as in np.clip for a point
+        m = np.where(x > self.lower, x, self.lower)
+        return np.where(m < self.upper, m, self.upper)
 
     def _aff_span(self):
         free = self.upper > self.lower
@@ -412,12 +396,8 @@ class Ray(ConvexSet):
         return bool(np.all(self.base == 0.0))
 
     def _project(self, x):
-        t = float(self.direction @ (x - self.base))
-        return self.base + max(t, 0.0) * self.direction
-
-    def _project_batch(self, pts):
-        t = np.maximum((pts - self.base) @ self.direction, 0.0)
-        return self.base + np.outer(t, self.direction)
+        t = np.vecdot(x - self.base, self.direction)
+        return self.base + np.where(t < 0.0, 0.0, t)[..., None] * self.direction
 
     def anchor(self):
         return self.base.copy()
@@ -448,9 +428,6 @@ class Orthant(ConvexSet):
 
     def _project(self, x):
         return np.where(self.signs * x >= 0.0, x, 0.0)
-
-    def _project_batch(self, pts):
-        return np.where(self.signs * pts >= 0.0, pts, 0.0)
 
     def _aff_span(self):
         return np.eye(self.dim)
@@ -501,10 +478,9 @@ class MinkowskiSum(ConvexSet):
             q = x - c
             pk = self.cone._project(q)
             delta = q - pk
-            dist = float(np.linalg.norm(delta))
-            if dist <= r:
-                return x.copy()
-            return c + pk + delta * (r / dist)
+            dist = np.sqrt(np.vecdot(delta, delta))
+            scale = (r / np.maximum(dist, r))[..., None]
+            return np.where((dist <= r)[..., None], x, c + pk + delta * scale)
         raise UnsupportedSetError(
             f"no closed-form projector for {type(self.summand).__name__} + cone"
         )
@@ -566,10 +542,10 @@ def _ball_sample(rng: np.random.Generator, dim: int, radius: float) -> np.ndarra
 
 def sample_witnesses(
     C: ConvexSet, count: int, seed: int = 0, radius: float = 10.0
-) -> list[np.ndarray]:
-    """Deterministic points of ``C`` within ``radius`` of its anchor.
+) -> np.ndarray:
+    """(count, dim) array of deterministic points of ``C`` within ``radius`` of its anchor.
 
-    The anchor itself is always first.  Every other sample is the projection
+    The anchor itself is always first.  Every other row is the projection
     of a random point of the ball around the anchor, so membership is exact
     and the radius bound follows from nonexpansiveness of the projector.
     """
@@ -577,7 +553,5 @@ def sample_witnesses(
         raise ValueError("count must be >= 1")
     anchor = C.anchor()
     rng = np.random.default_rng(seed)
-    out = [anchor]
-    for _ in range(count - 1):
-        out.append(C._project(anchor + _ball_sample(rng, C.dim, radius)))
-    return out
+    draws = [anchor + _ball_sample(rng, C.dim, radius) for _ in range(count - 1)]
+    return np.vstack([anchor, C._project(np.reshape(draws, (count - 1, C.dim)))])

@@ -12,6 +12,7 @@ from fejerlab.analysis import (
     estimate_cluster_set,
 )
 from fejerlab.dynamics import Trajectory, iterate
+from fejerlab.errors import NonFiniteValueError
 from fejerlab.geometry import (
     Ball,
     ConvexSet,
@@ -207,6 +208,14 @@ def test_decoupling_projects_all_steps_in_one_call(monkeypatch):
     rep = check_sum_decoupling(pts, Point(np.zeros(3)), K, witnesses=3, seed=0)
     assert rep.passed
     assert calls == [n]
+
+
+def test_check_fejer_rejects_non_finite_points():
+    C = Ball([0.0, 0.0], 0.5)
+    with pytest.raises(NonFiniteValueError):
+        check_fejer([[1.0, 0.0], [np.inf, 0.0], [0.5, 0.0]], C)
+    with pytest.raises(NonFiniteValueError):
+        check_fejer(Trajectory([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.0]]), C)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -406,6 +406,15 @@ def test_report_json_schema(tmp_path):
     assert path.read_text() == again.read_text()
 
 
+def test_report_json_rejects_non_finite_values(tmp_path):
+    # JSON has no NaN or Infinity token; the file is not written
+    rep = DiagnosticsReport("check_fejer", "pass", metadata={"worst_increase": float("nan")})
+    path = tmp_path / "rep.json"
+    with pytest.raises(ValueError, match="rep.json"):
+        export_report(rep, path)
+    assert not path.exists()
+
+
 def test_report_json_inconclusive_reason(tmp_path):
     rep = DiagnosticsReport(
         "check_shadow_superset", "inconclusive", witness={"reason": "unmet"}

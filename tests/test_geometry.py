@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -151,13 +154,124 @@ def test_reflector_nonexpansive(C):
         ) + 1e-10
 
 
+def _zero_parameter_sets(dim):
+    """Sets through the origin with -0.0 parameters and negative normals, where
+    the sign of a zero coordinate depends on the order of the operations."""
+    z = np.full(dim, -0.0)
+    neg = -np.ones(dim)
+    return [
+        Point(z),
+        Ball(z, 1.0),
+        Halfspace(neg, -0.0),
+        Hyperplane(neg, 0.0),
+        AffineSubspace(z, neg[None, :] / np.sqrt(dim)),
+        LinearSubspace(-np.eye(dim)[:1]),
+        Box(neg, z),
+        Box(z, -neg),
+        Ray(z, neg),
+        Orthant(neg),
+        MinkowskiSum(Point(z), Ray(z, neg)),
+        MinkowskiSum(Ball(z, 1.0), Orthant(neg)),
+    ]
+
+
+def _probe_rows(C, seed):
+    """Points at scales 1e-3..1e6 with some coordinates set to +/-0.0, every
+    signed-zero row, and for a ball (or a sum with a ball summand) its center
+    and the 2 * dim points at distance radius along the axes."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for scale in (1e-3, 1.0, 1e3, 1e6):
+        pts = scale * rng.uniform(-5, 5, (40, C.dim))
+        pts[rng.random(pts.shape) < 0.1] = 0.0
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        rows.append(pts)
+    rows.append(np.array(list(itertools.product([0.0, -0.0], repeat=C.dim))))
+    ball_ = C.summand if isinstance(C, MinkowskiSum) else C
+    if isinstance(ball_, Ball):
+        axes = ball_.radius * np.vstack([np.eye(C.dim), -np.eye(C.dim)])
+        rows += [ball_.center[None, :], ball_.center + axes]
+    return np.vstack(rows)
+
+
 @pytest.mark.parametrize("C", _set_zoo(), ids=lambda c: type(c).__name__)
 def test_project_many_matches_pointwise(C):
-    rng = np.random.default_rng(23)
-    pts = rng.uniform(-5, 5, (40, C.dim))
+    # each row is bit for bit the projection of its point, signed zeros included
+    pts = _probe_rows(C, seed=23)
     batch = C.project_many(pts)
+    assert batch.shape == pts.shape
     for row, x in zip(batch, pts):
-        assert np.allclose(row, C.project(x), atol=1e-13)
+        assert row.tobytes() == C.project(x).tobytes(), x
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_project_many_matches_pointwise_with_zero_parameters(dim):
+    for C in _zero_parameter_sets(dim):
+        pts = _probe_rows(C, seed=dim)
+        for row, x in zip(C.project_many(pts), pts):
+            assert row.tobytes() == C.project(x).tobytes(), (C, x)
+
+
+def test_ball_rows_at_center_and_on_sphere_stay_put():
+    # dyadic data: every difference and every squared norm below is exact
+    C = Ball([0.5, -0.0, -1.25], 1.5)
+    sphere = C.center + 1.5 * np.vstack([np.eye(3), -np.eye(3)])
+    assert np.all(np.sum((sphere - C.center) ** 2, axis=1) == 1.5**2)
+    pts = np.vstack([C.center, sphere])
+    batch = C.project_many(pts)
+    assert batch.tobytes() == pts.tobytes()
+    for row, x in zip(batch, pts):
+        assert row.tobytes() == C.project(x).tobytes()
+
+
+def _reference_project(C, x):
+    """Reference single-vector projectors, one closed form per kind; every
+    orbit and export depends on ``project`` reproducing their bits."""
+    if isinstance(C, Point):
+        return C.coords.copy()
+    if isinstance(C, Ball):
+        d = x - C.center
+        n2 = float(d @ d)
+        if n2 <= C.radius * C.radius:
+            return x.copy()
+        return C.center + d * (C.radius / math.sqrt(n2))
+    if isinstance(C, Halfspace):
+        excess = float(C.normal @ x) - C.offset
+        if excess <= 0.0:
+            return x.copy()
+        return x - (excess / float(C.normal @ C.normal)) * C.normal
+    if isinstance(C, Hyperplane):
+        excess = float(C.normal @ x) - C.offset
+        return x - (excess / float(C.normal @ C.normal)) * C.normal
+    if isinstance(C, AffineSubspace):
+        return C.base + C.basis.T @ (C.basis @ (x - C.base))
+    if isinstance(C, LinearSubspace):
+        return C.basis.T @ (C.basis @ x)
+    if isinstance(C, Box):
+        return np.clip(x, C.lower, C.upper)
+    if isinstance(C, Ray):
+        t = float(C.direction @ (x - C.base))
+        return C.base + max(t, 0.0) * C.direction
+    if isinstance(C, Orthant):
+        return np.where(C.signs * x >= 0.0, x, 0.0)
+    if isinstance(C.summand, Point):
+        p = C.summand.coords
+        return p + _reference_project(C.cone, x - p)
+    c, r = C.summand.center, C.summand.radius
+    q = x - c
+    pk = _reference_project(C.cone, q)
+    delta = q - pk
+    dist = float(np.linalg.norm(delta))
+    if dist <= r:
+        return x.copy()
+    return c + pk + delta * (r / dist)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_single_vector_projection_keeps_reference_bits(dim):
+    for C in _set_zoo(dim) + _zero_parameter_sets(dim):
+        for x in _probe_rows(C, seed=dim):
+            assert C.project(x).tobytes() == _reference_project(C, x).tobytes(), (C, x)
 
 
 def test_minkowski_projection_against_cvxpy():
@@ -368,6 +482,21 @@ def test_witnesses_members_within_radius(C):
     for w in ws:
         assert C.contains(w, tol=1e-10)
         assert np.linalg.norm(w - anchor) <= radius + 1e-9
+
+
+@pytest.mark.parametrize("C", _set_zoo(), ids=lambda c: type(c).__name__)
+def test_witnesses_are_projected_draws(C):
+    # the anchor, then the projection of each draw, in the order the RNG gives them
+    ws = sample_witnesses(C, 7, seed=6, radius=3.0)
+    assert isinstance(ws, np.ndarray) and ws.shape == (7, C.dim)
+    rng = np.random.default_rng(6)
+    expected = [C.anchor()]
+    for _ in range(6):
+        u = rng.standard_normal(C.dim)
+        draw = u * (3.0 * rng.uniform() ** (1.0 / C.dim) / np.linalg.norm(u))
+        expected.append(C.project(C.anchor() + draw))
+    assert ws.tobytes() == np.array(expected).tobytes()
+    assert sample_witnesses(C, 1).shape == (1, C.dim)
 
 
 def test_witnesses_deterministic():
