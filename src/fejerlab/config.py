@@ -210,6 +210,29 @@ def _def_from_config(cls, d, path: str):
     return cls(**args)
 
 
+# Top-level numbers: the coercion for each field type, and each least value
+# (a limit check needs a tail of two points; RNG seeds are nonnegative).
+_CASTS = {"int": int, "float": float}
+_LEAST = {"n_steps": 1, "seed": 0, "tol": 0.0, "tail_window": 2}
+
+
+def _number(value, f: dataclasses.Field, path: str):
+    cast = _CASTS[f.type]
+    # int() would turn true into 1 and truncate 12.7 to 12
+    truncates = cast is int and isinstance(value, float) and not value.is_integer()
+    try:
+        if isinstance(value, bool) or truncates:
+            raise ValueError
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}") from exc
+    least = _LEAST[f.name]
+    if not out >= least:  # NaN fails the comparison too
+        raise ConfigError(f"{path}: must be at least {least}, got {out}")
+    return out
+
+
 def _def_to_config(obj) -> dict:
     out = {}
     for f in dataclasses.fields(obj):
@@ -238,14 +261,16 @@ def parse_scenario(data: dict) -> ScenarioSpec:
         for t in data.get("trajectories", [])
     ]
     checks = [_def_from_config(CheckDef, c, "checks") for c in data.get("checks", [])]
+    numbers = {
+        f.name: _number(data.get(f.name, f.default), f, f"scenario.{f.name}")
+        for f in dataclasses.fields(ScenarioSpec)
+        if f.type in _CASTS
+    }
     spec = ScenarioSpec(
         name=name,
         description=data.get("description", ""),
         topic=data.get("topic", ""),
-        n_steps=int(data.get("n_steps", 1000)),
-        seed=int(data.get("seed", 0)),
-        tol=float(data.get("tol", 1e-9)),
-        tail_window=int(data.get("tail_window", 1000)),
+        **numbers,
         sets=sets,
         operators=operators,
         trajectories=trajectories,

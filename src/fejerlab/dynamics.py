@@ -5,10 +5,10 @@ trajectories, drift estimates and limit verdicts take the orbits it returns,
 so a caller that needs one orbit several times computes it once.
 
 Trajectories are immutable (points array is read-only after construction).
-Iteration has two engines: a generic one driving the operator's compiled
-vector closure, and a plain-float one on the line for projection-free trees,
-whose float evaluators do the same arithmetic as their vector closures.
-Either way the orbit equals the orbit of ``T.apply`` bit for bit.  Both
+Iteration has two engines that run the one closure ``T.apply`` runs, so the
+orbit equals the orbit of ``T.apply`` bit for bit: a numpy engine for every
+tree, and a plain-float one on the line for ``_scalar`` trees (Identity,
+Negation, ScalarPiecewiseLinear, ConvexCombination, Composition).  Both
 terminate a run early when the orbit hits an exact fixed point or an exact
 period-2 cycle, padding the remaining points with the (exactly continued)
 pattern, and both raise NonFiniteValueError past ``DEFAULT_NORM_CAP``.
@@ -95,13 +95,13 @@ class DisplacementEstimate:
     certified: bool = True
 
 
-def _iterate_scalar(sfn, x0: float, n_steps: int) -> np.ndarray:
+def _iterate_scalar(fn, x0: float, n_steps: int) -> np.ndarray:
     out = np.empty(n_steps + 1)
     out[0] = cur = float(x0)
     prev = None
     i = 1
     while i <= n_steps:
-        nxt = sfn(cur)
+        nxt = fn(cur)
         if not (-DEFAULT_NORM_CAP <= nxt <= DEFAULT_NORM_CAP):
             raise NonFiniteValueError(
                 f"orbit left the representable range at step {i}: {nxt!r}"
@@ -155,9 +155,8 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     x0 = as_vector(x0, T.dim)
-    sfn = T._sfn  # plain-float evaluator; None off the line or with a projection
-    if sfn is not None and x0.size == 1:
-        pts = _iterate_scalar(sfn, float(x0[0]), n_steps)
+    if T._scalar and x0.size == 1:
+        pts = _iterate_scalar(T._fn, float(x0[0]), n_steps)
     else:
         pts = _iterate_vector(T._fn, x0, n_steps)
     return Trajectory(pts)

@@ -231,6 +231,8 @@ class _NormalOffset(ConvexSet):
         object.__setattr__(self, "offset", float(self.offset))
         if not np.linalg.norm(self.normal) > 0.0:
             raise ValueError(f"{type(self).__name__} normal must be nonzero")
+        # not a field: equality, repr and configs see only normal and offset
+        object.__setattr__(self, "_normal_sq", float(self.normal @ self.normal))
 
     @property
     def dim(self) -> int:
@@ -243,7 +245,7 @@ class Halfspace(_NormalOffset):
 
     def _project(self, x):
         excess = np.vecdot(x, self.normal) - self.offset
-        step = (excess / float(self.normal @ self.normal))[..., None] * self.normal
+        step = (excess / self._normal_sq)[..., None] * self.normal
         return np.where((excess <= 0.0)[..., None], x, x - step)
 
     def _aff_span(self):
@@ -256,7 +258,7 @@ class Hyperplane(_NormalOffset):
 
     def _project(self, x):
         excess = np.vecdot(x, self.normal) - self.offset
-        return x - (excess / float(self.normal @ self.normal))[..., None] * self.normal
+        return x - (excess / self._normal_sq)[..., None] * self.normal
 
     def _aff_span(self):
         return scipy.linalg.null_space(self.normal.reshape(1, -1)).T

@@ -1,11 +1,11 @@
 """Expression algebra for nonexpansive maps with averagedness certificates.
 
-Operator expressions are immutable trees.  Each node compiles, at
-construction, a vector closure (ndarray -> ndarray).  A projection-free tree
-that acts on the line also gets a plain-float closure with the same
-arithmetic, which drives the float engine of :func:`fejerlab.dynamics.iterate`.
-Trees with a projector, reflector or Douglas-Rachford node have none: each
-projection is defined once, in :mod:`fejerlab.geometry`.
+Operator expressions are immutable trees.  Each node compiles one closure at
+construction, run by both ``apply`` and :func:`fejerlab.dynamics.iterate`.
+The closures of Identity, Negation and ScalarPiecewiseLinear, and of
+ConvexCombination and Composition over such children, also map a float to a
+float; these trees are ``_scalar`` and drive the float engine on the line.
+Each projection is defined once, in :mod:`fejerlab.geometry`.
 
 Each node also computes its averagedness certificate at construction, from
 its children's; :func:`certify` reads it.  The calculus is structural and
@@ -146,10 +146,11 @@ class OperatorExpr:
         """Evaluate the expression at ``x``."""
         return self._fn(as_vector(x, self.dim))
 
-    def _install(self, dim, fn, cert=_UNKNOWN_CERT, sfn=None) -> None:
+    def _install(self, dim, fn, cert=_UNKNOWN_CERT, scalar=False) -> None:
+        # scalar: fn also maps a Python float to a float, with the same bits
         object.__setattr__(self, "_dim", dim)
         object.__setattr__(self, "_fn", fn)
-        object.__setattr__(self, "_sfn", sfn)
+        object.__setattr__(self, "_scalar", scalar)
         object.__setattr__(self, "_cert", cert)
 
     # value semantics: equal type and equal fields, as for convex sets
@@ -160,13 +161,13 @@ class OperatorExpr:
 @dataclass(frozen=True, eq=False)
 class Identity(OperatorExpr):
     def __post_init__(self):
-        self._install(None, lambda x: x.copy(), _FIRM_CERT, lambda t: t)
+        self._install(None, lambda x: +x, _FIRM_CERT, scalar=True)
 
 
 @dataclass(frozen=True, eq=False)
 class Negation(OperatorExpr):
     def __post_init__(self):
-        self._install(None, lambda x: -x, _NONEXPANSIVE_CERT, lambda t: -t)
+        self._install(None, lambda x: -x, _NONEXPANSIVE_CERT, scalar=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +178,7 @@ class Translation(OperatorExpr):
         b = as_vector(self.shift).copy()
         b.setflags(write=False)
         object.__setattr__(self, "shift", b)
-        sfn = None
-        if b.size == 1:
-            b0 = float(b[0])
-            sfn = lambda t: t + b0
-        self._install(b.size, lambda x: x + b, _NONEXPANSIVE_CERT, sfn)
+        self._install(b.size, lambda x: x + b, _NONEXPANSIVE_CERT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +194,7 @@ class Linear(OperatorExpr):
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        sfn = None
-        if m.shape[0] == 1:
-            a = float(m[0, 0])
-            sfn = lambda t: a * t
-        self._install(m.shape[0], lambda x: m @ x, _linear_certificate(m), sfn)
+        self._install(m.shape[0], lambda x: m @ x, _linear_certificate(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,11 +216,7 @@ class AffineMap(OperatorExpr):
         b.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", b)
-        sfn = None
-        if m.shape[0] == 1:
-            a, b0 = float(m[0, 0]), float(b[0])
-            sfn = lambda t: a * t + b0
-        self._install(m.shape[0], lambda x: m @ x + b, _linear_certificate(m), sfn)
+        self._install(m.shape[0], lambda x: m @ x + b, _linear_certificate(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,10 +251,7 @@ class ConvexCombination(OperatorExpr):
         object.__setattr__(self, "alpha", a)
         dim = _merge_dims(self.left.dim, self.right.dim)
         lf, rf = self.left._fn, self.right._fn
-        ls, rs = self.left._sfn, self.right._sfn
-        sfn = None
-        if ls is not None and rs is not None and dim in (None, 1):
-            sfn = lambda t: (1.0 - a) * ls(t) + a * rs(t)
+        scalar = self.left._scalar and self.right._scalar
         cl, cr = self.left._cert, self.right._cert
         if isinstance(self.left, Identity) and cr.is_nonexpansive:
             cert = _averaged(a * (cr.alpha if cr.is_averaged else 1.0))
@@ -277,7 +263,7 @@ class ConvexCombination(OperatorExpr):
             cert = _NONEXPANSIVE_CERT
         else:
             cert = _UNKNOWN_CERT
-        self._install(dim, lambda x: (1.0 - a) * lf(x) + a * rf(x), cert, sfn)
+        self._install(dim, lambda x: (1.0 - a) * lf(x) + a * rf(x), cert, scalar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,10 +276,7 @@ class Composition(OperatorExpr):
     def __post_init__(self):
         dim = _merge_dims(self.outer.dim, self.inner.dim)
         of, inf_ = self.outer._fn, self.inner._fn
-        os_, is_ = self.outer._sfn, self.inner._sfn
-        sfn = None
-        if os_ is not None and is_ is not None and dim in (None, 1):
-            sfn = lambda t: os_(is_(t))
+        scalar = self.outer._scalar and self.inner._scalar
         co, ci = self.outer._cert, self.inner._cert
         if co.is_averaged and ci.is_averaged:
             a1, a2 = co.alpha, ci.alpha
@@ -302,7 +285,7 @@ class Composition(OperatorExpr):
             cert = _NONEXPANSIVE_CERT
         else:
             cert = _UNKNOWN_CERT
-        self._install(dim, lambda x: of(inf_(x)), cert, sfn)
+        self._install(dim, lambda x: of(inf_(x)), cert, scalar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,16 +340,17 @@ class ScalarPiecewiseLinear(OperatorExpr):
         )
         xs_l, ys_l, sl_l = xs.tolist(), ys.tolist(), sl.tolist()
 
-        def sfn(t):
+        # t is a float or a (1,) array; a one-element comparison is a truth value
+        def fn(t):
             j = bisect_right(xs_l, t)
             if j == 0:
                 return ys_l[0] + sl_l[0] * (t - xs_l[0])
             return ys_l[j - 1] + sl_l[j] * (t - xs_l[j - 1])
 
-        self._install(1, lambda x: np.array([sfn(float(x[0]))]), _NONEXPANSIVE_CERT, sfn)
+        self._install(1, fn, _NONEXPANSIVE_CERT, scalar=True)
 
     def value_at(self, t: float) -> float:
-        return self._sfn(float(t))
+        return self._fn(float(t))
 
 
 def certify(T: OperatorExpr) -> AveragednessCertificate:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,21 @@ def test_config_errors_carry_field_paths():
         parse_scenario(
             {"name": "x", "trajectories": [{"name": "t", "kind": "alternating", "strat": [0]}]}
         )
+    for key, value, message in [
+        ("n_steps", "abc", "scenario.n_steps: expected an integer, got 'abc'"),
+        ("tail_window", [3], "scenario.tail_window: expected an integer, got [3]"),
+        ("n_steps", 0, "scenario.n_steps: must be at least 1, got 0"),
+        ("n_steps", 12.7, "scenario.n_steps: expected an integer, got 12.7"),
+        ("n_steps", True, "scenario.n_steps: expected an integer, got True"),
+        ("seed", -1, "scenario.seed: must be at least 0, got -1"),
+        ("tail_window", 1, "scenario.tail_window: must be at least 2, got 1"),
+        ("tol", float("nan"), "scenario.tol: must be at least 0.0, got nan"),
+        ("tol", "abc", "scenario.tol: expected a number, got 'abc'"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_scenario({"name": "x", key: value})
+    # YAML reads 1e-9 (no dot) as a string; it stays a valid tol
+    assert parse_scenario({"name": "x", "tol": "1e-9"}).tol == 1e-9
 
     # Douglas-Rachford on a half-space and a ball: no closed-form drift
     dr_mixed = {
@@ -487,6 +503,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trajectories.walk.points: expected a nonempty finite (n, d) array" in err
     assert not (tmp_path / "out").exists()
+    for line, message in [
+        ("n_steps: abc", "scenario.n_steps: expected an integer, got 'abc'"),
+        ("n_steps: 0", "scenario.n_steps: must be at least 1, got 0"),
+        ("tail_window: [3]", "scenario.tail_window: expected an integer, got [3]"),
+    ]:
+        key = line.split(":")[0]
+        text = "\n".join(l for l in CONFIG_TEXT.splitlines() if not l.startswith(key + ":"))
+        bad_number = tmp_path / "bad-number.yaml"
+        bad_number.write_text(text + "\n" + line + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad_number)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_trajectory_errors_fail_their_checks(tmp_path, capsys):

@@ -20,6 +20,8 @@ from fejerlab.geometry import (
     sample_witnesses,
 )
 from fejerlab.operators import (
+    AffineMap,
+    Composition,
     ConvexCombination,
     DouglasRachford,
     Identity,
@@ -107,23 +109,39 @@ def _projection_trees_on_the_line():
     return trees
 
 
+_R = ScalarPiecewiseLinear([-1.0, 1.0], [0.5, -0.8, 0.3], anchor_value=0.7)
+
+# a plain-float copy of these maps, a * t (+ b), kept the sign of a zero
+# product where apply's m @ x does not, so its orbits left apply's
+_SIGNED_ZERO_STARTS = [
+    (Linear([[-0.0]]), [1.5]),
+    (Linear([[2.0]]), [-0.0]),
+    (AffineMap([[0.5]], [-0.0]), [-0.0]),
+]
+
+
 @pytest.mark.parametrize("float_evaluator", [True, False])
 def test_iterate_matches_naive_evaluation(float_evaluator):
-    # both engines at d = 1: the plain-float one drives the piecewise-linear
-    # map; the numpy one drives every tree with a projection, none of which
-    # has a float evaluator
+    # both engines at d = 1 run the closure that apply runs: the plain-float
+    # one drives trees of float-capable nodes; the numpy one drives every tree
+    # with a projection or a matrix, and the piecewise-linear closure inside
+    # such a tree gets (1,) arrays
     rng = np.random.default_rng(0)
     if float_evaluator:
-        R = ScalarPiecewiseLinear([-1.0, 1.0], [0.5, -0.8, 0.3], anchor_value=0.7)
-        trees = [ConvexCombination(0.4, Identity(), R)]
+        trees = [_R, ConvexCombination(0.4, Identity(), _R), Composition(Negation(), _R)]
+        starts = []
     else:
-        trees = _projection_trees_on_the_line()
-    for T in trees:
-        assert (T._sfn is not None) == float_evaluator, T
-        for _ in range(20):
-            x0 = rng.uniform(-5, 5, 1)
-            traj = iterate(T, x0, 60)
-            assert traj.points.tobytes() == _naive_orbit(T, x0, 60).tobytes(), (T, x0)
+        trees = _projection_trees_on_the_line() + [
+            ConvexCombination(0.4, Reflector(Halfspace([1.0], 0.3)), _R),
+            Composition(_R, Projector(Ball([0.3], 1.1))),
+            Translation([0.25]),
+        ]
+        starts = _SIGNED_ZERO_STARTS
+    cases = [(T, rng.uniform(-5, 5, 1)) for T in trees for _ in range(20)]
+    for T, x0 in cases + starts:
+        assert T._scalar == float_evaluator, T
+        traj = iterate(T, x0, 60)
+        assert traj.points.tobytes() == _naive_orbit(T, x0, 60).tobytes(), (T, x0)
 
 
 def test_early_stall_padding_is_exact():

@@ -102,6 +102,40 @@ def test_scalar_piecewise_linear_validation():
         ScalarPiecewiseLinear([0.0], [0.0])
 
 
+_PWL = ScalarPiecewiseLinear([-1.0, 2.0], [-0.5, 1.0, 0.0], anchor_value=0.5)
+_BALL = Ball([0.0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "T,scalar",
+    [
+        pytest.param(Identity(), True, id="identity"),
+        pytest.param(Negation(), True, id="negation"),
+        pytest.param(_PWL, True, id="piecewise-linear"),
+        pytest.param(ConvexCombination(0.3, Identity(), _PWL), True, id="combination"),
+        pytest.param(Composition(Negation(), _PWL), True, id="composition"),
+        pytest.param(Translation([1.0]), False, id="translation"),
+        pytest.param(Linear([[0.5]]), False, id="linear"),
+        pytest.param(AffineMap([[0.5]], [1.0]), False, id="affine"),
+        pytest.param(Projector(_BALL), False, id="projector"),
+        pytest.param(Reflector(_BALL), False, id="reflector"),
+        pytest.param(DouglasRachford(_BALL, Ball([3.0], 1.0)), False, id="douglas-rachford"),
+        pytest.param(
+            ConvexCombination(0.3, _PWL, Linear([[0.5]])), False, id="combination-mixed"
+        ),
+        pytest.param(Composition(Projector(_BALL), _PWL), False, id="composition-mixed"),
+    ],
+)
+def test_scalar_flag_per_node_kind(T, scalar):
+    # _scalar: the node's one closure also maps a float to a float
+    assert T._scalar is scalar
+    if scalar:
+        for t in (-2.5, -1.0, -0.0, 0.0, 0.75, 2.0, 3.0):
+            y = T._fn(t)
+            assert type(y) is float
+            assert np.array([y]).tobytes() == T.apply([t]).tobytes(), t
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
