@@ -207,6 +207,9 @@ def _def_from_config(cls, d, path: str):
         value = args.get(key)
         if value is not None and not (key == "shift" and isinstance(value, str)):
             args[key] = _floats(value, f"{path}.{key}")
+    if args.get("n_steps") is not None:
+        # a trajectory's own step count obeys the scenario's n_steps rule
+        args["n_steps"] = _number(args["n_steps"], _SPEC_FIELDS["n_steps"], f"{path}.n_steps")
     return cls(**args)
 
 
@@ -214,6 +217,7 @@ def _def_from_config(cls, d, path: str):
 # (a limit check needs a tail of two points; RNG seeds are nonnegative).
 _CASTS = {"int": int, "float": float}
 _LEAST = {"n_steps": 1, "seed": 0, "tol": 0.0, "tail_window": 2}
+_SPEC_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioSpec)}
 
 
 def _number(value, f: dataclasses.Field, path: str):
@@ -246,7 +250,7 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     """Build a validated ScenarioSpec from a plain config mapping."""
     if not isinstance(data, dict):
         raise ConfigError("scenario: expected a mapping at the top level")
-    _check_keys(data, [f.name for f in dataclasses.fields(ScenarioSpec)], "scenario")
+    _check_keys(data, _SPEC_FIELDS, "scenario")
     name = _need(data, "name", "scenario")
     sets = {
         key: set_from_config(val, f"sets.{key}")
@@ -263,7 +267,7 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     checks = [_def_from_config(CheckDef, c, "checks") for c in data.get("checks", [])]
     numbers = {
         f.name: _number(data.get(f.name, f.default), f, f"scenario.{f.name}")
-        for f in dataclasses.fields(ScenarioSpec)
+        for f in _SPEC_FIELDS.values()
         if f.type in _CASTS
     }
     spec = ScenarioSpec(

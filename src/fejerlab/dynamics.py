@@ -12,6 +12,11 @@ Negation, ScalarPiecewiseLinear, ConvexCombination, Composition).  Both
 terminate a run early when the orbit hits an exact fixed point or an exact
 period-2 cycle, padding the remaining points with the (exactly continued)
 pattern, and both raise NonFiniteValueError past ``DEFAULT_NORM_CAP``.
+
+So most tails are a few points repeated.  :func:`detect_limit` takes the tail
+diameter over the rows that are not exact repeats of the row one or two steps
+before, which gives the full-tail diameter bit for bit; its tails must be
+finite.
 """
 
 from __future__ import annotations
@@ -283,14 +288,27 @@ def detect_limit(
 
     Convergence means the tail diameter is within ``tol`` (the limit is the
     tail mean); consecutive-step size is deliberately not used, since steps
-    can vanish along non-convergent sequences.
+    can vanish along non-convergent sequences.  The diameter is measured over
+    the tail rows that do not repeat, by value, the row one or two steps
+    before them; each dropped row copies a kept one, so the diameter is the
+    full tail's.  A non-finite tail raises NonFiniteValueError, as an inf row
+    would otherwise count as a repeat of another.
     """
     if tail_window < 2:
         raise ValueError("tail_window must be >= 2")
     if tail_window > len(trajectory):
         raise ValueError("tail_window exceeds the trajectory length")
     tail = trajectory.tail(tail_window)
-    diameter = float(pdist(tail).max())
+    bad = ~np.isfinite(tail).all(axis=1)
+    if bad.any():
+        step = len(trajectory) - tail_window + int(np.argmax(bad))
+        raise NonFiniteValueError(f"trajectory point {step} in the tail is not finite")
+    # a row equal to the row one or two steps before it adds no new distance
+    fresh = np.ones(tail_window, dtype=bool)
+    fresh[1:] = (tail[1:] != tail[:-1]).any(axis=1)
+    fresh[2:] &= (tail[2:] != tail[:-2]).any(axis=1)
+    rows = tail[fresh]
+    diameter = float(pdist(rows).max()) if len(rows) > 1 else 0.0
     if diameter <= tol:
         return LimitEstimate(
             CONVERGED,

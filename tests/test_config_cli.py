@@ -215,6 +215,18 @@ def test_config_errors_carry_field_paths():
             parse_scenario({"name": "x", key: value})
     # YAML reads 1e-9 (no dot) as a string; it stays a valid tol
     assert parse_scenario({"name": "x", "tol": "1e-9"}).tol == 1e-9
+    # a trajectory's own n_steps follows the same rule, under its own path
+    for value, message in [
+        ("abc", "trajectories.t.n_steps: expected an integer, got 'abc'"),
+        (0, "trajectories.t.n_steps: must be at least 1, got 0"),
+        (12.7, "trajectories.t.n_steps: expected an integer, got 12.7"),
+        (True, "trajectories.t.n_steps: expected an integer, got True"),
+    ]:
+        traj = {"name": "t", "kind": "alternating", "n_steps": value}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_scenario({"name": "x", "trajectories": [traj]})
+    traj = {"name": "t", "kind": "alternating", "n_steps": "40"}
+    assert parse_scenario({"name": "x", "trajectories": [traj]}).trajectories[0].n_steps == 40
 
     # Douglas-Rachford on a half-space and a ball: no closed-form drift
     dr_mixed = {
@@ -513,6 +525,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         bad_number = tmp_path / "bad-number.yaml"
         bad_number.write_text(text + "\n" + line + "\n", encoding="utf-8")
         assert main(["run", "--config", str(bad_number)]) == 2
+        assert message in capsys.readouterr().err
+    for value, message in [
+        ("abc", "trajectories.orbit.n_steps: expected an integer, got 'abc'"),
+        ("0", "trajectories.orbit.n_steps: must be at least 1, got 0"),
+    ]:
+        bad_steps = tmp_path / "bad-steps.yaml"
+        bad_steps.write_text(
+            CONFIG_TEXT.replace("start: [4.0, -1.0]", f"start: [4.0, -1.0], n_steps: {value}"),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(bad_steps)]) == 2
         assert message in capsys.readouterr().err
 
 

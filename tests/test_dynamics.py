@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
+
+from fejerlab import dynamics
 
 from fejerlab.errors import (
     CertificateRequiredError,
@@ -351,6 +354,88 @@ def test_detect_limit_validates_window():
         detect_limit(traj, tail_window=1)
     with pytest.raises(ValueError):
         detect_limit(traj, tail_window=100)
+
+
+def _pool_tail(case: str, d: int, scale: float, n: int = 300) -> np.ndarray:
+    """An (n, d) tail drawn from a few rows, as padded orbits give."""
+    rng = np.random.default_rng(d)
+    pool = scale * rng.standard_normal((3, d))
+    if case == "constant":
+        return np.repeat(pool[:1], n, axis=0)
+    if case == "two-cycle":
+        return pool[np.arange(n) % 2]
+    if case == "three-cycle":
+        return pool[np.arange(n) % 3]
+    if case == "three-row-draws":
+        return pool[rng.integers(0, 3, n)]
+    if case == "stops-inside":
+        # distinct rows shrinking onto a point, then the exact 2-cycle padding
+        k = n // 3
+        head = pool[2] + scale * 0.5 ** np.arange(k)[:, None] * rng.standard_normal((k, d))
+        return np.concatenate([head, pool[np.arange(n - k) % 2]])
+    if case == "signed-zeros":
+        pool = np.zeros((3, d))
+        pool[1:] = -0.0
+        pool[2, -1] = scale
+        return pool[rng.integers(0, 3, n)]
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e6])
+@pytest.mark.parametrize(
+    "case",
+    ["constant", "two-cycle", "three-cycle", "three-row-draws", "stops-inside", "signed-zeros"],
+)
+def test_detect_limit_diameter_is_the_full_tail_pdist(case, scale):
+    for d in (1, 2, 3, 4):
+        tail = _pool_tail(case, d, scale)
+        traj = Trajectory(np.concatenate([np.full((5, d), 7.0), tail]))
+        full = float(pdist(tail).max())
+        # at tol == full the verdict flips on the last bit of the diameter
+        for tol in (1e-9, full, float(np.nextafter(full, 0.0))):
+            est = detect_limit(traj, tail_window=len(tail), tol=tol)
+            if full <= tol:
+                assert est.status == CONVERGED
+                assert est.residual.hex() == full.hex()
+                assert est.limit.tobytes() == tail.mean(axis=0).tobytes()
+            else:
+                assert est.status != CONVERGED
+                if est.status == INCONCLUSIVE:
+                    assert est.residual.hex() == full.hex()
+
+
+def test_detect_limit_rejects_non_finite_tail():
+    finite = np.ones((20, 2))
+    for step, value in [(10, np.inf), (19, -np.inf), (15, np.nan)]:
+        pts = finite.copy()
+        pts[step, 1] = value
+        with pytest.raises(NonFiniteValueError, match=f"point {step} in the tail"):
+            detect_limit(Trajectory(pts), tail_window=10)
+    with pytest.raises(NonFiniteValueError, match="point 10 in the tail"):
+        detect_limit(Trajectory(np.full((20, 2), np.inf)), tail_window=10)
+    # a point before the tail is not examined
+    pts = finite.copy()
+    pts[0] = np.inf
+    assert detect_limit(Trajectory(pts), tail_window=10).status == CONVERGED
+
+
+def test_detect_limit_measures_distances_over_fresh_rows_only(monkeypatch):
+    seen = []
+
+    def recording_pdist(rows):
+        seen.append(rows.shape)
+        return pdist(rows)
+
+    monkeypatch.setattr(dynamics, "pdist", recording_pdist)
+    # a projection orbit reaches its fixed point in one step, then is padded
+    stopped = iterate(Projector(Ball([0.0, 0.0], 1.0)), [3.0, 4.0], 2000)
+    est = detect_limit(stopped, tail_window=500)
+    assert est.status == CONVERGED and est.residual == 0.0
+    est = detect_limit(stopped, tail_window=len(stopped))
+    assert est.status == INCONCLUSIVE and est.residual == pdist(stopped.points[:2])[0]
+    cycle = iterate(Negation(), [1.0], 2000)
+    assert detect_limit(cycle, tail_window=1000).status == OSCILLATING
+    assert seen and all(rows <= 3 for rows, _ in seen)
 
 
 def test_normalized_orbit_with_drift_satisfies_codim1_guarantee():
