@@ -5,8 +5,9 @@ checked on finite, seeded witness samples; a PASS from such a checker is a
 necessary condition, never a proof, and the reports say so in their metadata.
 Failures always carry a concrete witness.
 
-Checkers make whole-array calls: one (n, w) ``cdist`` for witness distances,
-one batched projection for the dual-cone test or the membership residuals.
+Checkers make batched calls: ``cdist`` over blocks of ``FEJER_BLOCK_ROWS``
+rows for witness distances, so no (n, w) array is made, and one batched
+projection for the dual-cone test or the membership residuals.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .geometry import (
 from .report import FAIL, INCONCLUSIVE, PASS, DiagnosticsReport
 
 NECESSARY_CONDITION = "necessary-condition (finite witnesses)"
+FEJER_BLOCK_ROWS = 4096
 
 
 def _points_of(trajectory) -> np.ndarray:
@@ -71,11 +73,18 @@ def check_fejer(
     if pts.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
     radius, ws = _witness_points(pts, C, witnesses, seed, witness_radius)
-    dists = cdist(pts, ws)
-    increases = dists[1:] - dists[:-1]
-    worst = float(increases.max())
     sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
     per_step = sq_anchor[:-1] - sq_anchor[1:]
+    # the first largest increase in step order; each distance has the bits of
+    # one whole-array cdist, and an earlier block wins a tie
+    worst, at = -np.inf, None
+    for start in range(0, pts.shape[0] - 1, FEJER_BLOCK_ROWS):
+        dists = cdist(pts[start : start + FEJER_BLOCK_ROWS + 1], ws)
+        increases = dists[1:] - dists[:-1]
+        row, col = np.unravel_index(int(np.argmax(increases)), increases.shape)
+        if increases[row, col] > worst:
+            worst = float(increases[row, col])
+            at = (start + int(row), int(col), dists[row, col], dists[row + 1, col])
     params = {
         "witnesses": witnesses,
         "tol": tol,
@@ -87,12 +96,12 @@ def check_fejer(
             "check_fejer", PASS, params=params, seed=seed, per_step=per_step,
             metadata=meta,
         )
-    step, widx = np.unravel_index(int(np.argmax(increases)), increases.shape)
+    step, widx, before, after = at
     witness = {
-        "step": int(step),
+        "step": step,
         "witness_point": ws[widx],
-        "distance_before": float(dists[step, widx]),
-        "distance_after": float(dists[step + 1, widx]),
+        "distance_before": float(before),
+        "distance_after": float(after),
         "increase": worst,
     }
     return DiagnosticsReport(

@@ -5,13 +5,14 @@ trajectories, drift estimates and limit verdicts take the orbits it returns,
 so a caller that needs one orbit several times computes it once.
 
 Trajectories are immutable (points array is read-only after construction).
-Iteration has two engines that run the one closure ``T.apply`` runs, so the
-orbit equals the orbit of ``T.apply`` bit for bit: a numpy engine for every
-tree, and a plain-float one on the line for ``_scalar`` trees (Identity,
-Negation, ScalarPiecewiseLinear, ConvexCombination, Composition).  Both
-terminate a run early when the orbit hits an exact fixed point or an exact
-period-2 cycle, padding the remaining points with the (exactly continued)
-pattern, and both raise NonFiniteValueError past ``DEFAULT_NORM_CAP``.
+:func:`iterate` runs the orbit loop of the operator's compiled float kernel
+(see :mod:`fejerlab.operators`): one engine for every tree and dimension.
+``T.apply`` runs the one-step function compiled from the same source, so the
+orbit equals the orbit of ``T.apply`` bit for bit.  Orbits use plain IEEE
+double arithmetic in a fixed order, independent of BLAS.  The loop terminates
+a run early when the orbit hits an exact fixed point or an exact period-2
+cycle, padding the remaining points with the (exactly continued) pattern, and
+raises NonFiniteValueError past ``DEFAULT_NORM_CAP``.
 
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
 diameter over the rows that are not exact repeats of the row one or two steps
@@ -22,7 +23,6 @@ finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -30,6 +30,7 @@ from scipy.spatial.distance import pdist
 from .clustering import component_gap, single_linkage_labels
 from .errors import (
     CertificateRequiredError,
+    DimensionMismatchError,
     MonotonicityViolationError,
     NonFiniteValueError,
 )
@@ -48,15 +49,29 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass
 class Trajectory:
-    """A finite sequence of points in R^d, one row per step."""
+    """A finite sequence of points in R^d, one row per step.
+
+    ``points`` is read-only.  The constructor copies what it is given; the
+    orbit builders hand over arrays they have just made with :meth:`_own`.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        self._set_points(np.array(self.points, dtype=float))
+
+    @classmethod
+    def _own(cls, points: np.ndarray) -> "Trajectory":
+        """Wrap a fresh float array that no one else holds, without a copy."""
+        traj = cls.__new__(cls)
+        traj._set_points(points)
+        return traj
+
+    def _set_points(self, pts: np.ndarray) -> None:
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("trajectory points must form a nonempty (n, d) array")
-        pts = pts.copy()
+        if pts.shape[1] < 1:
+            raise DimensionMismatchError("vectors must have positive dimension")
         pts.setflags(write=False)
         self.points = pts
 
@@ -100,78 +115,26 @@ class DisplacementEstimate:
     certified: bool = True
 
 
-def _iterate_scalar(fn, x0: float, n_steps: int) -> np.ndarray:
-    out = np.empty(n_steps + 1)
-    out[0] = cur = float(x0)
-    prev = None
-    i = 1
-    while i <= n_steps:
-        nxt = fn(cur)
-        if not (-DEFAULT_NORM_CAP <= nxt <= DEFAULT_NORM_CAP):
-            raise NonFiniteValueError(
-                f"orbit left the representable range at step {i}: {nxt!r}"
-            )
-        out[i] = nxt
-        # a repeat must match in sign too, as 0.0 == -0.0
-        if nxt == cur and copysign(1.0, nxt) == copysign(1.0, cur):
-            out[i + 1 :] = nxt
-            break
-        if nxt == prev and copysign(1.0, nxt) == copysign(1.0, prev):
-            out[i + 1 :: 2] = cur
-            out[i + 2 :: 2] = nxt
-            break
-        prev, cur = cur, nxt
-        i += 1
-    return out.reshape(-1, 1)
-
-
-def _iterate_vector(fn, x0: np.ndarray, n_steps: int) -> np.ndarray:
-    out = np.empty((n_steps + 1, x0.size))
-    out[0] = cur = x0
-    cap2 = DEFAULT_NORM_CAP * DEFAULT_NORM_CAP
-    cur_b = cur.tobytes()  # byte images make the exact-repeat tests cheap
-    prev = None
-    prev_b = None
-    i = 1
-    while i <= n_steps:
-        nxt = fn(cur)
-        m2 = float(nxt @ nxt)
-        if not m2 <= cap2:  # NaN fails the comparison too
-            raise NonFiniteValueError(
-                f"orbit left the representable range at step {i}"
-            )
-        out[i] = nxt
-        nxt_b = nxt.tobytes()
-        if nxt_b == cur_b:
-            out[i + 1 :] = nxt
-            break
-        if prev_b is not None and nxt_b == prev_b:
-            out[i + 1 :: 2] = cur
-            out[i + 2 :: 2] = nxt
-            break
-        prev, prev_b = cur, cur_b
-        cur, cur_b = nxt, nxt_b
-        i += 1
-    return out
-
-
 def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     """Raw orbit x0, Tx0, T^2 x0, ... of length n_steps + 1."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
+    n = int(n_steps)
+    if n < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n}")
     x0 = as_vector(x0, T.dim)
-    if T._scalar and x0.size == 1:
-        pts = _iterate_scalar(T._fn, float(x0[0]), n_steps)
-    else:
-        pts = _iterate_vector(T._fn, x0, n_steps)
-    return Trajectory(pts)
+    pts = np.empty((n + 1, x0.size))
+    cap2 = DEFAULT_NORM_CAP * DEFAULT_NORM_CAP
+    T._kernel(x0.size).run(pts, *x0.tolist(), n, cap2)
+    return Trajectory._own(pts)
 
 
 def normalized_from_raw(raw: Trajectory, v) -> Trajectory:
     """Drift-compensated orbit points[n] = T^n x0 + n * v of a raw orbit."""
     v = as_vector(v, raw.dim)
-    steps = np.arange(len(raw), dtype=float)[:, None]
-    return Trajectory(raw.points + steps * v)
+    pts = np.arange(len(raw), dtype=float)[:, None] * v
+    pts += raw.points  # in place: the sum is the same either way round
+    return Trajectory._own(pts)
 
 
 def difference_monotonicity_slack(
@@ -212,12 +175,12 @@ def difference_orbit(a: Trajectory, b: Trajectory) -> Trajectory:
             f"difference norm grew by {growth[idx]:.3e} at step {idx}; "
             "the operator is not nonexpansive"
         )
-    return Trajectory(diff)
+    return Trajectory._own(diff)
 
 
 def shadow(trajectory: Trajectory, C: ConvexSet) -> Trajectory:
     """Projection of every trajectory point onto ``C``."""
-    return Trajectory(C.project_many(trajectory.points))
+    return Trajectory._own(C.project_many(trajectory.points))
 
 
 def displacement_from_orbit(orbit: Trajectory, tail: int) -> tuple[np.ndarray, float]:

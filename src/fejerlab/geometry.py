@@ -17,6 +17,9 @@ Conventions
   single-vector ``a @ b`` does, so row i of ``project_many(P)`` is bit for bit
   ``project(P[i])`` (a shadow point is ``C.project`` of its orbit point), and
   ``sample_witnesses`` returns a (count, d) array from one batched call.
+* Each set kind also writes the same projection as straight-line float source
+  over named scalars, ``_emit`` (see :class:`KernelSource`), for the compiled
+  operator kernels; ``project`` and ``project_many`` stay on ``_project``.
 * Membership tests are absolute with default tolerance ``MEMBERSHIP_TOL``;
   so is the dual-cone test, which reads only the cone's projector and runs
   row-wise: ``dual_cone_residuals`` tests n vectors with one batched
@@ -89,6 +92,60 @@ def _check_orthonormal(basis: np.ndarray) -> None:
         raise ValueError("basis rows are not orthonormal within 1e-12")
 
 
+class KernelSource:
+    """Straight-line float source over named locals, built node by node.
+
+    ``x0 .. x{d-1}`` name the input coordinates.  A set kind's or an operator
+    node's ``_emit`` appends the lines that compute its value from the names
+    it is given and returns the names of the results.  Parameters enter by
+    name (``p0``, ``p1``, ...) and their values are kept apart in ``params``,
+    so the text depends only on a tree's shape and dimension.  An inner
+    product is a plain left-to-right sum of rounded products that starts at
+    0.0, so a zero sum is +0.0 as in numpy's; at d = 1 it is numpy's product.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.params: list = []
+        self._indent = ""
+        self._count = 0
+
+    def param(self, value) -> str:
+        self.params.append(value)
+        return f"p{len(self.params) - 1}"
+
+    def vector(self, values) -> list[str]:
+        return [self.param(v) for v in np.asarray(values, dtype=float).tolist()]
+
+    def let(self, expr: str) -> str:
+        name = f"t{self._count}"
+        self._count += 1
+        self.lines.append(f"{self._indent}{name} = {expr}")
+        return name
+
+    def lets(self, template: str, *columns) -> list[str]:
+        """One ``let`` per coordinate: ``template`` filled from each column."""
+        return [self.let(template.format(*names)) for names in zip(*columns)]
+
+    def dot(self, a, b) -> str:
+        return self.let(" + ".join(["0.0", *(f"{u} * {v}" for u, v in zip(a, b))]))
+
+    def branch(self, cond: str, then, otherwise) -> list[str]:
+        """Names holding ``then()`` where ``cond`` holds and ``otherwise()`` else;
+        each arm emits its own lines and returns names."""
+        outer, names = self._indent, None
+        for head, arm in ((f"if {cond}:", then), ("else:", otherwise)):
+            self.lines.append(outer + head)
+            self._indent = outer + "    "
+            values = arm()
+            if names is None:
+                names = [f"t{self._count + i}" for i in range(len(values))]
+                self._count += len(values)
+            self.lines += [f"{self._indent}{n} = {v}" for n, v in zip(names, values)]
+        self._indent = outer
+        return names
+
+
 class ConvexSet:
     """A nonempty closed convex set with a closed-form metric projector."""
 
@@ -133,6 +190,10 @@ class ConvexSet:
         """Projection of a (dim,) point or of each row of an (n, dim) array."""
         raise NotImplementedError
 
+    def _emit(self, src: KernelSource, x: list[str]) -> list[str]:
+        """Float source of the projection of the point named ``x``, as ``_project``."""
+        raise NotImplementedError
+
     def _aff_span(self) -> np.ndarray:
         """Rows spanning aff(C) - aff(C); rank gives the affine dimension."""
         raise NotImplementedError
@@ -170,6 +231,9 @@ class Point(ConvexSet):
     def _project(self, x):
         return np.full_like(x, self.coords)
 
+    def _emit(self, src, x):
+        return src.vector(self.coords)
+
     def _aff_span(self):
         return np.zeros((0, self.dim))
 
@@ -202,6 +266,18 @@ class Ball(ConvexSet):
         n2 = np.vecdot(d, d)
         scale = r / np.sqrt(np.maximum(n2, r * r))  # rows inside discard it; no 0 division
         return np.where((n2 <= r * r)[:, None], x, self.center + d * scale[:, None])
+
+    def _emit(self, src, x):
+        c, r = src.vector(self.center), src.param(self.radius)
+        r2 = src.param(self.radius * self.radius)
+        d = src.lets("{} - {}", x, c)
+        n2 = src.let(" + ".join(f"{u} * {u}" for u in d))
+
+        def outside():
+            s = src.let(f"{r} / sqrt({n2})")
+            return src.lets("{} + {} * " + s, c, d)
+
+        return src.branch(f"{n2} <= {r2}", lambda: x, outside)
 
     def anchor(self):
         return self.center.copy()
@@ -238,6 +314,19 @@ class _NormalOffset(ConvexSet):
     def dim(self) -> int:
         return self.normal.size
 
+    def _emit_step(self, src, x):
+        """The name of the excess <normal, x> - offset, and an emitter of x
+        minus its step along the normal."""
+        a = src.vector(self.normal)
+        excess = src.let(f"{src.dot(x, a)} - {src.param(self.offset)}")
+        nsq = src.param(self._normal_sq)
+
+        def moved():
+            q = src.let(f"{excess} / {nsq}")
+            return src.lets("{} - " + q + " * {}", x, a)
+
+        return excess, moved
+
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(_NormalOffset):
@@ -247,6 +336,10 @@ class Halfspace(_NormalOffset):
         excess = np.vecdot(x, self.normal) - self.offset
         step = (excess / self._normal_sq)[..., None] * self.normal
         return np.where((excess <= 0.0)[..., None], x, x - step)
+
+    def _emit(self, src, x):
+        excess, moved = self._emit_step(src, x)
+        return src.branch(f"{excess} <= 0.0", lambda: x, moved)
 
     def _aff_span(self):
         return np.eye(self.dim)
@@ -259,6 +352,9 @@ class Hyperplane(_NormalOffset):
     def _project(self, x):
         excess = np.vecdot(x, self.normal) - self.offset
         return x - (excess / self._normal_sq)[..., None] * self.normal
+
+    def _emit(self, src, x):
+        return self._emit_step(src, x)[1]()
 
     def _aff_span(self):
         return scipy.linalg.null_space(self.normal.reshape(1, -1)).T
@@ -295,6 +391,11 @@ class AffineSubspace(ConvexSet):
     def _project(self, x):
         return self.base + _span_project(self.basis, x - self.base)
 
+    def _emit(self, src, x):
+        b = src.vector(self.base)
+        span = _emit_span(src, self.basis, src.lets("{} - {}", x, b))
+        return src.lets("{} + {}", b, span)
+
     def _aff_span(self):
         return self.basis
 
@@ -329,6 +430,9 @@ class LinearSubspace(ConvexSet):
     def _project(self, x):
         return _span_project(self.basis, x)
 
+    def _emit(self, src, x):
+        return _emit_span(src, self.basis, x)
+
     def anchor(self):
         return np.zeros(self.dim)
 
@@ -339,6 +443,13 @@ class LinearSubspace(ConvexSet):
 def _span_project(basis: np.ndarray, d: np.ndarray) -> np.ndarray:
     """basis.T @ (basis @ d), row by row for an (n, dim) d, as (1, dim) matmuls."""
     return ((d[..., None, :] @ basis.T) @ basis)[..., 0, :]
+
+
+def _emit_span(src: KernelSource, basis: np.ndarray, d: list[str]) -> list[str]:
+    """Float source of basis.T @ (basis @ d); an empty basis gives +0.0."""
+    rows = [src.vector(row) for row in basis]
+    t = [src.dot(row, d) for row in rows]
+    return [src.dot(t, [row[i] for row in rows]) for i in range(len(d))]
 
 
 def full_space(dim: int) -> LinearSubspace:
@@ -368,6 +479,10 @@ class Box(ConvexSet):
         # the other way for (n, 1) rows; here the bound wins, as in np.clip for a point
         m = np.where(x > self.lower, x, self.lower)
         return np.where(m < self.upper, m, self.upper)
+
+    def _emit(self, src, x):
+        m = src.lets("{0} if {0} > {1} else {1}", x, src.vector(self.lower))
+        return src.lets("{0} if {0} < {1} else {1}", m, src.vector(self.upper))
 
     def _aff_span(self):
         free = self.upper > self.lower
@@ -401,6 +516,12 @@ class Ray(ConvexSet):
         t = np.vecdot(x - self.base, self.direction)
         return self.base + np.where(t < 0.0, 0.0, t)[..., None] * self.direction
 
+    def _emit(self, src, x):
+        b, u = src.vector(self.base), src.vector(self.direction)
+        t = src.dot(src.lets("{} - {}", x, b), u)
+        t = src.let(f"0.0 if {t} < 0.0 else {t}")
+        return src.lets("{} + " + t + " * {}", b, u)
+
     def anchor(self):
         return self.base.copy()
 
@@ -430,6 +551,9 @@ class Orthant(ConvexSet):
 
     def _project(self, x):
         return np.where(self.signs * x >= 0.0, x, 0.0)
+
+    def _emit(self, src, x):
+        return src.lets("{1} if {0} * {1} >= 0.0 else 0.0", src.vector(self.signs), x)
 
     def _aff_span(self):
         return np.eye(self.dim)
@@ -483,7 +607,28 @@ class MinkowskiSum(ConvexSet):
             dist = np.sqrt(np.vecdot(delta, delta))
             scale = (r / np.maximum(dist, r))[..., None]
             return np.where((dist <= r)[..., None], x, c + pk + delta * scale)
-        raise UnsupportedSetError(
+        raise self._unsupported()
+
+    def _emit(self, src, x):
+        if isinstance(self.summand, Point):
+            p = src.vector(self.summand.coords)
+            return src.lets("{} + {}", p, self.cone._emit(src, src.lets("{} - {}", x, p)))
+        if isinstance(self.summand, Ball):
+            c, r = src.vector(self.summand.center), src.param(self.summand.radius)
+            q = src.lets("{} - {}", x, c)
+            pk = self.cone._emit(src, q)
+            delta = src.lets("{} - {}", q, pk)
+            dist = src.let(f"sqrt({src.dot(delta, delta)})")
+
+            def outside():
+                s = src.let(f"{r} / {dist}")
+                return src.lets("{} + {} + {} * " + s, c, pk, delta)
+
+            return src.branch(f"{dist} <= {r}", lambda: x, outside)
+        raise self._unsupported()
+
+    def _unsupported(self):
+        return UnsupportedSetError(
             f"no closed-form projector for {type(self.summand).__name__} + cone"
         )
 

@@ -1,11 +1,19 @@
 """Expression algebra for nonexpansive maps with averagedness certificates.
 
-Operator expressions are immutable trees.  Each node compiles one closure at
-construction, run by both ``apply`` and :func:`fejerlab.dynamics.iterate`.
-The closures of Identity, Negation and ScalarPiecewiseLinear, and of
-ConvexCombination and Composition over such children, also map a float to a
-float; these trees are ``_scalar`` and drive the float engine on the line.
-Each projection is defined once, in :mod:`fejerlab.geometry`.
+Operator expressions are immutable trees.  Each node has one evaluator, its
+``_emit``: straight-line float source for its value over the coordinates
+``x0 .. x{d-1}``; each set kind's lives in :mod:`fejerlab.geometry`, next to
+its numpy ``_project``.  On first use at a start dimension d, a tree's source
+is compiled into a one-step function, run by ``apply``, ``value_at`` and the
+verifiers, and an orbit loop, run by :func:`fejerlab.dynamics.iterate`.  Both
+come from one text, so the orbit equals the ``apply`` orbit bit for bit.
+Parameter values are bound per operator, so the operators of one tree shape
+and dimension share one compiled function; nothing is compiled at import.
+
+Inner products are plain left-to-right sums of rounded products.  At d = 1
+that is numpy's arithmetic, bit for bit; at d >= 2 a result may differ from
+numpy's in the last places, and in exchange it does not depend on the BLAS
+kernel the machine picks.
 
 Each node also computes its averagedness certificate at construction, from
 its children's; :func:`certify` reads it.  The calculus is structural and
@@ -16,14 +24,25 @@ is expected to survive :func:`verify_averaged` empirically.
 
 from __future__ import annotations
 
+import math
+import textwrap
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError
-from .geometry import AffineSubspace, Ball, ConvexSet, Ray, as_vector, full_space
+from .errors import DimensionMismatchError, NonFiniteValueError
+from .geometry import (
+    AffineSubspace,
+    Ball,
+    ConvexSet,
+    KernelSource,
+    Ray,
+    as_vector,
+    full_space,
+)
 from .report import FAIL, PASS, DiagnosticsReport
 
 __all__ = [
@@ -134,6 +153,89 @@ def _linear_certificate(mat: np.ndarray) -> AveragednessCertificate:
     return _UNKNOWN_CERT
 
 
+# One function per (tree shape, d): ``_bind`` takes the parameter values of
+# one tree and returns its one-step function and its orbit loop.  The loop
+# writes rows 0..n_steps of the (n_steps + 1, d) float array ``pts``; it stops
+# at an exact fixed point or 2-cycle and pads the rest with the pattern.
+_KERNEL = """\
+def _bind({params}):
+    def step({xs}):
+{step}
+        return ({ys},)
+
+    def run(pts, {xs}, n_steps, cap2):
+        out = memoryview(pts.reshape(-1))
+        cur = ({xs},)
+        pts[0] = cur
+        prev = None
+        k = {d}
+        for i in range(1, n_steps + 1):
+{loop}
+            if not {norm2} <= cap2:  # NaN fails the comparison too
+                raise NonFiniteValueError(
+                    f"orbit left the representable range at step {{i}}"
+                )
+            {store}
+            k += {d}
+            nxt = ({ys},)
+            # a repeat must match in sign too, as 0.0 == -0.0
+            if nxt == cur and same_signs(nxt, cur):
+                pts[i + 1 :] = nxt
+                break
+            if nxt == prev and same_signs(nxt, prev):
+                pts[i + 1 :: 2] = cur
+                pts[i + 2 :: 2] = nxt
+                break
+            prev, cur = cur, nxt
+            {xs}, = nxt
+
+    return step, run
+"""
+
+_KERNEL_GLOBALS = {
+    "bisect_right": bisect_right,
+    "sqrt": math.sqrt,
+    "NonFiniteValueError": NonFiniteValueError,
+    "same_signs": lambda a, b: all(
+        math.copysign(1.0, u) == math.copysign(1.0, v) for u, v in zip(a, b)
+    ),
+}
+
+# kernel source text -> its compiled _bind, shared by all operators; the text
+# holds no parameter values, so this grows only with the tree shapes in use
+_COMPILED: dict = {}
+
+
+class _Kernel(NamedTuple):
+    """A tree's compiled float functions at one start dimension d."""
+
+    step: Callable  # (x0, .., x{d-1}) -> tuple of d floats
+    run: Callable  # (pts, x0, .., x{d-1}, n_steps, cap2) fills pts
+
+
+def _compile(T: "OperatorExpr", d: int) -> _Kernel:
+    src = KernelSource()
+    xs = [f"x{i}" for i in range(d)]
+    ys = T._emit(src, xs)
+    body = "\n".join(src.lines)
+    text = _KERNEL.format(
+        params=", ".join(f"p{i}" for i in range(len(src.params))),
+        xs=", ".join(xs),
+        ys=", ".join(ys),
+        d=d,
+        step=textwrap.indent(body, " " * 8),
+        loop=textwrap.indent(body, " " * 12),
+        norm2=" + ".join(f"{y} * {y}" for y in ys),
+        store="; ".join(f"out[k + {i}] = {y}" for i, y in enumerate(ys)),
+    )
+    bind = _COMPILED.get(text)
+    if bind is None:
+        namespace = dict(_KERNEL_GLOBALS)
+        exec(compile(text, f"<fejerlab kernel, d={d}>", "exec"), namespace)
+        bind = _COMPILED[text] = namespace["_bind"]
+    return _Kernel(*bind(*src.params))
+
+
 class OperatorExpr:
     """Base class for nonexpansive-map expression nodes."""
 
@@ -144,13 +246,22 @@ class OperatorExpr:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the expression at ``x``."""
-        return self._fn(as_vector(x, self.dim))
+        v = as_vector(x, self.dim)
+        return np.array(self._kernel(v.size).step(*v.tolist()))
 
-    def _install(self, dim, fn, cert=_UNKNOWN_CERT, scalar=False) -> None:
-        # scalar: fn also maps a Python float to a float, with the same bits
+    def _kernel(self, d: int) -> _Kernel:
+        """The compiled functions at start dimension ``d``, built on first use."""
+        kernels = self.__dict__.setdefault("_kernels", {})
+        if d not in kernels:
+            kernels[d] = _compile(self, d)
+        return kernels[d]
+
+    def _emit(self, src: KernelSource, x: list[str]) -> list[str]:
+        """Float source of this node's value at the point named ``x``."""
+        raise NotImplementedError
+
+    def _install(self, dim, cert=_UNKNOWN_CERT) -> None:
         object.__setattr__(self, "_dim", dim)
-        object.__setattr__(self, "_fn", fn)
-        object.__setattr__(self, "_scalar", scalar)
         object.__setattr__(self, "_cert", cert)
 
     # value semantics: equal type and equal fields, as for convex sets
@@ -161,13 +272,19 @@ class OperatorExpr:
 @dataclass(frozen=True, eq=False)
 class Identity(OperatorExpr):
     def __post_init__(self):
-        self._install(None, lambda x: +x, _FIRM_CERT, scalar=True)
+        self._install(None, _FIRM_CERT)
+
+    def _emit(self, src, x):
+        return x
 
 
 @dataclass(frozen=True, eq=False)
 class Negation(OperatorExpr):
     def __post_init__(self):
-        self._install(None, lambda x: -x, _NONEXPANSIVE_CERT, scalar=True)
+        self._install(None, _NONEXPANSIVE_CERT)
+
+    def _emit(self, src, x):
+        return src.lets("-{}", x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +295,10 @@ class Translation(OperatorExpr):
         b = as_vector(self.shift).copy()
         b.setflags(write=False)
         object.__setattr__(self, "shift", b)
-        self._install(b.size, lambda x: x + b, _NONEXPANSIVE_CERT)
+        self._install(b.size, _NONEXPANSIVE_CERT)
+
+    def _emit(self, src, x):
+        return src.lets("{} + {}", x, src.vector(self.shift))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +314,10 @@ class Linear(OperatorExpr):
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        self._install(m.shape[0], lambda x: m @ x, _linear_certificate(m))
+        self._install(m.shape[0], _linear_certificate(m))
+
+    def _emit(self, src, x):
+        return _emit_matvec(src, self.matrix, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +339,11 @@ class AffineMap(OperatorExpr):
         b.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "shift", b)
-        self._install(m.shape[0], lambda x: m @ x + b, _linear_certificate(m))
+        self._install(m.shape[0], _linear_certificate(m))
+
+    def _emit(self, src, x):
+        mx = _emit_matvec(src, self.matrix, x)
+        return src.lets("{} + {}", mx, src.vector(self.shift))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +351,10 @@ class Projector(OperatorExpr):
     target: ConvexSet
 
     def __post_init__(self):
-        self._install(self.target.dim, self.target._project, _FIRM_CERT)
+        self._install(self.target.dim, _FIRM_CERT)
+
+    def _emit(self, src, x):
+        return self.target._emit(src, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +362,10 @@ class Reflector(OperatorExpr):
     target: ConvexSet
 
     def __post_init__(self):
-        proj = self.target._project
-        self._install(self.target.dim, lambda x: 2.0 * proj(x) - x, _NONEXPANSIVE_CERT)
+        self._install(self.target.dim, _NONEXPANSIVE_CERT)
+
+    def _emit(self, src, x):
+        return _emit_reflection(src, self.target, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,8 +382,6 @@ class ConvexCombination(OperatorExpr):
             raise ValueError("alpha must lie strictly between 0 and 1")
         object.__setattr__(self, "alpha", a)
         dim = _merge_dims(self.left.dim, self.right.dim)
-        lf, rf = self.left._fn, self.right._fn
-        scalar = self.left._scalar and self.right._scalar
         cl, cr = self.left._cert, self.right._cert
         if isinstance(self.left, Identity) and cr.is_nonexpansive:
             cert = _averaged(a * (cr.alpha if cr.is_averaged else 1.0))
@@ -263,7 +393,12 @@ class ConvexCombination(OperatorExpr):
             cert = _NONEXPANSIVE_CERT
         else:
             cert = _UNKNOWN_CERT
-        self._install(dim, lambda x: (1.0 - a) * lf(x) + a * rf(x), cert, scalar)
+        self._install(dim, cert)
+
+    def _emit(self, src, x):
+        left, right = self.left._emit(src, x), self.right._emit(src, x)
+        b, a = src.param(1.0 - self.alpha), src.param(self.alpha)
+        return src.lets(f"{b} * {{}} + {a} * {{}}", left, right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +410,6 @@ class Composition(OperatorExpr):
 
     def __post_init__(self):
         dim = _merge_dims(self.outer.dim, self.inner.dim)
-        of, inf_ = self.outer._fn, self.inner._fn
-        scalar = self.outer._scalar and self.inner._scalar
         co, ci = self.outer._cert, self.inner._cert
         if co.is_averaged and ci.is_averaged:
             a1, a2 = co.alpha, ci.alpha
@@ -285,7 +418,10 @@ class Composition(OperatorExpr):
             cert = _NONEXPANSIVE_CERT
         else:
             cert = _UNKNOWN_CERT
-        self._install(dim, lambda x: of(inf_(x)), cert, scalar)
+        self._install(dim, cert)
+
+    def _emit(self, src, x):
+        return self.outer._emit(src, self.inner._emit(src, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,15 +432,11 @@ class DouglasRachford(OperatorExpr):
     second: ConvexSet
 
     def __post_init__(self):
-        dim = _merge_dims(self.first.dim, self.second.dim)
-        pa, pb = self.first._project, self.second._project
+        self._install(_merge_dims(self.first.dim, self.second.dim), _FIRM_CERT)
 
-        def fn(x):
-            ra = 2.0 * pa(x) - x
-            rb = 2.0 * pb(ra) - ra
-            return 0.5 * (x + rb)
-
-        self._install(dim, fn, _FIRM_CERT)
+    def _emit(self, src, x):
+        r = _emit_reflection(src, self.second, _emit_reflection(src, self.first, x))
+        return src.lets("0.5 * ({} + {})", x, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,22 +467,27 @@ class ScalarPiecewiseLinear(OperatorExpr):
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "slopes", sl)
         object.__setattr__(self, "anchor_value", float(self.anchor_value))
-        ys = np.concatenate(
-            [[self.anchor_value], self.anchor_value + np.cumsum(sl[1:-1] * np.diff(xs))]
-        )
-        xs_l, ys_l, sl_l = xs.tolist(), ys.tolist(), sl.tolist()
+        self._install(1, _NONEXPANSIVE_CERT)
 
-        # t is a float or a (1,) array; a one-element comparison is a truth value
-        def fn(t):
-            j = bisect_right(xs_l, t)
-            if j == 0:
-                return ys_l[0] + sl_l[0] * (t - xs_l[0])
-            return ys_l[j - 1] + sl_l[j] * (t - xs_l[j - 1])
-
-        self._install(1, fn, _NONEXPANSIVE_CERT, scalar=True)
+    def _emit(self, src, x):
+        (t,) = x
+        xs, sl, a = self.breakpoints, self.slopes, self.anchor_value
+        ys = np.concatenate([[a], a + np.cumsum(sl[1:-1] * np.diff(xs))])
+        xs, sl, ys = (src.param(v.tolist()) for v in (xs, sl, ys))
+        j = src.let(f"bisect_right({xs}, {t})")  # slopes[j] applies at t
+        k = src.let(f"{j} - 1 if {j} else 0")  # left of t, or the first breakpoint
+        return [src.let(f"{ys}[{k}] + {sl}[{j}] * ({t} - {xs}[{k}])")]
 
     def value_at(self, t: float) -> float:
-        return self._fn(float(t))
+        return self._kernel(1).step(float(t))[0]
+
+
+def _emit_matvec(src: KernelSource, matrix: np.ndarray, x: list[str]) -> list[str]:
+    return [src.dot(src.vector(row), x) for row in matrix]
+
+
+def _emit_reflection(src: KernelSource, C: ConvexSet, x: list[str]) -> list[str]:
+    return src.lets("2.0 * {} - {}", C._emit(src, x), x)
 
 
 def certify(T: OperatorExpr) -> AveragednessCertificate:
@@ -376,13 +513,14 @@ def _verify_pairs(checker, T, violation, params, trials, seed, tol, dim, box):
         raise ValueError("trials must be >= 1")
     d = _resolve_dim(T, dim)
     rng = np.random.default_rng(seed)
-    fn = T._fn
+    step = T._kernel(d).step
     worst = -np.inf
     worst_pair = None
     for i in range(trials):
         x = rng.uniform(-box, box, d)
         y = rng.uniform(-box, box, d)
-        viol = float(violation(x, y, fn(x), fn(y)))
+        tx, ty = np.array(step(*x.tolist())), np.array(step(*y.tolist()))
+        viol = float(violation(x, y, tx, ty))
         if viol > worst:
             worst, worst_pair = viol, (i, x, y)
     params = {**params, "trials": trials, "tol": tol, "dim": d, "box": box}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fejerlab import analysis
 from fejerlab.analysis import (
     check_asymptotic_regularity,
     check_cluster_orthogonality,
@@ -241,6 +242,28 @@ def test_check_fejer_matches_broadcast_formula(d, scale):
     assert rep.witness["distance_before"] == dists[step, widx]
     assert rep.witness["distance_after"] == dists[step + 1, widx]
     assert rep.witness["increase"] == increases.max()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 149, 298, 299])
+def test_check_fejer_blocks_give_the_whole_array_result(monkeypatch, rows):
+    # an exact 3-cycle repeats its largest increase every third step: the
+    # first one is reported, whichever block it falls in
+    rng = np.random.default_rng(11)
+    C = Ball([0.0, 0.0], 0.5)
+    cycle, walk = np.tile(rng.normal(size=(3, 2)), (100, 1)), rng.normal(size=(300, 2))
+    for pts in (cycle, walk):
+        whole = check_fejer(pts, C, witnesses=7, seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "FEJER_BLOCK_ROWS", rows)
+            blocked = check_fejer(pts, C, witnesses=7, seed=3)
+        assert whole.failed and blocked.metadata == whole.metadata
+        assert np.array_equal(blocked.per_step, whole.per_step)
+        for key in ("step", "distance_before", "distance_after", "increase"):
+            assert blocked.witness[key] == whole.witness[key], key
+        points = blocked.witness["witness_point"], whole.witness["witness_point"]
+        assert np.array_equal(*points)
+        if pts is cycle:
+            assert blocked.witness["step"] < 3
 
 
 # ---------------------------------------------------------------------------

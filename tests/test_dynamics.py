@@ -114,8 +114,8 @@ def _projection_trees_on_the_line():
 
 _R = ScalarPiecewiseLinear([-1.0, 1.0], [0.5, -0.8, 0.3], anchor_value=0.7)
 
-# a plain-float copy of these maps, a * t (+ b), kept the sign of a zero
-# product where apply's m @ x does not, so its orbits left apply's
+# a plain product a * t (+ b) keeps the sign of a zero product where numpy's
+# m @ x, which adds it to +0.0, does not; the kernels add it to +0.0 too
 _SIGNED_ZERO_STARTS = [
     (Linear([[-0.0]]), [1.5]),
     (Linear([[2.0]]), [-0.0]),
@@ -123,14 +123,14 @@ _SIGNED_ZERO_STARTS = [
 ]
 
 
-@pytest.mark.parametrize("float_evaluator", [True, False])
-def test_iterate_matches_naive_evaluation(float_evaluator):
-    # both engines at d = 1 run the closure that apply runs: the plain-float
-    # one drives trees of float-capable nodes; the numpy one drives every tree
-    # with a projection or a matrix, and the piecewise-linear closure inside
-    # such a tree gets (1,) arrays
+@pytest.mark.parametrize("float_nodes_only", [True, False])
+def test_iterate_matches_naive_evaluation(float_nodes_only):
+    # iterate's loop and apply's step come from one kernel source per tree, so
+    # the orbit is apply's orbit bit for bit, padding and signed zeros included;
+    # the piecewise-linear map runs alone and inside trees with projections,
+    # matrices and shifts
     rng = np.random.default_rng(0)
-    if float_evaluator:
+    if float_nodes_only:
         trees = [_R, ConvexCombination(0.4, Identity(), _R), Composition(Negation(), _R)]
         starts = []
     else:
@@ -142,7 +142,6 @@ def test_iterate_matches_naive_evaluation(float_evaluator):
         starts = _SIGNED_ZERO_STARTS
     cases = [(T, rng.uniform(-5, 5, 1)) for T in trees for _ in range(20)]
     for T, x0 in cases + starts:
-        assert T._scalar == float_evaluator, T
         traj = iterate(T, x0, 60)
         assert traj.points.tobytes() == _naive_orbit(T, x0, 60).tobytes(), (T, x0)
 
@@ -166,13 +165,71 @@ def test_norm_cap_raises():
     with pytest.raises(NonFiniteValueError):
         iterate(Linear(3.0 * np.eye(2)), [1.0, 1.0], 200)
     with pytest.raises(NonFiniteValueError):
-        iterate(Linear(np.array([[3.0]])), [1.0], 200)  # scalar path
+        iterate(Linear(np.array([[3.0]])), [1.0], 200)
 
 
 def test_trajectory_points_read_only():
     traj = iterate(Negation(), [1.0], 3)
     with pytest.raises(ValueError):
         traj.points[0, 0] = 7.0
+
+
+@pytest.mark.parametrize(
+    "n_steps", [2.5, 3.0, True, False, np.True_, "3", None],
+    ids=["2.5", "3.0", "True", "False", "np.True_", "str", "None"],
+)
+def test_iterate_rejects_a_non_integer_step_count(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        iterate(Negation(), [1.0], n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_iterate_accepts_python_and_numpy_integers(n_steps):
+    orbit = iterate(Negation(), [1.0], n_steps).points[:, 0]
+    assert orbit.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, np.int64(0)])
+def test_iterate_needs_at_least_one_step(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        iterate(Negation(), [1.0], n_steps)
+
+
+def test_trajectory_rejects_zero_dimensional_points():
+    with pytest.raises(ValueError, match="vectors must have positive dimension"):
+        Trajectory(np.zeros((3, 0)))
+
+
+def test_trajectory_copies_what_callers_pass():
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    traj = Trajectory(a)
+    a[0, 0] = 7.0
+    assert traj.points[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        traj.points[0, 0] = 7.0
+
+
+def test_orbit_builders_hand_over_fresh_arrays(monkeypatch):
+    # the builders make their arrays themselves, so they skip the public
+    # constructor's copy; the points are read-only all the same
+    def copying_constructor_called(self):
+        raise AssertionError("copied a fresh array")
+
+    monkeypatch.setattr(Trajectory, "__post_init__", copying_constructor_called)
+    raw = iterate(Translation([0.5, -1.0]), [1.0, 2.0], 6)
+    other = iterate(Translation([0.5, -1.0]), [0.0, 2.0], 6)
+    built = [
+        raw,
+        normalized_from_raw(raw, [-0.5, 1.0]),
+        shadow(raw, Ball([0.0, 0.0], 1.0)),
+        difference_orbit(raw, other),
+    ]
+    for traj in built:
+        assert not traj.points.flags.writeable
+        with pytest.raises(ValueError):
+            traj.points[0, 0] = 7.0
+    assert np.all(built[1].points == [1.0, 2.0])
+    assert np.all(built[3].points == [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

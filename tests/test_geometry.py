@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from fejerlab.geometry import (
     AffineSubspace,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     Hyperplane,
     LinearSubspace,
@@ -27,6 +29,7 @@ from fejerlab.geometry import (
     full_space,
     sample_witnesses,
 )
+from fejerlab.operators import Projector, Reflector
 
 
 def _set_zoo(dim=3):
@@ -272,6 +275,35 @@ def test_single_vector_projection_keeps_reference_bits(dim):
     for C in _set_zoo(dim) + _zero_parameter_sets(dim):
         for x in _probe_rows(C, seed=dim):
             assert C.project(x).tobytes() == _reference_project(C, x).tobytes(), (C, x)
+
+
+def _largest_parameter(C):
+    """Largest |entry| of a set's parameters, through a sum's operands."""
+    values = [getattr(C, f.name) for f in dataclasses.fields(C)]
+    sizes = [_largest_parameter(v) for v in values if isinstance(v, ConvexSet)]
+    arrays = [np.abs(v) for v in values if isinstance(v, (np.ndarray, float))]
+    sizes += [a.max(initial=0.0) for a in arrays]
+    return max(sizes)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_float_kernels_follow_project(dim):
+    # each set kind's float kernel is its numpy kernel written over scalars: at
+    # d = 1 every inner product is one multiplication, so Projector and
+    # Reflector keep project's and reflect's bits; at d >= 2 an inner product
+    # is a plain sum and may round differently, within a few ulps of the data
+    eps = np.finfo(float).eps
+    for C in _set_zoo(dim) + _zero_parameter_sets(dim):
+        P, R = Projector(C), Reflector(C)
+        for x in _probe_rows(C, seed=dim):
+            p, r = P.apply(x), R.apply(x)
+            if dim == 1:
+                assert p.tobytes() == C.project(x).tobytes(), (C, x)
+                assert r.tobytes() == C.reflect(x).tobytes(), (C, x)
+                continue
+            bound = 8.0 * eps * (1.0 + np.abs(x).max() + _largest_parameter(C))
+            assert np.all(np.abs(p - C.project(x)) <= bound), (C, x)
+            assert np.all(np.abs(r - C.reflect(x)) <= 2.0 * bound), (C, x)
 
 
 def test_minkowski_projection_against_cvxpy():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from fejerlab.errors import DimensionMismatchError
+from fejerlab import operators
+from fejerlab.dynamics import iterate
+from fejerlab.errors import DimensionMismatchError, UnsupportedSetError
 from fejerlab.geometry import (
     AffineSubspace,
     Ball,
     Halfspace,
     Hyperplane,
+    MinkowskiSum,
     Ray,
     sample_witnesses,
 )
@@ -106,34 +109,97 @@ _PWL = ScalarPiecewiseLinear([-1.0, 2.0], [-0.5, 1.0, 0.0], anchor_value=0.5)
 _BALL = Ball([0.0], 1.0)
 
 
+def _reference_apply(T, x):
+    """Each node kind's numpy evaluation, the reference for its float kernel:
+    at d = 1 every product in it is one rounded multiplication."""
+    if isinstance(T, Identity):
+        return +x
+    if isinstance(T, Negation):
+        return -x
+    if isinstance(T, Translation):
+        return x + T.shift
+    if isinstance(T, Linear):
+        return T.matrix @ x
+    if isinstance(T, AffineMap):
+        return T.matrix @ x + T.shift
+    if isinstance(T, Projector):
+        return T.target.project(x)
+    if isinstance(T, Reflector):
+        return T.target.reflect(x)
+    if isinstance(T, ConvexCombination):
+        left, right = _reference_apply(T.left, x), _reference_apply(T.right, x)
+        return (1.0 - T.alpha) * left + T.alpha * right
+    if isinstance(T, Composition):
+        return _reference_apply(T.outer, _reference_apply(T.inner, x))
+    if isinstance(T, DouglasRachford):
+        return 0.5 * (x + T.second.reflect(T.first.reflect(x)))
+    xs, sl, a = T.breakpoints, T.slopes, T.anchor_value
+    ys = np.concatenate([[a], a + np.cumsum(sl[1:-1] * np.diff(xs))])
+    t = float(x[0])
+    j = int(np.searchsorted(xs, t, side="right"))
+    if j == 0:
+        return np.array([ys[0] + sl[0] * (t - xs[0])])
+    return np.array([ys[j - 1] + sl[j] * (t - xs[j - 1])])
+
+
 @pytest.mark.parametrize(
-    "T,scalar",
+    "T",
     [
-        pytest.param(Identity(), True, id="identity"),
-        pytest.param(Negation(), True, id="negation"),
-        pytest.param(_PWL, True, id="piecewise-linear"),
-        pytest.param(ConvexCombination(0.3, Identity(), _PWL), True, id="combination"),
-        pytest.param(Composition(Negation(), _PWL), True, id="composition"),
-        pytest.param(Translation([1.0]), False, id="translation"),
-        pytest.param(Linear([[0.5]]), False, id="linear"),
-        pytest.param(AffineMap([[0.5]], [1.0]), False, id="affine"),
-        pytest.param(Projector(_BALL), False, id="projector"),
-        pytest.param(Reflector(_BALL), False, id="reflector"),
-        pytest.param(DouglasRachford(_BALL, Ball([3.0], 1.0)), False, id="douglas-rachford"),
-        pytest.param(
-            ConvexCombination(0.3, _PWL, Linear([[0.5]])), False, id="combination-mixed"
-        ),
-        pytest.param(Composition(Projector(_BALL), _PWL), False, id="composition-mixed"),
+        pytest.param(Identity(), id="identity"),
+        pytest.param(Negation(), id="negation"),
+        pytest.param(_PWL, id="piecewise-linear"),
+        pytest.param(ConvexCombination(0.3, Identity(), _PWL), id="combination"),
+        pytest.param(Composition(Negation(), _PWL), id="composition"),
+        pytest.param(Translation([1.0]), id="translation"),
+        pytest.param(Linear([[0.5]]), id="linear"),
+        pytest.param(Linear([[-0.0]]), id="linear-negative-zero"),
+        pytest.param(AffineMap([[0.5]], [1.0]), id="affine"),
+        pytest.param(AffineMap([[0.5]], [-0.0]), id="affine-negative-zero"),
+        pytest.param(Projector(_BALL), id="projector"),
+        pytest.param(Reflector(_BALL), id="reflector"),
+        pytest.param(DouglasRachford(_BALL, Ball([3.0], 1.0)), id="douglas-rachford"),
+        pytest.param(ConvexCombination(0.3, _PWL, Linear([[0.5]])), id="combination-mixed"),
+        pytest.param(Composition(Projector(_BALL), _PWL), id="composition-mixed"),
     ],
 )
-def test_scalar_flag_per_node_kind(T, scalar):
-    # _scalar: the node's one closure also maps a float to a float
-    assert T._scalar is scalar
-    if scalar:
-        for t in (-2.5, -1.0, -0.0, 0.0, 0.75, 2.0, 3.0):
-            y = T._fn(t)
-            assert type(y) is float
-            assert np.array([y]).tobytes() == T.apply([t]).tobytes(), t
+def test_scalar_flag_per_node_kind(T):
+    # every node kind evaluates on floats; at d = 1 its kernel does numpy's
+    # arithmetic, signed zeros included, so apply and value_at keep the bits
+    # of the node's numpy evaluation
+    for t in (-2.5, -1.0, -0.0, 0.0, 0.75, 1.5, 2.0, 3.0):
+        y = T.apply([t])
+        assert y.dtype == np.float64 and y.shape == (1,)
+        assert y.tobytes() == _reference_apply(T, np.array([t])).tobytes(), t
+        if isinstance(T, ScalarPiecewiseLinear):
+            assert np.array([T.value_at(t)]).tobytes() == y.tobytes(), t
+
+
+def test_sweep_operators_share_compiled_kernels(monkeypatch):
+    # kernels are compiled per tree shape and dimension, and parameters are
+    # bound per operator: the scalar sweep's trees share one kernel and the
+    # codim1 sweep's one per dimension, however many operators a sweep builds
+    monkeypatch.setattr(operators, "_COMPILED", {})
+    rng = np.random.default_rng(3)
+    for i in range(200):
+        R = random_scalar_piecewise_linear(rng)
+        T = ConvexCombination(0.1 * (1 + i % 9), Identity(), R)
+        iterate(T, [rng.uniform(-10, 10)], 50)
+    for i in range(50):
+        d = 2 + i % 2
+        normal = rng.normal(size=d)
+        C = Hyperplane(normal / np.linalg.norm(normal), rng.uniform(-2, 2))
+        T = ConvexCombination(rng.uniform(0.05, 0.95), Identity(), Reflector(C))
+        iterate(T, rng.uniform(-5, 5, d), 50)
+    assert len(operators._COMPILED) <= 3
+
+
+def test_unsupported_minkowski_sum_raises_on_use():
+    C = MinkowskiSum(Halfspace([1.0, 0.0], 1.0), Ray([0.0, 0.0], [0.0, 1.0]))
+    T = Projector(C)  # constructing is fine, as for the set itself
+    with pytest.raises(UnsupportedSetError):
+        T.apply([0.0, 0.0])
+    with pytest.raises(UnsupportedSetError):
+        iterate(T, [0.0, 0.0], 5)
 
 
 # ---------------------------------------------------------------------------
