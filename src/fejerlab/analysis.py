@@ -24,6 +24,7 @@ from .dynamics import (
     DEFAULT_TOL,
     Trajectory,
     detect_limit,
+    periodic_rows,
     shadow,
 )
 from .errors import NonFiniteValueError, UnsupportedSetError
@@ -72,14 +73,19 @@ def check_fejer(
     pts = _points_of(trajectory)
     if pts.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
-    radius, ws = _witness_points(pts, C, witnesses, seed, witness_radius)
+    # past an orbit's exact cycle the rows repeat, so the largest distance
+    # and the first largest increase lie in the rows before
+    head = pts
+    if isinstance(trajectory, Trajectory):
+        head = pts[: periodic_rows(trajectory)]
+    radius, ws = _witness_points(head, C, witnesses, seed, witness_radius)
     sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
     per_step = sq_anchor[:-1] - sq_anchor[1:]
     # the first largest increase in step order; each distance has the bits of
     # one whole-array cdist, and an earlier block wins a tie
     worst, at = -np.inf, None
-    for start in range(0, pts.shape[0] - 1, FEJER_BLOCK_ROWS):
-        dists = cdist(pts[start : start + FEJER_BLOCK_ROWS + 1], ws)
+    for start in range(0, head.shape[0] - 1, FEJER_BLOCK_ROWS):
+        dists = cdist(head[start : start + FEJER_BLOCK_ROWS + 1], ws)
         increases = dists[1:] - dists[:-1]
         row, col = np.unravel_index(int(np.argmax(increases)), increases.shape)
         if increases[row, col] > worst:

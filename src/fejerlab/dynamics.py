@@ -10,9 +10,12 @@ Trajectories are immutable (points array is read-only after construction).
 ``T.apply`` runs the one-step function compiled from the same source, so the
 orbit equals the orbit of ``T.apply`` bit for bit.  Orbits use plain IEEE
 double arithmetic in a fixed order, independent of BLAS.  The loop terminates
-a run early when the orbit hits an exact fixed point or an exact period-2
-cycle, padding the remaining points with the (exactly continued) pattern, and
-raises NonFiniteValueError past ``DEFAULT_NORM_CAP``.
+a run early when the orbit enters an exact cycle of any period, padding the
+remaining points with the (exactly continued) cycle, and raises
+NonFiniteValueError past ``DEFAULT_NORM_CAP``.  The trajectory records the
+row from which it repeats and the period (``periodic_from``, ``period``);
+:func:`periodic_rows` turns them into the leading rows that a check of
+per-step values needs to read.
 
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
 diameter over the rows that are not exact repeats of the row one or two steps
@@ -22,6 +25,7 @@ finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,19 +57,36 @@ class Trajectory:
 
     ``points`` is read-only.  The constructor copies what it is given; the
     orbit builders hand over arrays they have just made with :meth:`_own`.
+
+    ``periodic_from`` and ``period`` are set only by :func:`iterate`, when its
+    kernel saw the orbit repeat: row j + period equals row j bit for bit for
+    every j >= periodic_from.  Every other trajectory has None for both.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
         self._set_points(np.array(self.points, dtype=float))
+        self._periodic_from = self._period = None
 
     @classmethod
-    def _own(cls, points: np.ndarray) -> "Trajectory":
+    def _own(
+        cls, points: np.ndarray, periodic_from: int | None = None,
+        period: int | None = None,
+    ) -> "Trajectory":
         """Wrap a fresh float array that no one else holds, without a copy."""
         traj = cls.__new__(cls)
         traj._set_points(points)
+        traj._periodic_from, traj._period = periodic_from, period
         return traj
+
+    @property
+    def periodic_from(self) -> int | None:
+        return self._periodic_from
+
+    @property
+    def period(self) -> int | None:
+        return self._period
 
     def _set_points(self, pts: np.ndarray) -> None:
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -125,8 +146,24 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     x0 = as_vector(x0, T.dim)
     pts = np.empty((n + 1, x0.size))
     cap2 = DEFAULT_NORM_CAP * DEFAULT_NORM_CAP
-    T._kernel(x0.size).run(pts, *x0.tolist(), n, cap2)
-    return Trajectory._own(pts)
+    cycle = T._kernel(x0.size).run(pts, *x0.tolist(), n, cap2)
+    return Trajectory._own(pts, *(cycle or ()))
+
+
+def periodic_rows(*orbits: Trajectory) -> int:
+    """Leading rows of equally long orbits that hold every per-step value.
+
+    A per-step value reads rows k and k + 1 of each orbit.  When every orbit
+    repeats, from row q on with the lcm p of their periods, the value at
+    k >= q + p equals the one at k - p; so each value, its maximum and its
+    first argmax already appear in rows [0, q + p + 1).
+    """
+    n = len(orbits[0])
+    if any(o.period is None for o in orbits):
+        return n
+    q = max(o.periodic_from for o in orbits)
+    p = math.lcm(*(o.period for o in orbits))
+    return min(n, q + p + 1)
 
 
 def normalized_from_raw(raw: Trajectory, v) -> Trajectory:

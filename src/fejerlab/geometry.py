@@ -265,7 +265,11 @@ class Ball(ConvexSet):
             return self.center + d * (r / math.sqrt(n2))
         n2 = np.vecdot(d, d)
         scale = r / np.sqrt(np.maximum(n2, r * r))  # rows inside discard it; no 0 division
-        return np.where((n2 <= r * r)[:, None], x, self.center + d * scale[:, None])
+        # in place, so no (n, d) temporary: d * s + c is c + d * s bit for bit
+        d *= scale[:, None]
+        d += self.center
+        np.copyto(d, x, where=(n2 <= r * r)[:, None])
+        return d
 
     def _emit(self, src, x):
         c, r = src.vector(self.center), src.param(self.radius)

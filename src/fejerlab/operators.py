@@ -155,8 +155,14 @@ def _linear_certificate(mat: np.ndarray) -> AveragednessCertificate:
 
 # One function per (tree shape, d): ``_bind`` takes the parameter values of
 # one tree and returns its one-step function and its orbit loop.  The loop
-# writes rows 0..n_steps of the (n_steps + 1, d) float array ``pts``; it stops
-# at an exact fixed point or 2-cycle and pads the rest with the pattern.
+# writes rows 0..n_steps of the (n_steps + 1, d) float array ``pts``.  It
+# stops at an exact cycle of any period by Brent's method (R. P. Brent, BIT
+# 20, 1980): each new state is compared with one anchor state, and the anchor
+# moves to the current state whenever the steps since it reach a span that
+# doubles each time.  On a repeat it copies whole periods into the remaining
+# rows, in blocks that double, and returns the anchor row q and the period p,
+# so that row j + p equals row j bit for bit for every j >= q; it returns
+# None if no state repeats.
 _KERNEL = """\
 def _bind({params}):
     def step({xs}):
@@ -165,9 +171,9 @@ def _bind({params}):
 
     def run(pts, {xs}, n_steps, cap2):
         out = memoryview(pts.reshape(-1))
-        cur = ({xs},)
-        pts[0] = cur
-        prev = None
+        anchor = ({xs},)
+        pts[0] = anchor
+        q, span, move = 0, 1, 1
         k = {d}
         for i in range(1, n_steps + 1):
 {loop}
@@ -179,15 +185,21 @@ def _bind({params}):
             k += {d}
             nxt = ({ys},)
             # a repeat must match in sign too, as 0.0 == -0.0
-            if nxt == cur and same_signs(nxt, cur):
-                pts[i + 1 :] = nxt
-                break
-            if nxt == prev and same_signs(nxt, prev):
-                pts[i + 1 :: 2] = cur
-                pts[i + 2 :: 2] = nxt
-                break
-            prev, cur = cur, nxt
+            if nxt == anchor and same_signs(nxt, anchor):
+                p = i - q
+                end = i + 1
+                while end <= n_steps:
+                    back = (end - q) // p * p  # whole periods written so far
+                    block = min(back, n_steps + 1 - end)
+                    pts[end : end + block] = pts[end - back : end - back + block]
+                    end += block
+                return q, p
+            if i == move:
+                anchor, q = nxt, i
+                span *= 2
+                move = i + span
             {xs}, = nxt
+        return None
 
     return step, run
 """
@@ -210,7 +222,7 @@ class _Kernel(NamedTuple):
     """A tree's compiled float functions at one start dimension d."""
 
     step: Callable  # (x0, .., x{d-1}) -> tuple of d floats
-    run: Callable  # (pts, x0, .., x{d-1}, n_steps, cap2) fills pts
+    run: Callable  # (pts, x0, .., x{d-1}, n_steps, cap2) fills pts -> (q, p) or None
 
 
 def _compile(T: "OperatorExpr", d: int) -> _Kernel:

@@ -42,6 +42,7 @@ from .dynamics import (
     estimate_displacement,
     iterate,
     normalized_from_raw,
+    periodic_rows,
     shadow,
 )
 from .errors import ConfigError
@@ -159,18 +160,23 @@ def run_scalar_averaged_sweep(
         y = float(rng.uniform(-start_span, start_span))
         orbit_x = iterate(T, [x], max_steps)
         orbit_y = iterate(T, [y], max_steps)
-        diff = Trajectory(orbit_x.points - orbit_y.points)
-        a = diff.points[:, 0]
-        est = detect_limit(diff, tail_window, tol)
+        # detect_limit reads the tail only
+        tail = orbit_x.tail(tail_window) - orbit_y.tail(tail_window)
+        est = detect_limit(Trajectory._own(tail), tail_window, tol)
         if est.status != CONVERGED:
             failures.append(
                 {"instance": i, "alpha": alpha, "problem": "limit", "status": est.status}
             )
             continue
         converged += 1
+        # the per-step checks below see every value in the rows before the
+        # two orbits' joint cycle repeats
+        rows = periodic_rows(orbit_x, orbit_y)
+        head_x, head_y = orbit_x.points[:rows], orbit_y.points[:rows]
+        a = head_x[:, 0] - head_y[:, 0]
         # slack scaled by the iterate magnitude: the difference of two large
         # floating-point orbits cannot be monotone to an absolute 1e-12
-        slack = difference_monotonicity_slack(orbit_x.points, orbit_y.points)
+        slack = difference_monotonicity_slack(head_x, head_y)
         mag = np.abs(a)
         if float((mag[1:] - mag[:-1] - slack).max()) > 0.0:
             failures.append(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from fejerlab.analysis import (
 )
 from fejerlab.dynamics import Trajectory, iterate
 from fejerlab.errors import NonFiniteValueError
+from fejerlab.exports import report_to_dict
 from fejerlab.geometry import (
     Ball,
     ConvexSet,
@@ -28,6 +31,8 @@ from fejerlab.geometry import (
 from fejerlab.operators import (
     ConvexCombination,
     Identity,
+    Linear,
+    Projector,
     Reflector,
     Translation,
 )
@@ -264,6 +269,41 @@ def test_check_fejer_blocks_give_the_whole_array_result(monkeypatch, rows):
         assert np.array_equal(*points)
         if pts is cycle:
             assert blocked.witness["step"] < 3
+
+
+@pytest.mark.parametrize("rows", [7, analysis.FEJER_BLOCK_ROWS])
+def test_check_fejer_on_a_cycled_orbit_reads_up_to_the_cycle(monkeypatch, rows):
+    # iterate's proven cycle lets check_fejer stop reading after one period;
+    # the report is the one of the same points with no cycle recorded
+    monkeypatch.setattr(analysis, "FEJER_BLOCK_ROWS", rows)
+    permute = Linear(np.roll(np.eye(3), 1, axis=1))
+    cases = [
+        # projections stop at a fixed point: PASS
+        (iterate(Projector(Ball([1.0, -1.0], 0.5)), [4.0, 2.0], 20_000), Ball([1.0, -1.0], 0.5), "pass"),
+        # the permuted coordinates move away from some witness by the same
+        # amount every third step: FAIL; the cycle is proven from step 3 on,
+        # as the -0.0 start comes back as +0.0
+        (iterate(permute, [-0.0, 1.0, 2.5], 20_000), Ball([0.0, 0.0, 4.0], 1.0), "fail"),
+    ]
+    for orbit, C, verdict in cases:
+        assert orbit.period is not None
+        proven = check_fejer(orbit, C, witnesses=7, seed=3)
+        plain = check_fejer(Trajectory(orbit.points), C, witnesses=7, seed=3)
+        assert proven.verdict == verdict
+        assert json.dumps(report_to_dict(proven)) == json.dumps(report_to_dict(plain))
+        assert len(proven.per_step) == len(orbit) - 1
+    # the first of the repeated largest increases is the witness
+    assert orbit.periodic_from == 3 and proven.witness["step"] == 0
+
+
+def test_check_fejer_reads_the_step_that_closes_the_first_cycle():
+    # rows repeat with period 3 from row 3 on; the largest increase is the
+    # step from row 5 back to the cycle's first point, the last one read
+    pts = np.array([[5.0], [4.0], [3.0]] + [[3.5], [2.0], [1.0]] * 5)
+    proven = check_fejer(Trajectory._own(pts.copy(), 3, 3), Point([0.0]), witnesses=3)
+    plain = check_fejer(Trajectory(pts), Point([0.0]), witnesses=3)
+    assert proven.witness["step"] == 5 and proven.witness["increase"] == 2.5
+    assert json.dumps(report_to_dict(proven)) == json.dumps(report_to_dict(plain))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
@@ -49,8 +51,10 @@ from fejerlab.dynamics import (
     estimate_displacement,
     iterate,
     normalized_from_raw,
+    periodic_rows,
     shadow,
 )
+from fejerlab.scenarios import random_scalar_piecewise_linear
 
 
 def _naive_orbit(T, x0, n):
@@ -159,6 +163,97 @@ def test_early_stall_padding_is_exact():
 def test_period_two_padding_is_exact():
     traj = iterate(Negation(), [2.5], 101)
     assert np.array_equal(traj.points, _naive_orbit(Negation(), [2.5], 101))
+
+
+def _cyclic_permutation(d):
+    return Linear(np.roll(np.eye(d), 1, axis=1))
+
+
+def _assert_repeats_as_recorded(traj):
+    q, p = traj.periodic_from, traj.period
+    assert 0 <= q and 1 <= p and q + p < len(traj)
+    pts = traj.points
+    assert pts[q + p :].tobytes() == pts[q : len(pts) - p].tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_cycle_of_any_period_pads_exactly(d):
+    # a cyclic permutation of the coordinates repeats with period d: the
+    # kernel stops there, and its padding is apply's orbit bit for bit
+    T = _cyclic_permutation(d)
+    random_start = np.random.default_rng(d).uniform(-5, 5, d)
+    signed_start = [-0.0] + [float(k) for k in range(1, d)]
+    for x0 in (random_start, signed_start):
+        traj = iterate(T, x0, 100_000)
+        assert traj.points.tobytes() == _naive_orbit(T, x0, 100_000).tobytes()
+        assert traj.period == d
+        _assert_repeats_as_recorded(traj)
+    # the -0.0 start comes back as +0.0, so the cycle starts at step 1
+    assert math.copysign(1.0, traj.points[d, 0]) == 1.0
+    assert traj.periodic_from >= 1
+
+
+@pytest.mark.parametrize("seed, alpha, period", [(94, 0.8, 4), (98, 0.3, 3)])
+def test_averaged_scalar_orbit_ends_in_an_exact_cycle(seed, alpha, period):
+    # in floating point the orbit of an averaged map settles into a cycle
+    # of a few points near its fixed point, not onto the point itself
+    rng = np.random.default_rng(seed)
+    T = ConvexCombination(alpha, Identity(), random_scalar_piecewise_linear(rng))
+    x0 = [float(rng.uniform(-10, 10))]
+    traj = iterate(T, x0, 100_000)
+    assert traj.period == period
+    _assert_repeats_as_recorded(traj)
+    assert traj.points.tobytes() == _naive_orbit(T, x0, 100_000).tobytes()
+
+
+def test_drifting_orbit_records_no_cycle():
+    T = DouglasRachford(Ball([0.0, 0.0, 0.0], 1.0), Ball([5.0, 0.0, 0.0], 1.0))
+    traj = iterate(T, [0.0, 3.0, 3.0], 20_000)
+    assert traj.periodic_from is None and traj.period is None
+    assert periodic_rows(traj) == len(traj)
+
+
+def test_fixed_points_and_two_cycles_are_recorded():
+    fixed = iterate(Projector(Ball([1.0, -1.0], 0.5)), [4.0, 2.0], 50)
+    assert fixed.period == 1 and fixed.periodic_from >= 1
+    _assert_repeats_as_recorded(fixed)
+    flip = iterate(Negation(), [2.5], 101)
+    assert flip.period == 2
+    _assert_repeats_as_recorded(flip)
+
+
+def test_only_iterate_records_a_cycle():
+    # a derived trajectory may repeat too, but nothing proved it
+    orbit = iterate(_cyclic_permutation(3), [1.0, 2.0, 3.0], 60)
+    assert orbit.period == 3
+    derived = [
+        Trajectory(orbit.points),
+        Trajectory(orbit.points[1:]),
+        Trajectory(orbit.points[::2]),
+        normalized_from_raw(orbit, [0.0, 0.0, 0.0]),
+        shadow(orbit, Ball([0.0, 0.0, 0.0], 1.0)),
+        difference_orbit(orbit, orbit),
+    ]
+    for traj in derived:
+        assert traj.periodic_from is None and traj.period is None
+    with pytest.raises(AttributeError):
+        orbit.period = 1
+    with pytest.raises(AttributeError):
+        orbit.periodic_from = 0
+
+
+def test_periodic_rows_cover_one_joint_period():
+    three = iterate(_cyclic_permutation(3), [1.0, 2.0, 3.0], 100)
+    two = iterate(Negation(), [1.0, 2.0, 3.0], 100)
+    q3, q2 = three.periodic_from, two.periodic_from
+    assert periodic_rows(three) == q3 + 3 + 1
+    assert periodic_rows(two) == q2 + 2 + 1
+    assert periodic_rows(three, two) == max(q3, q2) + 6 + 1
+    assert periodic_rows(three, Trajectory(two.points)) == 101
+    # never more rows than the orbits have
+    short = iterate(_cyclic_permutation(4), [1.0, 2.0, 3.0, 4.0], 8)
+    assert short.period == 4
+    assert periodic_rows(short, iterate(_cyclic_permutation(3), [1.0, 2.0, 3.0], 8)) == 9
 
 
 def test_norm_cap_raises():

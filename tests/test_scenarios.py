@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
+from fejerlab import scenarios
+from fejerlab.dynamics import (
+    CONVERGED,
+    Trajectory,
+    detect_limit,
+    difference_monotonicity_slack,
+    iterate,
+)
 from fejerlab.errors import ConfigError
 from fejerlab.geometry import Ball, Halfspace, Hyperplane, Ray
-from fejerlab.operators import DouglasRachford, Linear, Negation
+from fejerlab.operators import (
+    ConvexCombination,
+    DouglasRachford,
+    Identity,
+    Linear,
+    Negation,
+)
 from fejerlab.scenarios import (
     CheckDef,
     ScenarioSpec,
@@ -16,6 +30,7 @@ from fejerlab.scenarios import (
     run_codim1_sweep,
     run_decoupling_sweep,
     run_scalar_averaged_sweep,
+    random_scalar_piecewise_linear,
     run_scenario,
     run_two_ball_sweep,
 )
@@ -373,6 +388,80 @@ def test_scenario_exports_are_reproducible(tmp_path):
     assert "orbit.csv" in files_a
     for name in files_a:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def _scalar_sweep_read_in_full(instances, seed, tol, slack_scale):
+    """The failures and the converged count of run_scalar_averaged_sweep at
+    its default sizes, from whole orbits and their whole difference."""
+    alphas = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    rng = np.random.default_rng(seed)
+    failures, converged = [], 0
+    for i in range(instances):
+        alpha = alphas[i % len(alphas)]
+        T = ConvexCombination(alpha, Identity(), random_scalar_piecewise_linear(rng))
+        x = float(rng.uniform(-10.0, 10.0))
+        y = float(rng.uniform(-10.0, 10.0))
+        px, py = iterate(T, [x], 100_000).points, iterate(T, [y], 100_000).points
+        diff = Trajectory(px - py)
+        est = detect_limit(diff, 1000, tol)
+        if est.status != CONVERGED:
+            failures.append(
+                {"instance": i, "alpha": alpha, "problem": "limit", "status": est.status}
+            )
+            continue
+        converged += 1
+        a = diff.points[:, 0]
+        slack = slack_scale * difference_monotonicity_slack(px, py)
+        mag = np.abs(a)
+        if float((mag[1:] - mag[:-1] - slack).max()) > 0.0:
+            failures.append(
+                {"instance": i, "alpha": alpha, "problem": "magnitude_monotonicity"}
+            )
+            continue
+        beta = abs(1.0 - 2.0 * alpha)
+        flips = np.nonzero(a[1:] * a[:-1] < 0.0)[0]
+        if flips.size and float(
+            (mag[flips + 1] - beta * mag[flips] - slack[flips]).max()
+        ) > 0.0:
+            failures.append(
+                {"instance": i, "alpha": alpha, "problem": "sign_flip_contraction"}
+            )
+    return failures, converged
+
+
+@pytest.mark.parametrize(
+    "seed, tol, slack_scale",
+    [
+        (0, 1e-9, 1.0),
+        (2025, 1e-9, 1.0),
+        (1, 0.0, 1.0),
+        # these fail an instance only in the first period of the joint cycle
+        (2, 1e-9, 0.0),
+        (3, 1e-9, 0.0),
+        (15, 1e-9, 0.0),
+    ],
+)
+def test_scalar_sweep_reads_orbits_up_to_their_joint_cycle(
+    monkeypatch, seed, tol, slack_scale
+):
+    # the sweep reads its per-step checks up to the orbits' joint cycle and
+    # its limit from the two tails; every outcome is the whole-orbit one.
+    # Instances fail too: at tol = 0 only exact fixed points converge, and
+    # with no slack any growth of |a_n| in a cycle counts
+    seen = []
+
+    def recording_report(checker, failures, params, seed, **counts):
+        seen.append((failures, counts["converged"]))
+
+    def scaled_slack(a_points, b_points):
+        return slack_scale * difference_monotonicity_slack(a_points, b_points)
+
+    monkeypatch.setattr(scenarios, "_sweep_report", recording_report)
+    monkeypatch.setattr(scenarios, "difference_monotonicity_slack", scaled_slack)
+    run_scalar_averaged_sweep(instances=27, seed=seed, tol=tol)
+    assert seen == [_scalar_sweep_read_in_full(27, seed, tol, slack_scale)]
+    if tol == 0.0 or slack_scale == 0.0:
+        assert seen[0][0]
 
 
 def test_small_sweeps_pass():
