@@ -1,11 +1,15 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fejerlab import exports
 from fejerlab.cli import main
 from fejerlab.config import (
     OPERATOR_KINDS,
@@ -409,6 +413,156 @@ def test_trajectory_csv_header_r3(tmp_path):
     traj = Trajectory(np.zeros((2, 3)))
     path = export_trajectory(traj, tmp_path / "t.csv")
     assert path.read_text().splitlines()[0] == "n,x1,x2,x3"
+
+
+def _csv_matches_reference(path, pts) -> bool:
+    return export_trajectory(Trajectory(pts), path).read_bytes() == _per_float_csv(pts)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_trajectory_csv_bytes_match_per_float_writer_on_any_floats(tmp_path_factory, data):
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 12))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    values = data.draw(st.lists(floats, min_size=n * d, max_size=n * d))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    assert _csv_matches_reference(path, np.array(values).reshape(n, d))
+
+
+def _powers_of_ten_and_neighbours() -> np.ndarray:
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def _exact_ties() -> np.ndarray:
+    """Floats whose exact decimal has 18 significant digits, the last a 5."""
+    rng = np.random.default_rng(5)
+    ties = []
+    for j in range(2, 26):  # c / 2**j has the digits of c * 5**j
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        for c in rng.integers(lo, hi, 8) | 1:
+            digits = str(int(c) * 5**j)
+            assert len(digits) == 18 and digits[-1] == "5"
+            ties.append(int(c) / 2**j)
+    return np.array(ties)
+
+
+def test_trajectory_csv_bytes_at_powers_of_ten_and_exact_ties(tmp_path):
+    # 1e-280 reads 9.9999999999999996e-281: the exponent is taken from the
+    # floor of the scaled value, not from its rounding
+    values = _powers_of_ten_and_neighbours()
+    assert _csv_matches_reference(tmp_path / "tens.csv", values.reshape(-1, 1))
+    ties = _exact_ties()
+    # halves go to the even digit, so ties round both down and up
+    ups = set()
+    for v in ties:
+        q = Fraction(v)  # c / 2**j, whose decimal digits are those of c * 5**j
+        truncated = int(str(q.numerator * 5 ** (q.denominator.bit_length() - 1))[:17])
+        ups.add(int(format(v, ".16e").split("e")[0].replace(".", "")) - truncated)
+    assert ups == {0, 1}
+    for d in (1, 2, 3):
+        pts = np.resize(np.concatenate([ties, -ties]), (len(ties), d))
+        assert _csv_matches_reference(tmp_path / f"ties{d}.csv", pts)
+
+
+def test_csv_digits_fall_back_on_every_undecided_class():
+    classes = {
+        "zero": [0.0, -0.0],
+        "subnormal": [5e-324, 2.2250738585072009e-308],
+        "out of table": [1e300, 1.7976931348623157e308, 1e-300, 2.2250738585072014e-308],
+        "tie band": list(_exact_ties()[:5]),
+    }
+    for name, values in classes.items():
+        _, _, exact = exports._significands(np.abs(np.array(values)))
+        assert not exact.any(), name
+    _, _, exact = exports._significands(np.array([1.0, 1e-280, 1e280, 0.1, 2.0 / 3.0]))
+    assert exact.all()
+
+
+def test_double_double_products_are_exact():
+    # Dekker's two-product holds only if numpy rounds each operation on its
+    # own; an FMA contraction would break the identity
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(2000) * 10.0 ** rng.integers(-280, 280, 2000)
+    b = rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, 2000)
+    p, err = exports._two_product(a, b, *exports._split(b))
+    for x, y, hi, lo in zip(a.tolist(), b.tolist(), p.tolist(), err.tolist()):
+        assert Fraction(hi) + Fraction(lo) == Fraction(x) * Fraction(y)
+    # the scaled value is off by far less than the tie band
+    e = np.floor(np.log10(np.abs(a))).astype(np.int64)
+    whole, frac = exports._scaled_floor(np.abs(a), e)
+    for x, k, w, f in zip(np.abs(a).tolist(), e.tolist(), whole.tolist(), frac.tolist()):
+        exact = Fraction(x) * Fraction(10) ** (16 - k)
+        assert abs(w + Fraction(f) - exact) < Fraction(1, 10**13)
+
+
+@pytest.mark.parametrize("n", [exports.BLOCK - 1, exports.BLOCK + 1, 65535, 65536, 65537])
+def test_trajectory_csv_bytes_across_block_boundaries(tmp_path, n):
+    rng = np.random.default_rng(n)
+    pts = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-6, 18, (n, 2))
+    assert _csv_matches_reference(tmp_path / "t.csv", pts)
+
+
+def test_trajectory_csv_index_widths(tmp_path):
+    # the index grows a digit at 10, 100, ..., 100000
+    pts = np.random.default_rng(2).standard_normal((100_001, 1))
+    assert _csv_matches_reference(tmp_path / "t.csv", pts)
+
+
+def test_exports_into_a_missing_directory_name_the_file(tmp_path):
+    missing = tmp_path / "missing"
+    with pytest.raises(OSError, match="cannot write .*t.csv"):
+        export_trajectory(Trajectory(np.zeros((3, 2))), missing / "t.csv")
+    for per_step in (None, np.array([0.5, 0.25])):
+        rep = DiagnosticsReport("check_fejer", "pass", per_step=per_step)
+        with pytest.raises(OSError, match="cannot write .*rep.json"):
+            export_report(rep, missing / "rep.json")
+    assert not missing.exists()
+
+
+def _report_zoo():
+    rng = np.random.default_rng(3)
+    long = rng.standard_normal(200_000) * 10.0 ** rng.integers(-30, 30, 200_000)
+    long[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 1e16]
+    nested = {
+        "arrays": {"m": np.arange(6.0).reshape(2, 3), "ints": np.arange(3)},
+        "flags": [True, False, np.bool_(True)],
+        "counts": (np.int64(7), 3),
+        "per_step": [1.0],  # a nested key of the same name
+        "text": 'quote " and newline\n  "per_step": null',
+    }
+    return [
+        DiagnosticsReport("check_fejer", "pass", per_step=None),
+        DiagnosticsReport("check_fejer", "pass", per_step=np.array([])),
+        DiagnosticsReport("check_fejer", "pass", per_step=np.array([0.1])),
+        DiagnosticsReport("check_fejer", "pass", params={"tol": 1e-9}, seed=4, per_step=long),
+        DiagnosticsReport("asymptotic_regularity", "pass", per_step=np.arange(5)),
+        DiagnosticsReport("check_fejer", "pass", per_step=long[:7], metadata=nested),
+        DiagnosticsReport(
+            "check_fejer", "fail", witness={"step": 3, "point": np.array([1.0, -0.0])},
+            per_step=long[:3],
+        ),
+        DiagnosticsReport("check_shadow_superset", "inconclusive", witness={"reason": "unmet"}),
+    ]
+
+
+def test_report_json_bytes_match_json_dumps(tmp_path):
+    for i, rep in enumerate(_report_zoo()):
+        path = export_report(rep, tmp_path / f"r{i}.json")
+        expected = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("ascii"), i
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_report_json_rejects_non_finite_per_step(tmp_path, bad):
+    per_step = np.linspace(0.0, 1.0, 3 * exports.BLOCK)
+    per_step[-2] = bad
+    path = tmp_path / "rep.json"
+    with pytest.raises(ValueError, match="rep.json"):
+        export_report(DiagnosticsReport("check_fejer", "pass", per_step=per_step), path)
+    assert not path.exists()
 
 
 def test_report_json_schema(tmp_path):
