@@ -12,14 +12,13 @@ Conventions
   equality version.  Normals are stored as given (not normalized).
 * Subspace bases are stored as rows of a 2-D array and must be orthonormal
   within ``ORTHONORMAL_TOL``.
-* Each set kind has one projection kernel, ``_project``, for a (d,) point or
-  an (n, d) array; ``np.vecdot`` and stacked (1, d) matmuls round as the
-  single-vector ``a @ b`` does, so row i of ``project_many(P)`` is bit for bit
-  ``project(P[i])`` (a shadow point is ``C.project`` of its orbit point), and
-  ``sample_witnesses`` returns a (count, d) array from one batched call.
-* Each set kind also writes the same projection as straight-line float source
-  over named scalars, ``_emit`` (see :class:`KernelSource`), for the compiled
-  operator kernels; ``project`` and ``project_many`` stay on ``_project``.
+* Each set kind defines its projection once, as float source, ``_emit`` (see
+  :class:`KernelSource`): over scalars in the operator kernels, and over
+  columns in one function per set, which ``project`` runs on a point's floats
+  and ``project_many`` on blocks of rows.  So row i of ``project_many(P)``,
+  ``project(P[i])`` and ``Projector(C).apply(P[i])`` are equal bit for bit (a
+  shadow point is ``C.project`` of its orbit point), and ``sample_witnesses``
+  returns a (count, d) array from one ``project_many`` call.
 * Membership tests are absolute with default tolerance ``MEMBERSHIP_TOL``;
   so is the dual-cone test, which reads only the cone's projector and runs
   row-wise: ``dual_cone_residuals`` tests n vectors with one batched
@@ -29,7 +28,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
-import math
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +101,16 @@ class KernelSource:
     so the text depends only on a tree's shape and dimension.  An inner
     product is a plain left-to-right sum of rounded products that starts at
     0.0, so a zero sum is +0.0 as in numpy's; at d = 1 it is numpy's product.
+
+    Every choice goes through ``select`` or ``branch``.  Over floats they emit
+    a conditional expression and an ``if``.  In column mode a name holds one
+    value per point, or one float for all: both arms are computed, ``where``
+    picks, and ``sqrt`` is ``np.sqrt``.  numpy's elementwise operations round
+    as float's do, unfused, so every point keeps the bits of the float source.
     """
 
-    def __init__(self):
+    def __init__(self, columns: bool = False):
+        self.columns = columns
         self.lines: list[str] = []
         self.params: list = []
         self._indent = ""
@@ -130,9 +136,18 @@ class KernelSource:
     def dot(self, a, b) -> str:
         return self.let(" + ".join(["0.0", *(f"{u} * {v}" for u, v in zip(a, b))]))
 
+    def select(self, cond: str, a: str, b: str) -> str:
+        """Expression for ``a`` where ``cond`` holds and ``b`` elsewhere."""
+        if self.columns:
+            return f"where({cond}, {a}, {b})"
+        return f"{a} if {cond} else {b}"
+
     def branch(self, cond: str, then, otherwise) -> list[str]:
         """Names holding ``then()`` where ``cond`` holds and ``otherwise()`` else;
         each arm emits its own lines and returns names."""
+        if self.columns:
+            cond = self.let(cond)
+            return [self.let(self.select(cond, a, b)) for a, b in zip(then(), otherwise())]
         outer, names = self._indent, None
         for head, arm in ((f"if {cond}:", then), ("else:", otherwise)):
             self.lines.append(outer + head)
@@ -145,6 +160,36 @@ class KernelSource:
         self._indent = outer
         return names
 
+    def bind(self, template: str, namespace: dict, **fields):
+        """``_bind(p0, ...)`` of ``template`` filled with ``fields``, called on
+        ``params``; each text is compiled once, with ``namespace`` as globals."""
+        params = ", ".join(f"p{i}" for i in range(len(self.params)))
+        text = template.format(params=params, **fields)
+        bind = _COMPILED.get(text)
+        if bind is None:
+            scope = dict(namespace)
+            exec(compile(text, "<fejerlab kernel>", "exec"), scope)
+            bind = _COMPILED[text] = scope["_bind"]
+        return bind(*self.params)
+
+
+# source text -> its compiled ``_bind``, for every set and operator; texts
+# hold no parameter values, so this grows only with the shapes in use
+_COMPILED: dict = {}
+
+# a set's projection of the points whose coordinates are x0 .. x{d-1}
+_COLUMNS = """\
+def _bind({params}):
+    def project({xs}):
+{body}
+        return ({ys},)
+    return project
+"""
+_COLUMN_GLOBALS = {"sqrt": np.sqrt, "where": np.where}
+
+# rows per column-function call in ``project_many``, so its columns stay cached
+_BLOCK_ROWS = 8192
+
 
 class ConvexSet:
     """A nonempty closed convex set with a closed-form metric projector."""
@@ -155,7 +200,7 @@ class ConvexSet:
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``."""
-        return self._project(as_vector(x, self.dim))
+        return np.array(self._columns(*as_vector(x, self.dim).tolist()))
 
     def project_many(self, points) -> np.ndarray:
         """Row-wise projection of an (n, dim) array; row i is ``project(points[i])``."""
@@ -164,20 +209,27 @@ class ConvexSet:
             raise DimensionMismatchError(
                 f"expected shape (n, {self.dim}), got {pts.shape}"
             )
-        return self._project(pts)
+        out = np.empty(pts.shape)
+        # no rows still make one empty block, so an unsupported set raises
+        for start in range(0, len(pts) or 1, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            # assigning broadcasts a coordinate returned as one float (a Point's)
+            for i, column in enumerate(self._columns(*pts[rows].T)):
+                out[rows, i] = column
+        return out
 
     def reflect(self, x) -> np.ndarray:
         """Reflection 2 P(x) - x through the set."""
         v = as_vector(x, self.dim)
-        return 2.0 * self._project(v) - v
+        return 2.0 * self.project(v) - v
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         v = as_vector(x, self.dim)
-        return float(np.linalg.norm(v - self._project(v))) <= tol
+        return float(np.linalg.norm(v - self.project(v))) <= tol
 
     def anchor(self) -> np.ndarray:
         """Canonical point of the set (center/base/nearest-to-origin)."""
-        return self._project(np.zeros(self.dim))
+        return self.project(np.zeros(self.dim))
 
     @property
     def is_cone(self) -> bool:
@@ -186,13 +238,25 @@ class ConvexSet:
 
     # -- kernels (inputs trusted, no validation) ------------------------
 
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        """Projection of a (dim,) point or of each row of an (n, dim) array."""
+    def _emit(self, src: KernelSource, x: list[str]) -> list[str]:
+        """Source of the projection of the point named ``x``: the set kind's
+        one projection formula, for its column function and operator kernels."""
         raise NotImplementedError
 
-    def _emit(self, src: KernelSource, x: list[str]) -> list[str]:
-        """Float source of the projection of the point named ``x``, as ``_project``."""
-        raise NotImplementedError
+    def _columns(self, *columns) -> tuple:
+        """Projection of the points whose coordinates are ``columns`` (arrays
+        or floats), by ``_emit`` compiled over columns on first use."""
+        project = self.__dict__.get("_column_function")
+        if project is None:
+            src, xs = KernelSource(columns=True), [f"x{i}" for i in range(self.dim)]
+            ys = ", ".join(self._emit(src, xs))
+            body = textwrap.indent("\n".join(src.lines), " " * 8)
+            project = src.bind(_COLUMNS, _COLUMN_GLOBALS, xs=", ".join(xs), ys=ys, body=body)
+            self.__dict__["_column_function"] = project
+        # both arms of a branch are computed: the one discarded by Ball and by
+        # a ball-summand MinkowskiSum divides by 0 on a center row
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return project(*columns)
 
     def _aff_span(self) -> np.ndarray:
         """Rows spanning aff(C) - aff(C); rank gives the affine dimension."""
@@ -228,9 +292,6 @@ class Point(ConvexSet):
     def dim(self) -> int:
         return self.coords.size
 
-    def _project(self, x):
-        return np.full_like(x, self.coords)
-
     def _emit(self, src, x):
         return src.vector(self.coords)
 
@@ -254,22 +315,6 @@ class Ball(ConvexSet):
     @property
     def dim(self) -> int:
         return self.center.size
-
-    def _project(self, x):
-        d = x - self.center
-        r = self.radius
-        if x.ndim == 1:  # per-step path of iterate: a third of the masked form's cost
-            n2 = float(d @ d)
-            if n2 <= r * r:
-                return x.copy()
-            return self.center + d * (r / math.sqrt(n2))
-        n2 = np.vecdot(d, d)
-        scale = r / np.sqrt(np.maximum(n2, r * r))  # rows inside discard it; no 0 division
-        # in place, so no (n, d) temporary: d * s + c is c + d * s bit for bit
-        d *= scale[:, None]
-        d += self.center
-        np.copyto(d, x, where=(n2 <= r * r)[:, None])
-        return d
 
     def _emit(self, src, x):
         c, r = src.vector(self.center), src.param(self.radius)
@@ -318,6 +363,10 @@ class _NormalOffset(ConvexSet):
     def dim(self) -> int:
         return self.normal.size
 
+    @property
+    def is_cone(self) -> bool:
+        return self.offset == 0.0
+
     def _emit_step(self, src, x):
         """The name of the excess <normal, x> - offset, and an emitter of x
         minus its step along the normal."""
@@ -336,11 +385,6 @@ class _NormalOffset(ConvexSet):
 class Halfspace(_NormalOffset):
     """{x : <normal, x> <= offset}."""
 
-    def _project(self, x):
-        excess = np.vecdot(x, self.normal) - self.offset
-        step = (excess / self._normal_sq)[..., None] * self.normal
-        return np.where((excess <= 0.0)[..., None], x, x - step)
-
     def _emit(self, src, x):
         excess, moved = self._emit_step(src, x)
         return src.branch(f"{excess} <= 0.0", lambda: x, moved)
@@ -352,10 +396,6 @@ class Halfspace(_NormalOffset):
 @dataclass(frozen=True, eq=False)
 class Hyperplane(_NormalOffset):
     """{x : <normal, x> = offset}."""
-
-    def _project(self, x):
-        excess = np.vecdot(x, self.normal) - self.offset
-        return x - (excess / self._normal_sq)[..., None] * self.normal
 
     def _emit(self, src, x):
         return self._emit_step(src, x)[1]()
@@ -391,9 +431,6 @@ class AffineSubspace(ConvexSet):
     @property
     def dim(self) -> int:
         return self.base.size
-
-    def _project(self, x):
-        return self.base + _span_project(self.basis, x - self.base)
 
     def _emit(self, src, x):
         b = src.vector(self.base)
@@ -431,9 +468,6 @@ class LinearSubspace(ConvexSet):
     def is_cone(self) -> bool:
         return True
 
-    def _project(self, x):
-        return _span_project(self.basis, x)
-
     def _emit(self, src, x):
         return _emit_span(src, self.basis, x)
 
@@ -442,11 +476,6 @@ class LinearSubspace(ConvexSet):
 
     def _aff_span(self):
         return self.basis
-
-
-def _span_project(basis: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """basis.T @ (basis @ d), row by row for an (n, dim) d, as (1, dim) matmuls."""
-    return ((d[..., None, :] @ basis.T) @ basis)[..., 0, :]
 
 
 def _emit_span(src: KernelSource, basis: np.ndarray, d: list[str]) -> list[str]:
@@ -478,15 +507,10 @@ class Box(ConvexSet):
     def dim(self) -> int:
         return self.lower.size
 
-    def _project(self, x):
-        # not np.clip, whose loops break a +0.0/-0.0 tie one way for a point and
-        # the other way for (n, 1) rows; here the bound wins, as in np.clip for a point
-        m = np.where(x > self.lower, x, self.lower)
-        return np.where(m < self.upper, m, self.upper)
-
     def _emit(self, src, x):
-        m = src.lets("{0} if {0} > {1} else {1}", x, src.vector(self.lower))
-        return src.lets("{0} if {0} < {1} else {1}", m, src.vector(self.upper))
+        lower, upper = src.vector(self.lower), src.vector(self.upper)
+        m = [src.let(src.select(f"{v} > {b}", v, b)) for v, b in zip(x, lower)]
+        return [src.let(src.select(f"{v} < {b}", v, b)) for v, b in zip(m, upper)]
 
     def _aff_span(self):
         free = self.upper > self.lower
@@ -516,14 +540,10 @@ class Ray(ConvexSet):
     def is_cone(self) -> bool:
         return bool(np.all(self.base == 0.0))
 
-    def _project(self, x):
-        t = np.vecdot(x - self.base, self.direction)
-        return self.base + np.where(t < 0.0, 0.0, t)[..., None] * self.direction
-
     def _emit(self, src, x):
         b, u = src.vector(self.base), src.vector(self.direction)
         t = src.dot(src.lets("{} - {}", x, b), u)
-        t = src.let(f"0.0 if {t} < 0.0 else {t}")
+        t = src.let(src.select(f"{t} < 0.0", "0.0", t))
         return src.lets("{} + " + t + " * {}", b, u)
 
     def anchor(self):
@@ -553,11 +573,9 @@ class Orthant(ConvexSet):
     def is_cone(self) -> bool:
         return True
 
-    def _project(self, x):
-        return np.where(self.signs * x >= 0.0, x, 0.0)
-
     def _emit(self, src, x):
-        return src.lets("{1} if {0} * {1} >= 0.0 else 0.0", src.vector(self.signs), x)
+        signs = src.vector(self.signs)
+        return [src.let(src.select(f"{s} * {v} >= 0.0", v, "0.0")) for s, v in zip(signs, x)]
 
     def _aff_span(self):
         return np.eye(self.dim)
@@ -599,20 +617,6 @@ class MinkowskiSum(ConvexSet):
     def dim(self) -> int:
         return self.summand.dim
 
-    def _project(self, x):
-        if isinstance(self.summand, Point):
-            p = self.summand.coords
-            return p + self.cone._project(x - p)
-        if isinstance(self.summand, Ball):
-            c, r = self.summand.center, self.summand.radius
-            q = x - c
-            pk = self.cone._project(q)
-            delta = q - pk
-            dist = np.sqrt(np.vecdot(delta, delta))
-            scale = (r / np.maximum(dist, r))[..., None]
-            return np.where((dist <= r)[..., None], x, c + pk + delta * scale)
-        raise self._unsupported()
-
     def _emit(self, src, x):
         if isinstance(self.summand, Point):
             p = src.vector(self.summand.coords)
@@ -629,12 +633,8 @@ class MinkowskiSum(ConvexSet):
                 return src.lets("{} + {} + {} * " + s, c, pk, delta)
 
             return src.branch(f"{dist} <= {r}", lambda: x, outside)
-        raise self._unsupported()
-
-    def _unsupported(self):
-        return UnsupportedSetError(
-            f"no closed-form projector for {type(self.summand).__name__} + cone"
-        )
+        name = type(self.summand).__name__
+        raise UnsupportedSetError(f"no closed-form projector for {name} + cone")
 
     def anchor(self):
         return self.summand.anchor()
@@ -705,4 +705,4 @@ def sample_witnesses(
     anchor = C.anchor()
     rng = np.random.default_rng(seed)
     draws = [anchor + _ball_sample(rng, C.dim, radius) for _ in range(count - 1)]
-    return np.vstack([anchor, C._project(np.reshape(draws, (count - 1, C.dim)))])
+    return np.vstack([anchor, C.project_many(np.reshape(draws, (count - 1, C.dim)))])

@@ -2,8 +2,8 @@
 
 Operator expressions are immutable trees.  Each node has one evaluator, its
 ``_emit``: straight-line float source for its value over the coordinates
-``x0 .. x{d-1}``; each set kind's lives in :mod:`fejerlab.geometry`, next to
-its numpy ``_project``.  On first use at a start dimension d, a tree's source
+``x0 .. x{d-1}``; a set kind's is its one projection formula, in
+:mod:`fejerlab.geometry`.  On first use at a start dimension d, a tree's source
 is compiled into a one-step function, run by ``apply``, ``value_at`` and the
 verifiers, and an orbit loop, run by :func:`fejerlab.dynamics.iterate`.  Both
 come from one text, so the orbit equals the ``apply`` orbit bit for bit.
@@ -213,10 +213,6 @@ _KERNEL_GLOBALS = {
     ),
 }
 
-# kernel source text -> its compiled _bind, shared by all operators; the text
-# holds no parameter values, so this grows only with the tree shapes in use
-_COMPILED: dict = {}
-
 
 class _Kernel(NamedTuple):
     """A tree's compiled float functions at one start dimension d."""
@@ -230,22 +226,19 @@ def _compile(T: "OperatorExpr", d: int) -> _Kernel:
     xs = [f"x{i}" for i in range(d)]
     ys = T._emit(src, xs)
     body = "\n".join(src.lines)
-    text = _KERNEL.format(
-        params=", ".join(f"p{i}" for i in range(len(src.params))),
-        xs=", ".join(xs),
-        ys=", ".join(ys),
-        d=d,
-        step=textwrap.indent(body, " " * 8),
-        loop=textwrap.indent(body, " " * 12),
-        norm2=" + ".join(f"{y} * {y}" for y in ys),
-        store="; ".join(f"out[k + {i}] = {y}" for i, y in enumerate(ys)),
+    return _Kernel(
+        *src.bind(
+            _KERNEL,
+            _KERNEL_GLOBALS,
+            xs=", ".join(xs),
+            ys=", ".join(ys),
+            d=d,
+            step=textwrap.indent(body, " " * 8),
+            loop=textwrap.indent(body, " " * 12),
+            norm2=" + ".join(f"{y} * {y}" for y in ys),
+            store="; ".join(f"out[k + {i}] = {y}" for i, y in enumerate(ys)),
+        )
     )
-    bind = _COMPILED.get(text)
-    if bind is None:
-        namespace = dict(_KERNEL_GLOBALS)
-        exec(compile(text, f"<fejerlab kernel, d={d}>", "exec"), namespace)
-        bind = _COMPILED[text] = namespace["_bind"]
-    return _Kernel(*bind(*src.params))
 
 
 class OperatorExpr:

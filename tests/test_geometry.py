@@ -1,6 +1,6 @@
-import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +11,10 @@ from fejerlab.errors import (
     UnsupportedSetError,
 )
 from fejerlab.geometry import (
+    _BLOCK_ROWS,
     AffineSubspace,
     Ball,
     Box,
-    ConvexSet,
     Halfspace,
     Hyperplane,
     LinearSubspace,
@@ -197,14 +197,23 @@ def _probe_rows(C, seed):
     return np.vstack(rows)
 
 
-@pytest.mark.parametrize("C", _set_zoo(), ids=lambda c: type(c).__name__)
-def test_project_many_matches_pointwise(C):
-    # each row is bit for bit the projection of its point, signed zeros included
-    pts = _probe_rows(C, seed=23)
-    batch = C.project_many(pts)
-    assert batch.shape == pts.shape
-    for row, x in zip(batch, pts):
-        assert row.tobytes() == C.project(x).tobytes(), x
+_ZOO_KINDS = [type(C).__name__ for C in _set_zoo()]
+
+
+@pytest.mark.parametrize("kind", range(len(_ZOO_KINDS)), ids=_ZOO_KINDS)
+def test_project_many_matches_pointwise(kind):
+    # each row is bit for bit the projection of its point, signed zeros
+    # included, in every block of project_many and on both sides of its edges;
+    # the rows repeat the probe rows, whose count divides no block
+    B = _BLOCK_ROWS
+    for dim in (1, 2, 3, 4):
+        C = _set_zoo(dim)[kind]
+        pts = _probe_rows(C, seed=23)
+        expected = np.array([C.project(x) for x in pts])
+        for n in (0, 1, len(pts), B - 1, B, B + 1, 2 * B + 1):
+            batch = C.project_many(np.resize(pts, (n, dim)))
+            assert batch.shape == (n, dim)
+            assert batch.tobytes() == np.resize(expected, (n, dim)).tobytes(), (C, n)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -227,33 +236,49 @@ def test_ball_rows_at_center_and_on_sphere_stay_put():
         assert row.tobytes() == C.project(x).tobytes()
 
 
+def _dot(a, b):
+    """Plain left-to-right sum of rounded products, from 0.0."""
+    total = 0.0
+    for u, v in zip(a, b):
+        total += float(u) * float(v)
+    return total
+
+
+def _span(basis, d):
+    """basis.T @ (basis @ d) with ``_dot`` sums; an empty basis gives +0.0."""
+    t = [_dot(row, d) for row in basis]
+    return np.array([_dot(t, basis[:, i]) for i in range(len(d))])
+
+
 def _reference_project(C, x):
     """Reference single-vector projectors, one closed form per kind; every
-    orbit and export depends on ``project`` reproducing their bits."""
+    orbit and export depends on ``project`` reproducing their bits.  Every
+    inner product is a ``_dot`` sum; a normal's squared norm is the set's
+    stored parameter, computed by numpy at construction."""
     if isinstance(C, Point):
         return C.coords.copy()
     if isinstance(C, Ball):
         d = x - C.center
-        n2 = float(d @ d)
+        n2 = _dot(d, d)
         if n2 <= C.radius * C.radius:
             return x.copy()
         return C.center + d * (C.radius / math.sqrt(n2))
     if isinstance(C, Halfspace):
-        excess = float(C.normal @ x) - C.offset
+        excess = _dot(x, C.normal) - C.offset
         if excess <= 0.0:
             return x.copy()
         return x - (excess / float(C.normal @ C.normal)) * C.normal
     if isinstance(C, Hyperplane):
-        excess = float(C.normal @ x) - C.offset
+        excess = _dot(x, C.normal) - C.offset
         return x - (excess / float(C.normal @ C.normal)) * C.normal
     if isinstance(C, AffineSubspace):
-        return C.base + C.basis.T @ (C.basis @ (x - C.base))
+        return C.base + _span(C.basis, x - C.base)
     if isinstance(C, LinearSubspace):
-        return C.basis.T @ (C.basis @ x)
+        return _span(C.basis, x)
     if isinstance(C, Box):
         return np.clip(x, C.lower, C.upper)
     if isinstance(C, Ray):
-        t = float(C.direction @ (x - C.base))
+        t = _dot(x - C.base, C.direction)
         return C.base + max(t, 0.0) * C.direction
     if isinstance(C, Orthant):
         return np.where(C.signs * x >= 0.0, x, 0.0)
@@ -264,7 +289,7 @@ def _reference_project(C, x):
     q = x - c
     pk = _reference_project(C.cone, q)
     delta = q - pk
-    dist = float(np.linalg.norm(delta))
+    dist = math.sqrt(_dot(delta, delta))
     if dist <= r:
         return x.copy()
     return c + pk + delta * (r / dist)
@@ -277,33 +302,37 @@ def test_single_vector_projection_keeps_reference_bits(dim):
             assert C.project(x).tobytes() == _reference_project(C, x).tobytes(), (C, x)
 
 
-def _largest_parameter(C):
-    """Largest |entry| of a set's parameters, through a sum's operands."""
-    values = [getattr(C, f.name) for f in dataclasses.fields(C)]
-    sizes = [_largest_parameter(v) for v in values if isinstance(v, ConvexSet)]
-    arrays = [np.abs(v) for v in values if isinstance(v, (np.ndarray, float))]
-    sizes += [a.max(initial=0.0) for a in arrays]
-    return max(sizes)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_float_kernels_follow_project(dim):
+    # each set kind has one projection formula, its _emit, compiled over
+    # scalars for the operator kernels and over columns for project and
+    # project_many: the same float operations in the same order, so the same bits
+    for C in _set_zoo(dim) + _zero_parameter_sets(dim):
+        P, R = Projector(C), Reflector(C)
+        pts = _probe_rows(C, seed=dim)
+        for x, row in zip(pts, C.project_many(pts)):
+            p = P.apply(x).tobytes()
+            assert p == C.project(x).tobytes() == row.tobytes(), (C, x)
+            assert R.apply(x).tobytes() == C.reflect(x).tobytes(), (C, x)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_float_kernels_follow_project(dim):
-    # each set kind's float kernel is its numpy kernel written over scalars: at
-    # d = 1 every inner product is one multiplication, so Projector and
-    # Reflector keep project's and reflect's bits; at d >= 2 an inner product
-    # is a plain sum and may round differently, within a few ulps of the data
-    eps = np.finfo(float).eps
-    for C in _set_zoo(dim) + _zero_parameter_sets(dim):
-        P, R = Projector(C), Reflector(C)
-        for x in _probe_rows(C, seed=dim):
-            p, r = P.apply(x), R.apply(x)
-            if dim == 1:
-                assert p.tobytes() == C.project(x).tobytes(), (C, x)
-                assert r.tobytes() == C.reflect(x).tobytes(), (C, x)
-                continue
-            bound = 8.0 * eps * (1.0 + np.abs(x).max() + _largest_parameter(C))
-            assert np.all(np.abs(p - C.project(x)) <= bound), (C, x)
-            assert np.all(np.abs(r - C.reflect(x)) <= 2.0 * bound), (C, x)
+def test_center_rows_among_outside_rows_raise_no_warning(dim):
+    # project_many computes both arms of a branch on every row, and the arm
+    # that Ball and a ball summand discard divides by 0 on a center row
+    c = np.linspace(-1.0, 1.0, dim)
+    for C in (
+        Ball(c, 1.5),
+        MinkowskiSum(Ball(c, 0.8), Orthant(np.ones(dim))),
+        MinkowskiSum(Ball(c, 1.0), LinearSubspace(np.eye(dim)[:1])),
+    ):
+        rows = np.resize(np.vstack([c, c - 5.0, c, c + 5.0]), (_BLOCK_ROWS + 3, dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = C.project_many(rows)
+            expected = [C.project(x) for x in rows[:4]]
+        assert batch.tobytes() == np.resize(expected, rows.shape).tobytes(), C
+        assert batch[0].tobytes() == c.tobytes(), C
 
 
 def test_minkowski_projection_against_cvxpy():
@@ -349,6 +378,8 @@ def test_minkowski_unsupported_combination():
     S = MinkowskiSum(Halfspace([1.0, 0.0], 0.0), Orthant([1.0, 1.0]))
     with pytest.raises(UnsupportedSetError):
         S.project([1.0, 1.0])
+    with pytest.raises(UnsupportedSetError):
+        S.project_many(np.zeros((0, d)))
 
 
 def test_minkowski_requires_cone():
@@ -362,6 +393,10 @@ def test_minkowski_requires_cone():
 
 
 def _cone_elements(K, rng, count=1000):
+    if isinstance(K, Halfspace):  # through 0: reflect the points outside it in
+        x = rng.normal(size=(count, K.dim))
+        excess = np.maximum(x @ K.normal, 0.0)
+        return x - np.outer(2.0 * excess / (K.normal @ K.normal), K.normal)
     if isinstance(K, Ray):
         return np.outer(rng.uniform(0, 10, count), K.direction)
     if isinstance(K, Orthant):
@@ -378,8 +413,9 @@ def _cone_elements(K, rng, count=1000):
         Orthant([1.0, 1.0, -1.0]),
         LinearSubspace(np.eye(3)[:2]),
         LinearSubspace(np.zeros((0, 3)), ambient_dim=3),
+        Halfspace([1.0, -2.0, 0.5], 0.0),
     ],
-    ids=["ray", "orthant", "subspace", "zero"],
+    ids=["ray", "orthant", "subspace", "zero", "halfspace"],
 )
 def test_dual_cone_agrees_with_brute_force(K):
     rng = np.random.default_rng(29)

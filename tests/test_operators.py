@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fejerlab import operators
+from fejerlab import geometry
 from fejerlab.dynamics import iterate
 from fejerlab.errors import DimensionMismatchError, UnsupportedSetError
 from fejerlab.geometry import (
@@ -178,7 +178,7 @@ def test_sweep_operators_share_compiled_kernels(monkeypatch):
     # kernels are compiled per tree shape and dimension, and parameters are
     # bound per operator: the scalar sweep's trees share one kernel and the
     # codim1 sweep's one per dimension, however many operators a sweep builds
-    monkeypatch.setattr(operators, "_COMPILED", {})
+    monkeypatch.setattr(geometry, "_COMPILED", {})
     rng = np.random.default_rng(3)
     for i in range(200):
         R = random_scalar_piecewise_linear(rng)
@@ -190,7 +190,7 @@ def test_sweep_operators_share_compiled_kernels(monkeypatch):
         C = Hyperplane(normal / np.linalg.norm(normal), rng.uniform(-2, 2))
         T = ConvexCombination(rng.uniform(0.05, 0.95), Identity(), Reflector(C))
         iterate(T, rng.uniform(-5, 5, d), 50)
-    assert len(operators._COMPILED) <= 3
+    assert len(geometry._COMPILED) <= 3
 
 
 def test_unsupported_minkowski_sum_raises_on_use():
