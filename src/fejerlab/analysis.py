@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .clustering import component_gap, greedy_cover, single_linkage_labels
+from .clustering import greedy_cover, single_linkage
 from .dynamics import (
     CONVERGED,
     DEFAULT_TOL,
@@ -201,13 +201,15 @@ class ClusterSet:
 
     Every covered point is within ``radius`` of its representative and the
     representatives are pairwise more than ``radius`` apart.
-    ``component_labels`` come from single linkage at threshold 2 * radius.
+    ``component_labels`` and ``gap`` (the least distance across components, inf
+    for one) come from single linkage of the representatives at 2 * radius.
     """
 
     representatives: np.ndarray
     radius: float
     component_labels: np.ndarray
     assignment: np.ndarray
+    gap: float
 
     @property
     def n_components(self) -> int:
@@ -234,13 +236,13 @@ def estimate_cluster_set(
     if radius is None:
         extent = float(np.linalg.norm(tail.max(axis=0) - tail.min(axis=0)))
         radius = max(1e-6, 0.05 * (extent + tol))
-    if radius <= 0.0:
+    if not radius > 0.0:
         raise ValueError("radius must be positive")
     reps, assignment = greedy_cover(tail, radius)
-    labels = single_linkage_labels(reps, 2.0 * radius)
+    labels, gap = single_linkage(reps, 2.0 * radius)
     coverage = np.linalg.norm(tail - reps[assignment], axis=1)
     assert float(coverage.max()) <= radius + 1e-12, "greedy cover broke coverage"
-    return ClusterSet(reps, float(radius), labels, assignment)
+    return ClusterSet(reps, float(radius), labels, assignment, gap)
 
 
 def check_connectivity(cluster: ClusterSet) -> DiagnosticsReport:
@@ -252,16 +254,15 @@ def check_connectivity(cluster: ClusterSet) -> DiagnosticsReport:
             "check_connectivity", PASS, params=params,
             metadata={"components": 1},
         )
-    gap = component_gap(cluster.representatives, cluster.component_labels)
     witness = {
         "components": n,
-        "gap": gap,
+        "gap": cluster.gap,
         "representatives": cluster.representatives,
         "labels": cluster.component_labels,
     }
     return DiagnosticsReport(
         "check_connectivity", FAIL, witness, params=params,
-        metadata={"components": n, "gap": gap},
+        metadata={"components": n, "gap": cluster.gap},
     )
 
 

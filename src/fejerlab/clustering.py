@@ -1,11 +1,14 @@
-"""Greedy covering and single-linkage components for cluster-set estimation."""
+"""Greedy covering and single linkage for cluster-set estimation.
+
+Single linkage merges at the edges of a minimum spanning tree (Gower & Ross,
+Applied Statistics 18, 1969): one tree gives the components and their gap.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist, squareform, pdist
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import cdist, pdist
 
 
 def greedy_cover(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -40,24 +43,22 @@ def greedy_cover(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndar
     return np.asarray(reps), assignment
 
 
-def single_linkage_labels(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Connected-component labels of the epsilon graph at ``threshold``."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("no points to label")
-    if n == 1:
-        return np.zeros(1, dtype=int)
-    adj = squareform(pdist(pts)) <= threshold
-    _, labels = connected_components(csr_matrix(adj), directed=False)
-    return labels
+def single_linkage(points: np.ndarray, threshold: float) -> tuple[np.ndarray, float]:
+    """Components of the graph joining points at distance <= ``threshold``.
 
-
-def component_gap(points: np.ndarray, labels: np.ndarray) -> float:
-    """Smallest distance between points carrying different labels."""
+    Labels number them by first appearance in point order; the gap is the
+    smallest distance between points of different components (inf for one).
+    A tail cycling through k distinct points costs O(k^2) distances.
+    """
+    if not threshold >= 0.0:
+        raise ValueError("threshold must be non-negative")
     pts = np.asarray(points, dtype=float)
-    if len(set(labels.tolist())) < 2:
-        return float("inf")
-    dists = squareform(pdist(pts))
-    different = labels[:, None] != labels[None, :]
-    return float(dists[different].min())
+    rows, inverse = np.unique(pts, axis=0, return_inverse=True)
+    if len(rows) == 1:
+        return np.zeros(len(pts), dtype=int), np.inf
+    tree = linkage(pdist(rows), "single")
+    # numpy 2.0.0 returns the inverse in another shape
+    merged = fcluster(tree, threshold, "distance")[inverse.reshape(-1)]
+    _, first, labels = np.unique(merged, return_index=True, return_inverse=True)
+    gap = float(tree[:, 2].min(initial=np.inf, where=tree[:, 2] > threshold))
+    return np.argsort(np.argsort(first))[labels], gap

@@ -18,9 +18,9 @@ row from which it repeats and the period (``periodic_from``, ``period``);
 per-step values needs to read.
 
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
-diameter over the rows that are not exact repeats of the row one or two steps
-before, which gives the full-tail diameter bit for bit; its tails must be
-finite.
+diameter over the rows that do not repeat the row one or two steps before (the
+full-tail diameter bit for bit), and clusters a tail by single linkage over its
+distinct rows; its tails must be finite.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .clustering import component_gap, single_linkage_labels
+from .clustering import single_linkage
 from .errors import (
     CertificateRequiredError,
     DimensionMismatchError,
@@ -264,18 +264,14 @@ def _oscillation_clusters(tail: np.ndarray, tol: float):
     twice, with the visit order actually returning to an earlier component
     (a drifting hand-over between clusters does not count).
     """
-    labels = single_linkage_labels(tail, 10.0 * tol)
-    n_comp = int(labels.max()) + 1
-    if n_comp < 2:
-        return None
-    counts = np.bincount(labels, minlength=n_comp)
-    if counts.min() < 2:
+    labels, gap = single_linkage(tail, 10.0 * tol)
+    counts = np.bincount(labels)
+    if len(counts) < 2 or counts.min() < 2:
         return None
     transitions = labels[np.concatenate([[True], labels[1:] != labels[:-1]])]
     if len(set(transitions.tolist())) == len(transitions):
         return None  # each component is one contiguous block: no revisit
-    centers = np.stack([tail[labels == c].mean(axis=0) for c in range(n_comp)])
-    gap = component_gap(tail, labels)
+    centers = np.stack([tail[labels == c].mean(axis=0) for c in range(len(counts))])
     return centers, labels, gap
 
 

@@ -351,6 +351,12 @@ def test_cluster_coverage_invariant():
     assert dists.max() <= cs.radius + 1e-12
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
+def test_cluster_set_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        estimate_cluster_set(alternating(40), radius=radius)
+
+
 def test_orthogonality_alternating_clusters_vs_vertical_line():
     cs = estimate_cluster_set(alternating(400), radius=0.1)
     rep = check_cluster_orthogonality(cs, VERTICAL_LINE, witnesses=8, seed=0, tol=1e-8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,20 @@ def test_detect_limit_oscillating_two_clusters():
     assert est.status == OSCILLATING
     assert est.cluster_points.shape[0] == 2
     assert np.isclose(est.cluster_gap, 2.0)
+
+
+def test_detect_limit_on_a_long_two_cycle_allocates_no_dense_matrix():
+    # a dense n x n distance matrix of this tail alone takes 128 MB
+    traj = iterate(Negation(), [0.75], 4000)
+    tracemalloc.start()
+    try:
+        est = detect_limit(traj, 4000, 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.status == OSCILLATING
+    assert est.cluster_gap == 1.5
+    assert peak < 4 * 2**20
 
 
 def test_detect_limit_diverging_translation():

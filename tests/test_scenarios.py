@@ -529,3 +529,26 @@ def test_runtime_errors_attach_to_the_failing_check():
     assert outcome.actual == "error"
     assert not outcome.matched
     assert "error" in artifacts.reports["displacement"].witness
+
+
+def test_nan_cluster_radius_is_a_value_error_of_the_check():
+    nan = float("nan")
+    spec = ScenarioSpec(
+        name="nan-radius",
+        description="",
+        topic="",
+        sets={"axis": Hyperplane([1.0, 0.0], 0.0)},
+        trajectories=[TrajectoryDef("orbit", "alternating")],
+        checks=[
+            CheckDef("connectivity", "connectivity", "orbit", "fail", {"radius": nan}),
+            CheckDef(
+                "orthogonality", "cluster_orthogonality", "orbit", "pass",
+                {"set": "axis", "radius": nan},
+            ),
+        ],
+    )
+    artifacts = run_scenario(spec, n_steps=20)
+    assert [o.actual for o in artifacts.summary] == ["error", "error"]
+    for name in ("connectivity", "orthogonality"):
+        error = artifacts.reports[name].witness["error"]
+        assert error == "ValueError: radius must be positive"
