@@ -4,6 +4,9 @@ Desk-scale numerical laboratory: exact convex geometry with closed-form
 projectors, nonexpansive operator expressions with averagedness
 certificates, orbit generation with drift estimation, sequence checkers, and
 a scenario runner with CSV/JSON export.
+
+Importing the package loads numpy and PyYAML only: each function that calls
+scipy imports the subpackage it needs, so a run pays only for what it uses.
 """
 
 from .errors import (

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .clustering import greedy_cover, single_linkage
 from .dynamics import (
@@ -53,6 +52,8 @@ def _points_of(trajectory) -> np.ndarray:
 
 def _witness_points(points, C: ConvexSet, count, seed, radius):
     """Witnesses of C; the default radius is twice the points' reach from C's anchor."""
+    from scipy.spatial.distance import cdist
+
     if radius is None:
         radius = max(1.0, 2.0 * float(cdist(points, [C.anchor()]).max()))
     return radius, sample_witnesses(C, count, seed=seed, radius=radius)
@@ -70,6 +71,8 @@ def check_fejer(
 
     ``per_step`` records the squared-distance drops to the anchor witness.
     """
+    from scipy.spatial.distance import cdist
+
     pts = _points_of(trajectory)
     if pts.shape[0] < 2:
         raise ValueError("need at least two trajectory points")

@@ -7,8 +7,6 @@ Applied Statistics 18, 1969): one tree gives the components and their gap.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import cdist, pdist
 
 
 def greedy_cover(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -18,6 +16,8 @@ def greedy_cover(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndar
     ``radius`` of its assigned representative, and representatives are
     pairwise more than ``radius`` apart.  Deterministic in point order.
     """
+    from scipy.spatial.distance import cdist
+
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if n == 0:
@@ -56,6 +56,9 @@ def single_linkage(points: np.ndarray, threshold: float) -> tuple[np.ndarray, fl
     rows, inverse = np.unique(pts, axis=0, return_inverse=True)
     if len(rows) == 1:
         return np.zeros(len(pts), dtype=int), np.inf
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import pdist
+
     tree = linkage(pdist(rows), "single")
     # numpy 2.0.0 returns the inverse in another shape
     merged = fcluster(tree, threshold, "distance")[inverse.reshape(-1)]

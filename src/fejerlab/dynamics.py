@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .clustering import single_linkage
 from .errors import (
@@ -290,6 +289,8 @@ def detect_limit(
     full tail's.  A non-finite tail raises NonFiniteValueError, as an inf row
     would otherwise count as a repeat of another.
     """
+    from scipy.spatial.distance import pdist
+
     if tail_window < 2:
         raise ValueError("tail_window must be >= 2")
     if tail_window > len(trajectory):

@@ -32,7 +32,6 @@ import textwrap
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -401,7 +400,9 @@ class Hyperplane(_NormalOffset):
         return self._emit_step(src, x)[1]()
 
     def _aff_span(self):
-        return scipy.linalg.null_space(self.normal.reshape(1, -1)).T
+        from scipy.linalg import null_space
+
+        return null_space(self.normal.reshape(1, -1)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +426,9 @@ class AffineSubspace(ConvexSet):
         m = np.asarray(vectors, dtype=float).reshape(-1, base.size)
         if m.shape[0] == 0:
             return cls(base, np.zeros((0, base.size)))
-        q = scipy.linalg.orth(m.T).T
+        from scipy.linalg import orth
+
+        q = orth(m.T).T
         return cls(base, q)
 
     @property

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .geometry import (
@@ -645,7 +644,9 @@ def fixed_set_description(T: OperatorExpr, v) -> ConvexSet | None:
         residual = float(np.linalg.norm(M @ sol - rhs))
         if residual > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
             return None
-        null = scipy.linalg.null_space(M, rcond=rcond)
+        from scipy.linalg import null_space
+
+        null = null_space(M, rcond=rcond)
         return AffineSubspace(sol, null.T)
     if (
         isinstance(T, DouglasRachford)

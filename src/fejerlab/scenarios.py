@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.stats
 
 from .analysis import (
     check_asymptotic_regularity,
@@ -206,8 +204,10 @@ def run_scalar_averaged_sweep(
 def _random_orthogonal(rng, dim: int, min_angle: float = 0.3) -> np.ndarray:
     """Random orthogonal matrix whose nontrivial rotation angles are bounded
     away from zero, keeping orbit convergence observable at desk scale."""
+    from scipy.stats import ortho_group
+
     for _ in range(100):
-        q = scipy.stats.ortho_group.rvs(dim=dim, random_state=rng)
+        q = ortho_group.rvs(dim=dim, random_state=rng)
         angles = np.abs(np.angle(np.linalg.eigvals(q)))
         nontrivial = angles[angles > 1e-9]
         if nontrivial.size == 0 or float(nontrivial.min()) >= min_angle:
@@ -228,6 +228,8 @@ def run_affine_limit_sweep(
     L = (1-a) Id + a Q with Q orthogonal; the independent oracle projects
     x - y onto null(Id - L) via an orthonormal null-space basis.
     """
+    from scipy.linalg import null_space
+
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(instances):
@@ -241,7 +243,7 @@ def run_affine_limit_sweep(
         diff = difference_orbit(iterate(T, x0, n_steps), iterate(T, y0, n_steps))
         est = detect_limit(diff, min(500, n_steps), 1e-9)
         M, rcond = fixed_point_system(L)
-        null = scipy.linalg.null_space(M, rcond=rcond)
+        null = null_space(M, rcond=rcond)
         target = null @ (null.T @ (x0 - y0)) if null.size else np.zeros(d)
         if est.status != CONVERGED:
             failures.append({"instance": i, "problem": "limit", "status": est.status})
@@ -298,7 +300,9 @@ def _dual_cone_interior_point(rng, K: ConvexSet, margin: float = 0.3) -> np.ndar
     if isinstance(K, LinearSubspace):
         u = z - K.basis.T @ (K.basis @ z)
         if np.linalg.norm(u) < margin:
-            comp = scipy.linalg.null_space(K.basis)
+            from scipy.linalg import null_space
+
+            comp = null_space(K.basis)
             u = u + margin * comp[:, 0]
         return u
     raise ConfigError(f"unsupported cone {type(K).__name__}")

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from fejerlab import dynamics
-
 from fejerlab.errors import (
     CertificateRequiredError,
     MonotonicityViolationError,
@@ -593,7 +591,8 @@ def test_detect_limit_measures_distances_over_fresh_rows_only(monkeypatch):
         seen.append(rows.shape)
         return pdist(rows)
 
-    monkeypatch.setattr(dynamics, "pdist", recording_pdist)
+    # detect_limit imports pdist from scipy when called
+    monkeypatch.setattr("scipy.spatial.distance.pdist", recording_pdist)
     # a projection orbit reaches its fixed point in one step, then is padded
     stopped = iterate(Projector(Ball([0.0, 0.0], 1.0)), [3.0, 4.0], 2000)
     est = detect_limit(stopped, tail_window=500)
