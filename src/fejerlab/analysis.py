@@ -34,7 +34,7 @@ from .geometry import (
     dual_cone_residuals,
     sample_witnesses,
 )
-from .report import FAIL, INCONCLUSIVE, PASS, DiagnosticsReport
+from .report import INCONCLUSIVE, DiagnosticsReport
 
 NECESSARY_CONDITION = "necessary-condition (finite witnesses)"
 FEJER_BLOCK_ROWS = 4096
@@ -100,21 +100,18 @@ def check_fejer(
         "witness_radius": radius,
     }
     meta = {"semantics": NECESSARY_CONDITION, "worst_increase": worst}
-    if worst <= tol:
-        return DiagnosticsReport(
-            "check_fejer", PASS, params=params, seed=seed, per_step=per_step,
-            metadata=meta,
-        )
-    step, widx, before, after = at
-    witness = {
-        "step": step,
-        "witness_point": ws[widx],
-        "distance_before": float(before),
-        "distance_after": float(after),
-        "increase": worst,
-    }
-    return DiagnosticsReport(
-        "check_fejer", FAIL, witness, params=params, seed=seed, per_step=per_step,
+    witness = None
+    if not worst <= tol:
+        step, widx, before, after = at
+        witness = {
+            "step": step,
+            "witness_point": ws[widx],
+            "distance_before": float(before),
+            "distance_after": float(after),
+            "increase": worst,
+        }
+    return DiagnosticsReport.from_witness(
+        "check_fejer", witness, params=params, seed=seed, per_step=per_step,
         metadata=meta,
     )
 
@@ -127,16 +124,10 @@ def check_asymptotic_regularity(trajectory, tol: float = 1e-9) -> DiagnosticsRep
     steps = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
     tail_len = max(1, steps.size // 10)
     tail_max = float(steps[-tail_len:].max())
-    params = {"tol": tol, "tail_length": tail_len}
-    if tail_max <= tol:
-        return DiagnosticsReport(
-            "check_asymptotic_regularity", PASS, params=params, per_step=steps,
-            metadata={"tail_max_step": tail_max},
-        )
     idx = steps.size - tail_len + int(np.argmax(steps[-tail_len:]))
-    witness = {"step": idx, "step_norm": tail_max}
-    return DiagnosticsReport(
-        "check_asymptotic_regularity", FAIL, witness, params=params,
+    witness = None if tail_max <= tol else {"step": idx, "step_norm": tail_max}
+    return DiagnosticsReport.from_witness(
+        "check_asymptotic_regularity", witness, params={"tol": tol, "tail_length": tail_len},
         per_step=steps, metadata={"tail_max_step": tail_max},
     )
 
@@ -160,8 +151,15 @@ def check_sum_decoupling(
     steps = pts[1:] - pts[:-1]
     # the first step outside the dual cone; a NaN residual counts as outside
     outside = np.flatnonzero(~(dual_cone_residuals(K, steps) <= tol))
-    bad_step = int(outside[0]) if outside.size else None
-    combined_pass = fejer_e.passed and bad_step is None
+    witness = None
+    if not fejer_e.passed:
+        witness = {**fejer_e.witness, "violated": "fejer_vs_summand"}
+    elif outside.size:
+        witness = {
+            "violated": "step_in_dual_cone",
+            "step": int(outside[0]),
+            "step_vector": steps[outside[0]],
+        }
     direct = None
     try:
         direct = check_fejer(
@@ -172,29 +170,15 @@ def check_sum_decoupling(
     meta = {
         "semantics": NECESSARY_CONDITION,
         "fejer_vs_summand": fejer_e.verdict,
-        "steps_in_dual_cone": bad_step is None,
+        "steps_in_dual_cone": not outside.size,
         "direct_sum_verdict": direct.verdict if direct is not None else None,
         "equivalence_agrees": (
-            None if direct is None else combined_pass == direct.passed
+            None if direct is None else (witness is None) == direct.passed
         ),
     }
-    params = {"witnesses": witnesses, "tol": tol}
-    if combined_pass:
-        return DiagnosticsReport(
-            "check_sum_decoupling", PASS, params=params, seed=seed, metadata=meta
-        )
-    if not fejer_e.passed:
-        witness = dict(fejer_e.witness)
-        witness["violated"] = "fejer_vs_summand"
-    else:
-        witness = {
-            "violated": "step_in_dual_cone",
-            "step": bad_step,
-            "step_vector": steps[bad_step],
-        }
-    return DiagnosticsReport(
-        "check_sum_decoupling", FAIL, witness, params=params, seed=seed,
-        metadata=meta,
+    return DiagnosticsReport.from_witness(
+        "check_sum_decoupling", witness, params={"witnesses": witnesses, "tol": tol},
+        seed=seed, metadata=meta,
     )
 
 
@@ -251,21 +235,19 @@ def estimate_cluster_set(
 def check_connectivity(cluster: ClusterSet) -> DiagnosticsReport:
     """The estimated cluster set must form one linkage component."""
     n = cluster.n_components
-    params = {"radius": cluster.radius, "threshold": 2.0 * cluster.radius}
-    if n == 1:
-        return DiagnosticsReport(
-            "check_connectivity", PASS, params=params,
-            metadata={"components": 1},
-        )
-    witness = {
-        "components": n,
-        "gap": cluster.gap,
-        "representatives": cluster.representatives,
-        "labels": cluster.component_labels,
-    }
-    return DiagnosticsReport(
-        "check_connectivity", FAIL, witness, params=params,
-        metadata={"components": n, "gap": cluster.gap},
+    meta = {"components": n}
+    witness = None
+    if n != 1:
+        meta["gap"] = cluster.gap
+        witness = {
+            **meta,
+            "representatives": cluster.representatives,
+            "labels": cluster.component_labels,
+        }
+    return DiagnosticsReport.from_witness(
+        "check_connectivity", witness,
+        params={"radius": cluster.radius, "threshold": 2.0 * cluster.radius},
+        metadata=meta,
     )
 
 
@@ -283,40 +265,32 @@ def check_cluster_orthogonality(
     spurious failures on large witnesses.
     """
     reps = cluster.representatives
-    params = {"witnesses": witnesses, "tol": tol}
+    meta = {"semantics": NECESSARY_CONDITION}
+    witness = None
     if reps.shape[0] < 2:
-        return DiagnosticsReport(
-            "check_cluster_orthogonality", PASS, params=params, seed=seed,
-            metadata={"semantics": NECESSARY_CONDITION, "vacuous": True},
+        meta["vacuous"] = True
+    else:
+        _, ws = _witness_points(reps, C, witnesses, seed, witness_radius)
+        ii, jj = np.triu_indices(reps.shape[0], k=1)
+        wdiff = reps[ii] - reps[jj]
+        kk, ll = np.triu_indices(ws.shape[0], k=1)
+        cdiff = ws[kk] - ws[ll]
+        inner = np.abs(wdiff @ cdiff.T)
+        scale = 1.0 + np.outer(
+            np.linalg.norm(wdiff, axis=1), np.linalg.norm(cdiff, axis=1)
         )
-    radius, ws = _witness_points(reps, C, witnesses, seed, witness_radius)
-    ii, jj = np.triu_indices(reps.shape[0], k=1)
-    wdiff = reps[ii] - reps[jj]
-    kk, ll = np.triu_indices(ws.shape[0], k=1)
-    cdiff = ws[kk] - ws[ll]
-    inner = np.abs(wdiff @ cdiff.T)
-    scale = 1.0 + np.outer(
-        np.linalg.norm(wdiff, axis=1), np.linalg.norm(cdiff, axis=1)
-    )
-    excess = inner - tol * scale
-    meta = {
-        "semantics": NECESSARY_CONDITION,
-        "worst_excess": float(excess.max()) if excess.size else 0.0,
-    }
-    if not excess.size or float(excess.max()) <= 0.0:
-        return DiagnosticsReport(
-            "check_cluster_orthogonality", PASS, params=params, seed=seed,
-            metadata=meta,
-        )
-    p, q = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    witness = {
-        "representatives": (reps[ii[p]], reps[jj[p]]),
-        "witness_pair": (ws[kk[q]], ws[ll[q]]),
-        "inner_product": float((wdiff[p] @ cdiff[q])),
-    }
-    return DiagnosticsReport(
-        "check_cluster_orthogonality", FAIL, witness, params=params, seed=seed,
-        metadata=meta,
+        excess = inner - tol * scale
+        meta["worst_excess"] = float(excess.max()) if excess.size else 0.0
+        if not meta["worst_excess"] <= 0.0:
+            p, q = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            witness = {
+                "representatives": (reps[ii[p]], reps[jj[p]]),
+                "witness_pair": (ws[kk[q]], ws[ll[q]]),
+                "inner_product": float((wdiff[p] @ cdiff[q])),
+            }
+    return DiagnosticsReport.from_witness(
+        "check_cluster_orthogonality", witness,
+        params={"witnesses": witnesses, "tol": tol}, seed=seed, metadata=meta,
     )
 
 
@@ -372,18 +346,13 @@ def check_shadow_superset(
             seed=seed,
         )
     sep = float(np.linalg.norm(la.limit - lc.limit))
-    meta = {"limit_separation": sep}
-    if sep <= tol:
-        return DiagnosticsReport(
-            "check_shadow_superset", PASS, params=params, seed=seed, metadata=meta
-        )
-    return DiagnosticsReport(
-        "check_shadow_superset",
-        FAIL,
-        {"limit_A": la.limit, "limit_C": lc.limit, "separation": sep},
-        params=params,
-        seed=seed,
-        metadata=meta,
+    witness = (
+        None if sep <= tol
+        else {"limit_A": la.limit, "limit_C": lc.limit, "separation": sep}
+    )
+    return DiagnosticsReport.from_witness(
+        "check_shadow_superset", witness, params=params, seed=seed,
+        metadata={"limit_separation": sep},
     )
 
 
@@ -438,20 +407,15 @@ def check_codim1_theorem(
         )
     limit = detect_limit(traj, min(tail_window, len(traj)), limit_tol)
     meta["limit_status"] = limit.status
+    witness = None
     if limit.status == CONVERGED:
         meta["limit"] = limit.limit
-        return DiagnosticsReport(
-            "check_codim1_theorem", PASS, params=params, seed=seed, metadata=meta
-        )
-    return DiagnosticsReport(
-        "check_codim1_theorem",
-        FAIL,
-        {
+    else:
+        witness = {
             "reason": "hypotheses hold but the orbit did not converge; "
             "this contradicts the convergence guarantee and signals a bug",
             "limit_status": limit.status,
-        },
-        params=params,
-        seed=seed,
-        metadata=meta,
+        }
+    return DiagnosticsReport.from_witness(
+        "check_codim1_theorem", witness, params=params, seed=seed, metadata=meta
     )

@@ -43,7 +43,7 @@ from .operators import (
     ScalarPiecewiseLinear,
     Translation,
 )
-from .scenarios import CheckDef, ScenarioSpec, TrajectoryDef
+from .scenarios import SPEC_LEAST, CheckDef, ScenarioSpec, TrajectoryDef, spec_number
 
 __all__ = [
     "SET_KINDS",
@@ -209,32 +209,11 @@ def _def_from_config(cls, d, path: str):
             args[key] = _floats(value, f"{path}.{key}")
     if args.get("n_steps") is not None:
         # a trajectory's own step count obeys the scenario's n_steps rule
-        args["n_steps"] = _number(args["n_steps"], _SPEC_FIELDS["n_steps"], f"{path}.n_steps")
+        args["n_steps"] = spec_number("n_steps", args["n_steps"], f"{path}.n_steps")
     return cls(**args)
 
 
-# Top-level numbers: the coercion for each field type, and each least value
-# (a limit check needs a tail of two points; RNG seeds are nonnegative).
-_CASTS = {"int": int, "float": float}
-_LEAST = {"n_steps": 1, "seed": 0, "tol": 0.0, "tail_window": 2}
 _SPEC_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioSpec)}
-
-
-def _number(value, f: dataclasses.Field, path: str):
-    cast = _CASTS[f.type]
-    # int() would turn true into 1 and truncate 12.7 to 12
-    truncates = cast is int and isinstance(value, float) and not value.is_integer()
-    try:
-        if isinstance(value, bool) or truncates:
-            raise ValueError
-        out = cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{path}: expected {noun}, got {value!r}") from exc
-    least = _LEAST[f.name]
-    if not out >= least:  # NaN fails the comparison too
-        raise ConfigError(f"{path}: must be at least {least}, got {out}")
-    return out
 
 
 def _def_to_config(obj) -> dict:
@@ -266,9 +245,8 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     ]
     checks = [_def_from_config(CheckDef, c, "checks") for c in data.get("checks", [])]
     numbers = {
-        f.name: _number(data.get(f.name, f.default), f, f"scenario.{f.name}")
-        for f in _SPEC_FIELDS.values()
-        if f.type in _CASTS
+        name: spec_number(name, data.get(name, _SPEC_FIELDS[name].default), f"scenario.{name}")
+        for name in SPEC_LEAST
     }
     spec = ScenarioSpec(
         name=name,

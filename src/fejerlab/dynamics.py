@@ -223,8 +223,8 @@ def displacement_from_orbit(orbit: Trajectory, tail: int) -> tuple[np.ndarray, f
     """Tail mean of the step differences T^n x - T^{n+1} x and its residual."""
     if tail < 1 or tail >= len(orbit):
         raise ValueError("tail must satisfy 1 <= tail < len(orbit)")
-    diffs = orbit.points[:-1] - orbit.points[1:]
-    seg = diffs[-tail:]
+    pts = orbit.points
+    seg = pts[-tail - 1 : -1] - pts[-tail:]
     v = seg.mean(axis=0)
     residual = float(np.linalg.norm(seg - v, axis=1).max())
     return v, residual

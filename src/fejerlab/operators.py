@@ -42,7 +42,7 @@ from .geometry import (
     as_vector,
     full_space,
 )
-from .report import FAIL, PASS, DiagnosticsReport
+from .report import DiagnosticsReport
 
 __all__ = [
     "OperatorExpr",
@@ -518,22 +518,21 @@ def _verify_pairs(checker, T, violation, params, trials, seed, tol, dim, box):
     d = _resolve_dim(T, dim)
     rng = np.random.default_rng(seed)
     step = T._kernel(d).step
-    worst = -np.inf
-    worst_pair = None
+    worst, witness = -np.inf, None
     for i in range(trials):
         x = rng.uniform(-box, box, d)
         y = rng.uniform(-box, box, d)
         tx, ty = np.array(step(*x.tolist())), np.array(step(*y.tolist()))
         viol = float(violation(x, y, tx, ty))
         if viol > worst:
-            worst, worst_pair = viol, (i, x, y)
-    params = {**params, "trials": trials, "tol": tol, "dim": d, "box": box}
-    meta = {"worst_violation": worst}
-    if worst <= tol:
-        return DiagnosticsReport(checker, PASS, params=params, seed=seed, metadata=meta)
-    i, x, y = worst_pair
-    witness = {"trial": i, "x": x, "y": y, "violation": worst}
-    return DiagnosticsReport(checker, FAIL, witness, params=params, seed=seed, metadata=meta)
+            worst, witness = viol, {"trial": i, "x": x, "y": y, "violation": viol}
+    return DiagnosticsReport.from_witness(
+        checker,
+        None if worst <= tol else witness,
+        params={**params, "trials": trials, "tol": tol, "dim": d, "box": box},
+        seed=seed,
+        metadata={"worst_violation": worst},
+    )
 
 
 def verify_nonexpansive(

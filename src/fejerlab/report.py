@@ -2,6 +2,12 @@
 
 Every checker and verifier in the package returns a :class:`DiagnosticsReport`
 instead of raising on a negative outcome: failure is data, not an error.
+
+One rule decides PASS or FAIL: a check fails exactly when it has a witness.
+Checkers compute their witness, a dict or None, and hand it to
+:meth:`DiagnosticsReport.from_witness`, the only place in the package that
+turns a witness into a verdict.  INCONCLUSIVE reports, whose witness holds the
+reason, are built directly.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ class DiagnosticsReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == FAIL and not self.witness:
             raise ValueError("a FAIL report must carry a witness")
+
+    @classmethod
+    def from_witness(cls, checker: str, witness: dict | None, **fields) -> DiagnosticsReport:
+        """FAIL carrying ``witness`` when it is non-empty, else PASS with ``{}``."""
+        return cls(checker, FAIL if witness else PASS, witness or {}, **fields)
 
     @property
     def passed(self) -> bool:

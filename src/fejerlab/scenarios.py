@@ -71,7 +71,7 @@ from .operators import (
     two_ball_gap_vector,
     verify_nonexpansive,
 )
-from .report import FAIL, PASS, VERDICTS, DiagnosticsReport
+from .report import VERDICTS, DiagnosticsReport
 
 __all__ = [
     "TrajectoryDef",
@@ -120,11 +120,10 @@ def harmonic_rotation_sequence(n_steps: int) -> np.ndarray:
 
 
 def _sweep_report(checker, failures, params, seed, **counts) -> DiagnosticsReport:
-    """PASS when no instance failed, else FAIL with the first failure."""
-    return DiagnosticsReport(
+    """The first failed instance, if any, is the witness."""
+    return DiagnosticsReport.from_witness(
         checker,
-        FAIL if failures else PASS,
-        {"first_failure": failures[0]} if failures else {},
+        {"first_failure": failures[0]} if failures else None,
         params=params,
         seed=seed,
         metadata={**counts, "failures": len(failures)},
@@ -195,6 +194,7 @@ def run_scalar_averaged_sweep(
         "max_steps": max_steps,
         "tail_window": tail_window,
         "tol": tol,
+        "start_span": start_span,
     }
     return _sweep_report(
         "scalar_averaged_sweep", failures, params, seed, converged=converged
@@ -204,10 +204,11 @@ def run_scalar_averaged_sweep(
 def _random_orthogonal(rng, dim: int, min_angle: float = 0.3) -> np.ndarray:
     """Random orthogonal matrix whose nontrivial rotation angles are bounded
     away from zero, keeping orbit convergence observable at desk scale."""
-    from scipy.stats import ortho_group
-
     for _ in range(100):
-        q = ortho_group.rvs(dim=dim, random_state=rng)
+        # Haar-distributed, drawn as scipy.stats.ortho_group.rvs draws it
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+        d = r.diagonal()
+        q *= (d / abs(d))[np.newaxis, :]
         angles = np.abs(np.angle(np.linalg.eigvals(q)))
         nontrivial = angles[angles > 1e-9]
         if nontrivial.size == 0 or float(nontrivial.min()) >= min_angle:
@@ -583,6 +584,31 @@ class ScenarioSpec:
             kind.validate(c.params, self, f"checks.{c.name}.params")
 
 
+# The least value of each top-level number of a spec (a limit check needs a
+# tail of two points; RNG seeds are nonnegative), and the coercion for each
+# field type.  Config files and the overrides of run_scenario obey this rule.
+SPEC_LEAST = {"n_steps": 1, "seed": 0, "tol": 0.0, "tail_window": 2}
+_CASTS = {"int": int, "float": float}
+
+
+def spec_number(name: str, value, path: str):
+    """``value`` as the number field ``name`` of a :class:`ScenarioSpec`."""
+    cast = _CASTS[ScenarioSpec.__dataclass_fields__[name].type]
+    # int() would turn true into 1 and truncate 12.7 to 12
+    truncates = cast is int and isinstance(value, float) and not value.is_integer()
+    try:
+        if isinstance(value, bool) or truncates:
+            raise ValueError
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}") from exc
+    least = SPEC_LEAST[name]
+    if not out >= least:  # NaN fails the comparison too
+        raise ConfigError(f"{path}: must be at least {least}, got {out}")
+    return out
+
+
 @dataclass(frozen=True)
 class CheckOutcome:
     name: str
@@ -740,10 +766,10 @@ def _limit(traj, expect, tail_window, tol):
             meta[key] = val
     if est.cluster_points is not None:
         meta["clusters"] = est.cluster_points
-    if expect is None or est.status == expect:
-        return DiagnosticsReport("detect_limit", PASS, metadata=meta), est.status
-    witness = {"expected_status": expect, "actual_status": est.status}
-    return DiagnosticsReport("detect_limit", FAIL, witness, metadata=meta), est.status
+    witness = None
+    if expect not in (None, est.status):
+        witness = {"expected_status": expect, "actual_status": est.status}
+    return DiagnosticsReport.from_witness("detect_limit", witness, metadata=meta), est.status
 
 
 def _displacement_match(traj, expect, operator, tail, tol):
@@ -751,10 +777,9 @@ def _displacement_match(traj, expect, operator, tail, tol):
     v_closed = two_ball_gap_vector(operator.first, operator.second)
     gap = float(np.linalg.norm(v_est - v_closed))
     return _verdict(
-        DiagnosticsReport(
+        DiagnosticsReport.from_witness(
             "displacement_match",
-            PASS if gap <= tol else FAIL,
-            {} if gap <= tol else {"gap": gap},
+            None if gap <= tol else {"gap": gap},
             params={"tol": tol, "tail": tail},
             metadata={
                 "estimated": v_est,
@@ -889,12 +914,12 @@ def run_scenario(
 ) -> RunArtifacts:
     """Build all trajectories, run all checks, optionally export artifacts."""
     spec.validate()
-    n = n_steps if n_steps is not None else spec.n_steps
     run_values = {
-        "seed": seed if seed is not None else spec.seed,
-        "tol": tol if tol is not None else spec.tol,
-        "tail_window": spec.tail_window,
+        key: getattr(spec, key) if value is None else spec_number(key, value, key)
+        for key, value in (("n_steps", n_steps), ("seed", seed), ("tol", tol))
     }
+    run_values["tail_window"] = spec.tail_window
+    n = run_values["n_steps"]
     built: dict = {}
     orbits: dict = {}  # the run's raw orbits, by (operator name, start, steps)
     failed: dict = {}  # trajectory not built -> (the one that raised, its error)
@@ -927,7 +952,7 @@ def run_scenario(
             except Exception as exc:  # runtime error attached to the failing check
                 error = f"{type(exc).__name__}: {exc}"
         if error is not None:
-            rep, actual = DiagnosticsReport(cdef.kind, FAIL, {"error": error}), "error"
+            rep, actual = DiagnosticsReport.from_witness(cdef.kind, {"error": error}), "error"
         matched = error is None and (cdef.expect is None or actual == cdef.expect)
         reports[cdef.name] = rep
         summary.append(CheckOutcome(cdef.name, cdef.expect, actual, matched))

@@ -20,6 +20,7 @@ from fejerlab.exports import report_to_dict
 from fejerlab.geometry import (
     Ball,
     ConvexSet,
+    Halfspace,
     Hyperplane,
     LinearSubspace,
     Orthant,
@@ -32,10 +33,14 @@ from fejerlab.operators import (
     ConvexCombination,
     Identity,
     Linear,
+    Negation,
     Projector,
     Reflector,
     Translation,
+    verify_averaged,
+    verify_nonexpansive,
 )
+from fejerlab.report import DiagnosticsReport
 
 
 def alternating(n):
@@ -484,3 +489,105 @@ def test_shadow_onto_affine_set_is_constant():
     sh = shadow(traj, C)
     drift = np.linalg.norm(sh.points - sh.points[0], axis=1).max()
     assert drift <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule: a check fails exactly when it has a witness
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("witness", [None, {}])
+def test_from_witness_without_a_witness_passes(witness):
+    rep = DiagnosticsReport.from_witness(
+        "c", witness, params={"tol": 1.0}, seed=3, metadata={"m": 2}
+    )
+    assert rep.verdict == "pass"
+    assert rep.witness == {}
+    assert (rep.params, rep.seed, rep.metadata) == ({"tol": 1.0}, 3, {"m": 2})
+
+
+def test_from_witness_with_a_witness_fails_carrying_it():
+    per_step = np.arange(3.0)
+    witness = {"step": 4}
+    rep = DiagnosticsReport.from_witness("c", witness, per_step=per_step)
+    assert rep.verdict == "fail"
+    assert rep.witness is witness
+    assert rep.per_step is per_step
+    assert rep.checker == "c"
+
+
+def _constant(point, n=20):
+    return Trajectory(np.tile(point, (n, 1)))
+
+
+def _slowly_converging():
+    ts = 1.0 / np.sqrt(np.arange(1, 401))
+    return Trajectory(np.column_stack([ts, np.zeros(400)]))
+
+
+_TANGENT_BALL = Ball([0.0, -1.0], 1.0)  # touches the line x2 = 0 at the origin
+_LINE = Hyperplane([2.0, 1.0], 1.0)
+
+VERDICT_CASES = {
+    "fejer-pass": lambda: check_fejer(alternating(100), VERTICAL_LINE),
+    "fejer-fail": lambda: check_fejer(
+        iterate(Translation([1.0, 0.0]), [0.0, 0.0], 20), Point([-5.0, 0.0]), witnesses=3
+    ),
+    "ar-pass": lambda: check_asymptotic_regularity(Trajectory(np.ones((10, 2)))),
+    "ar-fail": lambda: check_asymptotic_regularity(alternating(50)),
+    "decoupling-pass": lambda: check_sum_decoupling(
+        Trajectory(np.ones((5, 2))), Point([1.0, 1.0]), Orthant([1.0, 1.0]), witnesses=5
+    ),
+    "decoupling-fail": lambda: check_sum_decoupling(
+        Trajectory(np.array([[4.0, 0.0], [2.0, 0.0], [1.0, 0.0]])),
+        Point([0.0, 0.0]),
+        Ray([0.0, 0.0], [1.0, 0.0]),
+        witnesses=5,
+    ),
+    "connectivity-pass": lambda: check_connectivity(
+        estimate_cluster_set(_constant([2.0, 3.0]), radius=0.1)
+    ),
+    "connectivity-fail": lambda: check_connectivity(
+        estimate_cluster_set(alternating(400), radius=0.1)
+    ),
+    "orthogonality-pass": lambda: check_cluster_orthogonality(
+        estimate_cluster_set(alternating(400), radius=0.1), VERTICAL_LINE, witnesses=8
+    ),
+    "orthogonality-vacuous-pass": lambda: check_cluster_orthogonality(
+        estimate_cluster_set(_constant([2.0, 3.0]), radius=0.1), VERTICAL_LINE
+    ),
+    "orthogonality-fail": lambda: check_cluster_orthogonality(
+        estimate_cluster_set(
+            Trajectory(np.tile([[0.0, 1.0], [0.0, -1.0]], (10, 1))),
+            tail_fraction=1.0,
+            radius=0.1,
+        ),
+        VERTICAL_LINE,
+        witnesses=8,
+    ),
+    "shadow-pass": lambda: check_shadow_superset(
+        _constant([0.0, -0.5]), _TANGENT_BALL, full_space(2)
+    ),
+    # the A-shadow (1e-3, 0) lies 5e-7 from C, within tol, but the C-shadow
+    # is about 9e-4 away from it
+    "shadow-fail": lambda: check_shadow_superset(
+        _constant([1e-3, 10.0]), _TANGENT_BALL, Halfspace([0.0, 1.0], 0.0)
+    ),
+    "codim1-pass": lambda: check_codim1_theorem(
+        _LINE, iterate(ConvexCombination(0.3, Identity(), Reflector(_LINE)), [4.0, -1.0], 3000)
+    ),
+    "codim1-fail": lambda: check_codim1_theorem(
+        VERTICAL_LINE, _slowly_converging(), ar_tol=1e-2, limit_tol=1e-9, tail_window=50
+    ),
+    "nonexpansive-pass": lambda: verify_nonexpansive(Negation(), dim=1),
+    "nonexpansive-fail": lambda: verify_nonexpansive(Linear(2.0 * np.eye(2)), seed=1),
+    "averaged-pass": lambda: verify_averaged(Projector(Ball([0.0, 0.0], 1.0)), 0.5, seed=4),
+    "averaged-fail": lambda: verify_averaged(Negation(), 0.5, dim=1),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES)
+def test_a_report_fails_exactly_when_it_carries_a_witness(case):
+    rep = VERDICT_CASES[case]()
+    assert rep.verdict == case.rsplit("-", 1)[1]
+    assert (rep.witness != {}) == rep.failed

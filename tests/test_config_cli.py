@@ -758,6 +758,22 @@ def test_cli_out_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "negation-r1" / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--steps", "0", "n_steps: must be at least 1, got 0"),
+        ("--seed", "-1", "seed: must be at least 0, got -1"),
+        ("--tol", "nan", "tol: must be at least 0.0, got nan"),
+    ],
+)
+def test_cli_overrides_obey_the_config_number_rule(tmp_path, capsys, flag, value, message):
+    # the same values in a config file are configuration errors too
+    out = tmp_path / "out"
+    assert main(["run", "negation-r1", flag, value, "--out", str(out)]) == 2
+    assert f"error: negation-r1: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_steps_override(tmp_path):
     assert main(["export", "negation-r1", "--out", str(tmp_path), "--steps", "7"]) == 0
     csv = (tmp_path / "negation-r1" / "orbit.csv").read_text().strip().splitlines()

@@ -455,6 +455,17 @@ def test_displacement_from_orbit_validates_tail():
         displacement_from_orbit(traj, 11)
 
 
+@pytest.mark.parametrize("tail", [1, 37, 2000])
+def test_displacement_from_orbit_differences_only_the_tail(tail):
+    T = DouglasRachford(Ball([0.0, 0.0, 0.0], 1.0), Ball([5.0, 1.0, -2.0], 1.5))
+    orbit = iterate(T, [0.3, 3.0, 3.0], 2000)
+    seg = (orbit.points[:-1] - orbit.points[1:])[-tail:]
+    v = seg.mean(axis=0)
+    v_tail, residual = displacement_from_orbit(orbit, tail)
+    assert v_tail.tobytes() == v.tobytes()
+    assert residual == float(np.linalg.norm(seg - v, axis=1).max())
+
+
 # ---------------------------------------------------------------------------
 # limit detection
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ after_list = scipy_modules()
 reports = [
     scenarios.run_scalar_averaged_sweep(instances=9),
     scenarios.run_codim1_sweep(instances=4),
+    scenarios.run_affine_limit_sweep(instances=3),
 ]
 print(json.dumps({{
     "code": code,
@@ -41,7 +42,7 @@ def test_scipy_loads_only_where_a_run_first_needs_it():
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["code"] == 0
     assert out["after_list"] == []
-    assert out["verdicts"] == ["pass", "pass"]
-    # the sweeps measure distances, but draw no random rotations
+    assert out["verdicts"] == ["pass", "pass", "pass"]
+    # the sweeps measure distances, and draw random rotations with numpy
     assert "scipy.spatial.distance" in out["after_sweeps"]
     assert not [m for m in out["after_sweeps"] if m.split(".")[:2] == ["scipy", "stats"]]

@@ -464,6 +464,22 @@ def test_scalar_sweep_reads_orbits_up_to_their_joint_cycle(
         assert seen[0][0]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_random_orthogonal_draws_what_scipy_ortho_group_draws(seed):
+    from scipy.stats import ortho_group
+
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for dim in (1, 2, 3, 4):
+        for _ in range(3):
+            q = scenarios._random_orthogonal(ours, dim, min_angle=0.0)
+            assert q.tobytes() == ortho_group.rvs(dim=dim, random_state=theirs).tobytes()
+
+
+def test_scalar_sweep_records_its_start_span():
+    rep = run_scalar_averaged_sweep(instances=2, max_steps=2000, start_span=3.0)
+    assert rep.params["start_span"] == 3.0
+
+
 def test_small_sweeps_pass():
     assert run_scalar_averaged_sweep(instances=12, max_steps=20000, seed=3).passed
     assert run_affine_limit_sweep(instances=6, seed=3).passed
