@@ -5,17 +5,17 @@ trajectories, drift estimates and limit verdicts take the orbits it returns,
 so a caller that needs one orbit several times computes it once.
 
 Trajectories are immutable (points array is read-only after construction).
-:func:`iterate` runs the orbit loop of the operator's compiled float kernel
-(see :mod:`fejerlab.operators`): one engine for every tree and dimension.
-``T.apply`` runs the one-step function compiled from the same source, so the
-orbit equals the orbit of ``T.apply`` bit for bit.  Orbits use plain IEEE
-double arithmetic in a fixed order, independent of BLAS.  The loop terminates
-a run early when the orbit enters an exact cycle of any period, padding the
-remaining points with the (exactly continued) cycle, and raises
-NonFiniteValueError past ``DEFAULT_NORM_CAP``.  The trajectory records the
-row from which it repeats and the period (``periodic_from``, ``period``);
-:func:`periodic_rows` turns them into the leading rows that a check of
-per-step values needs to read.
+:func:`iterate` runs the C orbit loop of :mod:`fejerlab.operators` on the
+operator's lowered float source: one engine for every tree and dimension.
+``T.apply`` runs the same source in Python, so the orbit equals the orbit of
+``T.apply`` bit for bit, and a step on which ``apply`` raises makes
+``iterate`` raise the same error.  Orbits use plain IEEE double arithmetic in
+a fixed order, independent of BLAS.  The loop terminates a run early when the
+orbit enters an exact cycle of any period, and ``iterate`` pads the remaining
+points with the (exactly continued) cycle; it raises NonFiniteValueError past
+``DEFAULT_NORM_CAP``.  The trajectory records the row from which it repeats
+and the period (``periodic_from``, ``period``); :func:`periodic_rows` turns
+them into the leading rows that a check of per-step values needs to read.
 
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
 diameter over the rows that do not repeat the row one or two steps before (the
@@ -143,10 +143,22 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n}")
     x0 = as_vector(x0, T.dim)
+    kernel = T._kernel(x0.size)
     pts = np.empty((n + 1, x0.size))
-    cap2 = DEFAULT_NORM_CAP * DEFAULT_NORM_CAP
-    cycle = T._kernel(x0.size).run(pts, *x0.tolist(), n, cap2)
-    return Trajectory._own(pts, *(cycle or ()))
+    pts[0] = x0
+    cycle = kernel.run(pts, DEFAULT_NORM_CAP * DEFAULT_NORM_CAP)
+    if cycle is None:
+        return Trajectory._own(pts)
+    # row j + p equals row j from row q on: copy whole periods into the rows
+    # after the cycle, in blocks that double
+    q, p = cycle
+    end = q + p + 1
+    while end <= n:
+        back = (end - q) // p * p  # whole periods written so far
+        block = min(back, n + 1 - end)
+        pts[end : end + block] = pts[end - back : end - back + block]
+        end += block
+    return Trajectory._own(pts, q, p)
 
 
 def periodic_rows(*orbits: Trajectory) -> int:

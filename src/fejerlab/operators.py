@@ -4,11 +4,17 @@ Operator expressions are immutable trees.  Each node has one evaluator, its
 ``_emit``: straight-line float source for its value over the coordinates
 ``x0 .. x{d-1}``; a set kind's is its one projection formula, in
 :mod:`fejerlab.geometry`.  On first use at a start dimension d, a tree's source
-is compiled into a one-step function, run by ``apply``, ``value_at`` and the
-verifiers, and an orbit loop, run by :func:`fejerlab.dynamics.iterate`.  Both
-come from one text, so the orbit equals the ``apply`` orbit bit for bit.
-Parameter values are bound per operator, so the operators of one tree shape
-and dimension share one compiled function; nothing is compiled at import.
+is compiled into a one-step Python function, run by ``apply``, ``value_at``
+and the verifiers, and lowered with :mod:`ast` into the instructions of one
+fixed C register machine, ``_VM``, whose orbit loop
+:func:`fejerlab.dynamics.iterate` runs.  Each instruction is one IEEE double
+operation, unfused, and a choice jumps so that only its taken arm runs, so
+the orbit equals the ``apply`` orbit bit for bit; where Python's step raises
+(a zero divisor, the square root of a negative) the loop stops and ``step``
+raises the same error.  Parameter values are bound per operator, so the
+operators of one tree shape and dimension share one step function and one
+program.  The machine is compiled by the interpreter's C compiler at the
+first ``iterate`` of a process, once; nothing is compiled at import.
 
 Inner products are plain left-to-right sums of rounded products.  At d = 1
 that is numpy's arithmetic, bit for bit; at d >= 2 a result may differ from
@@ -24,7 +30,11 @@ is expected to survive :func:`verify_averaged` empirically.
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
+import os
+import re
 import textwrap
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -152,72 +162,359 @@ def _linear_certificate(mat: np.ndarray) -> AveragednessCertificate:
     return _UNKNOWN_CERT
 
 
-# One function per (tree shape, d): ``_bind`` takes the parameter values of
-# one tree and returns its one-step function and its orbit loop.  The loop
-# writes rows 0..n_steps of the (n_steps + 1, d) float array ``pts``.  It
-# stops at an exact cycle of any period by Brent's method (R. P. Brent, BIT
-# 20, 1980): each new state is compared with one anchor state, and the anchor
-# moves to the current state whenever the steps since it reach a span that
-# doubles each time.  On a repeat it copies whole periods into the remaining
-# rows, in blocks that double, and returns the anchor row q and the period p,
-# so that row j + p equals row j bit for bit for every j >= q; it returns
-# None if no state repeats.
+# One step function per (tree shape, d): ``_bind`` takes the parameter values
+# of one tree and returns its one-step function, run by ``apply``, ``value_at``
+# and the verifiers.
 _KERNEL = """\
 def _bind({params}):
     def step({xs}):
-{step}
+{body}
         return ({ys},)
 
-    def run(pts, {xs}, n_steps, cap2):
-        out = memoryview(pts.reshape(-1))
-        anchor = ({xs},)
-        pts[0] = anchor
-        q, span, move = 0, 1, 1
-        k = {d}
-        for i in range(1, n_steps + 1):
-{loop}
-            if not {norm2} <= cap2:  # NaN fails the comparison too
-                raise NonFiniteValueError(
-                    f"orbit left the representable range at step {{i}}"
-                )
-            {store}
-            k += {d}
-            nxt = ({ys},)
-            # a repeat must match in sign too, as 0.0 == -0.0
-            if nxt == anchor and same_signs(nxt, anchor):
-                p = i - q
-                end = i + 1
-                while end <= n_steps:
-                    back = (end - q) // p * p  # whole periods written so far
-                    block = min(back, n_steps + 1 - end)
-                    pts[end : end + block] = pts[end - back : end - back + block]
-                    end += block
-                return q, p
-            if i == move:
-                anchor, q = nxt, i
-                span *= 2
-                move = i + span
-            {xs}, = nxt
-        return None
-
-    return step, run
+    return step
 """
 
-_KERNEL_GLOBALS = {
-    "bisect_right": bisect_right,
-    "sqrt": math.sqrt,
-    "NonFiniteValueError": NonFiniteValueError,
-    "same_signs": lambda a, b: all(
-        math.copysign(1.0, u) == math.copysign(1.0, v) for u, v in zip(a, b)
-    ),
+_KERNEL_GLOBALS = {"bisect_right": bisect_right, "sqrt": math.sqrt}
+
+# The orbit loop of every tree, in C: a register machine that runs the same
+# float source as ``step``, lowered by ``_Lowering``.  An instruction is four
+# ints: an opcode, the register it writes (a jump: the instruction it goes
+# to) and its operand registers.  A list parameter's register holds the index
+# of the register that holds its length, and its items follow that one.
+# ``fejer_run`` writes rows 1..n_steps of the (n_steps + 1, d) array ``pts``
+# from row 0, which r[0..d-1] also hold.  It stops at an exact cycle of any
+# period by Brent's method (R. P. Brent, BIT 20, 1980): each new state is
+# compared with one anchor state, and the anchor moves to the current state
+# whenever the steps since it reach a span that doubles each time.  It
+# returns what stopped it and where, in ``found``: CYCLED at (q, p) once row
+# q + p repeats row q bit for bit, sign of zero included; LEFT_RANGE at step
+# i when the squared norm of row i (summed left to right) is not at most
+# ``cap2``, NaN included; RAISED at step i where Python's step raises (a zero
+# divisor, the square root of a negative, an index out of range); RAN
+# otherwise.
+_VM = r"""
+#include <math.h>
+#include <stdint.h>
+
+enum op { MOV, NEG, ADD, SUB, MUL, DIV, SQRT, LT, LE, GT, GE, JZ, JMP, BISECT, INDEX };
+enum stop { RAN, CYCLED, LEFT_RANGE, RAISED };
+
+/* One step over the registers r; nonzero where Python's step raises. */
+static int step(const int32_t *code, int64_t n_code, double *r)
+{
+    for (int64_t pc = 0; pc < n_code; pc++) {
+        const int32_t *op = code + 4 * pc;
+        double a = r[op[2]], b = r[op[3]];
+        switch (op[0]) {
+        case MOV: r[op[1]] = a; break;
+        case NEG: r[op[1]] = -a; break;
+        case ADD: r[op[1]] = a + b; break;
+        case SUB: r[op[1]] = a - b; break;
+        case MUL: r[op[1]] = a * b; break;
+        case DIV:
+            if (b == 0.0)
+                return 1;
+            r[op[1]] = a / b;
+            break;
+        case SQRT:
+            if (a < 0.0)
+                return 1;
+            r[op[1]] = sqrt(a);
+            break;
+        case LT: r[op[1]] = a < b; break;
+        case LE: r[op[1]] = a <= b; break;
+        case GT: r[op[1]] = a > b; break;
+        case GE: r[op[1]] = a >= b; break;
+        case JZ:
+            if (a == 0.0)
+                pc = op[1] - 1;
+            break;
+        case JMP: pc = op[1] - 1; break;
+        case BISECT: {  /* Python's bisect_right(list a, b) */
+            const double *list = r + (int64_t)a;
+            int64_t lo = 0, hi = (int64_t)list[0];
+            while (lo < hi) {
+                int64_t mid = (lo + hi) / 2;
+                if (b < list[1 + mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            r[op[1]] = (double)lo;
+            break;
+        }
+        case INDEX: {  /* list a [b] */
+            const double *list = r + (int64_t)a;
+            if (!(b >= 0.0 && b < list[0]))
+                return 1;
+            r[op[1]] = list[1 + (int64_t)b];
+            break;
+        }
+        }
+    }
+    return 0;
 }
+
+int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
+                  double *r, double *pts, int64_t n_steps, double cap2, int64_t *found)
+{
+    double anchor[d], y[d];
+    int64_t q = 0, span = 1, move = 1;
+    for (int64_t k = 0; k < d; k++)
+        anchor[k] = r[k];
+    for (int64_t i = 1; i <= n_steps; i++) {
+        if (step(code, n_code, r)) {
+            found[0] = i;
+            return RAISED;
+        }
+        for (int64_t k = 0; k < d; k++)
+            y[k] = r[out[k]];
+        double norm2 = y[0] * y[0];
+        for (int64_t k = 1; k < d; k++)
+            norm2 += y[k] * y[k];
+        if (!(norm2 <= cap2)) {
+            found[0] = i;
+            return LEFT_RANGE;
+        }
+        int same = 1;
+        for (int64_t k = 0; k < d; k++) {
+            pts[i * d + k] = r[k] = y[k];
+            same = same && y[k] == anchor[k] && !signbit(y[k]) == !signbit(anchor[k]);
+        }
+        if (same) {
+            found[0] = q;
+            found[1] = i - q;
+            return CYCLED;
+        }
+        if (i == move) {
+            for (int64_t k = 0; k < d; k++)
+                anchor[k] = y[k];
+            q = i;
+            span *= 2;
+            move = i + span;
+        }
+    }
+    return RAN;
+}
+"""
+
+
+def _enum(name: str) -> dict:
+    names = re.search(rf"enum {name} {{([^}}]*)}}", _VM).group(1).split(",")
+    return {key.strip(): i for i, key in enumerate(names)}
+
+
+_OPCODES, _STOPS = _enum("op"), _enum("stop")
+# no -ffast-math or -march=native: contracting a * b + c into one FMA changes bits
+_CFLAGS = ("-O2", "-ffp-contract=off")
+
+
+def _compiler() -> list[str]:
+    """The command of the C compiler that built the interpreter."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@functools.cache
+def _orbit_loop():
+    """``fejer_run`` of ``_VM``, compiled by the interpreter's C compiler and
+    loaded on first use, once per process; the temporary directory that
+    holds the shared object is gone once it is loaded."""
+    import ctypes
+    import subprocess
+    import tempfile
+
+    with tempfile.TemporaryDirectory(prefix="fejerlab-") as tmp:
+        source, lib = os.path.join(tmp, "vm.c"), os.path.join(tmp, "vm.so")
+        with open(source, "w", encoding="ascii") as fh:
+            fh.write(_VM)
+        cmd = [*_compiler(), *_CFLAGS, "-shared", "-fPIC", "-o", lib, source, "-lm"]
+        try:
+            subprocess.run(cmd, check=True, capture_output=True, text=True)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            raise RuntimeError(
+                f"iterate needs a C compiler for its orbit loop; {' '.join(cmd)} "
+                f"failed: {detail}"
+            ) from exc
+        run = ctypes.CDLL(lib).fejer_run
+    p, i64 = ctypes.c_void_p, ctypes.c_int64
+    run.argtypes = [p, i64, p, i64, p, p, i64, ctypes.c_double, p]
+    run.restype = i64
+    return run
+
+
+class _Program(NamedTuple):
+    """One float source, lowered to ``_VM``'s instructions."""
+
+    code: np.ndarray  # int32, one row of four per instruction
+    outputs: np.ndarray  # int32, the registers of the step's result
+    size: int  # registers ahead of the lists' items
+    constants: tuple  # (register, value)
+    scalars: tuple  # (parameter index, register)
+    lists: tuple  # (parameter index, register)
+
+    def registers(self, params: list) -> np.ndarray:
+        """The register file with one operator's parameter values bound."""
+        r = np.zeros(self.size + sum(len(params[k]) + 1 for k, _ in self.lists))
+        for reg, value in self.constants:
+            r[reg] = value
+        for k, reg in self.scalars:
+            r[reg] = params[k]
+        end = self.size
+        for k, reg in self.lists:
+            items = params[k]
+            r[reg], r[end] = end, len(items)
+            r[end + 1 : end + 1 + len(items)] = items
+            end += len(items) + 1
+        r.setflags(write=False)
+        return r
+
+
+_BINARY = {ast.Add: "ADD", ast.Sub: "SUB", ast.Mult: "MUL", ast.Div: "DIV"}
+_COMPARE = {ast.Lt: "LT", ast.LtE: "LE", ast.Gt: "GT", ast.GtE: "GE"}
+
+
+class _Lowering:
+    """``_VM`` instructions of a float source: a register per name, constant
+    and intermediate value, and jumps for ``if``/``else`` and ``a if c else b``
+    so that only the taken arm runs, as in Python."""
+
+    def __init__(self, d: int):
+        self.code: list[list[int]] = []
+        self.names = {f"x{i}": i for i in range(d)}
+        self.constants: dict = {}
+        self.scalars: list = []
+        self.lists: list = []
+        self.size = d
+
+    def program(self, body: str, ys: list[str]) -> _Program:
+        self.statements(ast.parse(body).body)
+        return _Program(
+            np.array(self.code, dtype=np.int32).reshape(-1, 4),
+            np.array([self.name(y) for y in ys], dtype=np.int32),
+            self.size,
+            tuple((reg, value) for value, reg in self.constants.values()),
+            tuple(self.scalars),
+            tuple(self.lists),
+        )
+
+    def new(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+    def name(self, name: str, listed: bool = False) -> int:
+        if name not in self.names:
+            self.names[name] = reg = self.new()
+            if name.startswith("p"):
+                (self.lists if listed else self.scalars).append((int(name[1:]), reg))
+        return self.names[name]
+
+    def emit(self, opcode: str, target: int = 0, a: int = 0, b: int = 0) -> int:
+        self.code.append([_OPCODES[opcode], target, a, b])
+        return len(self.code) - 1
+
+    def operand(self, node) -> int:
+        """The register holding the value of the expression ``node``."""
+        if isinstance(node, ast.Name):
+            return self.name(node.id)
+        if isinstance(node, ast.Constant):
+            value = float(node.value)
+            key = value.hex()  # keeps 0.0 and -0.0 apart
+            if key not in self.constants:
+                self.constants[key] = (value, self.new())
+            return self.constants[key][1]
+        reg = self.new()
+        self.assign(reg, node)
+        return reg
+
+    def assign(self, reg: int, node) -> None:
+        kind = type(node)
+        if kind in (ast.Name, ast.Constant):
+            self.emit("MOV", reg, self.operand(node))
+        elif kind is ast.BinOp and type(node.op) in _BINARY:
+            left, right = self.operand(node.left), self.operand(node.right)
+            self.emit(_BINARY[type(node.op)], reg, left, right)
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            self.emit("NEG", reg, self.operand(node.operand))
+        elif kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) in _COMPARE:
+            left, right = self.operand(node.left), self.operand(node.comparators[0])
+            self.emit(_COMPARE[type(node.ops[0])], reg, left, right)
+        elif kind is ast.Call and node.func.id == "sqrt":
+            self.emit("SQRT", reg, self.operand(node.args[0]))
+        elif kind is ast.Call and node.func.id == "bisect_right":
+            items, x = node.args
+            self.emit("BISECT", reg, self.name(items.id, listed=True), self.operand(x))
+        elif kind is ast.Subscript:
+            items = self.name(node.value.id, listed=True)
+            self.emit("INDEX", reg, items, self.operand(node.slice))
+        elif kind is ast.IfExp:
+            self.choose(
+                node.test, lambda: self.assign(reg, node.body),
+                lambda: self.assign(reg, node.orelse),
+            )
+        else:
+            raise ValueError(f"cannot lower {ast.unparse(node)!r}")
+
+    def statements(self, body: list) -> None:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                self.assign(self.name(node.targets[0].id), node.value)
+            elif isinstance(node, ast.If):
+                self.choose(
+                    node.test, lambda: self.statements(node.body),
+                    lambda: self.statements(node.orelse),
+                )
+            else:
+                raise ValueError(f"cannot lower {ast.unparse(node)!r}")
+
+    def choose(self, test, then, otherwise) -> None:
+        skip_then = self.emit("JZ", 0, self.operand(test))
+        then()
+        skip_otherwise = self.emit("JMP")
+        self.code[skip_then][1] = len(self.code)
+        otherwise()
+        self.code[skip_otherwise][1] = len(self.code)
+
+
+# (float source, result names) -> its _Program; grows only with the shapes in use
+_PROGRAMS: dict = {}
 
 
 class _Kernel(NamedTuple):
-    """A tree's compiled float functions at one start dimension d."""
+    """A tree's float step and orbit loop at one start dimension d."""
 
     step: Callable  # (x0, .., x{d-1}) -> tuple of d floats
-    run: Callable  # (pts, x0, .., x{d-1}, n_steps, cap2) fills pts -> (q, p) or None
+    program: _Program  # shared by the trees of one shape
+    registers: np.ndarray  # the program's register file with this tree's parameters
+
+    def run(self, pts: np.ndarray, cap2: float):
+        """Fill rows 1.. of the float array ``pts`` with the orbit of its row 0.
+
+        Returns (q, p) when row q + p repeats row q, and None if no state
+        repeats.  An orbit past ``cap2`` raises NonFiniteValueError; a step
+        that Python raises on raises the same error, from ``step``.
+        """
+        n, d = pts.shape[0] - 1, pts.shape[1]
+        program = self.program
+        if not pts.flags.c_contiguous or pts.dtype != np.float64 or d != len(program.outputs):
+            raise ValueError("pts must be a C-ordered float64 array of the kernel's dimension")
+        r = self.registers.copy()
+        r[:d] = pts[0]
+        found = np.zeros(2, dtype=np.int64)
+        stop = _orbit_loop()(
+            program.code.ctypes.data, len(program.code), program.outputs.ctypes.data,
+            d, r.ctypes.data, pts.ctypes.data, n, cap2, found.ctypes.data,
+        )
+        i = int(found[0])
+        if stop == _STOPS["LEFT_RANGE"]:
+            raise NonFiniteValueError(f"orbit left the representable range at step {i}")
+        if stop == _STOPS["RAISED"]:
+            self.step(*pts[i - 1].tolist())
+            raise RuntimeError(f"the orbit loop and step disagree at step {i}")
+        return (i, int(found[1])) if stop == _STOPS["CYCLED"] else None
 
 
 def _compile(T: "OperatorExpr", d: int) -> _Kernel:
@@ -225,19 +522,17 @@ def _compile(T: "OperatorExpr", d: int) -> _Kernel:
     xs = [f"x{i}" for i in range(d)]
     ys = T._emit(src, xs)
     body = "\n".join(src.lines)
-    return _Kernel(
-        *src.bind(
-            _KERNEL,
-            _KERNEL_GLOBALS,
-            xs=", ".join(xs),
-            ys=", ".join(ys),
-            d=d,
-            step=textwrap.indent(body, " " * 8),
-            loop=textwrap.indent(body, " " * 12),
-            norm2=" + ".join(f"{y} * {y}" for y in ys),
-            store="; ".join(f"out[k + {i}] = {y}" for i, y in enumerate(ys)),
-        )
+    step = src.bind(
+        _KERNEL,
+        _KERNEL_GLOBALS,
+        xs=", ".join(xs),
+        ys=", ".join(ys),
+        body=textwrap.indent(body, " " * 8),
     )
+    key = (body, tuple(ys))
+    if key not in _PROGRAMS:
+        _PROGRAMS[key] = _Lowering(d).program(body, ys)
+    return _Kernel(step, _PROGRAMS[key], _PROGRAMS[key].registers(src.params))
 
 
 class OperatorExpr:

@@ -735,6 +735,8 @@ class CheckKind:
         for key in params:
             if key not in self.defaults and key not in self.sets + self.operators:
                 raise ConfigError(f"{path}: unknown parameter {key!r}")
+        if "tol" in params:  # a check's own tol obeys the run's number rule
+            spec_number("tol", params["tol"], f"{path}.tol")
         for label, keys, named in (
             ("set", self.sets, spec.sets),
             ("operator", self.operators, spec.operators),

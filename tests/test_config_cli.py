@@ -774,6 +774,23 @@ def test_cli_overrides_obey_the_config_number_rule(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "tol, message",
+    [(".nan", "must be at least 0.0, got nan"), ("-1", "must be at least 0.0, got -1.0"),
+     ("abc", "expected a number, got 'abc'")],
+)
+def test_a_check_tol_obeys_the_config_number_rule(tmp_path, capsys, tol, message):
+    path = tmp_path / "bad-tol.yaml"
+    path.write_text(
+        CONFIG_TEXT.replace("params: {set: line}", f"params: {{set: line, tol: {tol}}}"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: checks.fejer.params.tol: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_steps_override(tmp_path):
     assert main(["export", "negation-r1", "--out", str(tmp_path), "--steps", "7"]) == 0
     csv = (tmp_path / "negation-r1" / "orbit.csv").read_text().strip().splitlines()

@@ -1,5 +1,9 @@
+import bisect
+import hashlib
 import math
+import re
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from fejerlab.geometry import (
     Box,
     Halfspace,
     Hyperplane,
+    KernelSource,
     LinearSubspace,
     MinkowskiSum,
     Orthant,
@@ -31,6 +36,7 @@ from fejerlab.operators import (
     Identity,
     Linear,
     Negation,
+    OperatorExpr,
     Projector,
     Reflector,
     ScalarPiecewiseLinear,
@@ -260,6 +266,187 @@ def test_norm_cap_raises():
         iterate(Linear(3.0 * np.eye(2)), [1.0, 1.0], 200)
     with pytest.raises(NonFiniteValueError):
         iterate(Linear(np.array([[3.0]])), [1.0], 200)
+
+
+def test_norm_cap_names_the_step_that_left_the_range():
+    # 3**25 is below the cap of 1e12, 3**26 above it
+    with pytest.raises(NonFiniteValueError, match="at step 26$"):
+        iterate(Linear([[3.0]]), [1.0], 40)
+
+
+# (periodic_from, period, sha256 of the rows) of each orbit, pinned from the
+# Python orbit loop; starts of -0.0 make the sign check of a repeat matter
+_PINNED_CYCLES = {
+    "identity": (Identity(), [-0.0, 0.0], 50, (0, 1, "1d2f98f557ef54cd")),
+    "projector": (Projector(Ball([1.0, -1.0], 0.5)), [-0.0, 4.0], 50, (3, 1, "eb676f419cc861a1")),
+    "negation": (Negation(), [0.0, -0.0], 51, (1, 2, "b13765539c522ec0")),
+    "permutation-3": (
+        Linear(np.roll(np.eye(3), 1, axis=1)), [-0.0, 1.0, -2.0], 60, (3, 3, "63ca5b1b7f8a534d"),
+    ),
+    "permutation-19": (
+        Linear(np.roll(np.eye(19), 1, axis=1)),
+        [-0.0 if k % 2 else float(k) for k in range(19)],
+        200,
+        (31, 19, "13db652425dfc7bd"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CYCLES))
+def test_exact_cycles_keep_their_pinned_rows(name):
+    T, x0, n, expected = _PINNED_CYCLES[name]
+    traj = iterate(T, x0, n)
+    digest = hashlib.sha256(traj.points.tobytes()).hexdigest()[:16]
+    assert (traj.periodic_from, traj.period, digest) == expected
+    assert traj.points.tobytes() == _naive_orbit(T, x0, n).tobytes()
+
+
+def test_piecewise_linear_orbit_crosses_every_breakpoint():
+    T = ScalarPiecewiseLinear(
+        [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
+        [-0.9, -0.95, -0.85, -0.9, -0.8, -0.9, -0.95, -0.9],
+        anchor_value=2.7,
+    )
+    xs = T.breakpoints.tolist()
+    for x0 in ([-5.0], [3.0]):  # the second start is a breakpoint itself
+        traj = iterate(T, x0, 400)
+        assert traj.points.tobytes() == _naive_orbit(T, x0, 400).tobytes()
+    pieces = {bisect.bisect_right(xs, t) for t in iterate(T, [-5.0], 400).points[:, 0]}
+    assert pieces == set(range(len(xs) + 1))
+    digest = hashlib.sha256(iterate(T, [-5.0], 400).points.tobytes()).hexdigest()[:16]
+    assert digest == "0320e6bd736da033"
+
+
+def _divisions_and_roots(node, d):
+    """The emitted lines of ``node`` at dimension d that divide or take a
+    square root, with every name reduced to its kind (t, p or x)."""
+    src = KernelSource()
+    node._emit(src, [f"x{i}" for i in range(d)])
+    return sorted(
+        re.sub(r"\b([txp])\d+\b", r"\1", line.strip())
+        for line in src.lines
+        if " / " in line or "sqrt(" in line
+    )
+
+
+def test_every_emitted_division_and_root_is_listed():
+    cone = Orthant([1.0, -1.0])
+    sets = [
+        Point([0.5, 1.0]),
+        Ball([0.5, 1.0], 2.0),
+        Halfspace([1.0, 2.0], 0.5),
+        Hyperplane([1.0, 2.0], 0.5),
+        AffineSubspace([0.5, 1.0], [[0.6, 0.8]]),
+        LinearSubspace([[0.6, 0.8]]),
+        Box([0.0, 0.0], [1.0, 2.0]),
+        Ray([0.5, 1.0], [1.0, 0.0]),
+        cone,
+        MinkowskiSum(Point([0.5, 1.0]), cone),
+        MinkowskiSum(Ball([0.5, 1.0], 2.0), cone),
+    ]
+    found = {
+        f"{type(C).__name__}({type(getattr(C, 'summand', C)).__name__})": _divisions_and_roots(C, 2)
+        for C in sets
+    }
+    assert {k: v for k, v in found.items() if v} == {
+        "Ball(Ball)": ["t = p / sqrt(t)"],
+        "Halfspace(Halfspace)": ["t = t / p"],
+        "Hyperplane(Hyperplane)": ["t = t / p"],
+        "MinkowskiSum(Ball)": ["t = p / t", "t = sqrt(t)"],
+    }
+    # operator nodes add none of their own
+    line = Hyperplane([1.0, 2.0], 0.5)
+    A = Projector(Point([0.5, 1.0]))
+    for T in (
+        Identity(), Negation(), Translation([1.0, 2.0]), Linear(np.eye(2)),
+        AffineMap(np.eye(2), [1.0, 2.0]), ConvexCombination(0.3, A, Negation()),
+        Composition(A, Negation()), DouglasRachford(Point([0.5, 1.0]), Point([1.0, 0.0])),
+        Reflector(Point([0.5, 1.0])),
+    ):
+        assert _divisions_and_roots(T, 2) == [], T
+    assert _divisions_and_roots(ScalarPiecewiseLinear([0.0], [0.5, -0.5]), 1) == []
+    assert _divisions_and_roots(Projector(line), 2) == ["t = t / p"]
+
+
+@pytest.mark.parametrize(
+    "T, starts",
+    [
+        # a Ball divides by sqrt(n2) only when n2 > r2 >= 0; here r * r is 0.0
+        (Projector(Ball([0.0], 1e-200)), [[0.0], [5e-324], [-1e-160], [1e-150]]),
+        (Reflector(Ball([1.0, -1.0], 1e-200)), [[1.0, -1.0], [1.0 + 2e-16, -1.0]]),
+        # the least normal a Halfspace or Hyperplane accepts has normal² 5e-324
+        (Projector(Halfspace([2.3e-162], 0.0)), [[-1.0], [1e-300], [1.0]]),
+        (Projector(Hyperplane([2.3e-162, 0.0], 0.0)), [[1e-300, 4.0]]),
+        # a ball-summand MinkowskiSum divides by dist only when dist > r > 0
+        (
+            Projector(MinkowskiSum(Ball([0.0, 0.0], 1e-300), Orthant([1.0, 1.0]))),
+            [[-0.0, -0.0], [-5e-324, 1.0], [-1e-150, -1e-150], [3.0, -2.0]],
+        ),
+    ],
+    ids=["ball", "ball-reflection", "halfspace", "hyperplane", "minkowski-ball"],
+)
+def test_emitted_divisions_and_roots_stay_defined(T, starts):
+    # every square root is of a sum of squares, and every divisor is
+    # positive where its arm runs: at the edge cases neither evaluator raises
+    for x0 in starts:
+        traj = iterate(T, x0, 20)
+        assert traj.points.tobytes() == _naive_orbit(T, x0, 20).tobytes(), x0
+    with pytest.raises(ValueError, match="normal must be nonzero"):
+        Halfspace([1e-162], 0.0)  # its normal² rounds to 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class _Formula(OperatorExpr):
+    """A map of the line given by one line of float source over ``{0}``."""
+
+    text: str
+
+    def __post_init__(self):
+        self._install(1)
+
+    def _emit(self, src, x):
+        return [src.let(self.text.format(*x))]
+
+
+@pytest.mark.parametrize(
+    "text, x0, error, step",
+    [
+        ("1.0 / ({0} - 1.0)", 2.0, ZeroDivisionError, 2),
+        ("1.0 / ({0} - 1.0)", 1.0, ZeroDivisionError, 1),
+        ("sqrt({0}) - 1.5", 16.0, ValueError, 4),
+        ("{0} - 1.0 if {0} > 0.5 else 1.0 / {0}", 2.5, ZeroDivisionError, 6),
+    ],
+)
+def test_iterate_raises_what_apply_raises(text, x0, error, step):
+    # a zero divisor or the root of a negative stops the orbit at the step
+    # where apply raises, with apply's exception
+    T = _Formula(text)
+    orbit = _naive_orbit(T, [x0], step - 1)
+    with pytest.raises(error) as from_apply:
+        T.apply(orbit[-1])
+    with pytest.raises(error) as from_iterate:
+        iterate(T, [x0], step + 5)
+    assert str(from_iterate.value) == str(from_apply.value)
+    if step > 1:
+        assert iterate(T, [x0], step - 1).points.tobytes() == orbit.tobytes()
+
+
+def test_only_the_taken_arm_of_a_choice_runs():
+    # the orbit reaches 0.0, where the arm not taken would divide by it
+    T = _Formula("1.0 / {0} if {0} > 0.0 else {0} + 2.0")
+    traj = iterate(T, [-2.0], 30)
+    assert traj.points[:5, 0].tolist() == [-2.0, 0.0, 2.0, 0.5, 2.0]
+    assert traj.points.tobytes() == _naive_orbit(T, [-2.0], 30).tobytes()
+
+
+def test_nested_choices_and_every_comparison_follow_python():
+    T = _Formula(
+        "-{0} * 0.75 if {0} < -1.0 else ({0} * 0.5 if {0} <= 1.0 else "
+        "({0} - 2.0 if {0} >= 3.0 else (0.25 * {0} if {0} > 2.0 else -0.0)))"
+    )
+    for x0 in (-7.0, -1.0, -0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 9.0):
+        traj = iterate(T, [x0], 40)
+        assert traj.points.tobytes() == _naive_orbit(T, [x0], 40).tobytes(), x0
 
 
 def test_trajectory_points_read_only():

@@ -1,7 +1,9 @@
+import subprocess
+
 import numpy as np
 import pytest
 
-from fejerlab import geometry
+from fejerlab import geometry, operators
 from fejerlab.dynamics import iterate
 from fejerlab.errors import DimensionMismatchError, UnsupportedSetError
 from fejerlab.geometry import (
@@ -175,10 +177,12 @@ def test_scalar_flag_per_node_kind(T):
 
 
 def test_sweep_operators_share_compiled_kernels(monkeypatch):
-    # kernels are compiled per tree shape and dimension, and parameters are
-    # bound per operator: the scalar sweep's trees share one kernel and the
-    # codim1 sweep's one per dimension, however many operators a sweep builds
+    # kernels are compiled and lowered per tree shape and dimension, and
+    # parameters are bound per operator: the scalar sweep's trees share one
+    # kernel and the codim1 sweep's one per dimension, however many operators
+    # a sweep builds
     monkeypatch.setattr(geometry, "_COMPILED", {})
+    monkeypatch.setattr(operators, "_PROGRAMS", {})
     rng = np.random.default_rng(3)
     for i in range(200):
         R = random_scalar_piecewise_linear(rng)
@@ -191,6 +195,7 @@ def test_sweep_operators_share_compiled_kernels(monkeypatch):
         T = ConvexCombination(rng.uniform(0.05, 0.95), Identity(), Reflector(C))
         iterate(T, rng.uniform(-5, 5, d), 50)
     assert len(geometry._COMPILED) <= 3
+    assert len(operators._PROGRAMS) == 3
 
 
 def test_unsupported_minkowski_sum_raises_on_use():
@@ -548,3 +553,13 @@ def test_every_constructed_operator_is_nonexpansive(T):
     dim = T.dim if T.dim is not None else 2
     rep = verify_nonexpansive(T, trials=1000, seed=21, tol=1e-9, dim=dim)
     assert rep.passed, rep.witness
+
+
+def test_the_orbit_loop_source_compiles_without_warnings(tmp_path):
+    source = tmp_path / "vm.c"
+    source.write_text(operators._VM, encoding="ascii")
+    flags = ["-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+    proc = subprocess.run(
+        [*operators._compiler(), *flags, str(source)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
