@@ -1,0 +1,307 @@
+"""fejerlab's C library: the orbit loop of ``iterate`` and the CSV writer of
+``export_trajectory``.
+
+The whole library is one C translation unit, ``_SOURCE``.  The interpreter's
+C compiler builds it at the first call that needs it, once per process, with
+``-O2 -ffp-contract=off``; nothing is compiled at import.  The shared object
+is written into a temporary directory, loaded through :mod:`ctypes`, and the
+directory is deleted as soon as it is loaded.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import re
+
+import numpy as np
+
+# ``fejer_run`` is the orbit loop of every tree: a register machine that runs
+# the same float source as an operator's ``step``, lowered by
+# ``operators._Lowering``.  An instruction is four ints: an opcode, the
+# register it writes (a jump: the instruction it goes to) and its operand
+# registers.  A list parameter's register holds the index of the register
+# that holds its length, and its items follow that one.  ``fejer_run`` writes
+# rows 1..n_steps of the (n_steps + 1, d) array ``pts`` from row 0, which
+# r[0..d-1] also hold.  It stops at an exact cycle of any period by Brent's
+# method (R. P. Brent, BIT 20, 1980): each new state is compared with one
+# anchor state, and the anchor moves to the current state whenever the steps
+# since it reach a span that doubles each time.  It returns what stopped it
+# and where, in ``found``: CYCLED at (q, p) once row q + p repeats row q bit
+# for bit, sign of zero included; LEFT_RANGE at step i when the squared norm
+# of row i (summed left to right) is not at most ``cap2``, NaN included;
+# RAISED at step i where Python's step raises (a zero divisor, the square root
+# of a negative, an index out of range); RAN otherwise.
+#
+# ``fejer_csv`` writes the CSV rows ``index,v1,...,vd\n`` of the (n, d) array
+# ``pts``, numbered from ``start``, and returns the count of bytes written.
+# Each value is the text of Python's
+# ``format(v, ".17g")``.  Where 1e-16 <= |v| < 1e17, v = m * 2**e exactly
+# and its 17 digits are D = round-half-even(m * 5**k * 2**(e + k)) with
+# k = 16 - E, exact in 128-bit integers since 5**32 < 2**75; the decimal
+# exponent E is read from the floor of the scaled value, not from its
+# rounding.  Zeros are written "0" and "-0", NaN "nan"; every other value (a
+# subnormal, |v| outside that range, an infinity, or the double 1e-16, which
+# lies below 10**-16 and so needs k = 33) is written by snprintf's correctly
+# rounded "%.17g" under the C numeric locale.
+_SOURCE = r"""
+#define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
+#include <locale.h>
+#include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
+
+enum op { MOV, NEG, ADD, SUB, MUL, DIV, SQRT, LT, LE, GT, GE, JZ, JMP, BISECT, INDEX };
+enum stop { RAN, CYCLED, LEFT_RANGE, RAISED };
+
+/* One step over the registers r; nonzero where Python's step raises. */
+static int step(const int32_t *code, int64_t n_code, double *r)
+{
+    for (int64_t pc = 0; pc < n_code; pc++) {
+        const int32_t *op = code + 4 * pc;
+        double a = r[op[2]], b = r[op[3]];
+        switch (op[0]) {
+        case MOV: r[op[1]] = a; break;
+        case NEG: r[op[1]] = -a; break;
+        case ADD: r[op[1]] = a + b; break;
+        case SUB: r[op[1]] = a - b; break;
+        case MUL: r[op[1]] = a * b; break;
+        case DIV:
+            if (b == 0.0)
+                return 1;
+            r[op[1]] = a / b;
+            break;
+        case SQRT:
+            if (a < 0.0)
+                return 1;
+            r[op[1]] = sqrt(a);
+            break;
+        case LT: r[op[1]] = a < b; break;
+        case LE: r[op[1]] = a <= b; break;
+        case GT: r[op[1]] = a > b; break;
+        case GE: r[op[1]] = a >= b; break;
+        case JZ:
+            if (a == 0.0)
+                pc = op[1] - 1;
+            break;
+        case JMP: pc = op[1] - 1; break;
+        case BISECT: {  /* Python's bisect_right(list a, b) */
+            const double *list = r + (int64_t)a;
+            int64_t lo = 0, hi = (int64_t)list[0];
+            while (lo < hi) {
+                int64_t mid = (lo + hi) / 2;
+                if (b < list[1 + mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            r[op[1]] = (double)lo;
+            break;
+        }
+        case INDEX: {  /* list a [b] */
+            const double *list = r + (int64_t)a;
+            if (!(b >= 0.0 && b < list[0]))
+                return 1;
+            r[op[1]] = list[1 + (int64_t)b];
+            break;
+        }
+        }
+    }
+    return 0;
+}
+
+int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
+                  double *r, double *pts, int64_t n_steps, double cap2, int64_t *found)
+{
+    double anchor[d], y[d];
+    int64_t q = 0, span = 1, move = 1;
+    for (int64_t k = 0; k < d; k++)
+        anchor[k] = r[k];
+    for (int64_t i = 1; i <= n_steps; i++) {
+        if (step(code, n_code, r)) {
+            found[0] = i;
+            return RAISED;
+        }
+        for (int64_t k = 0; k < d; k++)
+            y[k] = r[out[k]];
+        double norm2 = y[0] * y[0];
+        for (int64_t k = 1; k < d; k++)
+            norm2 += y[k] * y[k];
+        if (!(norm2 <= cap2)) {
+            found[0] = i;
+            return LEFT_RANGE;
+        }
+        int same = 1;
+        for (int64_t k = 0; k < d; k++) {
+            pts[i * d + k] = r[k] = y[k];
+            same = same && y[k] == anchor[k] && !signbit(y[k]) == !signbit(anchor[k]);
+        }
+        if (same) {
+            found[0] = q;
+            found[1] = i - q;
+            return CYCLED;
+        }
+        if (i == move) {
+            for (int64_t k = 0; k < d; k++)
+                anchor[k] = y[k];
+            q = i;
+            span *= 2;
+            move = i + span;
+        }
+    }
+    return RAN;
+}
+
+typedef unsigned __int128 u128;
+
+/* The 17 digits D of a > 0 and its decimal exponent E: a rounds to
+   D * 10**(E - 16) with 10**16 <= D < 10**17.  Returns 0 where k = 16 - E
+   is not in 0..32, the range of pow5. */
+static int digits17(double a, const u128 *pow5, uint64_t *digits, int *exponent)
+{
+    const uint64_t ten16 = 10000000000000000ULL;
+    uint64_t bits, D = 0;
+    memcpy(&bits, &a, sizeof bits);
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int e = (int)(bits >> 52) - 1075;  /* a = m * 2**e where a is normal */
+    int E = ((e + 52) * 78913) >> 18;  /* floor((e + 52) log10(2)): E, or E - 1 */
+    for (E = E < -16 ? -16 : E; E >= -16 && E <= 16; E += D < ten16 ? -1 : 1) {
+        int k = 16 - E, s = -(e + k);
+        u128 scaled = (u128)m * pow5[k];  /* a * 10**k == scaled / 2**s */
+        D = (uint64_t)(s > 0 ? scaled >> s : scaled << -s);  /* its floor */
+        if (D < ten16 || D >= 10 * ten16)
+            continue;
+        if (s > 0) {  /* round half to even */
+            u128 rest = scaled & (((u128)1 << s) - 1), half = (u128)1 << (s - 1);
+            D += rest > half || (rest == half && (D & 1));
+        }
+        *digits = D == 10 * ten16 ? ten16 : D;
+        *exponent = E + (D == 10 * ten16);
+        return 1;
+    }
+    return 0;
+}
+
+/* "," and Python's format(a, ".17g") at p; returns the end of the text. */
+static char *put_g17(char *p, double a, const u128 *pow5, locale_t *c_numeric)
+{
+    uint64_t D;
+    int E;
+    *p++ = ',';
+    if (isnan(a))
+        return (char *)memcpy(p, "nan", 3) + 3;
+    if (signbit(a)) {
+        *p++ = '-';
+        a = -a;
+    }
+    if (a == 0.0) {
+        *p++ = '0';
+    } else if (a >= 1e-16 && a < 1e17 && digits17(a, pow5, &D, &E)) {
+        char dig[17];
+        int n = 17, sci = E < -4, point = sci ? 0 : E;  /* "." follows digit point */
+        for (int i = 16; i >= 0; i--, D /= 10)
+            dig[i] = (char)('0' + D % 10);
+        while (dig[n - 1] == '0')  /* the significant digits */
+            n--;
+        if (point < 0)  /* 0.000ddd */
+            p = (char *)memcpy(p, "0.0000", 1 - point) + 1 - point;
+        for (int i = 0; i < n || i <= point; i++) {
+            *p++ = dig[i];
+            if (i == point && i + 1 < n)
+                *p++ = '.';
+        }
+        if (sci) {  /* e-XX: -16 <= E < -4 */
+            *p++ = 'e';
+            *p++ = '-';
+            *p++ = (char)('0' - E / 10);
+            *p++ = (char)('0' - E % 10);
+        }
+    } else {
+        if (!*c_numeric)
+            *c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+        locale_t old = uselocale(*c_numeric);
+        p += snprintf(p, 25, "%.17g", a);
+        uselocale(old);
+    }
+    return p;
+}
+
+int64_t fejer_csv(const double *pts, int64_t n, int64_t d, int64_t start, char *out)
+{
+    u128 pow5[33] = {1};
+    locale_t c_numeric = (locale_t)0;
+    char *p = out;
+    for (int k = 1; k < 33; k++)
+        pow5[k] = 5 * pow5[k - 1];
+    for (int64_t i = 0; i < n; i++) {
+        p += sprintf(p, "%lld", (long long)(start + i));
+        for (int64_t k = 0; k < d; k++)
+            p = put_g17(p, pts[i * d + k], pow5, &c_numeric);
+        *p++ = '\n';
+    }
+    if (c_numeric)
+        freelocale(c_numeric);
+    return p - out;
+}
+"""
+
+
+def enum(name: str) -> dict:
+    """The values of the C ``enum name``, by member name."""
+    names = re.search(rf"enum {name} {{([^}}]*)}}", _SOURCE).group(1).split(",")
+    return {key.strip(): i for i, key in enumerate(names)}
+
+
+# no -ffast-math or -march=native: contracting a * b + c into one FMA changes bits
+_CFLAGS = ("-O2", "-ffp-contract=off")
+
+
+def _compiler() -> list[str]:
+    """The command of the C compiler that built the interpreter."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+@functools.cache
+def library():
+    """The library, compiled by the interpreter's C compiler and loaded on
+    first use, once per process; the temporary directory that holds the
+    shared object is gone once it is loaded."""
+    import ctypes
+    import subprocess
+    import tempfile
+
+    with tempfile.TemporaryDirectory(prefix="fejerlab-") as tmp:
+        source, path = os.path.join(tmp, "native.c"), os.path.join(tmp, "native.so")
+        with open(source, "w", encoding="ascii") as fh:
+            fh.write(_SOURCE)
+        cmd = [*_compiler(), *_CFLAGS, "-shared", "-fPIC", "-o", path, source, "-lm"]
+        try:
+            subprocess.run(cmd, check=True, capture_output=True, text=True)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            raise RuntimeError(
+                "iterate needs a C compiler for its orbit loop and export_trajectory "
+                f"for its CSV writer, both in fejerlab's C library; {' '.join(cmd)} "
+                f"failed: {detail}"
+            ) from exc
+        lib = ctypes.CDLL(path)
+    p, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.fejer_run.argtypes = [p, i64, p, i64, p, p, i64, ctypes.c_double, p]
+    lib.fejer_run.restype = i64
+    lib.fejer_csv.argtypes = [p, i64, i64, i64, p]
+    lib.fejer_csv.restype = i64
+    return lib
+
+
+def csv_rows(points: np.ndarray, start: int) -> np.ndarray:
+    """The CSV rows of ``points``, numbered from ``start``, as one text block."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    n, d = pts.shape
+    # a row has at most 19 index digits, "," and 24 characters per value, "\n",
+    # and room for the NUL snprintf writes after a value
+    out = np.empty(n * (21 + 25 * d), dtype=np.uint8)
+    return out[: library().fejer_csv(pts.ctypes.data, n, d, start, out.ctypes.data)]

@@ -6,15 +6,16 @@ Operator expressions are immutable trees.  Each node has one evaluator, its
 :mod:`fejerlab.geometry`.  On first use at a start dimension d, a tree's source
 is compiled into a one-step Python function, run by ``apply``, ``value_at``
 and the verifiers, and lowered with :mod:`ast` into the instructions of one
-fixed C register machine, ``_VM``, whose orbit loop
-:func:`fejerlab.dynamics.iterate` runs.  Each instruction is one IEEE double
+fixed C register machine, ``fejer_run`` of :mod:`fejerlab.native`, whose
+orbit loop :func:`fejerlab.dynamics.iterate` runs.  Each instruction is one IEEE double
 operation, unfused, and a choice jumps so that only its taken arm runs, so
 the orbit equals the ``apply`` orbit bit for bit; where Python's step raises
 (a zero divisor, the square root of a negative) the loop stops and ``step``
 raises the same error.  Parameter values are bound per operator, so the
 operators of one tree shape and dimension share one step function and one
-program.  The machine is compiled by the interpreter's C compiler at the
-first ``iterate`` of a process, once; nothing is compiled at import.
+program.  The machine is part of fejerlab's one C library, which
+:mod:`fejerlab.native` builds at the first ``iterate`` or export of a
+process, once; nothing is compiled at import.
 
 Inner products are plain left-to-right sums of rounded products.  At d = 1
 that is numpy's arithmetic, bit for bit; at d >= 2 a result may differ from
@@ -31,10 +32,7 @@ is expected to survive :func:`verify_averaged` empirically.
 from __future__ import annotations
 
 import ast
-import functools
 import math
-import os
-import re
 import textwrap
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -42,6 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import native
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .geometry import (
     AffineSubspace,
@@ -176,178 +175,11 @@ def _bind({params}):
 
 _KERNEL_GLOBALS = {"bisect_right": bisect_right, "sqrt": math.sqrt}
 
-# The orbit loop of every tree, in C: a register machine that runs the same
-# float source as ``step``, lowered by ``_Lowering``.  An instruction is four
-# ints: an opcode, the register it writes (a jump: the instruction it goes
-# to) and its operand registers.  A list parameter's register holds the index
-# of the register that holds its length, and its items follow that one.
-# ``fejer_run`` writes rows 1..n_steps of the (n_steps + 1, d) array ``pts``
-# from row 0, which r[0..d-1] also hold.  It stops at an exact cycle of any
-# period by Brent's method (R. P. Brent, BIT 20, 1980): each new state is
-# compared with one anchor state, and the anchor moves to the current state
-# whenever the steps since it reach a span that doubles each time.  It
-# returns what stopped it and where, in ``found``: CYCLED at (q, p) once row
-# q + p repeats row q bit for bit, sign of zero included; LEFT_RANGE at step
-# i when the squared norm of row i (summed left to right) is not at most
-# ``cap2``, NaN included; RAISED at step i where Python's step raises (a zero
-# divisor, the square root of a negative, an index out of range); RAN
-# otherwise.
-_VM = r"""
-#include <math.h>
-#include <stdint.h>
-
-enum op { MOV, NEG, ADD, SUB, MUL, DIV, SQRT, LT, LE, GT, GE, JZ, JMP, BISECT, INDEX };
-enum stop { RAN, CYCLED, LEFT_RANGE, RAISED };
-
-/* One step over the registers r; nonzero where Python's step raises. */
-static int step(const int32_t *code, int64_t n_code, double *r)
-{
-    for (int64_t pc = 0; pc < n_code; pc++) {
-        const int32_t *op = code + 4 * pc;
-        double a = r[op[2]], b = r[op[3]];
-        switch (op[0]) {
-        case MOV: r[op[1]] = a; break;
-        case NEG: r[op[1]] = -a; break;
-        case ADD: r[op[1]] = a + b; break;
-        case SUB: r[op[1]] = a - b; break;
-        case MUL: r[op[1]] = a * b; break;
-        case DIV:
-            if (b == 0.0)
-                return 1;
-            r[op[1]] = a / b;
-            break;
-        case SQRT:
-            if (a < 0.0)
-                return 1;
-            r[op[1]] = sqrt(a);
-            break;
-        case LT: r[op[1]] = a < b; break;
-        case LE: r[op[1]] = a <= b; break;
-        case GT: r[op[1]] = a > b; break;
-        case GE: r[op[1]] = a >= b; break;
-        case JZ:
-            if (a == 0.0)
-                pc = op[1] - 1;
-            break;
-        case JMP: pc = op[1] - 1; break;
-        case BISECT: {  /* Python's bisect_right(list a, b) */
-            const double *list = r + (int64_t)a;
-            int64_t lo = 0, hi = (int64_t)list[0];
-            while (lo < hi) {
-                int64_t mid = (lo + hi) / 2;
-                if (b < list[1 + mid])
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            r[op[1]] = (double)lo;
-            break;
-        }
-        case INDEX: {  /* list a [b] */
-            const double *list = r + (int64_t)a;
-            if (!(b >= 0.0 && b < list[0]))
-                return 1;
-            r[op[1]] = list[1 + (int64_t)b];
-            break;
-        }
-        }
-    }
-    return 0;
-}
-
-int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
-                  double *r, double *pts, int64_t n_steps, double cap2, int64_t *found)
-{
-    double anchor[d], y[d];
-    int64_t q = 0, span = 1, move = 1;
-    for (int64_t k = 0; k < d; k++)
-        anchor[k] = r[k];
-    for (int64_t i = 1; i <= n_steps; i++) {
-        if (step(code, n_code, r)) {
-            found[0] = i;
-            return RAISED;
-        }
-        for (int64_t k = 0; k < d; k++)
-            y[k] = r[out[k]];
-        double norm2 = y[0] * y[0];
-        for (int64_t k = 1; k < d; k++)
-            norm2 += y[k] * y[k];
-        if (!(norm2 <= cap2)) {
-            found[0] = i;
-            return LEFT_RANGE;
-        }
-        int same = 1;
-        for (int64_t k = 0; k < d; k++) {
-            pts[i * d + k] = r[k] = y[k];
-            same = same && y[k] == anchor[k] && !signbit(y[k]) == !signbit(anchor[k]);
-        }
-        if (same) {
-            found[0] = q;
-            found[1] = i - q;
-            return CYCLED;
-        }
-        if (i == move) {
-            for (int64_t k = 0; k < d; k++)
-                anchor[k] = y[k];
-            q = i;
-            span *= 2;
-            move = i + span;
-        }
-    }
-    return RAN;
-}
-"""
-
-
-def _enum(name: str) -> dict:
-    names = re.search(rf"enum {name} {{([^}}]*)}}", _VM).group(1).split(",")
-    return {key.strip(): i for i, key in enumerate(names)}
-
-
-_OPCODES, _STOPS = _enum("op"), _enum("stop")
-# no -ffast-math or -march=native: contracting a * b + c into one FMA changes bits
-_CFLAGS = ("-O2", "-ffp-contract=off")
-
-
-def _compiler() -> list[str]:
-    """The command of the C compiler that built the interpreter."""
-    import shlex
-    import sysconfig
-
-    return shlex.split(sysconfig.get_config_var("CC") or "cc")
-
-
-@functools.cache
-def _orbit_loop():
-    """``fejer_run`` of ``_VM``, compiled by the interpreter's C compiler and
-    loaded on first use, once per process; the temporary directory that
-    holds the shared object is gone once it is loaded."""
-    import ctypes
-    import subprocess
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="fejerlab-") as tmp:
-        source, lib = os.path.join(tmp, "vm.c"), os.path.join(tmp, "vm.so")
-        with open(source, "w", encoding="ascii") as fh:
-            fh.write(_VM)
-        cmd = [*_compiler(), *_CFLAGS, "-shared", "-fPIC", "-o", lib, source, "-lm"]
-        try:
-            subprocess.run(cmd, check=True, capture_output=True, text=True)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", None) or exc
-            raise RuntimeError(
-                f"iterate needs a C compiler for its orbit loop; {' '.join(cmd)} "
-                f"failed: {detail}"
-            ) from exc
-        run = ctypes.CDLL(lib).fejer_run
-    p, i64 = ctypes.c_void_p, ctypes.c_int64
-    run.argtypes = [p, i64, p, i64, p, p, i64, ctypes.c_double, p]
-    run.restype = i64
-    return run
+_OPCODES, _STOPS = native.enum("op"), native.enum("stop")
 
 
 class _Program(NamedTuple):
-    """One float source, lowered to ``_VM``'s instructions."""
+    """One float source, lowered to the instructions of ``fejer_run``."""
 
     code: np.ndarray  # int32, one row of four per instruction
     outputs: np.ndarray  # int32, the registers of the step's result
@@ -378,7 +210,7 @@ _COMPARE = {ast.Lt: "LT", ast.LtE: "LE", ast.Gt: "GT", ast.GtE: "GE"}
 
 
 class _Lowering:
-    """``_VM`` instructions of a float source: a register per name, constant
+    """``fejer_run`` instructions of a float source: a register per name, constant
     and intermediate value, and jumps for ``if``/``else`` and ``a if c else b``
     so that only the taken arm runs, as in Python."""
 
@@ -504,7 +336,7 @@ class _Kernel(NamedTuple):
         r = self.registers.copy()
         r[:d] = pts[0]
         found = np.zeros(2, dtype=np.int64)
-        stop = _orbit_loop()(
+        stop = native.library().fejer_run(
             program.code.ctypes.data, len(program.code), program.outputs.ctypes.data,
             d, r.ctypes.data, pts.ctypes.data, n, cap2, found.ctypes.data,
         )

@@ -896,6 +896,8 @@ def _run_check(spec, cdef, built, run_values):
             params[key] = run_values[key]
         elif key in named:
             params[key] = named[key][val]
+        elif key == "tol":  # YAML reads 1e-9 as a string; validate accepted it
+            params[key] = spec_number("tol", val, f"checks.{cdef.name}.params.tol")
     return kind.run(built.get(cdef.trajectory), cdef.expect, **params)
 
 

@@ -1,5 +1,6 @@
 """``import fejerlab`` loads no scipy; each scipy subpackage loads at first use.
-The C orbit loop is compiled once per process, at the first ``iterate``."""
+The C library is compiled once per process, at the first ``iterate`` or
+trajectory export, whichever comes first."""
 
 import json
 import subprocess
@@ -49,7 +50,8 @@ def test_scipy_loads_only_where_a_run_first_needs_it():
     assert not [m for m in out["after_sweeps"] if m.split(".")[:2] == ["scipy", "stats"]]
 
 
-# counts the processes started through subprocess, then iterates two shapes
+# counts the processes started through subprocess, runs ``list``, then the
+# calls named in argv, each a statement; prints the processes started by each
 COMPILER_PROBE = """
 import contextlib, io, json, subprocess, sys
 sys.path.insert(0, {src!r})
@@ -67,7 +69,8 @@ def ctypes_modules():
 
 import numpy  # numpy loads ctypes itself
 baseline = ctypes_modules()
-from fejerlab import cli, dynamics, geometry, operators
+import fejerlab
+from fejerlab import cli, dynamics, exports, geometry, native, operators
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["list"])
@@ -75,25 +78,47 @@ after_list = {{
     "code": code,
     "ctypes": sorted(ctypes_modules() - baseline),
     "started": len(started),
-    "loaded": operators._orbit_loop.cache_info().currsize,
+    "loaded": native.library.cache_info().currsize,
 }}
-dynamics.iterate(operators.Negation(), [1.0], 10)
 balls = geometry.Ball([0.0, 0.0], 1.0), geometry.Ball([3.0, 0.0], 1.0)
-dynamics.iterate(operators.DouglasRachford(*balls), [0.0, 2.0], 10)
-print(json.dumps({{"after_list": after_list, "started": started}}))
+calls = []
+for statement in sys.argv[1:]:
+    before = len(started)
+    exec(statement)
+    calls.append(started[before:])
+print(json.dumps({{"after_list": after_list, "calls": calls}}))
 """
 
+ITERATE = [
+    "dynamics.iterate(operators.Negation(), [1.0], 10)",
+    "dynamics.iterate(operators.DouglasRachford(*balls), [0.0, 2.0], 10)",
+]
+EXPORT = "exports.export_trajectory(dynamics.Trajectory(numpy.eye(3)), {path!r})"
 
-def test_the_orbit_loop_is_compiled_once_at_the_first_iterate():
+
+def _compiler_probe(*statements) -> dict:
     src = str(Path(fejerlab.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", COMPILER_PROBE.format(src=src)],
+        [sys.executable, "-c", COMPILER_PROBE.format(src=src), *statements],
         capture_output=True, text=True, timeout=300, check=True,
     )
     out = json.loads(proc.stdout.strip().splitlines()[-1])
+    # import fejerlab and list build nothing and load no ctypes
     assert out["after_list"] == {"code": 0, "ctypes": [], "started": 0, "loaded": 0}
-    assert len(out["started"]) == 1
-    assert "-ffp-contract=off" in out["started"][0]
+    return out
+
+
+def test_the_orbit_loop_is_compiled_once_at_the_first_iterate():
+    first, second = _compiler_probe(*ITERATE)["calls"]
+    assert len(first) == 1 and second == []
+    assert "-ffp-contract=off" in first[0]
+
+
+def test_an_export_first_compiles_once_and_a_later_iterate_nothing(tmp_path):
+    path = tmp_path / "t.csv"
+    export, *iterates = _compiler_probe(EXPORT.format(path=str(path)), *ITERATE)["calls"]
+    assert len(export) == 1 and iterates == [[], []]
+    assert path.read_text() == "n,x1,x2,x3\n0,1,0,0\n1,0,1,0\n2,0,0,1\n"
 
 
 NO_COMPILER_PROBE = """
@@ -104,19 +129,34 @@ def no_compiler(args, **kw):
     raise FileNotFoundError(2, "No such file or directory", args[0])
 
 subprocess.run = no_compiler
-from fejerlab import dynamics, operators
+import numpy
+from fejerlab import dynamics, exports, operators
 
 try:
-    dynamics.iterate(operators.Negation(), [1.0], 3)
+    {call}
 except RuntimeError as exc:
     print(exc)
 """
 
 
-def test_a_missing_compiler_fails_the_first_iterate_clearly():
+def _without_compiler(call: str, cwd) -> str:
     src = str(Path(fejerlab.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", NO_COMPILER_PROBE.format(src=src)],
-        capture_output=True, text=True, timeout=300, check=True,
+        [sys.executable, "-c", NO_COMPILER_PROBE.format(src=src, call=call)],
+        capture_output=True, text=True, timeout=300, check=True, cwd=cwd,
     )
-    assert "iterate needs a C compiler for its orbit loop" in proc.stdout
+    return proc.stdout
+
+
+def test_a_missing_compiler_fails_the_first_iterate_clearly(tmp_path):
+    message = _without_compiler("dynamics.iterate(operators.Negation(), [1.0], 3)", tmp_path)
+    assert "iterate needs a C compiler for its orbit loop" in message
+    assert "fejerlab's C library" in message
+
+
+def test_a_missing_compiler_fails_the_first_export_clearly(tmp_path):
+    call = "exports.export_trajectory(dynamics.Trajectory(numpy.zeros((2, 1))), 'never.csv')"
+    message = _without_compiler(call, tmp_path)
+    assert "export_trajectory for its CSV writer" in message
+    assert "fejerlab's C library" in message
+    assert not (tmp_path / "never.csv").exists()

@@ -3,7 +3,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from fejerlab import geometry, operators
+from fejerlab import geometry, native, operators
 from fejerlab.dynamics import iterate
 from fejerlab.errors import DimensionMismatchError, UnsupportedSetError
 from fejerlab.geometry import (
@@ -556,10 +556,11 @@ def test_every_constructed_operator_is_nonexpansive(T):
 
 
 def test_the_orbit_loop_source_compiles_without_warnings(tmp_path):
-    source = tmp_path / "vm.c"
-    source.write_text(operators._VM, encoding="ascii")
+    # the whole C library: the orbit loop and the CSV writer
+    source = tmp_path / "native.c"
+    source.write_text(native._SOURCE, encoding="ascii")
     flags = ["-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
     proc = subprocess.run(
-        [*operators._compiler(), *flags, str(source)], capture_output=True, text=True
+        [*native._compiler(), *flags, str(source)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
