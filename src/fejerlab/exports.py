@@ -9,8 +9,12 @@ of a process.
 Report and summary JSON: one encoder, two-space indent, sorted keys, a final
 newline; a report's verdict is serialized as a tagged object, and a float
 ``per_step`` array is written in blocks of values with the bytes
-``json.dumps`` gives.  A non-finite value raises ``ValueError`` naming the
-file, before the file is opened, since JSON has no NaN/Infinity.
+``json.dumps`` gives, which are those of ``float.__repr__``.  ``fejer_reprs``
+of :mod:`fejerlab.native` writes a block's shortest round-trip digits in
+integer arithmetic; a block that holds a value outside 0 and
+1e-16 <= |v| < 1e17 is written by ``float.__repr__`` instead.  A non-finite
+value raises ``ValueError`` naming the file, before the file is opened, since
+JSON has no NaN/Infinity.
 """
 
 from __future__ import annotations
@@ -113,12 +117,18 @@ def export_report(report: DiagnosticsReport, path) -> Path:
     # spaces (a newline inside a string is escaped), so this match is unique
     rest = _json_text(report_to_dict(dataclasses.replace(report, per_step=None)), path)
     head, _, tail = rest.partition('\n  "per_step": null')
-    sep = ",\n    "
+    native.library()  # a missing C compiler raises before the file is opened
+    sep = b",\n    "
     with _open(path) as f:
         f.write(f'{head}\n  "per_step": [\n    '.encode("ascii"))
         for start in range(0, len(values), BLOCK):
-            text = sep.join(map(float.__repr__, values[start : start + BLOCK].tolist()))
-            f.write(((sep if start else "") + text).encode("ascii"))
+            block = values[start : start + BLOCK]
+            text = native.reprs(block, sep)
+            if text is None:  # a value outside the range of the C digits
+                text = sep.decode().join(map(float.__repr__, block.tolist())).encode("ascii")
+            if start:
+                f.write(sep)
+            f.write(text)
         f.write(f"\n  ]{tail}\n".encode("ascii"))
     return path
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -586,7 +587,8 @@ class ScenarioSpec:
 
 # The least value of each top-level number of a spec (a limit check needs a
 # tail of two points; RNG seeds are nonnegative), and the coercion for each
-# field type.  Config files and the overrides of run_scenario obey this rule.
+# field type.  Config files and the overrides of run_scenario obey this rule;
+# an infinite float breaks it too.
 SPEC_LEAST = {"n_steps": 1, "seed": 0, "tol": 0.0, "tail_window": 2}
 _CASTS = {"int": int, "float": float}
 
@@ -606,6 +608,8 @@ def spec_number(name: str, value, path: str):
     least = SPEC_LEAST[name]
     if not out >= least:  # NaN fails the comparison too
         raise ConfigError(f"{path}: must be at least {least}, got {out}")
+    if math.isinf(out):
+        raise ConfigError(f"{path}: must be finite, got {out}")
     return out
 
 
@@ -732,9 +736,13 @@ class CheckKind:
     def validate(self, params, spec, path: str) -> None:
         if not isinstance(params, dict):
             raise ConfigError(f"{path}: expected a mapping, got {type(params).__name__}")
-        for key in params:
+        for key, value in params.items():
             if key not in self.defaults and key not in self.sets + self.operators:
                 raise ConfigError(f"{path}: unknown parameter {key!r}")
+            # an infinite tolerance or radius makes every check pass; a NaN
+            # one is left to the checker, which raises on it
+            if isinstance(value, float) and math.isinf(value):
+                raise ConfigError(f"{path}.{key}: must be finite, got {value}")
         if "tol" in params:  # a check's own tol obeys the run's number rule
             spec_number("tol", params["tol"], f"{path}.tol")
         for label, keys, named in (

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fejerlab import exports
+from fejerlab import exports, native
 from fejerlab.cli import main
 from fejerlab.config import (
     OPERATOR_KINDS,
@@ -500,10 +500,36 @@ def test_exports_into_a_missing_directory_name_the_file(tmp_path):
     assert not missing.exists()
 
 
+def _shortest_digit_cases() -> np.ndarray:
+    """Values inside the range of the C digits of report floats, 0 and
+    1e-16 <= |v| < 1e17, where the shortest digits are easy to get wrong."""
+    rng = np.random.default_rng(4)
+    twos = np.ldexp(1.0, np.arange(-53, 57))  # the lower gap is half the upper
+    tens = np.array([float(f"1e{k}") for k in range(-16, 17)])
+    # the doubles below their power of ten: the shortest digits carry from 99...9
+    below = np.array([1e-16, 1e-14, 1e-12, 1e-11, 1e-7, 1e-6])
+    ints = np.concatenate([np.arange(1, 2000), rng.integers(1, 2**53, 2000), 2**53 - np.arange(20)])
+    decimals = [
+        float(f"{rng.integers(10 ** (p - 1), 10**p)}e{rng.integers(-15 - p, 18 - p)}")
+        for p in range(1, 18) for _ in range(300)
+    ]
+    # r / 2**17 near 1 is often a tie between its two nearest 16-digit decimals
+    ties = np.arange(1, 2**17, 7) / 2**17
+    values = np.concatenate([
+        twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf),
+        tens, np.nextafter(tens[1:], 0.0), np.nextafter(tens, np.inf),  # not below 1e-16
+        below, [np.nextafter(1e17, 0.0), 0.0], ints.astype(float), decimals, ties,
+    ])
+    values = np.concatenate([values, -values])
+    assert native.reprs(values, b",") is not None  # every value takes the C digits
+    return values
+
+
 def _report_zoo():
     rng = np.random.default_rng(3)
     long = rng.standard_normal(200_000) * 10.0 ** rng.integers(-30, 30, 200_000)
     long[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 1e16]
+    shortest = _shortest_digit_cases()
     nested = {
         "arrays": {"m": np.arange(6.0).reshape(2, 3), "ints": np.arange(3)},
         "flags": [True, False, np.bool_(True)],
@@ -516,6 +542,7 @@ def _report_zoo():
         DiagnosticsReport("check_fejer", "pass", per_step=np.array([])),
         DiagnosticsReport("check_fejer", "pass", per_step=np.array([0.1])),
         DiagnosticsReport("check_fejer", "pass", params={"tol": 1e-9}, seed=4, per_step=long),
+        DiagnosticsReport("check_fejer", "pass", per_step=shortest),
         DiagnosticsReport("asymptotic_regularity", "pass", per_step=np.arange(5)),
         DiagnosticsReport("check_fejer", "pass", per_step=long[:7], metadata=nested),
         DiagnosticsReport(
@@ -526,11 +553,53 @@ def _report_zoo():
     ]
 
 
+def _report_matches_json_dumps(rep, path) -> bool:
+    expected = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+    return export_report(rep, path).read_bytes() == expected.encode("ascii")
+
+
 def test_report_json_bytes_match_json_dumps(tmp_path):
     for i, rep in enumerate(_report_zoo()):
-        path = export_report(rep, tmp_path / f"r{i}.json")
-        expected = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == expected.encode("ascii"), i
+        assert _report_matches_json_dumps(rep, tmp_path / f"r{i}.json"), i
+
+
+_IN_RANGE = st.floats(1e-16, 1e17, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+    | st.lists(_IN_RANGE | st.just(0.0), min_size=1, max_size=40)
+)
+def test_report_json_bytes_match_json_dumps_on_any_finite_floats(tmp_path_factory, values):
+    rep = DiagnosticsReport("check_fejer", "pass", per_step=np.array(values))
+    assert _report_matches_json_dumps(rep, tmp_path_factory.mktemp("rep") / "r.json")
+
+
+@pytest.mark.parametrize("n", [exports.BLOCK - 1, exports.BLOCK, exports.BLOCK + 1, 3 * exports.BLOCK])
+@pytest.mark.parametrize("outside", [None, 1e-20, 1e300, 5e-324])
+def test_report_json_bytes_per_block(tmp_path, monkeypatch, n, outside):
+    # a block with a value outside the C digits' range is written by repr in
+    # Python; every other block by the C library
+    rng = np.random.default_rng(n)
+    base = rng.choice([-1.0, 1.0], 2 * n) * rng.uniform(1.0, 10.0, 2 * n)
+    base *= 10.0 ** rng.integers(-16, 17, 2 * n)
+    if outside is not None:
+        base[2 * (n // 2)] = outside
+    written = []
+    reprs = native.reprs
+
+    def recorded(values, sep):
+        written.append(reprs(values, sep))
+        return written[-1]
+
+    monkeypatch.setattr(native, "reprs", recorded)
+    for i, per_step in enumerate([base[::2], np.ascontiguousarray(base[::2])]):
+        rep = DiagnosticsReport("check_fejer", "pass", per_step=per_step)
+        assert _report_matches_json_dumps(rep, tmp_path / f"r{i}.json")
+    blocks = [text is not None for text in written]
+    in_python = [n // 2 // exports.BLOCK] if outside is not None else []
+    assert blocks == 2 * [k not in in_python for k in range(-(-n // exports.BLOCK))]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -742,6 +811,7 @@ def test_cli_out_env_var(tmp_path, monkeypatch):
         ("--steps", "0", "n_steps: must be at least 1, got 0"),
         ("--seed", "-1", "seed: must be at least 0, got -1"),
         ("--tol", "nan", "tol: must be at least 0.0, got nan"),
+        ("--tol", "inf", "tol: must be finite, got inf"),
     ],
 )
 def test_cli_overrides_obey_the_config_number_rule(tmp_path, capsys, flag, value, message):
@@ -755,7 +825,7 @@ def test_cli_overrides_obey_the_config_number_rule(tmp_path, capsys, flag, value
 @pytest.mark.parametrize(
     "tol, message",
     [(".nan", "must be at least 0.0, got nan"), ("-1", "must be at least 0.0, got -1.0"),
-     ("abc", "expected a number, got 'abc'")],
+     ("abc", "expected a number, got 'abc'"), (".inf", "must be finite, got inf")],
 )
 def test_a_check_tol_obeys_the_config_number_rule(tmp_path, capsys, tol, message):
     path = tmp_path / "bad-tol.yaml"
@@ -766,6 +836,19 @@ def test_a_check_tol_obeys_the_config_number_rule(tmp_path, capsys, tol, message
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert f"error: checks.fejer.params.tol: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_infinite_cluster_radius_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "inf-radius.yaml"
+    path.write_text(
+        CONFIG_TEXT
+        + "  - {name: clusters, kind: connectivity, trajectory: orbit, params: {radius: .inf}}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "error: checks.clusters.params.radius: must be finite, got inf" in capsys.readouterr().err
     assert not out.exists()
 
 

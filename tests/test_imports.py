@@ -1,6 +1,6 @@
 """``import fejerlab`` loads no scipy; each scipy subpackage loads at first use.
 The C library is compiled once per process, at the first ``iterate`` or
-trajectory export, whichever comes first."""
+export of a trajectory or of a float ``per_step``, whichever comes first."""
 
 import json
 import subprocess
@@ -160,3 +160,11 @@ def test_a_missing_compiler_fails_the_first_export_clearly(tmp_path):
     assert "export_trajectory for its CSV writer" in message
     assert "fejerlab's C library" in message
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_a_missing_compiler_fails_the_first_report_export_clearly(tmp_path):
+    report = "exports.DiagnosticsReport('check_fejer', 'pass', per_step=numpy.array([0.5]))"
+    message = _without_compiler(f"exports.export_report({report}, 'never.json')", tmp_path)
+    assert "export_report for its float writer" in message
+    assert "fejerlab's C library" in message
+    assert not (tmp_path / "never.json").exists()

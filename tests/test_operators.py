@@ -556,7 +556,7 @@ def test_every_constructed_operator_is_nonexpansive(T):
 
 
 def test_the_orbit_loop_source_compiles_without_warnings(tmp_path):
-    # the whole C library: the orbit loop and the CSV writer
+    # the whole C library: the orbit loop, the CSV writer and the float writer
     source = tmp_path / "native.c"
     source.write_text(native._SOURCE, encoding="ascii")
     flags = ["-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
