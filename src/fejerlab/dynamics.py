@@ -7,13 +7,13 @@ so a caller that needs one orbit several times computes it once.
 Trajectories are immutable (points array is read-only after construction).
 :func:`iterate` runs the C orbit loop of :mod:`fejerlab.operators` on the
 operator's lowered float source: one engine for every tree and dimension.
-``T.apply`` runs the same source in Python, so the orbit equals the orbit of
-``T.apply`` bit for bit, and a step on which ``apply`` raises makes
-``iterate`` raise the same error.  Orbits use plain IEEE double arithmetic in
-a fixed order, independent of BLAS.  The loop terminates a run early when the
+``T.apply`` runs the same source with numpy, in the same plain IEEE double
+arithmetic and fixed order, independent of BLAS, so the orbit equals the
+orbit of ``T.apply`` bit for bit.  The loop terminates a run early when the
 orbit enters an exact cycle of any period, and ``iterate`` pads the remaining
-points with the (exactly continued) cycle; it raises NonFiniteValueError past
-``DEFAULT_NORM_CAP``.  The trajectory records the row from which it repeats
+points with the (exactly continued) cycle; it raises NonFiniteValueError at
+the first step past ``DEFAULT_NORM_CAP`` or not finite, such as a step that
+divides by zero.  The trajectory records the row from which it repeats
 and the period (``periodic_from``, ``period``); :func:`periodic_rows` turns
 them into the leading rows that a check of per-step values needs to read.
 

@@ -13,12 +13,14 @@ Conventions
 * Subspace bases are stored as rows of a 2-D array and must be orthonormal
   within ``ORTHONORMAL_TOL``.
 * Each set kind defines its projection once, as float source, ``_emit`` (see
-  :class:`KernelSource`): over scalars in the operator kernels, and over
-  columns in one function per set, which ``project`` runs on a point's floats
-  and ``project_many`` on blocks of rows.  So row i of ``project_many(P)``,
-  ``project(P[i])`` and ``Projector(C).apply(P[i])`` are equal bit for bit (a
-  shadow point is ``C.project`` of its orbit point), and ``sample_witnesses``
-  returns a (count, d) array from one ``project_many`` call.
+  :class:`KernelSource`), the one text that the C orbit loop of the operators
+  runs lowered and that numpy runs as one column function per set
+  (:class:`Emitted`): ``project`` on a point's float64 scalars and
+  ``project_many`` on blocks of rows.  So row i of ``project_many(P)``,
+  ``project(P[i])``, ``Projector(C).apply(P[i])`` and a projector orbit's
+  step from ``P[i]`` are equal bit for bit (a shadow point is ``C.project`` of
+  its orbit point), and ``sample_witnesses`` returns a (count, d) array from
+  one ``project_many`` call.
 * Membership tests are absolute with default tolerance ``MEMBERSHIP_TOL``;
   so is the dual-cone test, which reads only the cone's projector and runs
   row-wise: ``dual_cone_residuals`` tests n vectors with one batched
@@ -28,6 +30,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import functools
 import textwrap
 from dataclasses import dataclass
 
@@ -101,19 +104,16 @@ class KernelSource:
     product is a plain left-to-right sum of rounded products that starts at
     0.0, so a zero sum is +0.0 as in numpy's; at d = 1 it is numpy's product.
 
-    Every choice goes through ``select`` or ``branch``.  Over floats they emit
-    a conditional expression and an ``if``.  In column mode a name holds one
-    value per point, or one float for all: both arms are computed, ``where``
-    picks, and ``sqrt`` is ``np.sqrt``.  numpy's elementwise operations round
-    as float's do, unfused, so every point keeps the bits of the float source.
+    Every choice goes through ``select`` or ``branch``: both arms are
+    computed and ``where`` picks, so the text has no control flow.  A name
+    holds one value per point, or one float for all.  numpy's elementwise
+    operations round as float's do, unfused, so every point keeps the bits of
+    one IEEE double evaluation, the one the C orbit loop runs.
     """
 
-    def __init__(self, columns: bool = False):
-        self.columns = columns
+    def __init__(self):
         self.lines: list[str] = []
         self.params: list = []
-        self._indent = ""
-        self._count = 0
 
     def param(self, value) -> str:
         self.params.append(value)
@@ -123,9 +123,8 @@ class KernelSource:
         return [self.param(v) for v in np.asarray(values, dtype=float).tolist()]
 
     def let(self, expr: str) -> str:
-        name = f"t{self._count}"
-        self._count += 1
-        self.lines.append(f"{self._indent}{name} = {expr}")
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
         return name
 
     def lets(self, template: str, *columns) -> list[str]:
@@ -137,60 +136,82 @@ class KernelSource:
 
     def select(self, cond: str, a: str, b: str) -> str:
         """Expression for ``a`` where ``cond`` holds and ``b`` elsewhere."""
-        if self.columns:
-            return f"where({cond}, {a}, {b})"
-        return f"{a} if {cond} else {b}"
+        return f"where({cond}, {a}, {b})"
 
     def branch(self, cond: str, then, otherwise) -> list[str]:
         """Names holding ``then()`` where ``cond`` holds and ``otherwise()`` else;
         each arm emits its own lines and returns names."""
-        if self.columns:
-            cond = self.let(cond)
-            return [self.let(self.select(cond, a, b)) for a, b in zip(then(), otherwise())]
-        outer, names = self._indent, None
-        for head, arm in ((f"if {cond}:", then), ("else:", otherwise)):
-            self.lines.append(outer + head)
-            self._indent = outer + "    "
-            values = arm()
-            if names is None:
-                names = [f"t{self._count + i}" for i in range(len(values))]
-                self._count += len(values)
-            self.lines += [f"{self._indent}{n} = {v}" for n, v in zip(names, values)]
-        self._indent = outer
-        return names
-
-    def bind(self, template: str, namespace: dict, **fields):
-        """``_bind(p0, ...)`` of ``template`` filled with ``fields``, called on
-        ``params``; each text is compiled once, with ``namespace`` as globals."""
-        params = ", ".join(f"p{i}" for i in range(len(self.params)))
-        text = template.format(params=params, **fields)
-        bind = _COMPILED.get(text)
-        if bind is None:
-            scope = dict(namespace)
-            exec(compile(text, "<fejerlab kernel>", "exec"), scope)
-            bind = _COMPILED[text] = scope["_bind"]
-        return bind(*self.params)
+        cond = self.let(cond)
+        return [self.let(self.select(cond, a, b)) for a, b in zip(then(), otherwise())]
 
 
 # source text -> its compiled ``_bind``, for every set and operator; texts
 # hold no parameter values, so this grows only with the shapes in use
 _COMPILED: dict = {}
 
-# a set's projection of the points whose coordinates are x0 .. x{d-1}
+# the value of a node at the points whose coordinates are x0 .. x{d-1}
 _COLUMNS = """\
 def _bind({params}):
-    def project({xs}):
+    def value({xs}):
 {body}
         return ({ys},)
-    return project
+    return value
 """
-_COLUMN_GLOBALS = {"sqrt": np.sqrt, "where": np.where}
+_COLUMN_GLOBALS = {
+    "bisect_right": functools.partial(np.searchsorted, side="right"),
+    "sqrt": np.sqrt,
+    "where": np.where,
+}
 
-# rows per column-function call in ``project_many``, so its columns stay cached
+# rows per column-function call in ``Emitted._rows``, so its columns stay cached
 _BLOCK_ROWS = 8192
 
 
-class ConvexSet:
+class Emitted:
+    """A node whose value is its ``_emit`` source: a set's projection, or an
+    operator's map.  numpy runs that source on points and blocks of rows, and
+    the C orbit loop of :mod:`fejerlab.operators` runs it on orbits."""
+
+    def _emit(self, src: KernelSource, x: list[str]) -> list[str]:
+        """Source of this node's value at the point named ``x``."""
+        raise NotImplementedError
+
+    def _columns(self, *columns) -> tuple:
+        """The value at the points whose coordinates are ``columns`` (arrays
+        or float64 scalars), by ``_emit`` compiled on first use at that
+        dimension; a coordinate may come back as one float for every point."""
+        functions = self.__dict__.setdefault("_column_functions", {})
+        value = functions.get(len(columns))
+        if value is None:
+            src, xs = KernelSource(), [f"x{i}" for i in range(len(columns))]
+            ys = ", ".join(self._emit(src, xs))
+            params = ", ".join(f"p{i}" for i in range(len(src.params)))
+            body = textwrap.indent("\n".join(src.lines), " " * 8)
+            text = _COLUMNS.format(params=params, xs=", ".join(xs), ys=ys, body=body)
+            if text not in _COMPILED:
+                scope = dict(_COLUMN_GLOBALS)
+                exec(compile(text, "<fejerlab kernel>", "exec"), scope)
+                _COMPILED[text] = scope["_bind"]
+            value = functions[len(columns)] = _COMPILED[text](*src.params)
+        # both arms of a choice are computed: the one discarded by Ball and by
+        # a ball-summand MinkowskiSum divides by 0 on a center row
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return value(*columns)
+
+    def _rows(self, points: np.ndarray) -> np.ndarray:
+        """Row-wise value of an (n, d) float array: row i is the value at
+        ``points[i]``, bit for bit."""
+        out = np.empty(points.shape)
+        # no rows still make one empty block, so an unsupported set raises
+        for start in range(0, len(points) or 1, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            # assigning broadcasts a coordinate returned as one float (a Point's)
+            for i, column in enumerate(self._columns(*points[rows].T)):
+                out[rows, i] = column
+        return out
+
+
+class ConvexSet(Emitted):
     """A nonempty closed convex set with a closed-form metric projector."""
 
     dim: int
@@ -199,7 +220,7 @@ class ConvexSet:
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``."""
-        return np.array(self._columns(*as_vector(x, self.dim).tolist()))
+        return np.array(self._columns(*as_vector(x, self.dim)))
 
     def project_many(self, points) -> np.ndarray:
         """Row-wise projection of an (n, dim) array; row i is ``project(points[i])``."""
@@ -208,14 +229,7 @@ class ConvexSet:
             raise DimensionMismatchError(
                 f"expected shape (n, {self.dim}), got {pts.shape}"
             )
-        out = np.empty(pts.shape)
-        # no rows still make one empty block, so an unsupported set raises
-        for start in range(0, len(pts) or 1, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            # assigning broadcasts a coordinate returned as one float (a Point's)
-            for i, column in enumerate(self._columns(*pts[rows].T)):
-                out[rows, i] = column
-        return out
+        return self._rows(pts)
 
     def reflect(self, x) -> np.ndarray:
         """Reflection 2 P(x) - x through the set."""
@@ -236,26 +250,6 @@ class ConvexSet:
         return False
 
     # -- kernels (inputs trusted, no validation) ------------------------
-
-    def _emit(self, src: KernelSource, x: list[str]) -> list[str]:
-        """Source of the projection of the point named ``x``: the set kind's
-        one projection formula, for its column function and operator kernels."""
-        raise NotImplementedError
-
-    def _columns(self, *columns) -> tuple:
-        """Projection of the points whose coordinates are ``columns`` (arrays
-        or floats), by ``_emit`` compiled over columns on first use."""
-        project = self.__dict__.get("_column_function")
-        if project is None:
-            src, xs = KernelSource(columns=True), [f"x{i}" for i in range(self.dim)]
-            ys = ", ".join(self._emit(src, xs))
-            body = textwrap.indent("\n".join(src.lines), " " * 8)
-            project = src.bind(_COLUMNS, _COLUMN_GLOBALS, xs=", ".join(xs), ys=ys, body=body)
-            self.__dict__["_column_function"] = project
-        # both arms of a branch are computed: the one discarded by Ball and by
-        # a ball-summand MinkowskiSum divides by 0 on a center row
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return project(*columns)
 
     def _aff_span(self) -> np.ndarray:
         """Rows spanning aff(C) - aff(C); rank gives the affine dimension."""

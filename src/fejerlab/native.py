@@ -17,21 +17,22 @@ import re
 import numpy as np
 
 # ``fejer_run`` is the orbit loop of every tree: a register machine that runs
-# the same float source as an operator's ``step``, lowered by
-# ``operators._Lowering``.  An instruction is four ints: an opcode, the
-# register it writes (a jump: the instruction it goes to) and its operand
-# registers.  A list parameter's register holds the index of the register
-# that holds its length, and its items follow that one.  ``fejer_run`` writes
-# rows 1..n_steps of the (n_steps + 1, d) array ``pts`` from row 0, which
-# r[0..d-1] also hold.  It stops at an exact cycle of any period by Brent's
-# method (R. P. Brent, BIT 20, 1980): each new state is compared with one
-# anchor state, and the anchor moves to the current state whenever the steps
-# since it reach a span that doubles each time.  It returns what stopped it
-# and where, in ``found``: CYCLED at (q, p) once row q + p repeats row q bit
-# for bit, sign of zero included; LEFT_RANGE at step i when the squared norm
-# of row i (summed left to right) is not at most ``cap2``, NaN included;
-# RAISED at step i where Python's step raises (a zero divisor, the square root
-# of a negative, an index out of range); RAN otherwise.
+# the same float source as an operator's ``apply``, lowered by
+# ``operators._Lowering``, in plain IEEE double arithmetic: a zero divisor or
+# the root of a negative gives inf or NaN, and WHERE picks one of two values
+# computed before it.  An instruction is five ints: an opcode, the register it
+# writes and its operand registers.  A list parameter's register holds the
+# index of the register that holds its length, and its items follow that one.
+# ``fejer_run`` writes rows 1..n_steps of the (n_steps + 1, d) array ``pts``
+# from row 0, which r[0..d-1] also hold.  It stops at an exact cycle of any
+# period by Brent's method (R. P. Brent, BIT 20, 1980): each new state is
+# compared with one anchor state, and the anchor moves to the current state
+# whenever the steps since it reach a span that doubles each time.  It returns
+# what stopped it and where, in ``found``: CYCLED at (q, p) once row q + p
+# repeats row q bit for bit, sign of zero included; LEFT_RANGE at step i when
+# the squared norm of row i (summed left to right) is not at most ``cap2``,
+# NaN and inf included; RAISED at step i where a list index is out of range,
+# so that no step reads past a list; RAN otherwise.
 #
 # ``fejer_csv`` writes the CSV rows ``index,v1,...,vd\n`` of the (n, d) array
 # ``pts``, numbered from ``start``, and returns the count of bytes written.
@@ -62,14 +63,13 @@ _SOURCE = r"""
 #include <stdio.h>
 #include <string.h>
 
-enum op { MOV, NEG, ADD, SUB, MUL, DIV, SQRT, LT, LE, GT, GE, JZ, JMP, BISECT, INDEX };
+enum op { MOV, NEG, ADD, SUB, MUL, DIV, SQRT, LT, LE, GT, GE, WHERE, BISECT, INDEX };
 enum stop { RAN, CYCLED, LEFT_RANGE, RAISED };
 
-/* One step over the registers r; nonzero where Python's step raises. */
+/* One step over the registers r; nonzero where an index is out of range. */
 static int step(const int32_t *code, int64_t n_code, double *r)
 {
-    for (int64_t pc = 0; pc < n_code; pc++) {
-        const int32_t *op = code + 4 * pc;
+    for (const int32_t *op = code; op < code + 5 * n_code; op += 5) {
         double a = r[op[2]], b = r[op[3]];
         switch (op[0]) {
         case MOV: r[op[1]] = a; break;
@@ -77,26 +77,14 @@ static int step(const int32_t *code, int64_t n_code, double *r)
         case ADD: r[op[1]] = a + b; break;
         case SUB: r[op[1]] = a - b; break;
         case MUL: r[op[1]] = a * b; break;
-        case DIV:
-            if (b == 0.0)
-                return 1;
-            r[op[1]] = a / b;
-            break;
-        case SQRT:
-            if (a < 0.0)
-                return 1;
-            r[op[1]] = sqrt(a);
-            break;
+        case DIV: r[op[1]] = a / b; break;
+        case SQRT: r[op[1]] = sqrt(a); break;
         case LT: r[op[1]] = a < b; break;
         case LE: r[op[1]] = a <= b; break;
         case GT: r[op[1]] = a > b; break;
         case GE: r[op[1]] = a >= b; break;
-        case JZ:
-            if (a == 0.0)
-                pc = op[1] - 1;
-            break;
-        case JMP: pc = op[1] - 1; break;
-        case BISECT: {  /* Python's bisect_right(list a, b) */
+        case WHERE: r[op[1]] = a != 0.0 ? b : r[op[4]]; break;
+        case BISECT: {  /* numpy's searchsorted(list a, b, side="right") */
             const double *list = r + (int64_t)a;
             int64_t lo = 0, hi = (int64_t)list[0];
             while (lo < hi) {

@@ -3,19 +3,23 @@
 Operator expressions are immutable trees.  Each node has one evaluator, its
 ``_emit``: straight-line float source for its value over the coordinates
 ``x0 .. x{d-1}``; a set kind's is its one projection formula, in
-:mod:`fejerlab.geometry`.  On first use at a start dimension d, a tree's source
-is compiled into a one-step Python function, run by ``apply``, ``value_at``
-and the verifiers, and lowered with :mod:`ast` into the instructions of one
-fixed C register machine, ``fejer_run`` of :mod:`fejerlab.native`, whose
-orbit loop :func:`fejerlab.dynamics.iterate` runs.  Each instruction is one IEEE double
-operation, unfused, and a choice jumps so that only its taken arm runs, so
-the orbit equals the ``apply`` orbit bit for bit; where Python's step raises
-(a zero divisor, the square root of a negative) the loop stops and ``step``
-raises the same error.  Parameter values are bound per operator, so the
-operators of one tree shape and dimension share one step function and one
-program.  The machine is part of fejerlab's one C library, which
-:mod:`fejerlab.native` builds at the first ``iterate`` or export of a
-process, once; nothing is compiled at import.
+:mod:`fejerlab.geometry`.  A choice computes both arms and picks one with
+``where``, so the source has no control flow and one arithmetic, plain IEEE
+doubles, unfused, wherever it runs.  numpy runs it on float64 scalars and
+columns (``apply``, ``value_at``, the verifiers), by the column function that
+:class:`fejerlab.geometry.Emitted` compiles.  The orbit loop of
+:func:`fejerlab.dynamics.iterate` runs it lowered with :mod:`ast` into the
+instructions of one fixed C register machine, ``fejer_run`` of
+:mod:`fejerlab.native`, so every orbit equals the ``apply`` orbit bit for
+bit.  A zero divisor or the square root of a negative gives inf or NaN in
+both, and an orbit step that yields one makes ``iterate`` raise
+NonFiniteValueError there, as past its norm cap; a list index out of range
+raises IndexError in both.  Parameter values are bound per operator, so the
+operators of one tree shape and dimension share one program and one compiled
+column source.  The machine is
+part of fejerlab's one C library, which :mod:`fejerlab.native` builds at the
+first ``iterate`` or export of a process, once; nothing is compiled at
+import.
 
 Inner products are plain left-to-right sums of rounded products.  At d = 1
 that is numpy's arithmetic, bit for bit; at d >= 2 a result may differ from
@@ -32,11 +36,8 @@ is expected to survive :func:`verify_averaged` empirically.
 from __future__ import annotations
 
 import ast
-import math
-import textwrap
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .geometry import (
     AffineSubspace,
     Ball,
     ConvexSet,
+    Emitted,
     KernelSource,
     Ray,
     as_vector,
@@ -161,27 +163,13 @@ def _linear_certificate(mat: np.ndarray) -> AveragednessCertificate:
     return _UNKNOWN_CERT
 
 
-# One step function per (tree shape, d): ``_bind`` takes the parameter values
-# of one tree and returns its one-step function, run by ``apply``, ``value_at``
-# and the verifiers.
-_KERNEL = """\
-def _bind({params}):
-    def step({xs}):
-{body}
-        return ({ys},)
-
-    return step
-"""
-
-_KERNEL_GLOBALS = {"bisect_right": bisect_right, "sqrt": math.sqrt}
-
 _OPCODES, _STOPS = native.enum("op"), native.enum("stop")
 
 
 class _Program(NamedTuple):
     """One float source, lowered to the instructions of ``fejer_run``."""
 
-    code: np.ndarray  # int32, one row of four per instruction
+    code: np.ndarray  # int32, one row of five per instruction
     outputs: np.ndarray  # int32, the registers of the step's result
     size: int  # registers ahead of the lists' items
     constants: tuple  # (register, value)
@@ -210,9 +198,8 @@ _COMPARE = {ast.Lt: "LT", ast.LtE: "LE", ast.Gt: "GT", ast.GtE: "GE"}
 
 
 class _Lowering:
-    """``fejer_run`` instructions of a float source: a register per name, constant
-    and intermediate value, and jumps for ``if``/``else`` and ``a if c else b``
-    so that only the taken arm runs, as in Python."""
+    """``fejer_run`` instructions of a float source: a register per name,
+    constant and intermediate value, in the order the source computes them."""
 
     def __init__(self, d: int):
         self.code: list[list[int]] = []
@@ -223,9 +210,10 @@ class _Lowering:
         self.size = d
 
     def program(self, body: str, ys: list[str]) -> _Program:
-        self.statements(ast.parse(body).body)
+        for node in ast.parse(body).body:
+            self.assign(self.name(node.targets[0].id), node.value)
         return _Program(
-            np.array(self.code, dtype=np.int32).reshape(-1, 4),
+            np.array(self.code, dtype=np.int32).reshape(-1, 5),
             np.array([self.name(y) for y in ys], dtype=np.int32),
             self.size,
             tuple((reg, value) for value, reg in self.constants.values()),
@@ -244,10 +232,6 @@ class _Lowering:
                 (self.lists if listed else self.scalars).append((int(name[1:]), reg))
         return self.names[name]
 
-    def emit(self, opcode: str, target: int = 0, a: int = 0, b: int = 0) -> int:
-        self.code.append([_OPCODES[opcode], target, a, b])
-        return len(self.code) - 1
-
     def operand(self, node) -> int:
         """The register holding the value of the expression ``node``."""
         if isinstance(node, ast.Name):
@@ -264,51 +248,29 @@ class _Lowering:
 
     def assign(self, reg: int, node) -> None:
         kind = type(node)
+        call = node.func.id if kind is ast.Call else None
         if kind in (ast.Name, ast.Constant):
-            self.emit("MOV", reg, self.operand(node))
+            op = ["MOV", self.operand(node)]
         elif kind is ast.BinOp and type(node.op) in _BINARY:
-            left, right = self.operand(node.left), self.operand(node.right)
-            self.emit(_BINARY[type(node.op)], reg, left, right)
+            op = [_BINARY[type(node.op)], self.operand(node.left), self.operand(node.right)]
         elif kind is ast.UnaryOp and type(node.op) is ast.USub:
-            self.emit("NEG", reg, self.operand(node.operand))
+            op = ["NEG", self.operand(node.operand)]
         elif kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) in _COMPARE:
             left, right = self.operand(node.left), self.operand(node.comparators[0])
-            self.emit(_COMPARE[type(node.ops[0])], reg, left, right)
-        elif kind is ast.Call and node.func.id == "sqrt":
-            self.emit("SQRT", reg, self.operand(node.args[0]))
-        elif kind is ast.Call and node.func.id == "bisect_right":
+            op = [_COMPARE[type(node.ops[0])], left, right]
+        elif call == "sqrt":
+            op = ["SQRT", self.operand(node.args[0])]
+        elif call == "where":
+            op = ["WHERE", *map(self.operand, node.args)]
+        elif call == "bisect_right":
             items, x = node.args
-            self.emit("BISECT", reg, self.name(items.id, listed=True), self.operand(x))
+            op = ["BISECT", self.name(items.id, listed=True), self.operand(x)]
         elif kind is ast.Subscript:
-            items = self.name(node.value.id, listed=True)
-            self.emit("INDEX", reg, items, self.operand(node.slice))
-        elif kind is ast.IfExp:
-            self.choose(
-                node.test, lambda: self.assign(reg, node.body),
-                lambda: self.assign(reg, node.orelse),
-            )
+            op = ["INDEX", self.name(node.value.id, listed=True), self.operand(node.slice)]
         else:
             raise ValueError(f"cannot lower {ast.unparse(node)!r}")
-
-    def statements(self, body: list) -> None:
-        for node in body:
-            if isinstance(node, ast.Assign):
-                self.assign(self.name(node.targets[0].id), node.value)
-            elif isinstance(node, ast.If):
-                self.choose(
-                    node.test, lambda: self.statements(node.body),
-                    lambda: self.statements(node.orelse),
-                )
-            else:
-                raise ValueError(f"cannot lower {ast.unparse(node)!r}")
-
-    def choose(self, test, then, otherwise) -> None:
-        skip_then = self.emit("JZ", 0, self.operand(test))
-        then()
-        skip_otherwise = self.emit("JMP")
-        self.code[skip_then][1] = len(self.code)
-        otherwise()
-        self.code[skip_otherwise][1] = len(self.code)
+        # five ints: opcode, target, operands; an unused operand reads register 0
+        self.code.append([_OPCODES[op[0]], reg, *op[1:], 0, 0][:5])
 
 
 # (float source, result names) -> its _Program; grows only with the shapes in use
@@ -316,9 +278,8 @@ _PROGRAMS: dict = {}
 
 
 class _Kernel(NamedTuple):
-    """A tree's float step and orbit loop at one start dimension d."""
+    """A tree's orbit loop at one start dimension d."""
 
-    step: Callable  # (x0, .., x{d-1}) -> tuple of d floats
     program: _Program  # shared by the trees of one shape
     registers: np.ndarray  # the program's register file with this tree's parameters
 
@@ -326,8 +287,8 @@ class _Kernel(NamedTuple):
         """Fill rows 1.. of the float array ``pts`` with the orbit of its row 0.
 
         Returns (q, p) when row q + p repeats row q, and None if no state
-        repeats.  An orbit past ``cap2`` raises NonFiniteValueError; a step
-        that Python raises on raises the same error, from ``step``.
+        repeats.  An orbit past ``cap2``, or not finite, raises
+        NonFiniteValueError.
         """
         n, d = pts.shape[0] - 1, pts.shape[1]
         program = self.program
@@ -344,30 +305,20 @@ class _Kernel(NamedTuple):
         if stop == _STOPS["LEFT_RANGE"]:
             raise NonFiniteValueError(f"orbit left the representable range at step {i}")
         if stop == _STOPS["RAISED"]:
-            self.step(*pts[i - 1].tolist())
-            raise RuntimeError(f"the orbit loop and step disagree at step {i}")
+            raise IndexError(f"list index out of range at step {i}")
         return (i, int(found[1])) if stop == _STOPS["CYCLED"] else None
 
 
 def _compile(T: "OperatorExpr", d: int) -> _Kernel:
     src = KernelSource()
-    xs = [f"x{i}" for i in range(d)]
-    ys = T._emit(src, xs)
-    body = "\n".join(src.lines)
-    step = src.bind(
-        _KERNEL,
-        _KERNEL_GLOBALS,
-        xs=", ".join(xs),
-        ys=", ".join(ys),
-        body=textwrap.indent(body, " " * 8),
-    )
-    key = (body, tuple(ys))
+    ys = T._emit(src, [f"x{i}" for i in range(d)])
+    key = ("\n".join(src.lines), tuple(ys))
     if key not in _PROGRAMS:
-        _PROGRAMS[key] = _Lowering(d).program(body, ys)
-    return _Kernel(step, _PROGRAMS[key], _PROGRAMS[key].registers(src.params))
+        _PROGRAMS[key] = _Lowering(d).program(*key)
+    return _Kernel(_PROGRAMS[key], _PROGRAMS[key].registers(src.params))
 
 
-class OperatorExpr:
+class OperatorExpr(Emitted):
     """Base class for nonexpansive-map expression nodes."""
 
     @property
@@ -377,19 +328,14 @@ class OperatorExpr:
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the expression at ``x``."""
-        v = as_vector(x, self.dim)
-        return np.array(self._kernel(v.size).step(*v.tolist()))
+        return np.array(self._columns(*as_vector(x, self.dim)))
 
     def _kernel(self, d: int) -> _Kernel:
-        """The compiled functions at start dimension ``d``, built on first use."""
+        """The orbit loop at start dimension ``d``, built on first use."""
         kernels = self.__dict__.setdefault("_kernels", {})
         if d not in kernels:
             kernels[d] = _compile(self, d)
         return kernels[d]
-
-    def _emit(self, src: KernelSource, x: list[str]) -> list[str]:
-        """Float source of this node's value at the point named ``x``."""
-        raise NotImplementedError
 
     def _install(self, dim, cert=_UNKNOWN_CERT) -> None:
         object.__setattr__(self, "_dim", dim)
@@ -604,13 +550,14 @@ class ScalarPiecewiseLinear(OperatorExpr):
         (t,) = x
         xs, sl, a = self.breakpoints, self.slopes, self.anchor_value
         ys = np.concatenate([[a], a + np.cumsum(sl[1:-1] * np.diff(xs))])
-        xs, sl, ys = (src.param(v.tolist()) for v in (xs, sl, ys))
+        xs, sl, ys = (src.param(v) for v in (xs, sl, ys))
         j = src.let(f"bisect_right({xs}, {t})")  # slopes[j] applies at t
-        k = src.let(f"{j} - 1 if {j} else 0")  # left of t, or the first breakpoint
+        # the breakpoint left of t, or the first one
+        k = src.let(src.select(f"{j} > 0", f"{j} - 1", "0"))
         return [src.let(f"{ys}[{k}] + {sl}[{j}] * ({t} - {xs}[{k}])")]
 
     def value_at(self, t: float) -> float:
-        return self._kernel(1).step(float(t))[0]
+        return float(self._columns(np.float64(t))[0])
 
 
 def _emit_matvec(src: KernelSource, matrix: np.ndarray, x: list[str]) -> list[str]:
@@ -643,16 +590,15 @@ def _verify_pairs(checker, T, violation, params, trials, seed, tol, dim, box):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     d = _resolve_dim(T, dim)
-    rng = np.random.default_rng(seed)
-    step = T._kernel(d).step
+    # x and then y of each trial, in one draw
+    xy = np.random.default_rng(seed).uniform(-box, box, (trials, 2, d))
+    x, y = xy[:, 0], xy[:, 1]
+    tx, ty = T._rows(x), T._rows(y)
     worst, witness = -np.inf, None
     for i in range(trials):
-        x = rng.uniform(-box, box, d)
-        y = rng.uniform(-box, box, d)
-        tx, ty = np.array(step(*x.tolist())), np.array(step(*y.tolist()))
-        viol = float(violation(x, y, tx, ty))
+        viol = float(violation(x[i], y[i], tx[i], ty[i]))
         if viol > worst:
-            worst, witness = viol, {"trial": i, "x": x, "y": y, "violation": viol}
+            worst, witness = viol, {"trial": i, "x": x[i], "y": y[i], "violation": viol}
     return DiagnosticsReport.from_witness(
         checker,
         None if worst <= tol else witness,

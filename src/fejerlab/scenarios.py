@@ -120,6 +120,12 @@ def harmonic_rotation_sequence(n_steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _require_some(name: str, count) -> None:
+    """A sweep over no instances would pass having checked nothing."""
+    if not count >= 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+
+
 def _sweep_report(checker, failures, params, seed, **counts) -> DiagnosticsReport:
     """The first failed instance, if any, is the witness."""
     return DiagnosticsReport.from_witness(
@@ -147,6 +153,7 @@ def run_scalar_averaged_sweep(
     ``max_steps``, (ii) |a_{n+1}| <= |a_n|, and (iii) the contraction
     |a_{n+1}| <= |1 - 2a| |a_n| at every sign change.
     """
+    _require_some("instances", instances)
     rng = np.random.default_rng(seed)
     failures = []
     converged = 0
@@ -230,6 +237,7 @@ def run_affine_limit_sweep(
     L = (1-a) Id + a Q with Q orthogonal; the independent oracle projects
     x - y onto null(Id - L) via an orthonormal null-space basis.
     """
+    _require_some("instances", instances)
     from scipy.linalg import null_space
 
     rng = np.random.default_rng(seed)
@@ -272,6 +280,7 @@ def run_codim1_sweep(
 
     Any hypotheses-pass/no-convergence outcome is a FAIL of the whole sweep.
     """
+    _require_some("instances", instances)
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(instances):
@@ -387,6 +396,7 @@ def run_decoupling_sweep(
 ) -> DiagnosticsReport:
     """The decoupled Fejer check (vs E, plus steps in the dual cone) must
     agree in verdict with the direct check against E + K on every instance."""
+    _require_some("instances", instances)
     rng = np.random.default_rng(seed)
     kinds = ["good", "bad_fejer", "good", "bad_cone", "good"]
     failures = []
@@ -429,6 +439,7 @@ def run_two_ball_sweep(
     """Two-ball splitting drift: tail estimate vs closed form, plus Fejer
     monotonicity of the drift-compensated orbit with respect to the fixed ray.
     """
+    _require_some("pairs", pairs)
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(pairs):
@@ -739,10 +750,11 @@ class CheckKind:
         for key, value in params.items():
             if key not in self.defaults and key not in self.sets + self.operators:
                 raise ConfigError(f"{path}: unknown parameter {key!r}")
-            # an infinite tolerance or radius makes every check pass; a NaN
-            # one is left to the checker, which raises on it
+            # an infinite tolerance or radius makes every check pass
             if isinstance(value, float) and math.isinf(value):
                 raise ConfigError(f"{path}.{key}: must be finite, got {value}")
+            if key in _PARAM_RULES and not _PARAM_RULES[key][1](value):
+                raise ConfigError(f"{path}.{key}: must be {_PARAM_RULES[key][0]}, got {value!r}")
         if "tol" in params:  # a check's own tol obeys the run's number rule
             spec_number("tol", params["tol"], f"{path}.tol")
         for label, keys, named in (
@@ -761,6 +773,24 @@ class CheckKind:
             for key in self.operators:
                 if not accepts(spec.operators[params[key]]):
                     raise ConfigError(f"{path}.{key}: needs {needs}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+# what a check param of this name must be, and its test, checked before any
+# orbit is built; a sweep over no instances would pass having checked nothing
+_PARAM_RULES = {
+    "radius": ("null or a number > 0", lambda v: v is None or _is_number(v) and v > 0.0),
+    "tail_fraction": ("a number in (0, 1]", lambda v: _is_number(v) and 0.0 < v <= 1.0),
+    "instances": ("an integer >= 1", _is_count),
+    "pairs": ("an integer >= 1", _is_count),
+}
 
 
 def _verdict(report):

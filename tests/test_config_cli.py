@@ -852,6 +852,33 @@ def test_an_infinite_cluster_radius_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, param, message",
+    [
+        ("connectivity", "radius: -1.0", "radius: must be null or a number > 0, got -1.0"),
+        ("connectivity", "tail_fraction: 5.0", "tail_fraction: must be a number in (0, 1], got 5.0"),
+        ("connectivity", "tail_fraction: .nan", "tail_fraction: must be a number in (0, 1], got nan"),
+        (
+            "cluster_orthogonality", "set: line, radius: .nan",
+            "radius: must be null or a number > 0, got nan",
+        ),
+    ],
+    ids=["radius-negative", "tail-fraction-5", "tail-fraction-nan", "orthogonality-radius-nan"],
+)
+def test_cluster_params_out_of_range_are_config_errors(tmp_path, capsys, kind, param, message):
+    # found with the spec, before any orbit is built: exit 2 with the field path
+    path = tmp_path / "bad-cluster.yaml"
+    path.write_text(
+        CONFIG_TEXT
+        + f"  - {{name: clusters, kind: {kind}, trajectory: orbit, params: {{{param}}}}}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: checks.clusters.params.{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_check_tol_in_exponent_notation_reaches_the_checker_as_a_number(tmp_path, capsys):
     # YAML 1.1 reads 1e-9 (no ".") as a string; the config number rule accepts it
     path = tmp_path / "tol.yaml"

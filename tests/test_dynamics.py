@@ -409,44 +409,67 @@ class _Formula(OperatorExpr):
 
 
 @pytest.mark.parametrize(
-    "text, x0, error, step",
+    "text, x0, step",
     [
-        ("1.0 / ({0} - 1.0)", 2.0, ZeroDivisionError, 2),
-        ("1.0 / ({0} - 1.0)", 1.0, ZeroDivisionError, 1),
-        ("sqrt({0}) - 1.5", 16.0, ValueError, 4),
-        ("{0} - 1.0 if {0} > 0.5 else 1.0 / {0}", 2.5, ZeroDivisionError, 6),
+        ("1.0 / ({0} - 1.0)", 2.0, 2),
+        ("1.0 / ({0} - 1.0)", 1.0, 1),
+        ("sqrt({0}) - 1.5", 16.0, 4),
+        ("where({0} > 0.5, {0} - 1.0, 1.0 / {0})", 2.5, 6),
     ],
 )
-def test_iterate_raises_what_apply_raises(text, x0, error, step):
-    # a zero divisor or the root of a negative stops the orbit at the step
-    # where apply raises, with apply's exception
+def test_iterate_stops_where_apply_gives_inf_or_nan(text, x0, step):
+    # both evaluators divide and take roots as IEEE doubles: apply gives inf
+    # or NaN at the step, and iterate stops there as past its norm cap
     T = _Formula(text)
-    orbit = _naive_orbit(T, [x0], step - 1)
-    with pytest.raises(error) as from_apply:
-        T.apply(orbit[-1])
-    with pytest.raises(error) as from_iterate:
+    orbit = _naive_orbit(T, [x0], step)
+    assert np.all(np.isfinite(orbit[:-1])) and not np.isfinite(orbit[-1, 0])
+    with pytest.raises(NonFiniteValueError, match=f"at step {step}$"):
         iterate(T, [x0], step + 5)
-    assert str(from_iterate.value) == str(from_apply.value)
     if step > 1:
-        assert iterate(T, [x0], step - 1).points.tobytes() == orbit.tobytes()
+        assert iterate(T, [x0], step - 1).points.tobytes() == orbit[:-1].tobytes()
 
 
-def test_only_the_taken_arm_of_a_choice_runs():
-    # the orbit reaches 0.0, where the arm not taken would divide by it
-    T = _Formula("1.0 / {0} if {0} > 0.0 else {0} + 2.0")
+@pytest.mark.parametrize(
+    "text", ["1.0 / {0}", "1.0 / {0} - 1.0 / {0} + 1.0 / {0}"], ids=["inf", "nan"]
+)
+def test_a_discarded_arm_that_is_not_finite_leaves_the_orbit_alone(text):
+    # at 0.0 the arm not taken is inf or NaN; where picks the other one
+    T = _Formula(f"where({{0}} > 0.0, {text}, {{0}} + 2.0)")
     traj = iterate(T, [-2.0], 30)
     assert traj.points[:5, 0].tolist() == [-2.0, 0.0, 2.0, 0.5, 2.0]
     assert traj.points.tobytes() == _naive_orbit(T, [-2.0], 30).tobytes()
 
 
-def test_nested_choices_and_every_comparison_follow_python():
+def test_nested_where_over_every_comparison_follows_apply():
     T = _Formula(
-        "-{0} * 0.75 if {0} < -1.0 else ({0} * 0.5 if {0} <= 1.0 else "
-        "({0} - 2.0 if {0} >= 3.0 else (0.25 * {0} if {0} > 2.0 else -0.0)))"
+        "where({0} < -1.0, -{0} * 0.75, where({0} <= 1.0, {0} * 0.5, "
+        "where({0} >= 3.0, {0} - 2.0, where({0} > 2.0, 0.25 * {0}, -0.0))))"
     )
-    for x0 in (-7.0, -1.0, -0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 9.0):
+    for x0 in (-7.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 9.0):
         traj = iterate(T, [x0], 40)
         assert traj.points.tobytes() == _naive_orbit(T, [x0], 40).tobytes(), x0
+
+
+@dataclass(frozen=True, eq=False)
+class _Lookup(OperatorExpr):
+    """t -> items[k] with k = 1 left of 0.0 and k = 3 right of it."""
+
+    def __post_init__(self):
+        self._install(1)
+
+    def _emit(self, src, x):
+        items = src.param(np.array([0.5, 1.5, 2.5]))
+        return [src.let(f"{items}[{src.select(f'{x[0]} < 0.0', '1', '3')}]")]
+
+
+def test_an_index_out_of_range_raises_in_both_evaluators():
+    # the orbit loop checks its list bounds, so it never reads past a list
+    T = _Lookup()
+    assert T.apply([-1.0]).tolist() == [1.5]
+    with pytest.raises(IndexError):
+        T.apply([1.0])
+    with pytest.raises(IndexError, match="at step 1$"):
+        iterate(T, [1.0], 3)
 
 
 def test_trajectory_points_read_only():

@@ -548,23 +548,45 @@ def test_runtime_errors_attach_to_the_failing_check():
 
 
 def test_nan_cluster_radius_is_a_value_error_of_the_check():
+    # the radius is range-checked with the spec, before any orbit is built
     nan = float("nan")
+    for kind, params in (
+        ("connectivity", {"radius": nan}),
+        ("cluster_orthogonality", {"set": "axis", "radius": nan}),
+    ):
+        spec = ScenarioSpec(
+            name="nan-radius",
+            description="",
+            topic="",
+            sets={"axis": Hyperplane([1.0, 0.0], 0.0)},
+            trajectories=[TrajectoryDef("orbit", "alternating")],
+            checks=[CheckDef("clusters", kind, "orbit", "fail", params)],
+        )
+        with pytest.raises(ConfigError) as err:
+            run_scenario(spec, n_steps=20)
+        assert str(err.value) == (
+            "checks.clusters.params.radius: must be null or a number > 0, got nan"
+        )
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("scalar_averaged_sweep", {"instances": 0}),
+        ("codim1_sweep", {"instances": -3}),
+        ("two_ball_sweep", {"pairs": 0}),
+    ],
+)
+def test_a_sweep_over_no_instances_is_an_error_not_a_pass(kind, params):
+    # a sweep that checks nothing must not report pass
+    ((key, count),) = params.items()
     spec = ScenarioSpec(
-        name="nan-radius",
+        name="empty-sweep",
         description="",
         topic="",
-        sets={"axis": Hyperplane([1.0, 0.0], 0.0)},
-        trajectories=[TrajectoryDef("orbit", "alternating")],
-        checks=[
-            CheckDef("connectivity", "connectivity", "orbit", "fail", {"radius": nan}),
-            CheckDef(
-                "orthogonality", "cluster_orthogonality", "orbit", "pass",
-                {"set": "axis", "radius": nan},
-            ),
-        ],
+        checks=[CheckDef("sweep", kind, None, "pass", params)],
     )
-    artifacts = run_scenario(spec, n_steps=20)
-    assert [o.actual for o in artifacts.summary] == ["error", "error"]
-    for name in ("connectivity", "orthogonality"):
-        error = artifacts.reports[name].witness["error"]
-        assert error == "ValueError: radius must be positive"
+    with pytest.raises(ConfigError, match=f"^checks.sweep.params.{key}: must be an integer >= 1"):
+        run_scenario(spec, n_steps=20)
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {count}$"):
+        getattr(scenarios, f"run_{kind}")(**params)
