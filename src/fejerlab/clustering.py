@@ -13,8 +13,11 @@ def greedy_cover(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndar
     """Cover ``points`` (n, d) by balls of ``radius`` in visiting order.
 
     Returns (representatives (k, d), assignment (n,)): each point is within
-    ``radius`` of its assigned representative, and representatives are
-    pairwise more than ``radius`` apart.  Deterministic in point order.
+    ``radius`` of its assigned representative, the first nearest of those
+    chosen before it, and representatives are pairwise more than ``radius``
+    apart.  Deterministic in point order.  Each block of points is measured
+    against the representatives once, and against each representative it
+    adds only once: O(n k) distances.
     """
     from scipy.spatial.distance import cdist
 
@@ -24,22 +27,27 @@ def greedy_cover(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndar
         raise ValueError("cannot cover an empty point set")
     reps = [pts[0]]
     assignment = np.zeros(n, dtype=int)
-    start, block = 1, 4096
-    while start < n:
-        stop = min(start + block, n)
-        chunk = pts[start:stop]
+    block = 4096
+    for start in range(1, n, block):
+        chunk = pts[start : start + block]
         dists = cdist(chunk, np.asarray(reps))
         nearest = np.argmin(dists, axis=1)
-        covered = dists[np.arange(len(chunk)), nearest] <= radius
-        if covered.all():
-            assignment[start:stop] = nearest
-            start = stop
-            continue
-        first_out = int(np.argmin(covered))  # first False
-        assignment[start : start + first_out] = nearest[:first_out]
-        reps.append(chunk[first_out])
-        assignment[start + first_out] = len(reps) - 1
-        start = start + first_out + 1
+        best = dists[np.arange(len(chunk)), nearest]
+        i = 0
+        while True:
+            out = np.flatnonzero(~(best[i:] <= radius))
+            if not out.size:
+                break
+            i += int(out[0])  # the first point left uncovered is a new representative
+            reps.append(chunk[i])
+            nearest[i] = len(reps) - 1
+            rest = slice(i + 1, None)
+            new = cdist(chunk[rest], chunk[i : i + 1])[:, 0]
+            closer = new < best[rest]  # strictly: argmin keeps the first of equals
+            nearest[rest][closer] = len(reps) - 1
+            best[rest][closer] = new[closer]
+            i += 1
+        assignment[start : start + len(chunk)] = nearest
     return np.asarray(reps), assignment
 
 

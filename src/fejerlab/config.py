@@ -279,7 +279,9 @@ def load_scenario(path) -> ScenarioSpec:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        # libyaml's parser where PyYAML was built with it: the same
+        # constructor and resolver as yaml.safe_load, so the same data
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return parse_scenario(data)

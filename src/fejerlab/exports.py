@@ -4,8 +4,9 @@ Trajectory CSV: header ``n,x1,...,xd``, one row per index, each coordinate
 as ``"%.17g" % x`` (17 significant digits, so a re-import reproduces every
 float bit for bit).  The text is written in blocks of rows by ``fejer_csv``
 of :mod:`fejerlab.native`, which rounds each value's 17 digits exactly in
-integer arithmetic; the library is built at the first export or ``iterate``
-of a process.
+integer arithmetic, once per run of rows that repeat bit for bit within a
+block; the library is built at the first export or ``iterate`` of a
+process.
 Report and summary JSON: one encoder, two-space indent, sorted keys, a final
 newline; a report's verdict is serialized as a tagged object, and a float
 ``per_step`` array is written in blocks of values with the bytes

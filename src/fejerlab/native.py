@@ -36,10 +36,13 @@ import numpy as np
 #
 # ``fejer_csv`` writes the CSV rows ``index,v1,...,vd\n`` of the (n, d) array
 # ``pts``, numbered from ``start``, and returns the count of bytes written.
-# Each value is the text of Python's
-# ``format(v, ".17g")``.  Where 1e-16 <= |v| < 1e17, v = m * 2**e exactly
-# and its 17 digits are D = round-half-even(m * 5**k * 2**(e + k)) with
-# k = 16 - E, exact in 128-bit integers since 5**32 < 2**75; the decimal
+# The index is written by a plain digit loop.  A row equal bit for bit to the
+# row before it (so -0.0 and 0.0 differ, and so do NaNs of other bits) gets a
+# copy of that row's text ``,v1,...,vd\n``, formatted once.  Each value is
+# the text of Python's ``format(v, ".17g")``.  Where 1e-16 <= |v| < 1e17,
+# v = m * 2**e exactly and its 17 digits are
+# D = round-half-even(m * 5**k * 2**(e + k)) with k = 16 - E, exact in
+# 128-bit integers since 5**32 < 2**75; the decimal
 # exponent E is read from the floor of the scaled value, not from its
 # rounding.  Zeros are written "0" and "-0", NaN "nan"; every other value (a
 # subnormal, |v| outside that range, an infinity, or the double 1e-16, which
@@ -342,18 +345,43 @@ static char *put_g17(char *p, double a, const u128 *pow5, locale_t *c_numeric)
     return p;
 }
 
+/* v in decimal at p; returns the end of the text. */
+static char *put_index(char *p, int64_t v)
+{
+    char dig[20];
+    int n = 0;
+    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    if (v < 0)
+        *p++ = '-';
+    do
+        dig[n++] = (char)('0' + u % 10);
+    while (u /= 10);
+    while (n)
+        *p++ = dig[--n];
+    return p;
+}
+
 int64_t fejer_csv(const double *pts, int64_t n, int64_t d, int64_t start, char *out)
 {
     u128 pow5[33];
     uint64_t pow10[19];
     locale_t c_numeric = (locale_t)0;
-    char *p = out;
+    char *p = out, *values = out;  /* the text ",v1,...,vd\n" of the last row */
+    size_t length = 0;
     powers(pow5, pow10);
     for (int64_t i = 0; i < n; i++) {
-        p += sprintf(p, "%lld", (long long)(start + i));
+        const double *row = pts + i * d;
+        p = put_index(p, start + i);
+        if (i && memcmp(row, row - d, 8 * (size_t)d) == 0) {  /* the last row, bit for bit */
+            values = (char *)memcpy(p, values, length);
+            p += length;
+            continue;
+        }
+        values = p;
         for (int64_t k = 0; k < d; k++)
-            p = put_g17(p, pts[i * d + k], pow5, &c_numeric);
+            p = put_g17(p, row[k], pow5, &c_numeric);
         *p++ = '\n';
+        length = (size_t)(p - values);
     }
     if (c_numeric)
         freelocale(c_numeric);
@@ -448,8 +476,8 @@ def csv_rows(points: np.ndarray, start: int) -> np.ndarray:
     """The CSV rows of ``points``, numbered from ``start``, as one text block."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, d = pts.shape
-    # a row has at most 19 index digits, "," and 24 characters per value, "\n",
-    # and room for the NUL snprintf writes after a value
+    # a row has at most 20 index characters, "," and 24 characters per value,
+    # "\n", and room for the NUL snprintf writes after a value
     out = np.empty(n * (21 + 25 * d), dtype=np.uint8)
     return out[: library().fejer_csv(pts.ctypes.data, n, d, start, out.ctypes.data)]
 

@@ -734,7 +734,10 @@ class CheckKind:
     and ``operators`` name a set or an operator of the scenario, are
     required, and arrive resolved.  ``operator_rule``, when given, is what
     the named operators must be and the test for it.  Every other accepted
-    param is a key of ``defaults``.
+    param is a key of ``defaults``.  Where ``on_clusters`` is set, ``run``
+    gets the run's cluster set of the trajectory in its place, estimated
+    once per run for each ``tail_fraction`` and ``radius``, which it does
+    not get as params.
     """
 
     run: Callable
@@ -743,6 +746,7 @@ class CheckKind:
     defaults: dict = field(default_factory=dict)
     needs_trajectory: bool = True
     operator_rule: tuple | None = None
+    on_clusters: bool = False
 
     def validate(self, params, spec, path: str) -> None:
         if not isinstance(params, dict):
@@ -785,11 +789,11 @@ def _is_count(value) -> bool:
 
 # what a check param of this name must be, and its test, checked before any
 # orbit is built; a sweep over no instances would pass having checked nothing
+_COUNT = ("an integer >= 1", _is_count)
 _PARAM_RULES = {
     "radius": ("null or a number > 0", lambda v: v is None or _is_number(v) and v > 0.0),
     "tail_fraction": ("a number in (0, 1]", lambda v: _is_number(v) and 0.0 < v <= 1.0),
-    "instances": ("an integer >= 1", _is_count),
-    "pairs": ("an integer >= 1", _is_count),
+    **dict.fromkeys(("instances", "pairs", "witnesses", "trials"), _COUNT),
 }
 
 
@@ -857,21 +861,17 @@ CHECK_KINDS = {
     ),
     "limit": CheckKind(_limit, defaults={"tail_window": FROM_RUN, "tol": FROM_RUN}),
     "connectivity": CheckKind(
-        lambda traj, expect, **kw: _verdict(
-            check_connectivity(estimate_cluster_set(traj, **kw))
-        ),
+        lambda cluster, expect: _verdict(check_connectivity(cluster)),
         defaults=_CLUSTERS,
+        on_clusters=True,
     ),
     "cluster_orthogonality": CheckKind(
-        lambda traj, expect, set, tail_fraction, radius, **kw: _verdict(
-            check_cluster_orthogonality(
-                estimate_cluster_set(traj, tail_fraction=tail_fraction, radius=radius),
-                set,
-                **kw,
-            )
+        lambda cluster, expect, set, **kw: _verdict(
+            check_cluster_orthogonality(cluster, set, **kw)
         ),
         sets=("set",),
         defaults={**_CLUSTERS, **_WITNESSES, "tol": 1e-8},
+        on_clusters=True,
     ),
     "sum_decoupling": CheckKind(
         lambda traj, expect, summand, cone, **kw: _verdict(
@@ -922,7 +922,7 @@ CHECK_KINDS = {
 # ---------------------------------------------------------------------------
 
 
-def _run_check(spec, cdef, built, run_values):
+def _run_check(spec, cdef, built, run_values, clusters):
     kind = CHECK_KINDS[cdef.kind]
     named = {
         **dict.fromkeys(kind.sets, spec.sets),
@@ -936,7 +936,13 @@ def _run_check(spec, cdef, built, run_values):
             params[key] = named[key][val]
         elif key == "tol":  # YAML reads 1e-9 as a string; validate accepted it
             params[key] = spec_number("tol", val, f"checks.{cdef.name}.params.tol")
-    return kind.run(built.get(cdef.trajectory), cdef.expect, **params)
+    traj = built.get(cdef.trajectory)
+    if kind.on_clusters:
+        key = (cdef.trajectory, params.pop("tail_fraction"), params.pop("radius"))
+        if key not in clusters:
+            clusters[key] = estimate_cluster_set(traj, tail_fraction=key[1], radius=key[2])
+        traj = clusters[key]
+    return kind.run(traj, cdef.expect, **params)
 
 
 def _raw_orbit(spec, orbits, operator, n, start):
@@ -965,6 +971,7 @@ def run_scenario(
     built: dict = {}
     orbits: dict = {}  # the run's raw orbits, by (operator name, start, steps)
     failed: dict = {}  # trajectory not built -> (the one that raised, its error)
+    clusters: dict = {}  # the run's cluster sets, by (trajectory, tail_fraction, radius)
     for tdef in spec.trajectories:
         if tdef.base in failed:
             failed[tdef.name] = failed[tdef.base]
@@ -988,7 +995,7 @@ def run_scenario(
             unread.pop(source, None)
         else:
             try:
-                rep, actual = _run_check(spec, cdef, built, run_values)
+                rep, actual = _run_check(spec, cdef, built, run_values, clusters)
             except ConfigError as exc:
                 raise ConfigError(f"checks.{cdef.name}: {exc}") from exc
             except Exception as exc:  # runtime error attached to the failing check

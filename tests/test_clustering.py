@@ -4,7 +4,8 @@
 adjacency matrix and takes its connected components; the gap is the smallest
 distance over pairs with different labels.  ``single_linkage`` must give the
 same labels and the same gap, bit for bit, from one spanning tree over the
-distinct rows.
+distinct rows.  ``_cover_reference`` covers points one at a time;
+``greedy_cover`` must choose the same representatives and assignment.
 """
 
 import math
@@ -15,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from fejerlab.clustering import single_linkage
+from fejerlab.clustering import greedy_cover, single_linkage
 from fejerlab.dynamics import OSCILLATING, Trajectory, detect_limit
 
 
@@ -74,3 +75,36 @@ def test_detect_limit_on_an_exact_three_cycle_matches_the_reference():
     assert np.array_equal(est.cluster_labels, ref_labels)
     assert est.cluster_gap == ref_gap
     assert np.array_equal(est.cluster_points, centers)
+
+
+def _cover_reference(points, radius):
+    """Each point joins the first nearest representative chosen before it,
+    or becomes one where none is within ``radius``."""
+    reps, assignment = [points[0]], [0]
+    for p in points[1:]:
+        dists = cdist(p[None], np.asarray(reps))[0]
+        q = int(np.argmin(dists))
+        if not dists[q] <= radius:
+            reps.append(p)
+            q = len(reps) - 1
+        assignment.append(q)
+    return np.asarray(reps), np.asarray(assignment)
+
+
+@pytest.mark.parametrize(
+    "d, lattice, radius",
+    [(1, False, 0.25), (2, False, 4.0), (3, True, 3.0), (4, True, 3.0)],
+    ids=["walk-r1", "walk-r2", "lattice-r3", "lattice-r4"],
+)
+def test_greedy_cover_matches_the_pointwise_reference(d, lattice, radius):
+    # random walks over two block boundaries that need hundreds of
+    # representatives; on an integer lattice many points lie at exactly the
+    # same distance from two representatives, where the first must win
+    rng = np.random.default_rng(d)
+    steps = rng.integers(-1, 2, (9000, d)) if lattice else rng.standard_normal((9000, d))
+    pts = np.cumsum(steps, axis=0).astype(float)
+    reps, assignment = greedy_cover(pts, radius)
+    ref_reps, ref_assignment = _cover_reference(pts, radius)
+    assert len(ref_reps) >= 200
+    assert np.array_equal(reps, ref_reps)
+    assert np.array_equal(assignment, ref_assignment)

@@ -171,6 +171,22 @@ def test_builtin_specs_serialize_and_round_trip():
         assert again == spec
 
 
+def test_builtin_dumps_parse_alike_under_both_yaml_loaders(tmp_path):
+    # load_scenario parses with libyaml where PyYAML has it; the pure-Python
+    # loader shares its constructor and resolver, so each gives the same data,
+    # YAML 1.1 scalars such as 1e-9 (a string), .nan and 0x1F included
+    loaders = (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    scalars = "[1e-9, 1.0e-9, .nan, -.inf, 0x1F, 0o17, 1_000, yes, off, ~, 2001-12-14]"
+    for name in [name for name, _, _ in list_scenarios()] + [None]:
+        text = scalars if name is None else dump_scenario(get_scenario(name))
+        python, libyaml = (yaml.load(text, Loader=loader) for loader in loaders)
+        assert repr(python) == repr(libyaml), name
+        if name is not None:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text, encoding="utf-8")
+            assert load_scenario(path) == parse_scenario(python) == get_scenario(name)
+
+
 def test_config_errors_carry_field_paths():
     with pytest.raises(ConfigError, match="sets.bad: missing field 'radius'"):
         parse_scenario(
@@ -487,6 +503,48 @@ def test_trajectory_csv_index_widths(tmp_path):
     # the index grows a digit at 10, 100, ..., 100000
     pts = np.random.default_rng(2).standard_normal((100_001, 1))
     assert _csv_matches_reference(tmp_path / "t.csv", pts)
+
+
+def _reference_rows(pts, start) -> bytes:
+    """Reference CSV rows of ``native.csv_rows``, numbered from ``start``."""
+    return "".join(
+        f"{start + i}," + ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for i, row in enumerate(pts)
+    ).encode("ascii")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("start", [-3, 0, 8, 9, 98, 99, 8190, 8191, 8192, 10**15, 2**63 - 3])
+def test_csv_rows_number_from_any_start(d, start):
+    # 3 rows from each start cross 9 -> 10, 99 -> 100 and 8191 -> 8192 -> 8193
+    pts = np.random.default_rng(d).standard_normal((3, d))
+    assert native.csv_rows(pts, start).tobytes() == _reference_rows(pts, start)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_csv_rows_of_repeated_rows(d):
+    # a row equal bit for bit to the row before it reuses that row's text;
+    # -0.0 and 0.0, or NaNs of other bits, are equal as numbers but not as bits
+    other_nan = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+    values = [0.0, 0.0, -0.0, -0.0, 0.0, 1.5, 1.5, 1.5, 0.1, 1.5, 1.5, np.nan, np.nan,
+              -np.nan, other_nan, other_nan, np.nan, 1e300, 1e300, -1e-300, -1e-300]
+    pts = np.repeat(np.array(values)[:, None], d, axis=1)
+    last = pts.copy()
+    last[1::2, -1] *= -1.0  # rows that differ in one column only
+    for case in (pts, last, np.concatenate([pts, pts[::-1]])):
+        assert native.csv_rows(case, 7).tobytes() == _reference_rows(case, 7)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_trajectory_csv_bytes_of_a_run_of_equal_rows_across_a_block(tmp_path, d):
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((exports.BLOCK + 6, d))
+    pts[exports.BLOCK - 3 : exports.BLOCK + 3] = pts[exports.BLOCK - 4]  # a run over the boundary
+    pts[-2:] = -0.0
+    pts[-1, 0] = 0.0
+    assert _csv_matches_reference(tmp_path / "t.csv", pts)
+    fixed = np.tile(rng.standard_normal(d), (2 * exports.BLOCK + 1, 1))  # a fixed point, padded
+    assert _csv_matches_reference(tmp_path / "fixed.csv", fixed)
 
 
 def test_exports_into_a_missing_directory_name_the_file(tmp_path):
@@ -876,6 +934,28 @@ def test_cluster_params_out_of_range_are_config_errors(tmp_path, capsys, kind, p
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert f"error: checks.clusters.params.{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ("kind: fejer, trajectory: orbit, params: {set: line, witnesses: 0}",
+         "witnesses: must be an integer >= 1, got 0"),
+        ("kind: fejer, trajectory: orbit, params: {set: line, witnesses: 2.5}",
+         "witnesses: must be an integer >= 1, got 2.5"),
+        ("kind: nonexpansive, params: {operator: T, trials: -2}",
+         "trials: must be an integer >= 1, got -2"),
+    ],
+    ids=["witnesses-0", "witnesses-float", "trials-negative"],
+)
+def test_witness_and_trial_counts_below_one_are_config_errors(tmp_path, capsys, check, message):
+    # found with the spec, before any orbit is built: exit 2 with the field path
+    path = tmp_path / "bad-count.yaml"
+    path.write_text(CONFIG_TEXT + f"  - {{name: count, {check}}}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: checks.count.params.{message}" in capsys.readouterr().err
     assert not out.exists()
 
 

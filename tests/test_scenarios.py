@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,27 @@ def test_estimated_shift_uses_the_orbit_it_normalizes(monkeypatch):
     assert len(calls) == 1
     v = built["normalized"].points[1] - built["orbit"].points[1]
     assert np.linalg.norm(v - two_ball_gap_vector(A, B)) <= 1e-6
+
+
+def test_each_cluster_set_is_estimated_once_per_run(monkeypatch):
+    # connectivity and cluster orthogonality with the same tail_fraction and
+    # radius read one cluster set; another radius gets its own, and the next
+    # run estimates afresh
+    calls = []
+    original = scenarios.estimate_cluster_set
+
+    def counted(trajectory, **kwargs):
+        calls.append(kwargs)
+        return original(trajectory, **kwargs)
+
+    monkeypatch.setattr(scenarios, "estimate_cluster_set", counted)
+    spec = get_scenario("alternating-pair")
+    wide = CheckDef("wide", "connectivity", "orbit", "pass", {"radius": 1.5})
+    spec = dataclasses.replace(spec, checks=[*spec.checks, wide])
+    for _ in range(2):
+        assert run_scenario(spec).all_matched
+    once = [{"tail_fraction": 0.5, "radius": 0.1}, {"tail_fraction": 0.5, "radius": 1.5}]
+    assert calls == once * 2
 
 
 def test_run_overrides():
