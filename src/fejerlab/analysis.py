@@ -80,7 +80,7 @@ def check_fejer(
     # and the first largest increase lie in the rows before
     head = pts
     if isinstance(trajectory, Trajectory):
-        head = pts[: periodic_rows(trajectory)]
+        head = trajectory.rows(0, periodic_rows(trajectory))
     radius, ws = _witness_points(head, C, witnesses, seed, witness_radius)
     sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
     per_step = sq_anchor[:-1] - sq_anchor[1:]

@@ -4,18 +4,20 @@
 trajectories, drift estimates and limit verdicts take the orbits it returns,
 so a caller that needs one orbit several times computes it once.
 
-Trajectories are immutable (points array is read-only after construction).
+Trajectories are immutable: every array they hand out is read-only.
 :func:`iterate` runs the C orbit loop of :mod:`fejerlab.operators` on the
 operator's lowered float source: one engine for every tree and dimension.
 ``T.apply`` runs the same source with numpy, in the same plain IEEE double
 arithmetic and fixed order, independent of BLAS, so the orbit equals the
 orbit of ``T.apply`` bit for bit.  The loop terminates a run early when the
-orbit enters an exact cycle of any period, and ``iterate`` pads the remaining
-points with the (exactly continued) cycle; it raises NonFiniteValueError at
+orbit enters an exact cycle of any period; it raises NonFiniteValueError at
 the first step past ``DEFAULT_NORM_CAP`` or not finite, such as a step that
-divides by zero.  The trajectory records the row from which it repeats
-and the period (``periodic_from``, ``period``); :func:`periodic_rows` turns
-them into the leading rows that a check of per-step values needs to read.
+divides by zero.  The trajectory records the row from which it repeats and
+the period (``periodic_from``, ``period``) and keeps only the rows the loop
+computed: its tails and row ranges are read from them by index arithmetic,
+and the whole array is built only for a caller that asks for ``points``.
+:func:`periodic_rows` turns the cycle into the leading rows that a check of
+per-step values needs to read.
 
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
 diameter over the rows that do not repeat the row one or two steps before (the
@@ -50,34 +52,51 @@ OSCILLATING = "oscillating"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class Trajectory:
     """A finite sequence of points in R^d, one row per step.
 
-    ``points`` is read-only.  The constructor copies what it is given; the
-    orbit builders hand over arrays they have just made with :meth:`_own`.
+    Every array a trajectory hands out is read-only.  The constructor copies
+    what it is given; the orbit builders hand over arrays they have just made
+    with :meth:`_own`.
 
     ``periodic_from`` and ``period`` are set only by :func:`iterate`, when its
     kernel saw the orbit repeat: row j + period equals row j bit for bit for
-    every j >= periodic_from.  Every other trajectory has None for both.
+    every j >= periodic_from.  Every other trajectory has None for both.  Such
+    an orbit keeps only the rows the kernel computed, [0, q + p] for
+    q = periodic_from and p = period, and reads row j >= q as row
+    q + (j - q) mod p.  ``len``, ``dim``, :meth:`tail` and :meth:`rows` work
+    from those rows; ``points``, the whole (len, dim) array, is built on
+    first use and kept.
     """
 
-    points: np.ndarray
-
-    def __post_init__(self):
-        self._set_points(np.array(self.points, dtype=float))
-        self._periodic_from = self._period = None
+    def __init__(self, points):
+        self._set_rows(np.array(points, dtype=float))
 
     @classmethod
     def _own(
-        cls, points: np.ndarray, periodic_from: int | None = None,
-        period: int | None = None,
+        cls, rows: np.ndarray, periodic_from: int | None = None,
+        period: int | None = None, length: int | None = None,
     ) -> "Trajectory":
-        """Wrap a fresh float array that no one else holds, without a copy."""
+        """Wrap a fresh float array that no one else holds, without a copy.
+
+        ``rows`` are the leading rows of a trajectory of ``length`` rows
+        (all of them by default) that repeats with ``period`` from
+        ``periodic_from`` on.
+        """
         traj = cls.__new__(cls)
-        traj._set_points(points)
-        traj._periodic_from, traj._period = periodic_from, period
+        traj._set_rows(rows, periodic_from, period, length)
         return traj
+
+    def _set_rows(self, rows, periodic_from=None, period=None, length=None) -> None:
+        if rows.ndim != 2 or rows.shape[0] < 1:
+            raise ValueError("trajectory points must form a nonempty (n, d) array")
+        if rows.shape[1] < 1:
+            raise DimensionMismatchError("vectors must have positive dimension")
+        rows.setflags(write=False)
+        self._rows = rows
+        self._len = rows.shape[0] if length is None else length
+        self._points = rows if self._len == rows.shape[0] else None
+        self._periodic_from, self._period = periodic_from, period
 
     @property
     def periodic_from(self) -> int | None:
@@ -87,23 +106,50 @@ class Trajectory:
     def period(self) -> int | None:
         return self._period
 
-    def _set_points(self, pts: np.ndarray) -> None:
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("trajectory points must form a nonempty (n, d) array")
-        if pts.shape[1] < 1:
-            raise DimensionMismatchError("vectors must have positive dimension")
-        pts.setflags(write=False)
-        self.points = pts
+    @property
+    def points(self) -> np.ndarray:
+        """The whole (len, dim) array, built on first use and kept."""
+        if self._points is None:
+            self._points = self.rows(0, self._len)
+        return self._points
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self._len
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self._rows.shape[1]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop), for 0 <= start <= stop <= len."""
+        if not 0 <= start <= stop <= self._len:
+            raise ValueError(
+                f"rows [{start}, {stop}) outside a trajectory of {self._len} rows"
+            )
+        if self._points is not None:
+            return self._points[start:stop]
+        if stop <= self._rows.shape[0]:
+            return self._rows[start:stop]
+        # the rows before the cycle, then whole periods from row
+        # q + (j - q) mod p on, for the first row j >= q of the range
+        q, p = self._periodic_from, self._period
+        lead = max(0, q - start)
+        k = (start + lead - q) % p
+        reps = -(-(stop - start - lead) // p)
+        out = np.empty((lead + reps * p, self.dim))
+        out[:lead] = self._rows[start : start + lead]
+        period = np.concatenate([self._rows[q + k : q + p], self._rows[q : q + k]])
+        out[lead:].reshape(reps, p, self.dim)[:] = period
+        out.setflags(write=False)
+        return out[: stop - start]
 
     def tail(self, count: int) -> np.ndarray:
-        return self.points[-count:]
+        """The last ``count`` rows, for 1 <= count <= len."""
+        if not 1 <= count <= self._len:
+            raise ValueError(
+                f"tail of {count} rows outside a trajectory of {self._len} rows"
+            )
+        return self.rows(self._len - count, self._len)
 
     def __repr__(self) -> str:
         return f"Trajectory(len={len(self)}, dim={self.dim})"
@@ -149,16 +195,10 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     cycle = kernel.run(pts, DEFAULT_NORM_CAP * DEFAULT_NORM_CAP)
     if cycle is None:
         return Trajectory._own(pts)
-    # row j + p equals row j from row q on: copy whole periods into the rows
-    # after the cycle, in blocks that double
+    # row q + p repeats row q: keep the rows computed up to it
     q, p = cycle
-    end = q + p + 1
-    while end <= n:
-        back = (end - q) // p * p  # whole periods written so far
-        block = min(back, n + 1 - end)
-        pts[end : end + block] = pts[end - back : end - back + block]
-        end += block
-    return Trajectory._own(pts, q, p)
+    rows = pts if q + p == n else pts[: q + p + 1].copy()
+    return Trajectory._own(rows, q, p, n + 1)
 
 
 def periodic_rows(*orbits: Trajectory) -> int:
@@ -235,8 +275,8 @@ def displacement_from_orbit(orbit: Trajectory, tail: int) -> tuple[np.ndarray, f
     """Tail mean of the step differences T^n x - T^{n+1} x and its residual."""
     if tail < 1 or tail >= len(orbit):
         raise ValueError("tail must satisfy 1 <= tail < len(orbit)")
-    pts = orbit.points
-    seg = pts[-tail - 1 : -1] - pts[-tail:]
+    pts = orbit.tail(tail + 1)
+    seg = pts[:-1] - pts[1:]
     v = seg.mean(axis=0)
     residual = float(np.linalg.norm(seg - v, axis=1).max())
     return v, residual

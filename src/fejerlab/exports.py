@@ -61,13 +61,14 @@ def _write_json(obj, path) -> Path:
 
 def export_trajectory(trajectory: Trajectory, path) -> Path:
     """Write the trajectory as CSV; returns the path written."""
-    path, pts = Path(path), trajectory.points
+    path, n = Path(path), len(trajectory)
     native.library()  # a missing C compiler raises before the file is opened
-    header = "n," + ",".join(f"x{i}" for i in range(1, pts.shape[1] + 1)) + "\n"
+    header = "n," + ",".join(f"x{i}" for i in range(1, trajectory.dim + 1)) + "\n"
     with _open(path) as f:
         f.write(header.encode("ascii"))
-        for start in range(0, len(pts), BLOCK):
-            f.write(native.csv_rows(pts[start : start + BLOCK], start))
+        for start in range(0, n, BLOCK):
+            rows = trajectory.rows(start, min(start + BLOCK, n))
+            f.write(native.csv_rows(rows, start))
     return path
 
 

@@ -177,7 +177,7 @@ def run_scalar_averaged_sweep(
         # the per-step checks below see every value in the rows before the
         # two orbits' joint cycle repeats
         rows = periodic_rows(orbit_x, orbit_y)
-        head_x, head_y = orbit_x.points[:rows], orbit_y.points[:rows]
+        head_x, head_y = orbit_x.rows(0, rows), orbit_y.rows(0, rows)
         a = head_x[:, 0] - head_y[:, 0]
         # slack scaled by the iterate magnitude: the difference of two large
         # floating-point orbits cannot be monotone to an absolute 1e-12

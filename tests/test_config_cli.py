@@ -23,7 +23,7 @@ from fejerlab.config import (
     set_from_config,
     set_to_config,
 )
-from fejerlab.dynamics import Trajectory
+from fejerlab.dynamics import Trajectory, iterate
 from fejerlab.errors import ConfigError
 from fejerlab.exports import (
     export_report,
@@ -545,6 +545,18 @@ def test_trajectory_csv_bytes_of_a_run_of_equal_rows_across_a_block(tmp_path, d)
     assert _csv_matches_reference(tmp_path / "t.csv", pts)
     fixed = np.tile(rng.standard_normal(d), (2 * exports.BLOCK + 1, 1))  # a fixed point, padded
     assert _csv_matches_reference(tmp_path / "fixed.csv", fixed)
+
+
+def test_trajectory_csv_of_a_cycled_orbit_is_read_from_its_computed_rows(tmp_path):
+    # the orbit holds the four rows its kernel computed (q = 1, p = 2); the
+    # export reads blocks of them and writes the bytes of the padded orbit
+    n = 10**6
+    traj = iterate(Negation(), [1.0], n)
+    padded = Trajectory(np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)[:, None])
+    export_trajectory(traj, tmp_path / "cycled.csv")
+    export_trajectory(padded, tmp_path / "padded.csv")
+    assert (tmp_path / "cycled.csv").read_bytes() == (tmp_path / "padded.csv").read_bytes()
+    assert traj._rows.shape[0] == 4 and traj._points is None
 
 
 def test_exports_into_a_missing_directory_name_the_file(tmp_path):

@@ -135,7 +135,7 @@ _SIGNED_ZERO_STARTS = [
 @pytest.mark.parametrize("float_nodes_only", [True, False])
 def test_iterate_matches_naive_evaluation(float_nodes_only):
     # iterate's loop and apply's step come from one kernel source per tree, so
-    # the orbit is apply's orbit bit for bit, padding and signed zeros included;
+    # the orbit is apply's orbit bit for bit, cycled rows and signed zeros included;
     # the piecewise-linear map runs alone and inside trees with projections,
     # matrices and shifts
     rng = np.random.default_rng(0)
@@ -156,7 +156,7 @@ def test_iterate_matches_naive_evaluation(float_nodes_only):
 
 
 def test_early_stall_padding_is_exact():
-    # projector orbits hit an exact fixed point at step 1; the padded tail
+    # projector orbits hit an exact fixed point at step 1; the rows past it
     # must agree with honest evaluation bit for bit
     C = Ball([1.0, -1.0], 0.5)
     T = Projector(C)
@@ -184,7 +184,7 @@ def _assert_repeats_as_recorded(traj):
 @pytest.mark.parametrize("d", [3, 4])
 def test_cycle_of_any_period_pads_exactly(d):
     # a cyclic permutation of the coordinates repeats with period d: the
-    # kernel stops there, and its padding is apply's orbit bit for bit
+    # kernel stops there, and the rows past it are apply's orbit bit for bit
     T = _cyclic_permutation(d)
     random_start = np.random.default_rng(d).uniform(-5, 5, d)
     signed_start = [-0.0] + [float(k) for k in range(1, d)]
@@ -259,6 +259,84 @@ def test_periodic_rows_cover_one_joint_period():
     short = iterate(_cyclic_permutation(4), [1.0, 2.0, 3.0, 4.0], 8)
     assert short.period == 4
     assert periodic_rows(short, iterate(_cyclic_permutation(3), [1.0, 2.0, 3.0], 8)) == 9
+
+
+# ---------------------------------------------------------------------------
+# rows of an orbit that ends in a cycle
+# ---------------------------------------------------------------------------
+
+
+def _held_rows(traj):
+    """Rows the trajectory holds, and whether it has built its whole array."""
+    return traj._rows.shape[0], traj._points is not None
+
+
+# periods 1, 2, 3 and 19, two of them from a -0.0 start
+_CYCLED = {
+    "period-1": (Projector(Ball([1.0, -1.0], 0.5)), [4.0, 2.0], 1),
+    "period-2-signed-zero": (Negation(), [-0.0], 2),
+    "period-3-signed-zero": (_cyclic_permutation(3), [-0.0, 1.0, 2.0], 3),
+    "period-19": (_cyclic_permutation(19), np.arange(19.0) - 3.0, 19),
+}
+
+
+@pytest.mark.parametrize("case", list(_CYCLED))
+def test_cycled_orbit_reads_every_row_from_its_computed_rows(case):
+    T, x0, period = _CYCLED[case]
+    n = 300
+    traj, ref = iterate(T, x0, n), _naive_orbit(T, x0, n)
+    q, p = traj.periodic_from, traj.period
+    assert p == period and q + p < n
+    assert _held_rows(traj) == (q + p + 1, False)
+    assert len(traj) == n + 1 and traj.dim == ref.shape[1]
+    for count in (1, 2, p, p + 1, q + p + 1, n + 1 - q, n + 1):
+        tail = traj.tail(count)
+        assert tail.shape == (count, traj.dim)
+        assert tail.tobytes() == ref[-count:].tobytes(), count
+        assert not tail.flags.writeable
+    # ranges that start before q, at q and in the cycle; straddle q + p; end
+    # inside the computed rows, just past them, and at n + 1
+    starts = {0, max(q - 1, 0), q, q + 1, q + p - 1, q + p, q + p + 1, n, n + 1}
+    stops = {q, q + p, q + p + 1, q + p + 2, 2 * (q + p) + 1, n, n + 1}
+    for start in starts:
+        for stop in stops | {start, start + 1}:
+            if stop > n + 1 or stop < start:
+                continue
+            rows = traj.rows(start, stop)
+            assert rows.shape == (stop - start, traj.dim)
+            assert rows.tobytes() == ref[start:stop].tobytes(), (start, stop)
+            assert not rows.flags.writeable
+    assert _held_rows(traj) == (q + p + 1, False)  # no reader built the array
+    assert traj.points.tobytes() == ref.tobytes()
+    assert not traj.points.flags.writeable
+    assert traj.points is traj.points  # built once, then kept
+
+
+def test_a_long_cycled_orbit_keeps_only_its_computed_rows():
+    # the kernel proves the 2-cycle at row 3 (q = 1, p = 2): four rows stand
+    # for all 10**7 + 1, where a padded orbit held 80 MB
+    traj = iterate(Negation(), [1.0], 10**7)
+    assert (traj.periodic_from, traj.period) == (1, 2)
+    assert len(traj) == 10**7 + 1 and traj.dim == 1
+    assert traj.tail(3)[:, 0].tolist() == [1.0, -1.0, 1.0]
+    assert traj.rows(10**7 - 1, 10**7 + 1)[:, 0].tolist() == [-1.0, 1.0]
+    assert _held_rows(traj) == (4, False)
+
+
+@pytest.mark.parametrize("cycled", [True, False], ids=["cycled", "plain"])
+def test_tail_and_rows_reject_ranges_outside_the_trajectory(cycled):
+    traj = iterate(Negation(), [1.0], 9)
+    if not cycled:
+        traj = Trajectory(traj.points)
+    assert (traj.period is not None) == cycled
+    for count in (0, -1, 11):  # tail(0) would read points[-0:], every row
+        with pytest.raises(ValueError, match="tail"):
+            traj.tail(count)
+    for start, stop in ((-1, 2), (3, 2), (0, 11), (11, 11)):
+        with pytest.raises(ValueError, match="rows"):
+            traj.rows(start, stop)
+    assert traj.tail(10).tobytes() == traj.points.tobytes()
+    assert traj.rows(10, 10).shape == (0, 1)
 
 
 def test_norm_cap_raises():
@@ -516,10 +594,10 @@ def test_trajectory_copies_what_callers_pass():
 def test_orbit_builders_hand_over_fresh_arrays(monkeypatch):
     # the builders make their arrays themselves, so they skip the public
     # constructor's copy; the points are read-only all the same
-    def copying_constructor_called(self):
+    def copying_constructor_called(self, points):
         raise AssertionError("copied a fresh array")
 
-    monkeypatch.setattr(Trajectory, "__post_init__", copying_constructor_called)
+    monkeypatch.setattr(Trajectory, "__init__", copying_constructor_called)
     raw = iterate(Translation([0.5, -1.0]), [1.0, 2.0], 6)
     other = iterate(Translation([0.5, -1.0]), [0.0, 2.0], 6)
     built = [
