@@ -8,6 +8,14 @@ Failures always carry a concrete witness.
 Checkers make batched calls: ``cdist`` over blocks of ``FEJER_BLOCK_ROWS``
 rows for witness distances, so no (n, w) array is made, and one batched
 projection for the dual-cone test or the membership residuals.
+
+An orbit that ends in an exact cycle repeats its per-step values from the
+cycle on.  :func:`check_fejer` and :func:`check_asymptotic_regularity` (and so
+:func:`check_codim1_theorem`) compute on its leading rows
+(:func:`~fejerlab.dynamics.periodic_rows`) alone and extend their ``per_step``
+periodically (:func:`~fejerlab.dynamics.periodic_steps`); each value has the
+bits it would have from the whole array, which they never build.  The sum
+decoupling and cluster-set checks still read every row.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .dynamics import (
     Trajectory,
     detect_limit,
     periodic_rows,
+    periodic_steps,
     shadow,
 )
 from .errors import NonFiniteValueError, UnsupportedSetError
@@ -40,14 +49,31 @@ NECESSARY_CONDITION = "necessary-condition (finite witnesses)"
 FEJER_BLOCK_ROWS = 4096
 
 
+def _finite(rows: np.ndarray) -> np.ndarray:
+    if not np.isfinite(rows).all():
+        raise NonFiniteValueError("trajectory points must be finite")
+    return rows
+
+
 def _points_of(trajectory) -> np.ndarray:
     if isinstance(trajectory, Trajectory):
-        pts = trajectory.points
-    else:
-        pts = np.asarray(trajectory, dtype=float)
-    if not np.isfinite(pts).all():
-        raise NonFiniteValueError("trajectory points must be finite")
-    return pts
+        return _finite(trajectory.points)
+    return _finite(np.asarray(trajectory, dtype=float))
+
+
+def _head_of(trajectory) -> np.ndarray:
+    """The leading rows that hold every per-step value (:func:`periodic_rows`):
+    an orbit's rows past them repeat rows in them."""
+    if isinstance(trajectory, Trajectory):
+        return _finite(trajectory.rows(0, periodic_rows(trajectory)))
+    return _points_of(trajectory)
+
+
+def _every_step(trajectory, values: np.ndarray) -> np.ndarray:
+    """Per-step values of the whole trajectory from those of its head."""
+    if isinstance(trajectory, Trajectory):
+        return periodic_steps(values, trajectory)
+    return values
 
 
 def _witness_points(points, C: ConvexSet, count, seed, radius):
@@ -73,17 +99,14 @@ def check_fejer(
     """
     from scipy.spatial.distance import cdist
 
-    pts = _points_of(trajectory)
-    if pts.shape[0] < 2:
+    # past an orbit's exact cycle the rows repeat, so the largest distance,
+    # the first largest increase and each per-step value lie in the rows before
+    head = _head_of(trajectory)
+    if head.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
-    # past an orbit's exact cycle the rows repeat, so the largest distance
-    # and the first largest increase lie in the rows before
-    head = pts
-    if isinstance(trajectory, Trajectory):
-        head = trajectory.rows(0, periodic_rows(trajectory))
     radius, ws = _witness_points(head, C, witnesses, seed, witness_radius)
-    sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
-    per_step = sq_anchor[:-1] - sq_anchor[1:]
+    sq_anchor = np.sum((head - ws[0]) ** 2, axis=1)
+    per_step = _every_step(trajectory, sq_anchor[:-1] - sq_anchor[1:])
     # the first largest increase in step order; each distance has the bits of
     # one whole-array cdist, and an earlier block wins a tie
     worst, at = -np.inf, None
@@ -118,10 +141,10 @@ def check_fejer(
 
 def check_asymptotic_regularity(trajectory, tol: float = 1e-9) -> DiagnosticsReport:
     """Consecutive steps must vanish: the last 10% of step norms stay <= tol."""
-    pts = _points_of(trajectory)
-    if pts.shape[0] < 2:
+    head = _head_of(trajectory)
+    if head.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
-    steps = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+    steps = _every_step(trajectory, np.linalg.norm(head[1:] - head[:-1], axis=1))
     tail_len = max(1, steps.size // 10)
     tail_max = float(steps[-tail_len:].max())
     idx = steps.size - tail_len + int(np.argmax(steps[-tail_len:]))

@@ -17,12 +17,14 @@ the period (``periodic_from``, ``period``) and keeps only the rows the loop
 computed: its tails and row ranges are read from them by index arithmetic,
 and the whole array is built only for a caller that asks for ``points``.
 :func:`periodic_rows` turns the cycle into the leading rows that a check of
-per-step values needs to read.
+per-step values needs to read, and :func:`periodic_steps` extends the values
+read there to every step.
 
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
-diameter over the rows that do not repeat the row one or two steps before (the
-full-tail diameter bit for bit), and clusters a tail by single linkage over its
-distinct rows; its tails must be finite.
+diameter over one period of a recorded cycle, or else over the rows that do
+not repeat the row one or two steps before (the full-tail diameter bit for bit
+either way), and clusters a tail by single linkage over its distinct rows; its
+tails must be finite.
 """
 
 from __future__ import annotations
@@ -217,6 +219,27 @@ def periodic_rows(*orbits: Trajectory) -> int:
     return min(n, q + p + 1)
 
 
+def periodic_steps(values: np.ndarray, *orbits: Trajectory) -> np.ndarray:
+    """Every per-step value of equally long orbits, from ``values``, their
+    values on the :func:`periodic_rows` of the orbits.
+
+    From step q on, value k is value q + (k - q) mod p, for the q and p of
+    :func:`periodic_rows`; whole periods are filled through a (reps, p) view,
+    as :meth:`Trajectory.rows` fills rows.  Values that already cover every
+    step are returned as they are.
+    """
+    n = len(orbits[0]) - 1
+    if values.shape[0] == n:
+        return values
+    q = max(o.periodic_from for o in orbits)
+    p = math.lcm(*(o.period for o in orbits))
+    reps = -(-(n - q) // p)
+    out = np.empty(q + reps * p, dtype=values.dtype)
+    out[:q] = values[:q]
+    out[q:].reshape(reps, p)[:] = values[q : q + p]
+    return out[:n]
+
+
 def normalized_from_raw(raw: Trajectory, v) -> Trajectory:
     """Drift-compensated orbit points[n] = T^n x0 + n * v of a raw orbit."""
     v = as_vector(v, raw.dim)
@@ -336,10 +359,11 @@ def detect_limit(
     Convergence means the tail diameter is within ``tol`` (the limit is the
     tail mean); consecutive-step size is deliberately not used, since steps
     can vanish along non-convergent sequences.  The diameter is measured over
-    the tail rows that do not repeat, by value, the row one or two steps
-    before them; each dropped row copies a kept one, so the diameter is the
-    full tail's.  A non-finite tail raises NonFiniteValueError, as an inf row
-    would otherwise count as a repeat of another.
+    the tail's distinct rows, so it is the full tail's: one period of the
+    cycle, when the orbit records one that the tail covers whole, or else the
+    tail rows that do not repeat, by value, the row one or two steps before
+    them.  A non-finite tail raises NonFiniteValueError, as an inf row would
+    otherwise count as a repeat of another.
     """
     from scipy.spatial.distance import pdist
 
@@ -352,11 +376,15 @@ def detect_limit(
     if bad.any():
         step = len(trajectory) - tail_window + int(np.argmax(bad))
         raise NonFiniteValueError(f"trajectory point {step} in the tail is not finite")
-    # a row equal to the row one or two steps before it adds no new distance
-    fresh = np.ones(tail_window, dtype=bool)
-    fresh[1:] = (tail[1:] != tail[:-1]).any(axis=1)
-    fresh[2:] &= (tail[2:] != tail[:-2]).any(axis=1)
-    rows = tail[fresh]
+    q, p = trajectory.periodic_from, trajectory.period
+    if p is not None and len(trajectory) - tail_window >= q and tail_window >= p:
+        rows = trajectory.rows(q, q + p)  # the tail's rows, each at least once
+    else:
+        # a row equal to the row one or two steps before it adds no new distance
+        fresh = np.ones(tail_window, dtype=bool)
+        fresh[1:] = (tail[1:] != tail[:-1]).any(axis=1)
+        fresh[2:] &= (tail[2:] != tail[:-2]).any(axis=1)
+        rows = tail[fresh]
     diameter = float(pdist(rows).max()) if len(rows) > 1 else 0.0
     if diameter <= tol:
         return LimitEstimate(

@@ -25,6 +25,9 @@ Conventions
   so is the dual-cone test, which reads only the cone's projector and runs
   row-wise: ``dual_cone_residuals`` tests n vectors with one batched
   projection, and ``dual_cone_contains`` is its one-row case.
+* Each set kind with a plain affine dimension states it next to its
+  projector (``_aff_dim``), so ``codimension`` runs no factorization; a
+  MinkowskiSum takes the rank of its operands' stacked spans (``_aff_span``).
 """
 
 from __future__ import annotations
@@ -251,6 +254,12 @@ class ConvexSet(Emitted):
 
     # -- kernels (inputs trusted, no validation) ------------------------
 
+    def _aff_dim(self) -> int:
+        """Affine dimension of the set: the rank of :meth:`_aff_span`, where
+        a set kind does not state it in closed form."""
+        span = self._aff_span()
+        return 0 if span.shape[0] == 0 else int(np.linalg.matrix_rank(span))
+
     def _aff_span(self) -> np.ndarray:
         """Rows spanning aff(C) - aff(C); rank gives the affine dimension."""
         raise NotImplementedError
@@ -288,6 +297,9 @@ class Point(ConvexSet):
     def _emit(self, src, x):
         return src.vector(self.coords)
 
+    def _aff_dim(self):
+        return 0
+
     def _aff_span(self):
         return np.zeros((0, self.dim))
 
@@ -320,6 +332,9 @@ class Ball(ConvexSet):
             return src.lets("{} + {} * " + s, c, d)
 
         return src.branch(f"{n2} <= {r2}", lambda: x, outside)
+
+    def _aff_dim(self):
+        return self.dim
 
     def anchor(self):
         return self.center.copy()
@@ -382,6 +397,9 @@ class Halfspace(_NormalOffset):
         excess, moved = self._emit_step(src, x)
         return src.branch(f"{excess} <= 0.0", lambda: x, moved)
 
+    def _aff_dim(self):
+        return self.dim
+
     def _aff_span(self):
         return np.eye(self.dim)
 
@@ -392,6 +410,9 @@ class Hyperplane(_NormalOffset):
 
     def _emit(self, src, x):
         return self._emit_step(src, x)[1]()
+
+    def _aff_dim(self):
+        return self.dim - 1  # the normal is nonzero
 
     def _aff_span(self):
         from scipy.linalg import null_space
@@ -434,6 +455,9 @@ class AffineSubspace(ConvexSet):
         span = _emit_span(src, self.basis, src.lets("{} - {}", x, b))
         return src.lets("{} + {}", b, span)
 
+    def _aff_dim(self):
+        return self.basis.shape[0]
+
     def _aff_span(self):
         return self.basis
 
@@ -467,6 +491,9 @@ class LinearSubspace(ConvexSet):
 
     def _emit(self, src, x):
         return _emit_span(src, self.basis, x)
+
+    def _aff_dim(self):
+        return self.basis.shape[0]
 
     def anchor(self):
         return np.zeros(self.dim)
@@ -509,6 +536,9 @@ class Box(ConvexSet):
         m = [src.let(src.select(f"{v} > {b}", v, b)) for v, b in zip(x, lower)]
         return [src.let(src.select(f"{v} < {b}", v, b)) for v, b in zip(m, upper)]
 
+    def _aff_dim(self):
+        return int(np.count_nonzero(self.upper > self.lower))
+
     def _aff_span(self):
         free = self.upper > self.lower
         return np.eye(self.dim)[free]
@@ -543,6 +573,9 @@ class Ray(ConvexSet):
         t = src.let(src.select(f"{t} < 0.0", "0.0", t))
         return src.lets("{} + " + t + " * {}", b, u)
 
+    def _aff_dim(self):
+        return 1
+
     def anchor(self):
         return self.base.copy()
 
@@ -573,6 +606,9 @@ class Orthant(ConvexSet):
     def _emit(self, src, x):
         signs = src.vector(self.signs)
         return [src.let(src.select(f"{s} * {v} >= 0.0", v, "0.0")) for s, v in zip(signs, x)]
+
+    def _aff_dim(self):
+        return self.dim
 
     def _aff_span(self):
         return np.eye(self.dim)
@@ -675,8 +711,7 @@ def codimension(C: ConvexSet, ambient_dim: int) -> CodimResult:
         raise DimensionMismatchError(
             f"set lives in dimension {C.dim}, not {ambient_dim}"
         )
-    span = C._aff_span()
-    dim_aff = 0 if span.shape[0] == 0 else int(np.linalg.matrix_rank(span))
+    dim_aff = C._aff_dim()
     return CodimResult(dim_aff=dim_aff, codim=ambient_dim - dim_aff)
 
 

@@ -492,6 +492,99 @@ def test_shadow_onto_affine_set_is_constant():
 
 
 # ---------------------------------------------------------------------------
+# checks of an orbit that ends in a cycle read its computed rows
+# ---------------------------------------------------------------------------
+
+
+def _permutation(d):
+    return Linear(np.roll(np.eye(d), 1, axis=1))
+
+
+_DIAGONAL = LinearSubspace(np.ones((1, 3)) / np.sqrt(3.0))
+
+# (operator, start, reference set) of orbits with periods 1, 2, 3 and 19,
+# three of them from a -0.0 start
+_CYCLED_CHECKS = {
+    "period-1-projection": (Projector(Ball([1.0, -1.0], 0.5)), [4.0, 2.0], Hyperplane([1.0, 1.0], 0.0)),
+    "period-2-reflection": (
+        ConvexCombination(0.3, Identity(), Reflector(Hyperplane([2.0, 1.0], 1.0))),
+        [4.0, -1.0],
+        Hyperplane([2.0, 1.0], 1.0),
+    ),
+    "period-1-signed-zero": (Projector(Ball([0.0, 0.0], 1.0)), [-0.0, 3.0], Hyperplane([1.0, 0.0], 0.0)),
+    "period-2-signed-zero": (Negation(), [-0.0], Hyperplane([1.0], 0.5)),
+    "period-2-fejer-fails": (Negation(), [1.0], Point([0.5])),
+    "period-3-signed-zero": (_permutation(3), [-0.0, 1.0, 2.5], _DIAGONAL),
+    "period-19": (_permutation(19), np.arange(19.0) - 3.0, Hyperplane(np.eye(19)[0], 0.0)),
+}
+
+
+def _cycled_orbit(case, from_the_cycle):
+    """A fresh orbit of the case; ``from_the_cycle`` drops the rows before
+    its cycle, so that it repeats from row 0 on."""
+    T, x0, _ = _CYCLED_CHECKS[case]
+    orbit = iterate(T, x0, 2000)
+    q, p = orbit.periodic_from, orbit.period
+    assert p is not None and q > 0
+    if from_the_cycle:
+        orbit = Trajectory._own(orbit.rows(q, q + p + 1).copy(), 0, p, len(orbit) - q)
+    return orbit
+
+
+def _cycle_checks(traj, C):
+    return [
+        check_fejer(traj, C, witnesses=7, seed=3),
+        check_fejer(traj, C, witnesses=7, seed=3, witness_radius=7.5),
+        check_asymptotic_regularity(traj),
+        check_codim1_theorem(C, traj, witnesses=7, seed=3),
+    ]
+
+
+@pytest.mark.parametrize("from_the_cycle", [False, True], ids=["q>0", "q=0"])
+@pytest.mark.parametrize("case", list(_CYCLED_CHECKS))
+def test_checks_of_a_cycled_orbit_equal_those_of_its_whole_array(case, from_the_cycle):
+    C = _CYCLED_CHECKS[case][2]
+    orbit = _cycled_orbit(case, from_the_cycle)
+    plain = Trajectory(_cycled_orbit(case, from_the_cycle).points)
+    assert (orbit.periodic_from == 0) == from_the_cycle
+    for proven, whole in zip(_cycle_checks(orbit, C), _cycle_checks(plain, C)):
+        # json.dumps tells -0.0 from 0.0 and writes each float's exact digits
+        assert json.dumps(report_to_dict(proven)) == json.dumps(report_to_dict(whole))
+        if proven.per_step is not None:
+            assert len(proven.per_step) == len(orbit) - 1
+            assert proven.per_step.tobytes() == whole.per_step.tobytes()
+    assert orbit._points is None  # no check built the whole array
+
+
+def test_the_cycled_checks_reach_every_verdict():
+    # the cases above compare passing and failing Fejer checks (witness step
+    # and distances included) and codim-1 checks that reach the limit test
+    seen = set()
+    for case, (_, _, C) in _CYCLED_CHECKS.items():
+        fejer, _, ar, codim1 = _cycle_checks(_cycled_orbit(case, False), C)
+        seen |= {("fejer", fejer.verdict), ("ar", ar.verdict), ("codim1", codim1.verdict)}
+        if fejer.failed:
+            seen.add(("fejer fails after step 0", fejer.witness["step"] > 0))
+    assert seen >= {
+        ("fejer", "pass"), ("fejer", "fail"), ("ar", "pass"), ("ar", "fail"),
+        ("codim1", "pass"), ("codim1", "inconclusive"),
+        ("fejer fails after step 0", True),
+    }
+
+
+def test_codim1_check_of_a_long_orbit_keeps_only_its_computed_rows():
+    # the under-relaxed reflection settles on its limit within a few hundred
+    # steps; the checks read those rows, never the 10**6 + 1 of the orbit
+    C = Hyperplane([2.0, 1.0, -1.0], 1.0)
+    orbit = iterate(ConvexCombination(0.3, Identity(), Reflector(C)), [4.0, -1.0, 2.0], 10**6)
+    assert orbit.period is not None and orbit._rows.shape[0] < 1000
+    assert check_codim1_theorem(C, orbit).passed
+    for rep in (check_fejer(orbit, C), check_asymptotic_regularity(orbit)):
+        assert rep.passed and rep.per_step.shape == (10**6,)
+    assert orbit._points is None
+
+
+# ---------------------------------------------------------------------------
 # the verdict rule: a check fails exactly when it has a witness
 # ---------------------------------------------------------------------------
 

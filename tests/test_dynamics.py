@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 import math
 import re
@@ -57,6 +58,7 @@ from fejerlab.dynamics import (
     iterate,
     normalized_from_raw,
     periodic_rows,
+    periodic_steps,
     shadow,
 )
 from fejerlab.scenarios import random_scalar_piecewise_linear
@@ -259,6 +261,21 @@ def test_periodic_rows_cover_one_joint_period():
     short = iterate(_cyclic_permutation(4), [1.0, 2.0, 3.0, 4.0], 8)
     assert short.period == 4
     assert periodic_rows(short, iterate(_cyclic_permutation(3), [1.0, 2.0, 3.0], 8)) == 9
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 1000])
+def test_periodic_steps_extend_the_head_values_to_every_step(n):
+    # a per-step value of rows k and k + 1, read on the head, then extended
+    three = iterate(_cyclic_permutation(3), [1.0, 2.0, 3.0], n)
+    two = iterate(Negation(), [1.0, 2.0, 3.0], n)
+    for orbits in ((three,), (two,), (three, two), (three, Trajectory(two.points))):
+        head = periodic_rows(*orbits)
+        per_row = sum(o.rows(0, head)[:, 0] for o in orbits)
+        steps = periodic_steps(per_row[1:] - per_row[:-1], *orbits)
+        whole = sum(o.points[:, 0] for o in orbits)
+        assert steps.tobytes() == (whole[1:] - whole[:-1]).tobytes(), orbits
+    full = np.arange(float(n))
+    assert periodic_steps(full, three) is full  # values of every step already
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +918,38 @@ def test_detect_limit_measures_distances_over_fresh_rows_only(monkeypatch):
     cycle = iterate(Negation(), [1.0], 2000)
     assert detect_limit(cycle, tail_window=1000).status == OSCILLATING
     assert seen and all(rows <= 3 for rows, _ in seen)
+
+
+@pytest.mark.parametrize("period", [3, 5])
+def test_detect_limit_measures_a_cycled_tail_over_one_period(monkeypatch, period):
+    # no row of a 3- or 5-cycle repeats the row one or two steps before it,
+    # so only the recorded cycle keeps the distances to one period's rows
+    x0 = [-0.0] + [float(k) for k in range(1, period)]
+    traj = iterate(_cyclic_permutation(period), x0, 3000)
+    assert traj.period == period
+    plain = Trajectory(iterate(_cyclic_permutation(period), x0, 3000).points)
+    seen = []
+
+    def recording_pdist(rows):
+        seen.append(rows.shape[0])
+        return pdist(rows)
+
+    monkeypatch.setattr("scipy.spatial.distance.pdist", recording_pdist)
+    for tol in (1e-9, 1e3):  # oscillating, then converged onto the tail mean
+        proven = detect_limit(traj, 1000, tol)
+        assert seen[0] == period  # the diameter's rows
+        seen.clear()
+        whole = detect_limit(plain, 1000, tol)
+        assert seen[0] == 1000
+        seen.clear()
+        for f in dataclasses.fields(proven):
+            a, b = getattr(proven, f.name), getattr(whole, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b and type(a) is type(b), f.name
+        assert proven.status == (OSCILLATING if tol < 1.0 else CONVERGED)
+    assert traj._points is None
 
 
 def test_normalized_orbit_with_drift_satisfies_codim1_guarantee():

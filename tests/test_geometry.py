@@ -508,6 +508,72 @@ def test_codimension_misc_variants():
     assert codimension(S2, 3).codim == 0
 
 
+def _sets_of_every_affine_dimension(d, rng):
+    """Every set kind in R^d, degenerate instances included."""
+    e1 = np.eye(d)[0]
+    pinned = rng.uniform(-1, 1, d)
+    lower = rng.uniform(-2, 0, d)
+    upper = lower + rng.uniform(0.5, 2, d) * (np.arange(d) % 2)  # odd ones pinned
+    sets = [
+        Point(rng.uniform(-2, 2, d)),
+        Ball(rng.uniform(-2, 2, d), 0.7),
+        Halfspace(rng.normal(size=d), 0.3),
+        Hyperplane(rng.normal(size=d), -0.4),
+        Hyperplane(1e-160 * e1, 0.0),  # its squared norm is subnormal
+        Box(lower, upper),
+        Box(pinned, pinned),  # every coordinate pinned: a point
+        Box(lower, lower + 1.0),
+        Ray(rng.uniform(-1, 1, d), rng.normal(size=d)),
+        Orthant(np.where(rng.uniform(size=d) < 0.5, -1.0, 1.0)),
+    ]
+    for k in range(d + 1):
+        spanning = rng.normal(size=(k, d))
+        sets.append(AffineSubspace.from_spanning(rng.uniform(-1, 1, d), spanning))
+        sets.append(LinearSubspace(np.eye(d)[:k], ambient_dim=d))
+    cones = [
+        Ray(np.zeros(d), rng.normal(size=d)),
+        Orthant(np.ones(d)),
+        LinearSubspace(np.zeros((0, d)), ambient_dim=d),
+        LinearSubspace(np.eye(d)[: max(d - 1, 1)]),
+        Hyperplane(rng.normal(size=d), 0.0),
+    ]
+    for K in cones:
+        sets.append(MinkowskiSum(Point(rng.uniform(-1, 1, d)), K))
+        sets.append(MinkowskiSum(Ball(rng.uniform(-1, 1, d), 0.5), K))
+    return sets
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_codimension_closed_form_matches_the_rank_of_the_span(d):
+    for C in _sets_of_every_affine_dimension(d, np.random.default_rng(d)):
+        span = C._aff_span()
+        rank = 0 if span.shape[0] == 0 else int(np.linalg.matrix_rank(span))
+        res = codimension(C, d)
+        assert (res.dim_aff, res.codim) == (rank, d - rank), C
+
+
+def test_a_normal_whose_norm_underflows_is_rejected():
+    # 1e-300 squared underflows to 0.0, so no projector could divide by it
+    for d in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="normal must be nonzero"):
+            Hyperplane(1e-300 * np.eye(d)[0], 0.0)
+
+
+def test_codimension_of_a_hyperplane_runs_no_factorization(monkeypatch):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization called")
+
+    for name in ("matrix_rank", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for name in ("null_space", "orth", "svd"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    for d in (1, 2, 3, 4):
+        assert codimension(Hyperplane(np.ones(d), 2.0), d).codim == 1
+        assert codimension(Box(np.zeros(d), np.eye(d)[0]), d).codim == d - 1
+
+
 def test_codimension_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         codimension(Point([0.0, 0.0]), 3)
