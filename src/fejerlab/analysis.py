@@ -5,9 +5,11 @@ checked on finite, seeded witness samples; a PASS from such a checker is a
 necessary condition, never a proof, and the reports say so in their metadata.
 Failures always carry a concrete witness.
 
-Checkers make batched calls: ``cdist`` over blocks of ``FEJER_BLOCK_ROWS``
-rows for witness distances, so no (n, w) array is made, and one batched
-projection for the dual-cone test or the membership residuals.
+:func:`check_fejer` takes its witness distances in one C pass over the rows
+(:func:`~fejerlab.native.fejer_pass`), with the bits of ``cdist``: no (n, w)
+or (n, d) array is made, only ``per_step``.  The other checkers make batched
+calls, such as one projection for the dual-cone test or the membership
+residuals.
 
 An orbit that ends in an exact cycle repeats its per-step values from the
 cycle on.  :func:`check_fejer` and :func:`check_asymptotic_regularity` (and so
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .clustering import greedy_cover, single_linkage
 from .dynamics import (
     CONVERGED,
@@ -46,7 +49,6 @@ from .geometry import (
 from .report import INCONCLUSIVE, DiagnosticsReport
 
 NECESSARY_CONDITION = "necessary-condition (finite witnesses)"
-FEJER_BLOCK_ROWS = 4096
 
 
 def _finite(rows: np.ndarray) -> np.ndarray:
@@ -78,10 +80,9 @@ def _every_step(trajectory, values: np.ndarray) -> np.ndarray:
 
 def _witness_points(points, C: ConvexSet, count, seed, radius):
     """Witnesses of C; the default radius is twice the points' reach from C's anchor."""
-    from scipy.spatial.distance import cdist
-
     if radius is None:
-        radius = max(1.0, 2.0 * float(cdist(points, [C.anchor()]).max()))
+        # sqrt is correctly rounded, so monotone: the largest distance's bits
+        radius = max(1.0, 2.0 * math.sqrt(native.reach2(points, C.anchor())))
     return radius, sample_witnesses(C, count, seed=seed, radius=radius)
 
 
@@ -97,26 +98,14 @@ def check_fejer(
 
     ``per_step`` records the squared-distance drops to the anchor witness.
     """
-    from scipy.spatial.distance import cdist
-
     # past an orbit's exact cycle the rows repeat, so the largest distance,
     # the first largest increase and each per-step value lie in the rows before
     head = _head_of(trajectory)
     if head.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
     radius, ws = _witness_points(head, C, witnesses, seed, witness_radius)
-    sq_anchor = np.sum((head - ws[0]) ** 2, axis=1)
-    per_step = _every_step(trajectory, sq_anchor[:-1] - sq_anchor[1:])
-    # the first largest increase in step order; each distance has the bits of
-    # one whole-array cdist, and an earlier block wins a tie
-    worst, at = -np.inf, None
-    for start in range(0, head.shape[0] - 1, FEJER_BLOCK_ROWS):
-        dists = cdist(head[start : start + FEJER_BLOCK_ROWS + 1], ws)
-        increases = dists[1:] - dists[:-1]
-        row, col = np.unravel_index(int(np.argmax(increases)), increases.shape)
-        if increases[row, col] > worst:
-            worst = float(increases[row, col])
-            at = (start + int(row), int(col), dists[row, col], dists[row + 1, col])
+    drops, worst, step, widx, before, after = native.fejer_pass(head, ws)
+    per_step = _every_step(trajectory, drops)
     params = {
         "witnesses": witnesses,
         "tol": tol,
@@ -125,12 +114,11 @@ def check_fejer(
     meta = {"semantics": NECESSARY_CONDITION, "worst_increase": worst}
     witness = None
     if not worst <= tol:
-        step, widx, before, after = at
         witness = {
             "step": step,
             "witness_point": ws[widx],
-            "distance_before": float(before),
-            "distance_after": float(after),
+            "distance_before": before,
+            "distance_after": after,
             "increase": worst,
         }
     return DiagnosticsReport.from_witness(

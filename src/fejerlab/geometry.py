@@ -354,7 +354,11 @@ def ball(center, radius: float) -> ConvexSet:
 
 @dataclass(frozen=True, eq=False)
 class _NormalOffset(ConvexSet):
-    """Shared data of Halfspace and Hyperplane: a nonzero normal and an offset."""
+    """Shared data of Halfspace and Hyperplane: a nonzero normal and an offset.
+
+    The projector divides by the normal's squared norm, so that must be a
+    normal float: a subnormal one keeps too few bits to divide by.
+    """
 
     normal: np.ndarray
     offset: float
@@ -362,10 +366,13 @@ class _NormalOffset(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "normal", _frozen_array(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
-        if not np.linalg.norm(self.normal) > 0.0:
-            raise ValueError(f"{type(self).__name__} normal must be nonzero")
         # not a field: equality, repr and configs see only normal and offset
         object.__setattr__(self, "_normal_sq", float(self.normal @ self.normal))
+        if not self._normal_sq >= np.finfo(float).tiny:
+            raise ValueError(
+                f"{type(self).__name__} normal must be nonzero, with a squared "
+                f"norm of at least {np.finfo(float).tiny:.4g}, got {self._normal_sq!r}"
+            )
 
     @property
     def dim(self) -> int:

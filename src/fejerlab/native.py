@@ -1,5 +1,6 @@
-"""fejerlab's C library: the orbit loop of ``iterate``, the CSV writer of
-``export_trajectory`` and the float writer of ``export_report``.
+"""fejerlab's C library: the orbit loop of ``iterate``, the witness pass of
+``check_fejer``, the CSV writer of ``export_trajectory`` and the float writer
+of ``export_report``.
 
 The whole library is one C translation unit, ``_SOURCE``.  The interpreter's
 C compiler builds it at the first call that needs it, once per process, with
@@ -15,6 +16,8 @@ import os
 import re
 
 import numpy as np
+
+from .errors import DimensionMismatchError
 
 # ``fejer_run`` is the orbit loop of every tree: a register machine that runs
 # the same float source as an operator's ``apply``, lowered by
@@ -33,6 +36,18 @@ import numpy as np
 # the squared norm of row i (summed left to right) is not at most ``cap2``,
 # NaN and inf included; RAISED at step i where a list index is out of range,
 # so that no step reads past a list; RAN otherwise.
+#
+# ``fejer_reach2`` returns the largest squared distance of a row of the (n, d)
+# array ``pts`` to the point ``a``.  ``fejer_pass`` makes one sweep over the
+# rows of ``pts``, n >= 2, against the (w, d) witnesses ``ws``.  Each distance
+# is the sqrt of the sum of t * t over the coordinate differences t, summed
+# left to right, the bits of ``scipy.spatial.distance.cdist``; each row's
+# distances are taken once and kept in ``dist`` for the next step.  It writes
+# the drops s(i) - s(i + 1) of the squared distances s to ``ws[0]`` into
+# ``drops`` and keeps the first largest increase dist(i + 1, j) - dist(i, j),
+# in step order and then witness order: ``worst`` gets the increase and both
+# of its distances, ``at`` its step and witness, or -inf and -1 where no
+# increase compares above -inf.
 #
 # ``fejer_csv`` writes the CSV rows ``index,v1,...,vd\n`` of the (n, d) array
 # ``pts``, numbered from ``start``, and returns the count of bytes written.
@@ -152,6 +167,53 @@ int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64
         }
     }
     return RAN;
+}
+
+/* The squared distance of the d-vectors a and b, summed left to right. */
+static double dist2(const double *a, const double *b, int64_t d)
+{
+    double s = 0.0;
+    for (int64_t k = 0; k < d; k++)
+        s += (a[k] - b[k]) * (a[k] - b[k]);
+    return s;
+}
+
+double fejer_reach2(const double *pts, int64_t n, int64_t d, const double *a)
+{
+    double most = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double s = dist2(pts + i * d, a, d);
+        most = s > most ? s : most;
+    }
+    return most;
+}
+
+void fejer_pass(const double *pts, int64_t n, int64_t d, const double *ws, int64_t w,
+                double *dist, double *drops, double *worst, int64_t *at)
+{
+    double s = dist2(pts, ws, d);
+    worst[0] = -INFINITY;
+    at[0] = at[1] = -1;
+    for (int64_t j = 0; j < w; j++)
+        dist[j] = sqrt(j ? dist2(pts, ws + j * d, d) : s);
+    for (int64_t i = 1; i < n; i++) {
+        const double *row = pts + i * d;
+        for (int64_t j = 0; j < w; j++) {
+            double sj = dist2(row, ws + j * d, d), r = sqrt(sj), up = r - dist[j];
+            if (!j) {
+                drops[i - 1] = s - sj;
+                s = sj;
+            }
+            if (up > worst[0]) {
+                worst[0] = up;
+                worst[1] = dist[j];
+                worst[2] = r;
+                at[0] = i - 1;
+                at[1] = j;
+            }
+            dist[j] = r;
+        }
+    }
 }
 
 typedef unsigned __int128 u128;
@@ -457,19 +519,61 @@ def library():
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
             raise RuntimeError(
-                "iterate needs a C compiler for its orbit loop, export_trajectory "
-                "for its CSV writer and export_report for its float writer, all in "
-                f"fejerlab's C library; {' '.join(cmd)} failed: {detail}"
+                "iterate needs a C compiler for its orbit loop, check_fejer for its "
+                "witness pass, export_trajectory for its CSV writer and export_report "
+                "for its float writer, all in fejerlab's C library; "
+                f"{' '.join(cmd)} failed: {detail}"
             ) from exc
         lib = ctypes.CDLL(path)
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fejer_run.argtypes = [p, i64, p, i64, p, p, i64, ctypes.c_double, p]
     lib.fejer_run.restype = i64
+    lib.fejer_reach2.argtypes = [p, i64, i64, p]
+    lib.fejer_reach2.restype = ctypes.c_double
+    lib.fejer_pass.argtypes = [p, i64, i64, p, i64, p, p, p, p]
+    lib.fejer_pass.restype = None
     lib.fejer_csv.argtypes = [p, i64, i64, i64, p]
     lib.fejer_csv.restype = i64
     lib.fejer_reprs.argtypes = [p, i64, ctypes.c_char_p, i64, p]
     lib.fejer_reprs.restype = i64
     return lib
+
+
+def _same_dim(pts: np.ndarray, shape: tuple) -> None:
+    """Raise unless ``pts`` is an (n, d) array and ``shape`` is (d,)."""
+    if pts.ndim != 2 or shape != pts.shape[1:]:
+        raise DimensionMismatchError(
+            f"points of shape {pts.shape} against vectors of shape {shape}"
+        )
+
+
+def reach2(points: np.ndarray, a: np.ndarray) -> float:
+    """The largest squared distance of a row of ``points`` to ``a``."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    _same_dim(pts, a.shape)
+    return library().fejer_reach2(pts.ctypes.data, *pts.shape, a.ctypes.data)
+
+
+def fejer_pass(points: np.ndarray, witnesses: np.ndarray):
+    """One sweep of ``check_fejer`` over the rows of ``points``: the drops of
+    the squared distances to ``witnesses[0]``, and the first largest increase
+    of a distance to a witness as (increase, step, witness index, distance
+    before, distance after); step and index are -1 where no increase is
+    above -inf."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    ws = np.ascontiguousarray(witnesses, dtype=np.float64)
+    _same_dim(pts, ws.shape[1:])
+    (n, d), w = pts.shape, ws.shape[0]
+    if n < 2 or w < 1:
+        raise ValueError("the pass needs two rows and a witness")
+    drops, dist, worst = np.empty(n - 1), np.empty(w), np.empty(3)
+    at = np.empty(2, dtype=np.int64)
+    library().fejer_pass(
+        pts.ctypes.data, n, d, ws.ctypes.data, w, dist.ctypes.data,
+        drops.ctypes.data, worst.ctypes.data, at.ctypes.data,
+    )
+    return drops, float(worst[0]), int(at[0]), int(at[1]), float(worst[1]), float(worst[2])
 
 
 def csv_rows(points: np.ndarray, start: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from fejerlab import analysis
+from fejerlab import native
 from fejerlab.analysis import (
     check_asymptotic_regularity,
     check_cluster_orthogonality,
@@ -254,41 +255,62 @@ def test_check_fejer_matches_broadcast_formula(d, scale):
     assert rep.witness["increase"] == increases.max()
 
 
+def _cdist_fejer(pts, C, witnesses, seed, radius=None):
+    """check_fejer's figures from whole-array ``cdist``: the radius, the
+    witnesses, the (n, w) distances, per_step and the first argmax step and
+    witness of the increases."""
+    from scipy.spatial.distance import cdist
+
+    if radius is None:
+        radius = max(1.0, 2.0 * float(cdist(pts, [C.anchor()]).max()))
+    ws = sample_witnesses(C, witnesses, seed=seed, radius=radius)
+    dists = cdist(pts, ws)
+    sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
+    increases = dists[1:] - dists[:-1]
+    step, widx = np.unravel_index(np.argmax(increases), increases.shape)
+    return radius, ws, dists, sq_anchor[:-1] - sq_anchor[1:], int(step), int(widx)
+
+
+def _assert_cdist_report(rep, pts, C, witnesses, seed, radius=None, tol=1e-10):
+    radius, ws, dists, drops, step, widx = _cdist_fejer(pts, C, witnesses, seed, radius)
+    worst = dists[step + 1, widx] - dists[step, widx]
+    assert rep.params["witness_radius"] == radius
+    assert rep.per_step.tobytes() == drops.tobytes()
+    assert rep.metadata["worst_increase"] == worst
+    assert rep.failed == (worst > tol)
+    if rep.failed:
+        assert (rep.witness["step"], rep.witness["increase"]) == (step, worst)
+        assert rep.witness["witness_point"].tobytes() == ws[widx].tobytes()
+        assert rep.witness["distance_before"] == dists[step, widx]
+        assert rep.witness["distance_after"] == dists[step + 1, widx]
+
+
 @pytest.mark.parametrize("rows", [1, 2, 7, 149, 298, 299])
-def test_check_fejer_blocks_give_the_whole_array_result(monkeypatch, rows):
-    # an exact 3-cycle repeats its largest increase every third step: the
-    # first one is reported, whichever block it falls in
+def test_check_fejer_blocks_give_the_whole_array_result(rows):
+    # a leading block of rows + 1 rows: the one pass gives the report of the
+    # whole-array cdist, and of an exact 3-cycle, which repeats its largest
+    # increase every third step, the first of them
     rng = np.random.default_rng(11)
     C = Ball([0.0, 0.0], 0.5)
     cycle, walk = np.tile(rng.normal(size=(3, 2)), (100, 1)), rng.normal(size=(300, 2))
-    for pts in (cycle, walk):
-        whole = check_fejer(pts, C, witnesses=7, seed=3)
-        with monkeypatch.context() as m:
-            m.setattr(analysis, "FEJER_BLOCK_ROWS", rows)
-            blocked = check_fejer(pts, C, witnesses=7, seed=3)
-        assert whole.failed and blocked.metadata == whole.metadata
-        assert np.array_equal(blocked.per_step, whole.per_step)
-        for key in ("step", "distance_before", "distance_after", "increase"):
-            assert blocked.witness[key] == whole.witness[key], key
-        points = blocked.witness["witness_point"], whole.witness["witness_point"]
-        assert np.array_equal(*points)
-        if pts is cycle:
-            assert blocked.witness["step"] < 3
+    for pts in (cycle[: rows + 1], walk[: rows + 1]):
+        _assert_cdist_report(check_fejer(pts, C, witnesses=7, seed=3), pts, C, 7, 3)
+    if rows >= 3:
+        assert check_fejer(cycle[: rows + 1], C, witnesses=7, seed=3).witness["step"] < 3
 
 
-@pytest.mark.parametrize("rows", [7, analysis.FEJER_BLOCK_ROWS])
-def test_check_fejer_on_a_cycled_orbit_reads_up_to_the_cycle(monkeypatch, rows):
+@pytest.mark.parametrize("steps", [7, 4096])
+def test_check_fejer_on_a_cycled_orbit_reads_up_to_the_cycle(steps):
     # iterate's proven cycle lets check_fejer stop reading after one period;
     # the report is the one of the same points with no cycle recorded
-    monkeypatch.setattr(analysis, "FEJER_BLOCK_ROWS", rows)
     permute = Linear(np.roll(np.eye(3), 1, axis=1))
     cases = [
         # projections stop at a fixed point: PASS
-        (iterate(Projector(Ball([1.0, -1.0], 0.5)), [4.0, 2.0], 20_000), Ball([1.0, -1.0], 0.5), "pass"),
+        (iterate(Projector(Ball([1.0, -1.0], 0.5)), [4.0, 2.0], steps), Ball([1.0, -1.0], 0.5), "pass"),
         # the permuted coordinates move away from some witness by the same
         # amount every third step: FAIL; the cycle is proven from step 3 on,
         # as the -0.0 start comes back as +0.0
-        (iterate(permute, [-0.0, 1.0, 2.5], 20_000), Ball([0.0, 0.0, 4.0], 1.0), "fail"),
+        (iterate(permute, [-0.0, 1.0, 2.5], steps), Ball([0.0, 0.0, 4.0], 1.0), "fail"),
     ]
     for orbit, C, verdict in cases:
         assert orbit.period is not None
@@ -309,6 +331,104 @@ def test_check_fejer_reads_the_step_that_closes_the_first_cycle():
     plain = check_fejer(Trajectory(pts), Point([0.0]), witnesses=3)
     assert proven.witness["step"] == 5 and proven.witness["increase"] == 2.5
     assert json.dumps(report_to_dict(proven)) == json.dumps(report_to_dict(plain))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fejer_pass_distances_match_cdist_bit_for_bit(d):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(40 + d)
+    for scale in (1e-3, 1.0, 1e3, 1e8):
+        for w in (1, 2, 5, 12):
+            pts = scale * rng.normal(size=(60, d))
+            ws = scale * rng.normal(size=(w, d))
+            dists = cdist(pts, ws)
+            # two rows and one witness: the pass's only increase carries both
+            # of its distances
+            for i in range(0, 59, 7):
+                for j in range(w):
+                    *_, before, after = native.fejer_pass(pts[i : i + 2], ws[j : j + 1])
+                    assert (before, after) == (dists[i, j], dists[i + 1, j])
+            drops, worst, step, widx, before, after = native.fejer_pass(pts, ws)
+            increases = dists[1:] - dists[:-1]
+            assert (step, widx) == np.unravel_index(np.argmax(increases), increases.shape)
+            assert worst == increases.max() == after - before
+            assert (before, after) == (dists[step, widx], dists[step + 1, widx])
+            sq_anchor = np.sum((pts - ws[0]) ** 2, axis=1)
+            assert drops.tobytes() == (sq_anchor[:-1] - sq_anchor[1:]).tobytes()
+            reach = math.sqrt(native.reach2(pts, ws[0]))
+            assert 2.0 * reach == 2.0 * cdist(pts, ws[:1]).max()
+
+
+def test_fejer_pass_names_the_earlier_step_then_the_lower_witness():
+    # from 5 to 6, 5, 4: witness 0 gains 1 at step 0, witness 10 at steps 1, 2
+    pts = np.array([[5.0], [6.0], [5.0], [4.0]])
+    assert native.fejer_pass(pts, np.array([[0.0], [10.0]]))[1:] == (1.0, 0, 0, 5.0, 6.0)
+    assert native.fejer_pass(pts, np.array([[10.0], [0.0]]))[1:] == (1.0, 0, 1, 5.0, 6.0)
+    assert native.fejer_pass(pts[1:], np.array([[0.0], [10.0]]))[1:] == (1.0, 0, 1, 4.0, 5.0)
+    # (0, 0) to (0, 4) and back, twice: both witnesses gain 2 at steps 0 and 2
+    up_down = np.array([[0.0, 0.0], [0.0, 4.0], [0.0, 0.0], [0.0, 4.0]])
+    ws = np.array([[-3.0, 0.0], [3.0, 0.0]])
+    assert native.fejer_pass(up_down, ws)[1:] == (2.0, 0, 0, 3.0, 5.0)
+    assert native.fejer_pass(up_down, ws[::-1])[1:] == (2.0, 0, 0, 3.0, 5.0)
+    # a lone decrease is the largest increase; a distance that overflows to
+    # inf before the step leaves no increase above -inf
+    drops, worst, step, widx, *_ = native.fejer_pass(np.array([[2.0], [1.0]]), np.array([[0.0]]))
+    assert (worst, step, widx) == (-1.0, 0, 0) and drops.tolist() == [3.0]
+    overflow = native.fejer_pass(np.array([[1e200], [0.0]]), np.array([[0.0]]))
+    assert overflow[1:4] == (-math.inf, -1, -1)
+
+
+def test_check_fejer_reports_the_first_of_equal_increases():
+    # every witness of a point is the point itself, so each step ties across
+    # all of them; steps 1 and 3 tie as well
+    pts = np.array([[1.0, 0.0], [0.5, 0.0], [2.0, 0.0], [1.0, 0.0], [2.5, 0.0]])
+    rep = check_fejer(pts, Point([0.0, 0.0]), witnesses=4)
+    assert (rep.witness["step"], rep.witness["increase"]) == (1, 1.5)
+    assert rep.witness["witness_point"].tolist() == [0.0, 0.0]
+    _assert_cdist_report(rep, pts, Point([0.0, 0.0]), 4, 0)
+
+
+def _permuted_orbit(d, steps):
+    """A cycled orbit: the coordinates of a seeded point, permuted each step."""
+    x0 = np.random.default_rng(d).normal(size=d) * 3.0
+    return iterate(_permutation(d), x0, steps)
+
+
+@pytest.mark.parametrize("radius", [None, 2.5])
+@pytest.mark.parametrize("kind", ["array", "trajectory", "cycled"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_check_fejer_matches_cdist_on_every_input_kind(d, kind, radius):
+    rng = np.random.default_rng(100 + d)
+    C = Ball(rng.normal(size=d), 0.7)
+    if kind == "cycled":
+        traj, pts = _permuted_orbit(d, 500), _permuted_orbit(d, 500).points
+        assert traj.period is not None
+    else:
+        pts = np.cumsum(rng.normal(size=(500, d)), axis=0) * 10.0 ** (2 * d - 5)
+        traj = pts if kind == "array" else Trajectory(pts)
+    rep = check_fejer(traj, C, witnesses=9, seed=d, witness_radius=radius)
+    _assert_cdist_report(rep, pts, C, 9, d, radius=radius)
+    if kind == "cycled":
+        assert traj._points is None  # the check read the computed rows only
+
+
+def test_check_fejer_allocates_little_more_than_per_step():
+    import tracemalloc
+
+    n = 10**6
+    pts = np.random.default_rng(8).normal(size=(n, 3))
+    C = Ball([0.5, 0.0, -0.5], 1.0)
+    check_fejer(pts[:10], C)  # builds the C library outside the measurement
+    tracemalloc.start()
+    try:
+        rep = check_fejer(pts, C, witnesses=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per_step is 8 bytes a row; the (n, d) and (n, w) temporaries are gone
+    assert rep.per_step.shape == (n - 1,)
+    assert peak < 12 * n, peak / n
 
 
 # ---------------------------------------------------------------------------

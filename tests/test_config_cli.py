@@ -756,6 +756,21 @@ def test_cli_run_mismatch_exit_code(tmp_path, capsys):
     assert "MISS" in out
 
 
+@pytest.mark.parametrize("kind", ["hyperplane", "halfspace"])
+def test_a_subnormal_squared_normal_is_a_config_error(tmp_path, capsys, kind):
+    text = CONFIG_TEXT.replace(
+        "kind: hyperplane, normal: [2.0, 1.0], offset: 1.0",
+        f"kind: {kind}, normal: [1.0e-161, 0.0], offset: 0.0",
+    )
+    path = tmp_path / "tiny-normal.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: sets.line: " in capsys.readouterr().err
+    # at 1e-150 the squared norm is a normal float, and the config loads
+    path.write_text(text.replace("1.0e-161", "1.0e-150"), encoding="utf-8")
+    assert load_scenario(path).sets["line"].project([1.0, 2.0]).tolist() == [0.0, 2.0]
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("name: x\nsets:\n  b: {kind: blob}\n", encoding="utf-8")

@@ -463,15 +463,19 @@ def test_every_emitted_division_and_root_is_listed():
     assert _divisions_and_roots(Projector(line), 2) == ["t = t / p"]
 
 
+LEAST_NORMAL = 1.4916681462400413e-154  # the least x with x * x >= finfo(float).tiny
+
+
 @pytest.mark.parametrize(
     "T, starts",
     [
         # a Ball divides by sqrt(n2) only when n2 > r2 >= 0; here r * r is 0.0
         (Projector(Ball([0.0], 1e-200)), [[0.0], [5e-324], [-1e-160], [1e-150]]),
         (Reflector(Ball([1.0, -1.0], 1e-200)), [[1.0, -1.0], [1.0 + 2e-16, -1.0]]),
-        # the least normal a Halfspace or Hyperplane accepts has normal² 5e-324
-        (Projector(Halfspace([2.3e-162], 0.0)), [[-1.0], [1e-300], [1.0]]),
-        (Projector(Hyperplane([2.3e-162, 0.0], 0.0)), [[1e-300, 4.0]]),
+        # the least normal a Halfspace or Hyperplane accepts has normal² the
+        # least normal float
+        (Projector(Halfspace([LEAST_NORMAL], 0.0)), [[-1.0], [1e-300], [1.0]]),
+        (Projector(Hyperplane([LEAST_NORMAL, 0.0], 0.0)), [[1e-300, 4.0]]),
         # a ball-summand MinkowskiSum divides by dist only when dist > r > 0
         (
             Projector(MinkowskiSum(Ball([0.0, 0.0], 1e-300), Orthant([1.0, 1.0]))),
@@ -488,6 +492,8 @@ def test_emitted_divisions_and_roots_stay_defined(T, starts):
         assert traj.points.tobytes() == _naive_orbit(T, x0, 20).tobytes(), x0
     with pytest.raises(ValueError, match="normal must be nonzero"):
         Halfspace([1e-162], 0.0)  # its normal² rounds to 0.0
+    with pytest.raises(ValueError, match="normal must be nonzero"):
+        Halfspace([np.nextafter(LEAST_NORMAL, 0.0)], 0.0)  # its normal² is subnormal
 
 
 @dataclass(frozen=True, eq=False)

@@ -519,7 +519,7 @@ def _sets_of_every_affine_dimension(d, rng):
         Ball(rng.uniform(-2, 2, d), 0.7),
         Halfspace(rng.normal(size=d), 0.3),
         Hyperplane(rng.normal(size=d), -0.4),
-        Hyperplane(1e-160 * e1, 0.0),  # its squared norm is subnormal
+        Hyperplane(1.4916681462400413e-154 * e1, 0.0),  # its squared norm is the least normal float
         Box(lower, upper),
         Box(pinned, pinned),  # every coordinate pinned: a point
         Box(lower, lower + 1.0),
@@ -557,6 +557,15 @@ def test_a_normal_whose_norm_underflows_is_rejected():
     for d in (1, 2, 3, 4):
         with pytest.raises(ValueError, match="normal must be nonzero"):
             Hyperplane(1e-300 * np.eye(d)[0], 0.0)
+
+
+@pytest.mark.parametrize("kind", [Hyperplane, Halfspace])
+def test_a_normal_whose_squared_norm_is_subnormal_is_rejected(kind):
+    # 1e-161 squared is the subnormal 1e-322: dividing by it projected
+    # (1, 2) to (-0.012, 2); at 1e-150 the squared norm is a normal float
+    with pytest.raises(ValueError, match="normal must be nonzero"):
+        kind([1e-161, 0.0], 0.0)
+    assert kind([1e-150, 0.0], 0.0).project([1.0, 2.0]).tolist() == [0.0, 2.0]
 
 
 def test_codimension_of_a_hyperplane_runs_no_factorization(monkeypatch):

@@ -1,6 +1,7 @@
 """``import fejerlab`` loads no scipy; each scipy subpackage loads at first use.
-The C library is compiled once per process, at the first ``iterate`` or
-export of a trajectory or of a float ``per_step``, whichever comes first."""
+The C library is compiled once per process, at the first ``iterate``, Fejér
+check or export of a trajectory or of a float ``per_step``, whichever comes
+first."""
 
 import json
 import subprocess
@@ -168,3 +169,13 @@ def test_a_missing_compiler_fails_the_first_report_export_clearly(tmp_path):
     assert "export_report for its float writer" in message
     assert "fejerlab's C library" in message
     assert not (tmp_path / "never.json").exists()
+
+
+def test_a_missing_compiler_fails_the_first_fejer_check_clearly(tmp_path):
+    call = (
+        "from fejerlab import analysis, geometry; "
+        "analysis.check_fejer(numpy.zeros((2, 1)), geometry.Point([0.0]))"
+    )
+    message = _without_compiler(call, tmp_path)
+    assert "check_fejer for its witness pass" in message
+    assert "fejerlab's C library" in message
