@@ -79,10 +79,24 @@ def _every_step(trajectory, values: np.ndarray) -> np.ndarray:
 
 
 def _witness_points(points, C: ConvexSet, count, seed, radius):
-    """Witnesses of C; the default radius is twice the points' reach from C's anchor."""
+    """Witnesses of C; the default radius is twice the points' reach from C's anchor.
+
+    The witnesses lie within the radius of the anchor, since the projector is
+    nonexpansive, so no squared distance of a point to one exceeds
+    (reach + radius)**2; where that bound overflows, NonFiniteValueError.
+    """
+    reach = math.sqrt(native.reach2(points, C.anchor()))
     if radius is None:
         # sqrt is correctly rounded, so monotone: the largest distance's bits
-        radius = max(1.0, 2.0 * math.sqrt(native.reach2(points, C.anchor())))
+        radius = max(1.0, 2.0 * reach)
+    elif not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"witness_radius must be finite and positive, got {radius!r}")
+    # twice the bound, for the rounding of the sums of squares
+    if not math.isfinite(2.0 * (reach + radius) * (reach + radius)):
+        raise NonFiniteValueError(
+            "trajectory points lie too far from the witnesses of C: "
+            "their squared distances overflow"
+        )
     return radius, sample_witnesses(C, count, seed=seed, radius=radius)
 
 
@@ -97,6 +111,8 @@ def check_fejer(
     """Distance to every sampled witness of C must be nonincreasing.
 
     ``per_step`` records the squared-distance drops to the anchor witness.
+    Points whose squared distances to the witnesses could overflow raise
+    NonFiniteValueError, as non-finite points do.
     """
     # past an orbit's exact cycle the rows repeat, so the largest distance,
     # the first largest increase and each per-step value lie in the rows before

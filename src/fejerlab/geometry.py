@@ -25,9 +25,8 @@ Conventions
   so is the dual-cone test, which reads only the cone's projector and runs
   row-wise: ``dual_cone_residuals`` tests n vectors with one batched
   projection, and ``dual_cone_contains`` is its one-row case.
-* Each set kind with a plain affine dimension states it next to its
-  projector (``_aff_dim``), so ``codimension`` runs no factorization; a
-  MinkowskiSum takes the rank of its operands' stacked spans (``_aff_span``).
+* Each set kind states its affine dimension in closed form next to its
+  projector (``_aff_dim``), so ``codimension`` runs no factorization.
 """
 
 from __future__ import annotations
@@ -205,8 +204,7 @@ class Emitted:
         """Row-wise value of an (n, d) float array: row i is the value at
         ``points[i]``, bit for bit."""
         out = np.empty(points.shape)
-        # no rows still make one empty block, so an unsupported set raises
-        for start in range(0, len(points) or 1, _BLOCK_ROWS):
+        for start in range(0, len(points), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             # assigning broadcasts a coordinate returned as one float (a Point's)
             for i, column in enumerate(self._columns(*points[rows].T)):
@@ -255,13 +253,7 @@ class ConvexSet(Emitted):
     # -- kernels (inputs trusted, no validation) ------------------------
 
     def _aff_dim(self) -> int:
-        """Affine dimension of the set: the rank of :meth:`_aff_span`, where
-        a set kind does not state it in closed form."""
-        span = self._aff_span()
-        return 0 if span.shape[0] == 0 else int(np.linalg.matrix_rank(span))
-
-    def _aff_span(self) -> np.ndarray:
-        """Rows spanning aff(C) - aff(C); rank gives the affine dimension."""
+        """Affine dimension of the set, in closed form."""
         raise NotImplementedError
 
     # -- value semantics -------------------------------------------------
@@ -300,9 +292,6 @@ class Point(ConvexSet):
     def _aff_dim(self):
         return 0
 
-    def _aff_span(self):
-        return np.zeros((0, self.dim))
-
 
 @dataclass(frozen=True, eq=False)
 class Ball(ConvexSet):
@@ -338,9 +327,6 @@ class Ball(ConvexSet):
 
     def anchor(self):
         return self.center.copy()
-
-    def _aff_span(self):
-        return np.eye(self.dim)
 
 
 def ball(center, radius: float) -> ConvexSet:
@@ -407,9 +393,6 @@ class Halfspace(_NormalOffset):
     def _aff_dim(self):
         return self.dim
 
-    def _aff_span(self):
-        return np.eye(self.dim)
-
 
 @dataclass(frozen=True, eq=False)
 class Hyperplane(_NormalOffset):
@@ -420,11 +403,6 @@ class Hyperplane(_NormalOffset):
 
     def _aff_dim(self):
         return self.dim - 1  # the normal is nonzero
-
-    def _aff_span(self):
-        from scipy.linalg import null_space
-
-        return null_space(self.normal.reshape(1, -1)).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,9 +443,6 @@ class AffineSubspace(ConvexSet):
     def _aff_dim(self):
         return self.basis.shape[0]
 
-    def _aff_span(self):
-        return self.basis
-
 
 @dataclass(frozen=True, eq=False)
 class LinearSubspace(ConvexSet):
@@ -501,12 +476,6 @@ class LinearSubspace(ConvexSet):
 
     def _aff_dim(self):
         return self.basis.shape[0]
-
-    def anchor(self):
-        return np.zeros(self.dim)
-
-    def _aff_span(self):
-        return self.basis
 
 
 def _emit_span(src: KernelSource, basis: np.ndarray, d: list[str]) -> list[str]:
@@ -546,10 +515,6 @@ class Box(ConvexSet):
     def _aff_dim(self):
         return int(np.count_nonzero(self.upper > self.lower))
 
-    def _aff_span(self):
-        free = self.upper > self.lower
-        return np.eye(self.dim)[free]
-
 
 @dataclass(frozen=True, eq=False)
 class Ray(ConvexSet):
@@ -586,9 +551,6 @@ class Ray(ConvexSet):
     def anchor(self):
         return self.base.copy()
 
-    def _aff_span(self):
-        return self.direction.reshape(1, -1)
-
 
 @dataclass(frozen=True, eq=False)
 class Orthant(ConvexSet):
@@ -617,9 +579,6 @@ class Orthant(ConvexSet):
     def _aff_dim(self):
         return self.dim
 
-    def _aff_span(self):
-        return np.eye(self.dim)
-
 
 @dataclass(frozen=True, eq=False)
 class MinkowskiSum(ConvexSet):
@@ -633,7 +592,7 @@ class MinkowskiSum(ConvexSet):
       r-neighborhood of the cone, whose projection moves q radially toward
       P_K(q) until the distance to K equals r.
 
-    Any other combination raises UnsupportedSetError at projection time.
+    Any other summand raises UnsupportedSetError at construction.
     """
 
     summand: ConvexSet
@@ -652,6 +611,9 @@ class MinkowskiSum(ConvexSet):
             raise DimensionMismatchError(
                 "MinkowskiSum operands must share the ambient dimension"
             )
+        if not isinstance(self.summand, (Point, Ball)):
+            name = type(self.summand).__name__
+            raise UnsupportedSetError(f"no closed-form projector for {name} + cone")
 
     @property
     def dim(self) -> int:
@@ -661,26 +623,24 @@ class MinkowskiSum(ConvexSet):
         if isinstance(self.summand, Point):
             p = src.vector(self.summand.coords)
             return src.lets("{} + {}", p, self.cone._emit(src, src.lets("{} - {}", x, p)))
-        if isinstance(self.summand, Ball):
-            c, r = src.vector(self.summand.center), src.param(self.summand.radius)
-            q = src.lets("{} - {}", x, c)
-            pk = self.cone._emit(src, q)
-            delta = src.lets("{} - {}", q, pk)
-            dist = src.let(f"sqrt({src.dot(delta, delta)})")
+        c, r = src.vector(self.summand.center), src.param(self.summand.radius)
+        q = src.lets("{} - {}", x, c)
+        pk = self.cone._emit(src, q)
+        delta = src.lets("{} - {}", q, pk)
+        dist = src.let(f"sqrt({src.dot(delta, delta)})")
 
-            def outside():
-                s = src.let(f"{r} / {dist}")
-                return src.lets("{} + {} + {} * " + s, c, pk, delta)
+        def outside():
+            s = src.let(f"{r} / {dist}")
+            return src.lets("{} + {} + {} * " + s, c, pk, delta)
 
-            return src.branch(f"{dist} <= {r}", lambda: x, outside)
-        name = type(self.summand).__name__
-        raise UnsupportedSetError(f"no closed-form projector for {name} + cone")
+        return src.branch(f"{dist} <= {r}", lambda: x, outside)
+
+    def _aff_dim(self):
+        # a cone's affine hull is its span, and a ball is full-dimensional
+        return self.dim if isinstance(self.summand, Ball) else self.cone._aff_dim()
 
     def anchor(self):
         return self.summand.anchor()
-
-    def _aff_span(self):
-        return np.vstack([self.summand._aff_span(), self.cone._aff_span()])
 
 
 # ---------------------------------------------------------------------------

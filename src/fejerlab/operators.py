@@ -50,6 +50,8 @@ from .geometry import (
     Emitted,
     KernelSource,
     Ray,
+    _frozen_array,
+    _frozen_matrix,
     as_vector,
     full_space,
 )
@@ -91,6 +93,15 @@ def _merge_dims(*dims):
                 f"operator subtrees disagree on dimension: {out} vs {d}"
             )
     return out
+
+
+def _square_matrix(matrix, kind: str) -> np.ndarray:
+    """A read-only square float64 copy of ``matrix``."""
+    # checked first: _frozen_matrix would read a vector as one row
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatchError(f"{kind} expects a square matrix")
+    return _frozen_matrix(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +380,8 @@ class Translation(OperatorExpr):
     shift: np.ndarray
 
     def __post_init__(self):
-        b = as_vector(self.shift).copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "shift", b)
-        self._install(b.size, _NONEXPANSIVE_CERT)
+        object.__setattr__(self, "shift", _frozen_array(self.shift))
+        self._install(self.shift.size, _NONEXPANSIVE_CERT)
 
     def _emit(self, src, x):
         return src.lets("{} + {}", x, src.vector(self.shift))
@@ -383,13 +392,7 @@ class Linear(OperatorExpr):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError("Linear expects a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite matrix entries")
-        m = m.copy()
-        m.setflags(write=False)
+        m = _square_matrix(self.matrix, "Linear")
         object.__setattr__(self, "matrix", m)
         self._install(m.shape[0], _linear_certificate(m))
 
@@ -405,17 +408,9 @@ class AffineMap(OperatorExpr):
     shift: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError("AffineMap expects a square matrix")
-        b = as_vector(self.shift, m.shape[0]).copy()
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite matrix entries")
-        m = m.copy()
-        m.setflags(write=False)
-        b.setflags(write=False)
+        m = _square_matrix(self.matrix, "AffineMap")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "shift", b)
+        object.__setattr__(self, "shift", _frozen_array(self.shift, m.shape[0]))
         self._install(m.shape[0], _linear_certificate(m))
 
     def _emit(self, src, x):
@@ -531,16 +526,13 @@ class ScalarPiecewiseLinear(OperatorExpr):
     anchor_value: float = 0.0
 
     def __post_init__(self):
-        xs = as_vector(self.breakpoints).copy()
-        sl = as_vector(self.slopes).copy()
+        xs, sl = _frozen_array(self.breakpoints), _frozen_array(self.slopes)
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         if sl.size != xs.size + 1:
             raise ValueError("need exactly len(breakpoints) + 1 slopes")
         if np.max(np.abs(sl)) > 1.0:
             raise ValueError("slopes must lie in [-1, 1]")
-        xs.setflags(write=False)
-        sl.setflags(write=False)
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "slopes", sl)
         object.__setattr__(self, "anchor_value", float(self.anchor_value))

@@ -230,6 +230,48 @@ def test_check_fejer_rejects_non_finite_points():
         check_fejer(Trajectory([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.0]]), C)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1e200, 0.0], [2e200, 0.0], [3e200, 0.0]],  # passed: every increase NaN
+        [[k * 1e154, 0.0] for k in range(1, 9)],  # failed with an inf increase
+    ],
+    ids=["1e200", "1e154"],
+)
+def test_check_fejer_rejects_distances_that_overflow(rows):
+    with pytest.raises(NonFiniteValueError, match="trajectory points"):
+        check_fejer(rows, Point([0.0, 0.0]))
+    with pytest.raises(NonFiniteValueError, match="trajectory points"):
+        check_fejer(rows, Point([0.0, 0.0]), witness_radius=1.0)
+
+
+def test_check_fejer_fails_a_far_walk_with_finite_distances():
+    rep = check_fejer([[1e150, 0.0], [2e150, 0.0], [3e150, 0.0]], Point([0.0, 0.0]))
+    before, after = rep.witness["distance_before"], rep.witness["distance_after"]
+    assert rep.failed and 1e150 <= before < after <= 3e150
+    assert rep.metadata["worst_increase"] == after - before
+    json.dumps(report_to_dict(rep))  # every value finite, so it exports
+
+
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0, -1.0])
+def test_a_witness_radius_that_is_not_finite_and_positive_is_rejected(radius):
+    pts = [[1.0, 0.0], [0.5, 0.0]]
+    with pytest.raises(ValueError, match="witness_radius must be finite and positive"):
+        check_fejer(pts, Point([0.0, 0.0]), witness_radius=radius)
+    cs = estimate_cluster_set(Trajectory(np.tile(pts, (5, 1))), tail_fraction=1.0, radius=0.1)
+    with pytest.raises(ValueError, match="witness_radius must be finite and positive"):
+        check_cluster_orthogonality(cs, VERTICAL_LINE, witness_radius=radius)
+
+
+def test_check_cluster_orthogonality_rejects_distances_that_overflow():
+    # the clusters are 1e154 apart, a finite distance, but reach + radius is
+    # 1.5e154, whose square overflows
+    pts = np.tile([[0.0, 5e153], [0.0, -5e153]], (5, 1))
+    cs = estimate_cluster_set(Trajectory(pts), tail_fraction=1.0, radius=0.1)
+    with pytest.raises(NonFiniteValueError, match="trajectory points"):
+        check_cluster_orthogonality(cs, VERTICAL_LINE)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
 def test_check_fejer_matches_broadcast_formula(d, scale):

@@ -771,6 +771,19 @@ def test_a_subnormal_squared_normal_is_a_config_error(tmp_path, capsys, kind):
     assert load_scenario(path).sets["line"].project([1.0, 2.0]).tolist() == [0.0, 2.0]
 
 
+def test_an_unsupported_minkowski_summand_is_a_config_error(tmp_path, capsys):
+    # only a point or ball summand has a projector; a box one is refused on load
+    text = CONFIG_TEXT.replace(
+        "sets:\n",
+        "sets:\n  s: {kind: minkowski_sum, summand: {kind: box, lower: [0.0, 0.0], "
+        "upper: [1.0, 1.0]}, cone: {kind: orthant, signs: [1.0, 1.0]}}\n",
+    ).replace("params: {set: line}", "params: {set: s}")
+    path = tmp_path / "box-sum.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: sets.s: no closed-form projector for Box + cone" in capsys.readouterr().err
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("name: x\nsets:\n  b: {kind: blob}\n", encoding="utf-8")

@@ -374,12 +374,11 @@ def test_minkowski_projection_against_cvxpy():
 
 
 def test_minkowski_unsupported_combination():
-    d = 2
-    S = MinkowskiSum(Halfspace([1.0, 0.0], 0.0), Orthant([1.0, 1.0]))
-    with pytest.raises(UnsupportedSetError):
-        S.project([1.0, 1.0])
-    with pytest.raises(UnsupportedSetError):
-        S.project_many(np.zeros((0, d)))
+    # only a point or ball summand has a projector, so no other is built
+    for E in (Halfspace([1.0, 0.0], 0.0), Box([0.0, 0.0], [1.0, 1.0])):
+        name = type(E).__name__
+        with pytest.raises(UnsupportedSetError, match=f"for {name} \\+ cone"):
+            MinkowskiSum(E, Orthant([1.0, 1.0]))
 
 
 def test_minkowski_requires_cone():
@@ -545,9 +544,11 @@ def _sets_of_every_affine_dimension(d, rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_codimension_closed_form_matches_the_rank_of_the_span(d):
-    for C in _sets_of_every_affine_dimension(d, np.random.default_rng(d)):
-        span = C._aff_span()
-        rank = 0 if span.shape[0] == 0 else int(np.linalg.matrix_rank(span))
+    # the span of aff(C) - aff(C), from 200 projections of points around C
+    rng = np.random.default_rng(d)
+    for C in _sets_of_every_affine_dimension(d, rng):
+        pts = C.project_many(C.anchor() + rng.uniform(-10, 10, (200, d)))
+        rank = int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9))
         res = codimension(C, d)
         assert (res.dim_aff, res.codim) == (rank, d - rank), C
 
@@ -568,7 +569,7 @@ def test_a_normal_whose_squared_norm_is_subnormal_is_rejected(kind):
     assert kind([1e-150, 0.0], 0.0).project([1.0, 2.0]).tolist() == [0.0, 2.0]
 
 
-def test_codimension_of_a_hyperplane_runs_no_factorization(monkeypatch):
+def _refuse_factorizations(monkeypatch):
     import scipy.linalg
 
     def refuse(*args, **kwargs):
@@ -578,9 +579,22 @@ def test_codimension_of_a_hyperplane_runs_no_factorization(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     for name in ("null_space", "orth", "svd"):
         monkeypatch.setattr(scipy.linalg, name, refuse)
+
+
+def test_codimension_of_a_hyperplane_runs_no_factorization(monkeypatch):
+    _refuse_factorizations(monkeypatch)
     for d in (1, 2, 3, 4):
         assert codimension(Hyperplane(np.ones(d), 2.0), d).codim == 1
         assert codimension(Box(np.zeros(d), np.eye(d)[0]), d).codim == d - 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_codimension_of_every_set_kind_runs_no_factorization(d, monkeypatch):
+    # built first: from_spanning orthonormalizes with a factorization
+    sets = _sets_of_every_affine_dimension(d, np.random.default_rng(d))
+    _refuse_factorizations(monkeypatch)
+    for C in sets:
+        assert 0 <= codimension(C, d).codim <= d, C
 
 
 def test_codimension_dimension_mismatch():
