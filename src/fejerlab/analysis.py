@@ -240,15 +240,22 @@ def estimate_cluster_set(
 
     The default radius is 0.05 * (tail extent + tol) with floor 1e-6, the
     extent being the bounding-box diagonal.  Representatives are chosen
-    greedily in trajectory order, so the result is deterministic.
+    greedily in trajectory order, so the result is deterministic.  An extent
+    that overflows raises NonFiniteValueError, as the distances between tail
+    points, which it bounds, could overflow too.
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("tail_fraction must lie in (0, 1]")
     pts = _points_of(trajectory)
     n_tail = max(1, math.ceil(tail_fraction * pts.shape[0]))
     tail = pts[-n_tail:]
-    if radius is None:
+    with np.errstate(over="ignore"):  # an overflow is raised below
         extent = float(np.linalg.norm(tail.max(axis=0) - tail.min(axis=0)))
+    if not math.isfinite(extent):
+        raise NonFiniteValueError(
+            "trajectory tail spreads too far: its bounding-box diagonal overflows"
+        )
+    if radius is None:
         radius = max(1e-6, 0.05 * (extent + tol))
     if not radius > 0.0:
         raise ValueError("radius must be positive")

@@ -207,9 +207,6 @@ def _def_from_config(cls, d, path: str):
         value = args.get(key)
         if value is not None and not (key == "shift" and isinstance(value, str)):
             args[key] = _floats(value, f"{path}.{key}")
-    if args.get("n_steps") is not None:
-        # a trajectory's own step count obeys the scenario's n_steps rule
-        args["n_steps"] = spec_number("n_steps", args["n_steps"], f"{path}.n_steps")
     return cls(**args)
 
 

@@ -14,8 +14,9 @@ orbit enters an exact cycle of any period; it raises NonFiniteValueError at
 the first step past ``DEFAULT_NORM_CAP`` or not finite, such as a step that
 divides by zero.  The trajectory records the row from which it repeats and
 the period (``periodic_from``, ``period``) and keeps only the rows the loop
-computed: its tails and row ranges are read from them by index arithmetic,
-and the whole array is built only for a caller that asks for ``points``.
+computed, as do the differences and shadows formed from such orbits: their
+tails and row ranges are read from those rows by index arithmetic, and the
+whole array is built only for a caller that asks for ``points``.
 :func:`periodic_rows` turns the cycle into the leading rows that a check of
 per-step values needs to read, and :func:`periodic_steps` extends the values
 read there to every step.
@@ -61,35 +62,32 @@ class Trajectory:
     what it is given; the orbit builders hand over arrays they have just made
     with :meth:`_own`.
 
-    ``periodic_from`` and ``period`` are set only by :func:`iterate`, when its
-    kernel saw the orbit repeat: row j + period equals row j bit for bit for
-    every j >= periodic_from.  Every other trajectory has None for both.  Such
-    an orbit keeps only the rows the kernel computed, [0, q + p] for
-    q = periodic_from and p = period, and reads row j >= q as row
-    q + (j - q) mod p.  ``len``, ``dim``, :meth:`tail` and :meth:`rows` work
-    from those rows; ``points``, the whole (len, dim) array, is built on
-    first use and kept.
+    ``periodic_from`` and ``period`` are set by :func:`iterate`, when its
+    kernel saw the orbit repeat, and kept by :func:`difference_orbit` and
+    :func:`shadow`: row j + period equals row j bit for bit for every
+    j >= periodic_from.  Every other trajectory has None for both.  Such a
+    trajectory keeps only its rows [0, q + p], for q = periodic_from and
+    p = period, and reads row j >= q as row q + (j - q) mod p.  ``len``,
+    ``dim``, :meth:`tail` and :meth:`rows` work from those rows; ``points``,
+    the whole (len, dim) array, is built on first use and kept.
     """
 
     def __init__(self, points):
         self._set_rows(np.array(points, dtype=float))
 
     @classmethod
-    def _own(
-        cls, rows: np.ndarray, periodic_from: int | None = None,
-        period: int | None = None, length: int | None = None,
-    ) -> "Trajectory":
+    def _own(cls, rows: np.ndarray, cycle=None, length=None) -> "Trajectory":
         """Wrap a fresh float array that no one else holds, without a copy.
 
         ``rows`` are the leading rows of a trajectory of ``length`` rows
-        (all of them by default) that repeats with ``period`` from
-        ``periodic_from`` on.
+        (all of them by default) that repeats from row q on with period p,
+        for ``cycle`` = (q, p).
         """
         traj = cls.__new__(cls)
-        traj._set_rows(rows, periodic_from, period, length)
+        traj._set_rows(rows, cycle, length)
         return traj
 
-    def _set_rows(self, rows, periodic_from=None, period=None, length=None) -> None:
+    def _set_rows(self, rows, cycle=None, length=None) -> None:
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("trajectory points must form a nonempty (n, d) array")
         if rows.shape[1] < 1:
@@ -98,7 +96,7 @@ class Trajectory:
         self._rows = rows
         self._len = rows.shape[0] if length is None else length
         self._points = rows if self._len == rows.shape[0] else None
-        self._periodic_from, self._period = periodic_from, period
+        self._periodic_from, self._period = cycle or (None, None)
 
     @property
     def periodic_from(self) -> int | None:
@@ -132,18 +130,9 @@ class Trajectory:
             return self._points[start:stop]
         if stop <= self._rows.shape[0]:
             return self._rows[start:stop]
-        # the rows before the cycle, then whole periods from row
-        # q + (j - q) mod p on, for the first row j >= q of the range
-        q, p = self._periodic_from, self._period
-        lead = max(0, q - start)
-        k = (start + lead - q) % p
-        reps = -(-(stop - start - lead) // p)
-        out = np.empty((lead + reps * p, self.dim))
-        out[:lead] = self._rows[start : start + lead]
-        period = np.concatenate([self._rows[q + k : q + p], self._rows[q : q + k]])
-        out[lead:].reshape(reps, p, self.dim)[:] = period
+        out = _repeated(self._rows, self._periodic_from, self._period, start, stop)
         out.setflags(write=False)
-        return out[: stop - start]
+        return out
 
     def tail(self, count: int) -> np.ndarray:
         """The last ``count`` rows, for 1 <= count <= len."""
@@ -198,9 +187,29 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     if cycle is None:
         return Trajectory._own(pts)
     # row q + p repeats row q: keep the rows computed up to it
-    q, p = cycle
-    rows = pts if q + p == n else pts[: q + p + 1].copy()
-    return Trajectory._own(rows, q, p, n + 1)
+    rows = pts if sum(cycle) == n else pts[: sum(cycle) + 1].copy()
+    return Trajectory._own(rows, cycle, n + 1)
+
+
+def _repeated(head: np.ndarray, q: int, p: int, start: int, stop: int) -> np.ndarray:
+    """Entries [start, stop), stop > q, of the sequence that starts with the
+    q + p entries of ``head`` and repeats with period p from entry q on: the
+    entries before q, then whole periods through a (reps, p) view."""
+    lead = max(0, q - start)
+    k = (start + lead - q) % p
+    reps = -(-(stop - start - lead) // p)
+    out = np.empty((lead + reps * p, *head.shape[1:]), dtype=head.dtype)
+    out[:lead] = head[start : start + lead]
+    period = np.concatenate([head[q + k : q + p], head[q : q + k]])
+    out[lead:].reshape(reps, p, *head.shape[1:])[:] = period
+    return out[: stop - start]
+
+
+def _joint_cycle(orbits) -> tuple[int, int] | None:
+    """The latest start and the lcm of the periods of the orbits, or None."""
+    if any(o.period is None for o in orbits):
+        return None
+    return max(o.periodic_from for o in orbits), math.lcm(*(o.period for o in orbits))
 
 
 def periodic_rows(*orbits: Trajectory) -> int:
@@ -212,11 +221,8 @@ def periodic_rows(*orbits: Trajectory) -> int:
     first argmax already appear in rows [0, q + p + 1).
     """
     n = len(orbits[0])
-    if any(o.period is None for o in orbits):
-        return n
-    q = max(o.periodic_from for o in orbits)
-    p = math.lcm(*(o.period for o in orbits))
-    return min(n, q + p + 1)
+    cycle = _joint_cycle(orbits)
+    return n if cycle is None else min(n, sum(cycle) + 1)
 
 
 def periodic_steps(values: np.ndarray, *orbits: Trajectory) -> np.ndarray:
@@ -224,20 +230,13 @@ def periodic_steps(values: np.ndarray, *orbits: Trajectory) -> np.ndarray:
     values on the :func:`periodic_rows` of the orbits.
 
     From step q on, value k is value q + (k - q) mod p, for the q and p of
-    :func:`periodic_rows`; whole periods are filled through a (reps, p) view,
-    as :meth:`Trajectory.rows` fills rows.  Values that already cover every
-    step are returned as they are.
+    :func:`periodic_rows`, filled as :meth:`Trajectory.rows` fills rows.
+    Values that already cover every step are returned as they are.
     """
     n = len(orbits[0]) - 1
     if values.shape[0] == n:
         return values
-    q = max(o.periodic_from for o in orbits)
-    p = math.lcm(*(o.period for o in orbits))
-    reps = -(-(n - q) // p)
-    out = np.empty(q + reps * p, dtype=values.dtype)
-    out[:q] = values[:q]
-    out[q:].reshape(reps, p)[:] = values[q : q + p]
-    return out[:n]
+    return _repeated(values, *_joint_cycle(orbits), 0, n)
 
 
 def normalized_from_raw(raw: Trajectory, v) -> Trajectory:
@@ -273,25 +272,30 @@ def difference_orbit(a: Trajectory, b: Trajectory) -> Trajectory:
     Nonexpansiveness forces the norms to be nonincreasing; growth beyond
     :func:`difference_monotonicity_slack` raises MonotonicityViolationError
     since it signals a broken operator rather than interesting dynamics.
+    Both are formed on the :func:`periodic_rows` of the orbits alone; the
+    difference keeps their joint cycle.
     """
-    if a.points.shape != b.points.shape:
+    if len(a) != len(b) or a.dim != b.dim:
         raise ValueError("the two orbits must have the same length and dimension")
-    diff = a.points - b.points
+    head = periodic_rows(a, b)
+    a_rows, b_rows = a.rows(0, head), b.rows(0, head)
+    diff = a_rows - b_rows
     norms = np.linalg.norm(diff, axis=1)
     growth = norms[1:] - norms[:-1]
-    excess = growth - difference_monotonicity_slack(a.points, b.points)
+    excess = growth - difference_monotonicity_slack(a_rows, b_rows)
     if excess.size and float(excess.max()) > 0.0:
         idx = int(np.argmax(excess))
         raise MonotonicityViolationError(
             f"difference norm grew by {growth[idx]:.3e} at step {idx}; "
             "the operator is not nonexpansive"
         )
-    return Trajectory._own(diff)
+    return Trajectory._own(diff, _joint_cycle((a, b)), len(a))
 
 
 def shadow(trajectory: Trajectory, C: ConvexSet) -> Trajectory:
-    """Projection of every trajectory point onto ``C``."""
-    return Trajectory._own(C.project_many(trajectory.points))
+    """Projection of every trajectory point onto ``C``, keeping its cycle."""
+    rows = C.project_many(trajectory.rows(0, periodic_rows(trajectory)))
+    return Trajectory._own(rows, _joint_cycle((trajectory,)), len(trajectory))
 
 
 def displacement_from_orbit(orbit: Trajectory, tail: int) -> tuple[np.ndarray, float]:

@@ -80,7 +80,6 @@ __all__ = [
     "ScenarioSpec",
     "CheckOutcome",
     "RunArtifacts",
-    "alternating_sequence",
     "harmonic_rotation_sequence",
     "run_scalar_averaged_sweep",
     "run_affine_limit_sweep",
@@ -96,13 +95,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Example sequences
 # ---------------------------------------------------------------------------
-
-
-def alternating_sequence(n_steps: int) -> np.ndarray:
-    """x_n = ((-1)^n, 0): constant distances to the vertical axis, no limit."""
-    pts = np.zeros((n_steps + 1, 2))
-    pts[:, 0] = (-1.0) ** np.arange(n_steps + 1)
-    return pts
 
 
 def harmonic_rotation_sequence(n_steps: int) -> np.ndarray:
@@ -537,6 +529,9 @@ class ScenarioSpec:
             if t.name in names:
                 raise ConfigError(f"trajectories: duplicate name {t.name!r}")
             names.add(t.name)
+            if t.n_steps is not None:
+                # a trajectory's own step count obeys the scenario's n_steps rule
+                t.n_steps = spec_number("n_steps", t.n_steps, f"{path}.n_steps")
             if t.kind not in TRAJECTORY_KINDS:
                 raise ConfigError(f"{path}: unknown trajectory kind {t.kind!r}")
             if t.operator is not None and t.operator not in self.operators:
@@ -707,7 +702,6 @@ TRAJECTORY_KINDS = {
         lambda spec, t, built, n, orbit: shadow(built[t.base], spec.sets[t.set_name]),
         ("base", "set_name"),
     ),
-    "alternating": (lambda spec, t, built, n, orbit: Trajectory(alternating_sequence(n)), ()),
     "harmonic_rotation": (
         lambda spec, t, built, n, orbit: Trajectory(harmonic_rotation_sequence(n)),
         (),
@@ -1019,6 +1013,7 @@ def run_scenario(
 
 
 def _spec_alternating_pair() -> ScenarioSpec:
+    axis = Hyperplane([1.0, 0.0], 0.0)
     return ScenarioSpec(
         name="alternating-pair",
         description=(
@@ -1033,8 +1028,10 @@ def _spec_alternating_pair() -> ScenarioSpec:
         seed=1,
         tol=1e-9,
         tail_window=100,
-        sets={"axis": Hyperplane([1.0, 0.0], 0.0)},
-        trajectories=[TrajectoryDef("orbit", "alternating")],
+        sets={"axis": axis},
+        # ((-1)^n, 0) is the orbit of the reflection through the axis
+        operators={"R": Reflector(axis)},
+        trajectories=[TrajectoryDef("orbit", "raw", operator="R", start=[1.0, 0.0])],
         checks=[
             CheckDef("fejer", "fejer", "orbit", "pass", {"set": "axis"}),
             CheckDef(

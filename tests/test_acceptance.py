@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from fejerlab.analysis import check_connectivity, check_fejer, estimate_cluster_set
-from fejerlab.dynamics import Trajectory, detect_limit
+from fejerlab.dynamics import Trajectory, detect_limit, iterate
 from fejerlab.geometry import Hyperplane
+from fejerlab.operators import Reflector
 from fejerlab.scenarios import (
-    alternating_sequence,
     get_scenario,
     harmonic_rotation_sequence,
     list_scenarios,
@@ -48,15 +48,18 @@ def _announce(number, ok, detail):
 
 def test_criterion_1_alternating_pair(loaded):
     t0 = time.perf_counter()
-    traj = Trajectory(alternating_sequence(200))
+    # ((-1)^n, 0): the orbit of the reflection through the vertical axis
     line = Hyperplane([1.0, 0.0], 0.0)
+    traj = iterate(Reflector(line), [1.0, 0.0], 200)
     fejer = check_fejer(traj, line, witnesses=10, seed=0, tol=1e-10)
     drops_zero = float(np.max(np.abs(fejer.per_step)))
     steps = np.linalg.norm(traj.points[1:] - traj.points[:-1], axis=1)
     est = detect_limit(traj, tail_window=100, tol=1e-9)
     elapsed = time.perf_counter() - t0
     ok = (
-        fejer.passed
+        bool(np.all(traj.points[:, 0] == (-1.0) ** np.arange(201)))
+        and bool(np.all(traj.points[:, 1] == 0.0))
+        and fejer.passed
         and drops_zero <= 1e-15
         and bool(np.all(steps == 2.0))
         and est.status == "oscillating"

@@ -369,7 +369,7 @@ def test_check_fejer_reads_the_step_that_closes_the_first_cycle():
     # rows repeat with period 3 from row 3 on; the largest increase is the
     # step from row 5 back to the cycle's first point, the last one read
     pts = np.array([[5.0], [4.0], [3.0]] + [[3.5], [2.0], [1.0]] * 5)
-    proven = check_fejer(Trajectory._own(pts.copy(), 3, 3), Point([0.0]), witnesses=3)
+    proven = check_fejer(Trajectory._own(pts.copy(), (3, 3)), Point([0.0]), witnesses=3)
     plain = check_fejer(Trajectory(pts), Point([0.0]), witnesses=3)
     assert proven.witness["step"] == 5 and proven.witness["increase"] == 2.5
     assert json.dumps(report_to_dict(proven)) == json.dumps(report_to_dict(plain))
@@ -522,6 +522,15 @@ def test_cluster_coverage_invariant():
 def test_cluster_set_rejects_a_radius_that_is_not_positive(radius):
     with pytest.raises(ValueError, match="radius must be positive"):
         estimate_cluster_set(alternating(40), radius=radius)
+
+
+@pytest.mark.parametrize("radius", [None, 0.1], ids=["default", "given"])
+def test_cluster_set_rejects_a_tail_whose_extent_overflows(radius):
+    # finite points 2e200 apart: the bounding-box diagonal overflows, so the
+    # default radius would be inf and the linkage distances inf too
+    traj = Trajectory(np.tile([[0.0, 1e200], [0.0, -1e200]], (5, 1)))
+    with pytest.raises(NonFiniteValueError, match="bounding-box diagonal overflows"):
+        estimate_cluster_set(traj, tail_fraction=1.0, radius=radius)
 
 
 def test_orthogonality_alternating_clusters_vs_vertical_line():
@@ -689,7 +698,7 @@ def _cycled_orbit(case, from_the_cycle):
     q, p = orbit.periodic_from, orbit.period
     assert p is not None and q > 0
     if from_the_cycle:
-        orbit = Trajectory._own(orbit.rows(q, q + p + 1).copy(), 0, p, len(orbit) - q)
+        orbit = Trajectory._own(orbit.rows(q, q + p + 1).copy(), (0, p), len(orbit) - q)
     return orbit
 
 

@@ -217,9 +217,8 @@ def test_config_errors_carry_field_paths():
     with pytest.raises(ConfigError, match="scenario: unknown field 'n_step'"):
         parse_scenario({"name": "x", "n_step": 10})
     with pytest.raises(ConfigError, match="trajectories.t: unknown field 'strat'"):
-        parse_scenario(
-            {"name": "x", "trajectories": [{"name": "t", "kind": "alternating", "strat": [0]}]}
-        )
+        traj = {"name": "t", "kind": "harmonic_rotation", "strat": [0]}
+        parse_scenario({"name": "x", "trajectories": [traj]})
     for key, value, message in [
         ("n_steps", "abc", "scenario.n_steps: expected an integer, got 'abc'"),
         ("tail_window", [3], "scenario.tail_window: expected an integer, got [3]"),
@@ -242,10 +241,10 @@ def test_config_errors_carry_field_paths():
         (12.7, "trajectories.t.n_steps: expected an integer, got 12.7"),
         (True, "trajectories.t.n_steps: expected an integer, got True"),
     ]:
-        traj = {"name": "t", "kind": "alternating", "n_steps": value}
+        traj = {"name": "t", "kind": "harmonic_rotation", "n_steps": value}
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_scenario({"name": "x", "trajectories": [traj]})
-    traj = {"name": "t", "kind": "alternating", "n_steps": "40"}
+    traj = {"name": "t", "kind": "harmonic_rotation", "n_steps": "40"}
     assert parse_scenario({"name": "x", "trajectories": [traj]}).trajectories[0].n_steps == 40
 
     # Douglas-Rachford on a half-space and a ball: no closed-form drift

@@ -229,24 +229,65 @@ def test_fixed_points_and_two_cycles_are_recorded():
     _assert_repeats_as_recorded(flip)
 
 
-def test_only_iterate_records_a_cycle():
-    # a derived trajectory may repeat too, but nothing proved it
-    orbit = iterate(_cyclic_permutation(3), [1.0, 2.0, 3.0], 60)
-    assert orbit.period == 3
-    derived = [
-        Trajectory(orbit.points),
-        Trajectory(orbit.points[1:]),
-        Trajectory(orbit.points[::2]),
-        normalized_from_raw(orbit, [0.0, 0.0, 0.0]),
-        shadow(orbit, Ball([0.0, 0.0, 0.0], 1.0)),
-        difference_orbit(orbit, orbit),
-    ]
-    for traj in derived:
+def test_a_cycle_is_recorded_only_where_it_was_proved():
+    # a permutation of R^5 with cycles of length 3 and 2: the orbit of x
+    # repeats with period 3, that of y with period 2, their difference with 6
+    P = np.zeros((5, 5))
+    P[:3, :3] = np.roll(np.eye(3), 1, axis=1)
+    P[3:, 3:] = np.roll(np.eye(2), 1, axis=1)
+    T = Linear(P)
+    three = iterate(T, [1.0, 2.0, 3.0, 7.0, 7.0], 60)
+    two = iterate(T, [4.0, 4.0, 4.0, 1.0, 2.0], 60)
+    assert three.period == 3 and two.period == 2
+    # the same points, a slice of them, or a shifted orbit: nothing proved it
+    for traj in (
+        Trajectory(three.points),
+        Trajectory(three.points[1:]),
+        Trajectory(three.points[::2]),
+        normalized_from_raw(three, np.zeros(5)),
+    ):
         assert traj.periodic_from is None and traj.period is None
+    # a shadow repeats where its base does; a difference from the later
+    # start with the lcm of the periods.  Each equals, bit for bit, the same
+    # builder on the whole arrays, and holds only its leading rows
+    ball = Ball(np.zeros(5), 1.0)
+    q3, q2 = three.periodic_from, two.periodic_from
+    plain3, plain2 = Trajectory(three.points), Trajectory(two.points)
+    for derived, cycle, whole in (
+        (shadow(three, ball), (q3, 3), shadow(plain3, ball)),
+        (shadow(two, ball), (q2, 2), shadow(plain2, ball)),
+        (difference_orbit(three, two), (max(q3, q2), 6), difference_orbit(plain3, plain2)),
+        (difference_orbit(two, two), (q2, 2), difference_orbit(plain2, plain2)),
+    ):
+        assert (derived.periodic_from, derived.period) == cycle
+        assert _held_rows(derived) == (sum(cycle) + 1, False)
+        assert len(derived) == len(whole) and derived.dim == whole.dim
+        assert derived.tail(7).tobytes() == whole.tail(7).tobytes()
+        assert derived.points.tobytes() == whole.points.tobytes()
+        with pytest.raises(AttributeError):
+            derived.period = 1
+        with pytest.raises(AttributeError):
+            derived.periodic_from = 0
+    # one orbit without a recorded cycle: the difference records none either
+    assert difference_orbit(three, plain2).period is None
     with pytest.raises(AttributeError):
-        orbit.period = 1
+        three.period = 1
     with pytest.raises(AttributeError):
-        orbit.periodic_from = 0
+        three.periodic_from = 0
+
+
+def test_a_difference_of_two_long_cycles_allocates_only_its_rows():
+    a, b = iterate(Negation(), [1.0], 10**6), iterate(Negation(), [0.25], 10**6)
+    tracemalloc.start()
+    try:
+        diff = difference_orbit(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole (10**6 + 1, 1) array alone takes 8 MB
+    assert peak < 2**20, peak
+    assert (diff.periodic_from, diff.period) == (1, 2)
+    assert diff.tail(3)[:, 0].tolist() == [0.75, -0.75, 0.75]
 
 
 def test_periodic_rows_cover_one_joint_period():

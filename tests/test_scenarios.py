@@ -24,7 +24,6 @@ from fejerlab.scenarios import (
     CheckDef,
     ScenarioSpec,
     TrajectoryDef,
-    alternating_sequence,
     get_scenario,
     harmonic_rotation_sequence,
     list_scenarios,
@@ -71,9 +70,12 @@ def test_get_scenario_unknown_name():
 
 
 def test_sequences():
-    alt = alternating_sequence(4)
-    assert np.array_equal(alt[:, 0], [1.0, -1.0, 1.0, -1.0, 1.0])
-    assert np.all(alt[:, 1] == 0.0)
+    # ((-1)^n, 0) is the orbit of the reflection through the vertical axis
+    alt = run_scenario(get_scenario("alternating-pair"), n_steps=4).trajectories["orbit"]
+    assert alt.period == 2
+    assert alt.points.tobytes() == np.array(
+        [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+    ).tobytes()
     harm = harmonic_rotation_sequence(3)
     theta = np.array([0.0, 1.0, 1.5, 1.5 + 1.0 / 3.0])
     assert np.allclose(harm, np.column_stack([np.cos(theta), np.sin(theta)]))
@@ -570,6 +572,28 @@ def test_runtime_errors_attach_to_the_failing_check():
     assert "error" in artifacts.reports["displacement"].witness
 
 
+def test_a_trajectory_step_count_is_checked_with_the_spec():
+    # as in a config, before any orbit is built
+    def spec(n_steps):
+        return ScenarioSpec(
+            name="own-steps",
+            description="",
+            topic="",
+            operators={"T": Negation()},
+            trajectories=[TrajectoryDef("o", "raw", operator="T", start=[1.0], n_steps=n_steps)],
+            checks=[CheckDef("limit", "limit", "o", "oscillating", {"tail_window": 2})],
+        )
+
+    with pytest.raises(ConfigError) as err:
+        run_scenario(spec(0))
+    assert str(err.value) == "trajectories.o.n_steps: must be at least 1, got 0"
+    with pytest.raises(ConfigError, match=r"trajectories.o.n_steps: expected an integer"):
+        run_scenario(spec(2.5))
+    assert run_scenario(spec(np.int64(3))).trajectories["o"].points[:, 0].tolist() == [
+        1.0, -1.0, 1.0, -1.0,
+    ]
+
+
 def test_nan_cluster_radius_is_a_value_error_of_the_check():
     # the radius is range-checked with the spec, before any orbit is built
     nan = float("nan")
@@ -582,7 +606,7 @@ def test_nan_cluster_radius_is_a_value_error_of_the_check():
             description="",
             topic="",
             sets={"axis": Hyperplane([1.0, 0.0], 0.0)},
-            trajectories=[TrajectoryDef("orbit", "alternating")],
+            trajectories=[TrajectoryDef("orbit", "harmonic_rotation")],
             checks=[CheckDef("clusters", kind, "orbit", "fail", params)],
         )
         with pytest.raises(ConfigError) as err:
