@@ -43,7 +43,7 @@ from .operators import (
     ScalarPiecewiseLinear,
     Translation,
 )
-from .scenarios import SPEC_LEAST, CheckDef, ScenarioSpec, TrajectoryDef, spec_number
+from .scenarios import CheckDef, ScenarioSpec, TrajectoryDef
 
 __all__ = [
     "SET_KINDS",
@@ -95,13 +95,6 @@ def _need(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(f"{path}: missing field {key!r}")
     return d[key]
-
-
-def _floats(value, path: str) -> list:
-    try:
-        return np.asarray(value, dtype=float).tolist()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: expected numbers, got {value!r}") from exc
 
 
 def _mapping(d, path: str) -> dict:
@@ -196,21 +189,17 @@ def operator_to_config(op: OperatorExpr) -> dict:
 
 
 def _def_from_config(cls, d, path: str):
-    """A TrajectoryDef or CheckDef from its mapping; kinds are checked later."""
+    """A TrajectoryDef or CheckDef from its mapping; kinds and numbers are
+    checked later, by :meth:`ScenarioSpec.validate`."""
     name = _need(_mapping(d, path), "name", path)
     path = f"{path}.{name}"
     _need(d, "kind", path)
     fields = {_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
     _check_keys(d, fields, path)
-    args = {fields[key]: value for key, value in d.items()}
-    for key in ("start", "partner", "shift"):
-        value = args.get(key)
-        if value is not None and not (key == "shift" and isinstance(value, str)):
-            args[key] = _floats(value, f"{path}.{key}")
-    return cls(**args)
+    return cls(**{fields[key]: value for key, value in d.items()})
 
 
-_SPEC_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioSpec)}
+_SPEC_FIELDS = [f.name for f in dataclasses.fields(ScenarioSpec)]
 
 
 def _def_to_config(obj) -> dict:
@@ -227,34 +216,20 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     if not isinstance(data, dict):
         raise ConfigError("scenario: expected a mapping at the top level")
     _check_keys(data, _SPEC_FIELDS, "scenario")
-    name = _need(data, "name", "scenario")
-    sets = {
-        key: set_from_config(val, f"sets.{key}")
-        for key, val in data.get("sets", {}).items()
+    _need(data, "name", "scenario")
+    data = {"description": "", "topic": "", **data}
+    sets = data["sets"] = {
+        key: set_from_config(val, f"sets.{key}") for key, val in data.get("sets", {}).items()
     }
-    operators = {
+    data["operators"] = {
         key: operator_from_config(val, sets, f"operators.{key}")
         for key, val in data.get("operators", {}).items()
     }
-    trajectories = [
-        _def_from_config(TrajectoryDef, t, "trajectories")
-        for t in data.get("trajectories", [])
+    data["trajectories"] = [
+        _def_from_config(TrajectoryDef, t, "trajectories") for t in data.get("trajectories", [])
     ]
-    checks = [_def_from_config(CheckDef, c, "checks") for c in data.get("checks", [])]
-    numbers = {
-        name: spec_number(name, data.get(name, _SPEC_FIELDS[name].default), f"scenario.{name}")
-        for name in SPEC_LEAST
-    }
-    spec = ScenarioSpec(
-        name=name,
-        description=data.get("description", ""),
-        topic=data.get("topic", ""),
-        **numbers,
-        sets=sets,
-        operators=operators,
-        trajectories=trajectories,
-        checks=checks,
-    )
+    data["checks"] = [_def_from_config(CheckDef, c, "checks") for c in data.get("checks", [])]
+    spec = ScenarioSpec(**data)
     spec.validate()
     return spec
 

@@ -146,6 +146,9 @@ def run_scalar_averaged_sweep(
     |a_{n+1}| <= |1 - 2a| |a_n| at every sign change.
     """
     _require_some("instances", instances)
+    _require_some("len(alphas)", len(alphas))
+    # a tail of at most the orbit's rows, as the limit check takes it
+    tail_window = min(tail_window, max_steps + 1)
     rng = np.random.default_rng(seed)
     failures = []
     converged = 0
@@ -230,6 +233,7 @@ def run_affine_limit_sweep(
     x - y onto null(Id - L) via an orthonormal null-space basis.
     """
     _require_some("instances", instances)
+    _require_some("len(dims)", len(dims))
     from scipy.linalg import null_space
 
     rng = np.random.default_rng(seed)
@@ -249,7 +253,7 @@ def run_affine_limit_sweep(
         target = null @ (null.T @ (x0 - y0)) if null.size else np.zeros(d)
         if est.status != CONVERGED:
             failures.append({"instance": i, "problem": "limit", "status": est.status})
-        elif float(np.linalg.norm(est.limit - target)) > tol:
+        elif not float(np.linalg.norm(est.limit - target)) <= tol:  # NaN fails
             failures.append(
                 {
                     "instance": i,
@@ -273,6 +277,7 @@ def run_codim1_sweep(
     Any hypotheses-pass/no-convergence outcome is a FAIL of the whole sweep.
     """
     _require_some("instances", instances)
+    _require_some("len(dims)", len(dims))
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(instances):
@@ -448,7 +453,7 @@ def run_two_ball_sweep(
         v_est, residual = displacement_from_orbit(orbit, tail)
         v_closed = two_ball_gap_vector(A, B)
         gap = float(np.linalg.norm(v_est - v_closed))
-        if gap > match_tol:
+        if not gap <= match_tol:  # NaN fails
             failures.append({"pair": i, "problem": "displacement", "gap": gap})
             continue
         ray = fixed_set_description(T, v_closed)
@@ -522,7 +527,14 @@ class ScenarioSpec:
     checks: list = field(default_factory=list)
 
     def validate(self) -> None:
-        """Check every name, kind and check parameter against the tables."""
+        """Check every name, kind and check parameter against the tables.
+
+        Each number the spec names, a check param of a name in
+        :data:`SPEC_LEAST` included, is stored back as :func:`spec_number`
+        reads it, and each vector as the float list :func:`as_vector` gives.
+        """
+        for key in ("n_steps", "seed", "tol", "tail_window"):
+            setattr(self, key, spec_number(key, getattr(self, key), f"scenario.{key}"))
         names = set()
         for t in self.trajectories:
             path = f"trajectories.{t.name}"
@@ -530,7 +542,6 @@ class ScenarioSpec:
                 raise ConfigError(f"trajectories: duplicate name {t.name!r}")
             names.add(t.name)
             if t.n_steps is not None:
-                # a trajectory's own step count obeys the scenario's n_steps rule
                 t.n_steps = spec_number("n_steps", t.n_steps, f"{path}.n_steps")
             if t.kind not in TRAJECTORY_KINDS:
                 raise ConfigError(f"{path}: unknown trajectory kind {t.kind!r}")
@@ -554,8 +565,8 @@ class ScenarioSpec:
                 value = getattr(t, key)
                 if value is not None and not isinstance(value, str):
                     try:
-                        as_vector(value, dim)
-                    except ValueError as exc:
+                        setattr(t, key, as_vector(value, dim).tolist())
+                    except (TypeError, ValueError) as exc:
                         raise ConfigError(f"{path}.{key}: {exc}") from exc
             if t.points is not None:
                 try:
@@ -591,17 +602,26 @@ class ScenarioSpec:
             kind.validate(c.params, self, f"checks.{c.name}.params")
 
 
-# The least value of each top-level number of a spec (a limit check needs a
-# tail of two points; RNG seeds are nonnegative), and the coercion for each
-# field type.  Config files and the overrides of run_scenario obey this rule;
-# an infinite float breaks it too.
-SPEC_LEAST = {"n_steps": 1, "seed": 0, "tol": 0.0, "tail_window": 2}
-_CASTS = {"int": int, "float": float}
+# What each number a scenario names must be: its type and least value.  The
+# spec's own numbers, a trajectory's n_steps, every check param of a name
+# here and the overrides of run_scenario obey it.  A limit check needs a tail
+# of two points, RNG seeds are nonnegative, and a sweep over no instances
+# would pass having checked nothing; NaN and infinite floats break the rule.
+SPEC_LEAST = {
+    **dict.fromkeys(
+        ("n_steps", "max_steps", "tail", "instances", "pairs", "witnesses", "trials"),
+        (int, 1),
+    ),
+    "seed": (int, 0),
+    "tail_window": (int, 2),
+    **dict.fromkeys(("tol", "match_tol", "fejer_tol"), (float, 0.0)),
+}
 
 
 def spec_number(name: str, value, path: str):
-    """``value`` as the number field ``name`` of a :class:`ScenarioSpec`."""
-    cast = _CASTS[ScenarioSpec.__dataclass_fields__[name].type]
+    """``value`` as the number ``name`` of :data:`SPEC_LEAST`: of its type,
+    finite and at least its least value, or a ConfigError naming ``path``."""
+    cast, least = SPEC_LEAST[name]
     # int() would turn true into 1 and truncate 12.7 to 12
     truncates = cast is int and isinstance(value, float) and not value.is_integer()
     try:
@@ -611,7 +631,6 @@ def spec_number(name: str, value, path: str):
     except (TypeError, ValueError, OverflowError) as exc:
         noun = "an integer" if cast is int else "a number"
         raise ConfigError(f"{path}: expected {noun}, got {value!r}") from exc
-    least = SPEC_LEAST[name]
     if not out >= least:  # NaN fails the comparison too
         raise ConfigError(f"{path}: must be at least {least}, got {out}")
     if math.isinf(out):
@@ -748,13 +767,13 @@ class CheckKind:
         for key, value in params.items():
             if key not in self.defaults and key not in self.sets + self.operators:
                 raise ConfigError(f"{path}: unknown parameter {key!r}")
-            # an infinite tolerance or radius makes every check pass
-            if isinstance(value, float) and math.isinf(value):
+            if key in SPEC_LEAST:
+                params[key] = spec_number(key, value, f"{path}.{key}")
+            # an infinite radius makes every check pass
+            elif isinstance(value, float) and math.isinf(value):
                 raise ConfigError(f"{path}.{key}: must be finite, got {value}")
-            if key in _PARAM_RULES and not _PARAM_RULES[key][1](value):
+            elif key in _PARAM_RULES and not _PARAM_RULES[key][1](value):
                 raise ConfigError(f"{path}.{key}: must be {_PARAM_RULES[key][0]}, got {value!r}")
-        if "tol" in params:  # a check's own tol obeys the run's number rule
-            spec_number("tol", params["tol"], f"{path}.tol")
         for label, keys, named in (
             ("set", self.sets, spec.sets),
             ("operator", self.operators, spec.operators),
@@ -777,17 +796,21 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+def _is_dim(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _is_list(value, test) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(map(test, value))
 
 
 # what a check param of this name must be, and its test, checked before any
-# orbit is built; a sweep over no instances would pass having checked nothing
-_COUNT = ("an integer >= 1", _is_count)
+# orbit is built; a param named in SPEC_LEAST obeys that table instead
 _PARAM_RULES = {
     "radius": ("null or a number > 0", lambda v: v is None or _is_number(v) and v > 0.0),
     "tail_fraction": ("a number in (0, 1]", lambda v: _is_number(v) and 0.0 < v <= 1.0),
-    **dict.fromkeys(("instances", "pairs", "witnesses", "trials"), _COUNT),
+    "alphas": ("a nonempty list of numbers", lambda v: _is_list(v, _is_number)),
+    "dims": ("a nonempty list of integers >= 1", lambda v: _is_list(v, _is_dim)),
 }
 
 
@@ -928,8 +951,6 @@ def _run_check(spec, cdef, built, run_values, clusters):
             params[key] = run_values[key]
         elif key in named:
             params[key] = named[key][val]
-        elif key == "tol":  # YAML reads 1e-9 as a string; validate accepted it
-            params[key] = spec_number("tol", val, f"checks.{cdef.name}.params.tol")
     traj = built.get(cdef.trajectory)
     if kind.on_clusters:
         key = (cdef.trajectory, params.pop("tail_fraction"), params.pop("radius"))

@@ -980,11 +980,11 @@ def test_cluster_params_out_of_range_are_config_errors(tmp_path, capsys, kind, p
     "check, message",
     [
         ("kind: fejer, trajectory: orbit, params: {set: line, witnesses: 0}",
-         "witnesses: must be an integer >= 1, got 0"),
+         "witnesses: must be at least 1, got 0"),
         ("kind: fejer, trajectory: orbit, params: {set: line, witnesses: 2.5}",
-         "witnesses: must be an integer >= 1, got 2.5"),
+         "witnesses: expected an integer, got 2.5"),
         ("kind: nonexpansive, params: {operator: T, trials: -2}",
-         "trials: must be an integer >= 1, got -2"),
+         "trials: must be at least 1, got -2"),
     ],
     ids=["witnesses-0", "witnesses-float", "trials-negative"],
 )
@@ -995,6 +995,43 @@ def test_witness_and_trial_counts_below_one_are_config_errors(tmp_path, capsys, 
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert f"error: checks.count.params.{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ("kind: fejer, trajectory: orbit, params: {set: line, seed: -1}",
+         "seed: must be at least 0, got -1"),
+        ("kind: limit, trajectory: orbit, params: {tail_window: 1}",
+         "tail_window: must be at least 2, got 1"),
+        ("kind: affine_limit_sweep, params: {n_steps: 0}", "n_steps: must be at least 1, got 0"),
+        ("kind: scalar_averaged_sweep, params: {max_steps: 0}",
+         "max_steps: must be at least 1, got 0"),
+        ("kind: two_ball_sweep, params: {match_tol: .nan}",
+         "match_tol: must be at least 0.0, got nan"),
+        ("kind: two_ball_sweep, params: {fejer_tol: -1.0}",
+         "fejer_tol: must be at least 0.0, got -1.0"),
+        ("kind: scalar_averaged_sweep, params: {alphas: []}",
+         "alphas: must be a nonempty list of numbers, got []"),
+        ("kind: affine_limit_sweep, params: {dims: []}",
+         "dims: must be a nonempty list of integers >= 1, got []"),
+        ("kind: codim1_sweep, params: {dims: [2, 0]}",
+         "dims: must be a nonempty list of integers >= 1, got [2, 0]"),
+    ],
+    ids=[
+        "fejer-seed", "limit-tail-window", "affine-n-steps", "scalar-max-steps",
+        "two-ball-match-tol-nan", "two-ball-fejer-tol", "scalar-alphas", "affine-dims",
+        "codim1-dims",
+    ],
+)
+def test_a_check_number_obeys_the_scenario_number_rule(tmp_path, capsys, check, message):
+    # found with the spec, before any orbit is built: exit 2 with the field path
+    path = tmp_path / "bad-number.yaml"
+    path.write_text(CONFIG_TEXT + f"  - {{name: number, {check}}}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: checks.number.params.{message}" in capsys.readouterr().err
     assert not out.exists()
 
 

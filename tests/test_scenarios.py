@@ -572,6 +572,93 @@ def test_runtime_errors_attach_to_the_failing_check():
     assert "error" in artifacts.reports["displacement"].witness
 
 
+@pytest.mark.parametrize(
+    "key, value, least",
+    [("n_steps", 0, 1), ("seed", -1, 0), ("tail_window", 1, 2), ("tol", float("nan"), 0.0)],
+)
+def test_a_spec_built_in_python_obeys_the_number_rule(monkeypatch, key, value, least):
+    # as in a config: a ConfigError with the field path, before any orbit
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("an orbit was computed")
+
+    monkeypatch.setattr(scenarios, "iterate", no_orbit)
+    spec = ScenarioSpec(
+        name="numbers",
+        description="",
+        topic="",
+        operators={"T": Negation()},
+        trajectories=[TrajectoryDef("o", "raw", operator="T", start=[1.0])],
+        checks=[CheckDef("limit", "limit", "o", "oscillating")],
+        **{key: value},
+    )
+    with pytest.raises(ConfigError) as err:
+        run_scenario(spec)
+    assert str(err.value) == f"scenario.{key}: must be at least {least}, got {value}"
+
+
+def test_validate_stores_each_number_as_the_rule_reads_it():
+    spec = ScenarioSpec(
+        name="stored",
+        description="",
+        topic="",
+        n_steps=np.int64(6),
+        tol="1e-9",
+        sets={"origin": Hyperplane([1.0], 0.0)},
+        operators={"T": Negation()},
+        trajectories=[
+            TrajectoryDef("o", "raw", operator="T", start=(1,), n_steps=4.0),
+            TrajectoryDef("d", "difference", operator="T", start=2, partner=np.array([0])),
+        ],
+        checks=[
+            CheckDef("fejer", "fejer", "o", "pass", {"set": "origin", "witnesses": 3.0}),
+            CheckDef("sweep", "two_ball_sweep", None, None, {"pairs": "2", "match_tol": "1e-6"}),
+        ],
+    )
+    spec.validate()
+    assert (spec.n_steps, spec.tol) == (6, 1e-9)
+    assert type(spec.n_steps) is int and type(spec.tol) is float
+    o, d = spec.trajectories
+    assert (o.start, o.n_steps, d.start, d.partner) == ([1.0], 4, [2.0], [0.0])
+    assert type(o.n_steps) is int and type(d.partner[0]) is float
+    assert spec.checks[0].params == {"set": "origin", "witnesses": 3}
+    assert type(spec.checks[0].params["witnesses"]) is int
+    assert spec.checks[1].params == {"pairs": 2, "match_tol": 1e-6}
+
+
+def test_a_nan_tolerance_fails_a_sweep_comparison():
+    # NaN compares false: a gap "above" a NaN tolerance must count as a failure
+    nan = float("nan")
+    fails = run_two_ball_sweep(pairs=2, n_steps=1500, match_tol=1e-6)
+    assert (fails.verdict, fails.metadata["failures"]) == ("fail", 2)
+    nan_tol = run_two_ball_sweep(pairs=2, n_steps=1500, match_tol=nan)
+    assert (nan_tol.verdict, nan_tol.metadata["failures"]) == ("fail", 2)
+    assert run_affine_limit_sweep(instances=2).verdict == "pass"
+    nan_tol = run_affine_limit_sweep(instances=2, tol=nan)
+    assert (nan_tol.verdict, nan_tol.metadata["failures"]) == ("fail", 2)
+
+
+def test_the_scalar_sweep_takes_a_tail_of_at_most_the_whole_orbit():
+    report = run_scalar_averaged_sweep(instances=3, max_steps=100)
+    assert report.verdict in ("pass", "fail")
+    assert report.params["tail_window"] == 101
+    assert run_scalar_averaged_sweep(instances=3, max_steps=200, tail_window=50).params[
+        "tail_window"
+    ] == 50
+
+
+@pytest.mark.parametrize(
+    "sweep, key",
+    [
+        (run_scalar_averaged_sweep, "alphas"),
+        (run_affine_limit_sweep, "dims"),
+        (run_codim1_sweep, "dims"),
+    ],
+)
+def test_a_sweep_over_an_empty_list_is_a_value_error(sweep, key):
+    with pytest.raises(ValueError, match=rf"^len\({key}\) must be >= 1, got 0$"):
+        sweep(instances=2, **{key: ()})
+
+
 def test_a_trajectory_step_count_is_checked_with_the_spec():
     # as in a config, before any orbit is built
     def spec(n_steps):
@@ -633,7 +720,8 @@ def test_a_sweep_over_no_instances_is_an_error_not_a_pass(kind, params):
         topic="",
         checks=[CheckDef("sweep", kind, None, "pass", params)],
     )
-    with pytest.raises(ConfigError, match=f"^checks.sweep.params.{key}: must be an integer >= 1"):
+    with pytest.raises(ConfigError) as err:
         run_scenario(spec, n_steps=20)
+    assert str(err.value) == f"checks.sweep.params.{key}: must be at least 1, got {count}"
     with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {count}$"):
         getattr(scenarios, f"run_{kind}")(**params)
