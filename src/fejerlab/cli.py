@@ -7,6 +7,7 @@ Usage:
     fejerlab run --all [...]
     fejerlab export <scenario> [--out DIR] [...]
 
+Exactly one of a scenario name, --config and --all selects what runs.
 Exit codes: 0 when every expected verdict matched, 1 on any mismatch,
 2 on configuration errors.  The default output directory comes from the
 FEJERLAB_OUT environment variable; --out overrides it.
@@ -56,6 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_specs(args):
+    if sum(map(bool, (args.scenario, args.config, args.all))) > 1:
+        raise ConfigError("pass only one of a scenario name, --config FILE, or --all")
     if args.all:
         return [get_scenario(name) for name, _, _ in list_scenarios()]
     if args.config:

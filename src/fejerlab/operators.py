@@ -36,6 +36,7 @@ is expected to survive :func:`verify_averaged` empirically.
 from __future__ import annotations
 
 import ast
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -571,10 +572,13 @@ def certify(T: OperatorExpr) -> AveragednessCertificate:
 
 
 def _resolve_dim(T: OperatorExpr, dim: int | None) -> int:
-    d = T.dim if T.dim is not None else dim
-    if d is None:
+    if T.dim is not None:
+        return T.dim
+    if dim is None:
         raise ValueError("operator is dimension-free; pass dim= explicitly")
-    return d
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    return int(dim)
 
 
 def _verify_pairs(checker, T, violation, params, trials, seed, tol, dim, box):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+# some checkers are named only in CHECK_KINDS, which looks them up by name
 from .analysis import (
     check_asymptotic_regularity,
     check_cluster_orthogonality,
@@ -62,6 +63,7 @@ from .operators import (
     DouglasRachford,
     Identity,
     Negation,
+    OperatorExpr,
     Reflector,
     ScalarPiecewiseLinear,
     Translation,
@@ -527,7 +529,8 @@ class ScenarioSpec:
     checks: list = field(default_factory=list)
 
     def validate(self) -> None:
-        """Check every name, kind and check parameter against the tables.
+        """Check every name, kind and check parameter against the tables, and
+        each set and vector against the dimension of its trajectory.
 
         Each number the spec names, a check param of a name in
         :data:`SPEC_LEAST` included, is stored back as :func:`spec_number`
@@ -535,12 +538,11 @@ class ScenarioSpec:
         """
         for key in ("n_steps", "seed", "tol", "tail_window"):
             setattr(self, key, spec_number(key, getattr(self, key), f"scenario.{key}"))
-        names = set()
+        dims = {}  # the dimension of each trajectory's points
         for t in self.trajectories:
             path = f"trajectories.{t.name}"
-            if t.name in names:
+            if t.name in dims:
                 raise ConfigError(f"trajectories: duplicate name {t.name!r}")
-            names.add(t.name)
             if t.n_steps is not None:
                 t.n_steps = spec_number("n_steps", t.n_steps, f"{path}.n_steps")
             if t.kind not in TRAJECTORY_KINDS:
@@ -549,7 +551,7 @@ class ScenarioSpec:
                 raise ConfigError(f"{path}: unknown operator {t.operator!r}")
             if t.set_name is not None and t.set_name not in self.sets:
                 raise ConfigError(f"{path}: unknown set {t.set_name!r}")
-            if t.base is not None and t.base not in names:
+            if t.base is not None and t.base not in dims:
                 raise ConfigError(f"{path}: base {t.base!r} must be defined earlier")
             required = TRAJECTORY_KINDS[t.kind][1]
             if callable(required):
@@ -559,15 +561,20 @@ class ScenarioSpec:
                     # set_name is spelled "set" in a config
                     key = "set" if key == "set_name" else key
                     raise ConfigError(f"{path}: missing field {key!r}")
-            # finite vectors, of the operator's dimension where it has one
-            dim = self.operators[t.operator].dim if t.operator is not None else None
+            # finite vectors: a start of the operator's dimension where it has
+            # one, a partner or shift of the trajectory's, which is its base's
+            # where it reads one and else its start's
+            op_dim = self.operators[t.operator].dim if t.operator is not None else None
+            dim = dims[t.base] if "base" in required else op_dim
             for key in ("start", "partner", "shift"):
                 value = getattr(t, key)
                 if value is not None and not isinstance(value, str):
                     try:
-                        setattr(t, key, as_vector(value, dim).tolist())
+                        vec = as_vector(value, op_dim if key == "start" else dim)
                     except (TypeError, ValueError) as exc:
                         raise ConfigError(f"{path}.{key}: {exc}") from exc
+                    setattr(t, key, vec.tolist())
+                    dim = vec.size if dim is None else dim
             if t.points is not None:
                 try:
                     pts = np.asarray(t.points, dtype=float)
@@ -575,6 +582,15 @@ class ScenarioSpec:
                     pts = np.empty(0)
                 if pts.ndim != 2 or not pts.size or not np.isfinite(pts).all():
                     raise ConfigError(f"{path}.points: expected a nonempty finite (n, d) array")
+                dim = pts.shape[1]
+            if t.kind == "harmonic_rotation":
+                dim = 2  # a walk on the unit circle
+            if "set_name" in required and self.sets[t.set_name].dim != dim:
+                raise ConfigError(
+                    f"{path}.set: set {t.set_name!r} has dimension "
+                    f"{self.sets[t.set_name].dim}, base {t.base!r} has dimension {dim}"
+                )
+            dims[t.name] = dim
             if "shift" in required and isinstance(t.shift, str):
                 if t.shift not in _SHIFTS:
                     raise ConfigError(f"{path}: unknown shift {t.shift!r}")
@@ -589,7 +605,7 @@ class ScenarioSpec:
             kind = CHECK_KINDS.get(c.kind)
             if kind is None:
                 raise ConfigError(f"checks.{c.name}: unknown check kind {c.kind!r}")
-            if c.trajectory is not None and c.trajectory not in names:
+            if c.trajectory is not None and c.trajectory not in dims:
                 raise ConfigError(
                     f"checks.{c.name}: unknown trajectory {c.trajectory!r}"
                 )
@@ -600,6 +616,14 @@ class ScenarioSpec:
                     f"checks.{c.name}: unknown expected outcome {c.expect!r}"
                 )
             kind.validate(c.params, self, f"checks.{c.name}.params")
+            for key in kind.sets:  # each kind that names a set reads a trajectory
+                set_dim = self.sets[c.params[key]].dim
+                if set_dim != dims[c.trajectory]:
+                    raise ConfigError(
+                        f"checks.{c.name}.params.{key}: set {c.params[key]!r} has dimension "
+                        f"{set_dim}, trajectory {c.trajectory!r} has dimension "
+                        f"{dims[c.trajectory]}"
+                    )
 
 
 # What each number a scenario names must be: its type and least value.  The
@@ -750,7 +774,8 @@ class CheckKind:
     param is a key of ``defaults``.  Where ``on_clusters`` is set, ``run``
     gets the run's cluster set of the trajectory in its place, estimated
     once per run for each ``tail_fraction`` and ``radius``, which it does
-    not get as params.
+    not get as params.  Every kind but ``limit`` is a checker's, built by
+    :func:`checker_kind`, which reads all of this from the signature.
     """
 
     run: Callable
@@ -811,11 +836,8 @@ _PARAM_RULES = {
     "tail_fraction": ("a number in (0, 1]", lambda v: _is_number(v) and 0.0 < v <= 1.0),
     "alphas": ("a nonempty list of numbers", lambda v: _is_list(v, _is_number)),
     "dims": ("a nonempty list of integers >= 1", lambda v: _is_list(v, _is_dim)),
+    "dim": ("null or an integer >= 1", lambda v: v is None or _is_dim(v)),
 }
-
-
-def _verdict(report):
-    return report, report.verdict
 
 
 def _limit(traj, expect, tail_window, tol):
@@ -833,104 +855,96 @@ def _limit(traj, expect, tail_window, tol):
     return DiagnosticsReport.from_witness("detect_limit", witness, metadata=meta), est.status
 
 
-def _displacement_match(traj, expect, operator, tail, tol):
-    v_est, residual = displacement_from_orbit(traj, tail)
-    v_closed = two_ball_gap_vector(operator.first, operator.second)
+def _displacement_match(
+    trajectory, T: OperatorExpr, tail: int = 1000, tol: float = 1e-6
+) -> DiagnosticsReport:
+    """The drift of the orbit's tail against the closed-form drift of ``T``,
+    a Douglas-Rachford operator on two balls."""
+    v_est, residual = displacement_from_orbit(trajectory, tail)
+    v_closed = two_ball_gap_vector(T.first, T.second)
     gap = float(np.linalg.norm(v_est - v_closed))
-    return _verdict(
-        DiagnosticsReport.from_witness(
-            "displacement_match",
-            None if gap <= tol else {"gap": gap},
-            params={"tol": tol, "tail": tail},
-            metadata={
-                "estimated": v_est,
-                "closed_form": v_closed,
-                "gap": gap,
-                "tail_residual": residual,
-            },
-        )
+    return DiagnosticsReport.from_witness(
+        "displacement_match",
+        None if gap <= tol else {"gap": gap},
+        params={"tol": tol, "tail": tail},
+        metadata={
+            "estimated": v_est,
+            "closed_form": v_closed,
+            "gap": gap,
+            "tail_residual": residual,
+        },
     )
 
 
-def _sweep_kind(name: str) -> CheckKind:
-    """A sweep check: its params are the sweep's keyword arguments."""
-    params = inspect.signature(globals()[name]).parameters
-    # the sweep is looked up when the check runs, as every checker here is
+def checker_kind(name: str, accepts, refs=None, operator_rule=None) -> CheckKind:
+    """The check kind that binds a scenario's ``params`` to the checker
+    ``name`` of this module.
+
+    ``accepts`` names the params the kind accepts, or is None for every
+    param of the checker (a sweep's).  ``refs`` maps each param that names a
+    set or an operator of the scenario to the checker's parameter that gets
+    it.  The rest is read from the checker's signature: each default;
+    whether it reads a ``trajectory`` or a ``cluster`` set, the latter with
+    the ``tail_fraction`` and ``radius`` of :func:`estimate_cluster_set`;
+    and whether each reference is a set or an operator, from its
+    ``ConvexSet`` or ``OperatorExpr`` annotation.  A checker that reads the
+    scenario takes the run's ``seed``; a sweep keeps its own.  The checker
+    is looked up by name and called by keyword when the check runs.
+    """
+    refs = refs or {}
+    sig = inspect.signature(globals()[name]).parameters
+    reads = next((arg for arg in ("trajectory", "cluster") if arg in sig), None)
+    defaults = {key: sig[key].default for key in (sig if accepts is None else accepts)}
+    if reads == "cluster":
+        cluster = inspect.signature(estimate_cluster_set).parameters
+        defaults = {key: cluster[key].default for key in ("tail_fraction", "radius")} | defaults
+    if (reads or refs) and "seed" in defaults:
+        defaults["seed"] = FROM_RUN
+
+    def run(traj, expect, **params):
+        kwargs = {refs.get(key, key): value for key, value in params.items()}
+        if reads is not None:
+            kwargs[reads] = traj
+        report = globals()[name](**kwargs)
+        return report, report.verdict
+
+    def annotated(cls):
+        return tuple(key for key, arg in refs.items() if sig[arg].annotation == cls)
+
     return CheckKind(
-        lambda traj, expect, **kw: _verdict(globals()[name](**kw)),
-        defaults={key: p.default for key, p in params.items()},
-        needs_trajectory=False,
+        run,
+        sets=annotated("ConvexSet"),
+        operators=annotated("OperatorExpr"),
+        defaults=defaults,
+        needs_trajectory=reads is not None,
+        operator_rule=operator_rule,
+        on_clusters=reads == "cluster",
     )
 
-
-_WITNESSES = {"witnesses": 10, "seed": FROM_RUN}
-_CLUSTERS = {"tail_fraction": 0.5, "radius": None}
 
 CHECK_KINDS = {
-    "fejer": CheckKind(
-        lambda traj, expect, set, **kw: _verdict(check_fejer(traj, set, **kw)),
-        sets=("set",),
-        defaults={**_WITNESSES, "tol": 1e-10},
-    ),
-    "asymptotic_regularity": CheckKind(
-        lambda traj, expect, **kw: _verdict(check_asymptotic_regularity(traj, **kw)),
-        defaults={"tol": 1e-9},
-    ),
+    "fejer": checker_kind("check_fejer", ("witnesses", "seed", "tol"), {"set": "C"}),
+    "asymptotic_regularity": checker_kind("check_asymptotic_regularity", ("tol",)),
     "limit": CheckKind(_limit, defaults={"tail_window": FROM_RUN, "tol": FROM_RUN}),
-    "connectivity": CheckKind(
-        lambda cluster, expect: _verdict(check_connectivity(cluster)),
-        defaults=_CLUSTERS,
-        on_clusters=True,
+    "connectivity": checker_kind("check_connectivity", ()),
+    "cluster_orthogonality": checker_kind(
+        "check_cluster_orthogonality", ("witnesses", "seed", "tol"), {"set": "C"}
     ),
-    "cluster_orthogonality": CheckKind(
-        lambda cluster, expect, set, **kw: _verdict(
-            check_cluster_orthogonality(cluster, set, **kw)
-        ),
-        sets=("set",),
-        defaults={**_CLUSTERS, **_WITNESSES, "tol": 1e-8},
-        on_clusters=True,
+    "sum_decoupling": checker_kind(
+        "check_sum_decoupling", ("witnesses", "seed", "tol"), {"summand": "E", "cone": "K"}
     ),
-    "sum_decoupling": CheckKind(
-        lambda traj, expect, summand, cone, **kw: _verdict(
-            check_sum_decoupling(traj, summand, cone, **kw)
-        ),
-        sets=("summand", "cone"),
-        defaults={**_WITNESSES, "tol": 1e-10},
+    "shadow_superset": checker_kind(
+        "check_shadow_superset", ("tol", "witnesses", "seed"), {"inner": "C", "outer": "A"}
     ),
-    "shadow_superset": CheckKind(
-        lambda traj, expect, inner, outer, **kw: _verdict(
-            check_shadow_superset(traj, inner, outer, **kw)
-        ),
-        sets=("inner", "outer"),
-        defaults={"tol": 1e-6, **_WITNESSES},
+    "codim1": checker_kind("check_codim1_theorem", ("seed",), {"set": "C"}),
+    "nonexpansive": checker_kind(
+        "verify_nonexpansive", ("trials", "seed", "tol", "dim"), {"operator": "T"}
     ),
-    "codim1": CheckKind(
-        lambda traj, expect, set, **kw: _verdict(check_codim1_theorem(set, traj, **kw)),
-        sets=("set",),
-        defaults={"seed": FROM_RUN},
+    "displacement_match": checker_kind(
+        "_displacement_match", ("tail", "tol"), {"operator": "T"}, _TWO_BALL_DR
     ),
-    "nonexpansive": CheckKind(
-        lambda traj, expect, operator, **kw: _verdict(verify_nonexpansive(operator, **kw)),
-        operators=("operator",),
-        defaults={"trials": 1000, "seed": FROM_RUN, "tol": 1e-9, "dim": None},
-        needs_trajectory=False,
-    ),
-    "displacement_match": CheckKind(
-        _displacement_match,
-        operators=("operator",),
-        defaults={"tail": 1000, "tol": 1e-6},
-        operator_rule=_TWO_BALL_DR,
-    ),
-    **{
-        kind: _sweep_kind(f"run_{kind}")
-        for kind in (
-            "scalar_averaged_sweep",
-            "affine_limit_sweep",
-            "codim1_sweep",
-            "decoupling_sweep",
-            "two_ball_sweep",
-        )
-    },
+    # each run_<kind>_sweep of this module, with every param of its signature
+    **{name[4:]: checker_kind(name, None) for name in __all__ if name.endswith("_sweep")},
 }
 
 

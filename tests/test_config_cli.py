@@ -1053,3 +1053,38 @@ def test_cli_steps_override(tmp_path):
     assert main(["export", "negation-r1", "--out", str(tmp_path), "--steps", "7"]) == 0
     csv = (tmp_path / "negation-r1" / "orbit.csv").read_text().strip().splitlines()
     assert len(csv) == 9  # header + 8 points
+
+
+@pytest.mark.parametrize("dim, shown", [("0", "0"), ("-3", "-3"), ("true", "True"), ("2.5", "2.5")])
+def test_a_nonexpansive_dim_obeys_its_rule(tmp_path, capsys, dim, shown):
+    # found with the spec, before any orbit is built: exit 2 with the field path
+    path = tmp_path / "bad-dim.yaml"
+    path.write_text(
+        CONFIG_TEXT.replace("operators:\n", "operators:\n  N: {kind: negation}\n")
+        + f"  - {{name: nonexp, kind: nonexpansive, params: {{operator: N, dim: {dim}}}}}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: checks.nonexp.params.dim: must be null or an integer >= 1, got {shown}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "export"])
+@pytest.mark.parametrize(
+    "selectors",
+    [["negation-r1", "--config", "{config}"], ["negation-r1", "--all"], ["--config", "{config}", "--all"]],
+    ids=["name-config", "name-all", "config-all"],
+)
+def test_more_than_one_scenario_selector_is_a_config_error(tmp_path, capsys, command, selectors):
+    config = tmp_path / "custom.yaml"
+    config.write_text(CONFIG_TEXT, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, *(arg.format(config=config) for arg in selectors), "--out", str(out)]
+    assert main(argv) == 2
+    assert (
+        "error: pass only one of a scenario name, --config FILE, or --all"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()

@@ -377,6 +377,18 @@ def test_verify_nonexpansive_isometry_and_expansion():
     assert np.isclose(rep.witness["violation"], np.linalg.norm(x - y))
 
 
+@pytest.mark.parametrize("dim", [0, -1, True, 2.0, "2"])
+@pytest.mark.parametrize(
+    "verify",
+    [verify_nonexpansive, lambda T, **kw: verify_averaged(T, 0.5, **kw)],
+    ids=["nonexpansive", "averaged"],
+)
+def test_a_bad_dim_is_a_value_error_that_names_dim(verify, dim):
+    # a dimension-free operator takes the dim it is given
+    with pytest.raises(ValueError, match=f"^dim must be an integer >= 1, got {dim!r}$"):
+        verify(Negation(), dim=dim)
+
+
 def test_verify_nonexpansive_dr_two_balls():
     T = DouglasRachford(Ball([0.0] * 3, 1.0), Ball([5.0, 0.0, 0.0], 1.0))
     assert verify_nonexpansive(T, trials=1000, seed=2, tol=1e-9).passed

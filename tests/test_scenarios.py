@@ -12,7 +12,7 @@ from fejerlab.dynamics import (
     iterate,
 )
 from fejerlab.errors import ConfigError
-from fejerlab.geometry import Ball, Halfspace, Hyperplane, Ray
+from fejerlab.geometry import Ball, Halfspace, Hyperplane, Point, Ray
 from fejerlab.operators import (
     ConvexCombination,
     DouglasRachford,
@@ -725,3 +725,188 @@ def test_a_sweep_over_no_instances_is_an_error_not_a_pass(kind, params):
     assert str(err.value) == f"checks.sweep.params.{key}: must be at least 1, got {count}"
     with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {count}$"):
         getattr(scenarios, f"run_{kind}")(**params)
+
+
+# Every check kind's config surface: the params it accepts with their resolved
+# defaults ("run" for the run's value), its set and operator references, and
+# whether it reads a trajectory, the trajectory's cluster set, or neither.
+CHECK_KIND_SURFACE = {
+    "fejer": ({"witnesses": 10, "seed": "run", "tol": 1e-10}, ("set",), (), "trajectory"),
+    "asymptotic_regularity": ({"tol": 1e-9}, (), (), "trajectory"),
+    "limit": ({"tail_window": "run", "tol": "run"}, (), (), "trajectory"),
+    "connectivity": ({"tail_fraction": 0.5, "radius": None}, (), (), "cluster"),
+    "cluster_orthogonality": (
+        {"tail_fraction": 0.5, "radius": None, "witnesses": 10, "seed": "run", "tol": 1e-8},
+        ("set",), (), "cluster",
+    ),
+    "sum_decoupling": (
+        {"witnesses": 10, "seed": "run", "tol": 1e-10}, ("summand", "cone"), (), "trajectory",
+    ),
+    "shadow_superset": (
+        {"tol": 1e-6, "witnesses": 10, "seed": "run"}, ("inner", "outer"), (), "trajectory",
+    ),
+    "codim1": ({"seed": "run"}, ("set",), (), "trajectory"),
+    "nonexpansive": (
+        {"trials": 1000, "seed": "run", "tol": 1e-9, "dim": None}, (), ("operator",), None,
+    ),
+    "displacement_match": ({"tail": 1000, "tol": 1e-6}, (), ("operator",), "trajectory"),
+    "scalar_averaged_sweep": (
+        {
+            "instances": 200, "alphas": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
+            "seed": 2025, "max_steps": 100_000, "tail_window": 1000, "tol": 1e-9,
+            "start_span": 10.0,
+        },
+        (), (), None,
+    ),
+    "affine_limit_sweep": (
+        {"instances": 50, "dims": (2, 3, 4), "seed": 2026, "n_steps": 4000, "tol": 1e-6},
+        (), (), None,
+    ),
+    "codim1_sweep": (
+        {"instances": 50, "dims": (2, 3), "seed": 2027, "n_steps": 3000}, (), (), None,
+    ),
+    "decoupling_sweep": (
+        {"instances": 50, "seed": 2028, "witnesses": 10, "tol": 1e-10}, (), (), None,
+    ),
+    "two_ball_sweep": (
+        {
+            "pairs": 20, "seed": 2029, "n_steps": 100_000, "tail": 1000,
+            "match_tol": 1e-6, "fejer_tol": 1e-9,
+        },
+        (), (), None,
+    ),
+}
+
+
+def test_the_check_kind_table_keeps_its_config_surface():
+    assert set(scenarios.CHECK_KINDS) == set(CHECK_KIND_SURFACE)
+    for name, kind in scenarios.CHECK_KINDS.items():
+        defaults = {
+            key: "run" if value is scenarios.FROM_RUN else value
+            for key, value in kind.defaults.items()
+        }
+        reads = "cluster" if kind.on_clusters else "trajectory" if kind.needs_trajectory else None
+        surface = (defaults, tuple(kind.sets), tuple(kind.operators), reads)
+        assert surface == CHECK_KIND_SURFACE[name], name
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("fejer", {"set": "axis", "witness_radius": 1.0}),
+        ("cluster_orthogonality", {"set": "axis", "witness_radius": 1.0}),
+        ("nonexpansive", {"operator": "T", "box": 1.0}),
+        ("codim1", {"set": "axis", "witnesses": 3}),
+        ("codim1", {"set": "axis", "fejer_tol": 1e-9}),
+        ("codim1", {"set": "axis", "ar_tol": 1e-9}),
+        ("codim1", {"set": "axis", "limit_tol": 1e-9}),
+        ("codim1", {"set": "axis", "tail_window": 10}),
+        ("shadow_superset", {"inner": "axis", "outer": "axis", "tail_window": 10}),
+        ("connectivity", {"tol": 1e-9}),
+    ],
+)
+def test_a_checker_param_the_kind_does_not_accept_is_refused(kind, params):
+    spec = ScenarioSpec(
+        name="unaccepted",
+        description="",
+        topic="",
+        sets={"axis": Hyperplane([1.0, 0.0], 0.0)},
+        operators={"T": Negation()},
+        trajectories=[TrajectoryDef("orbit", "harmonic_rotation")],
+        checks=[CheckDef("check", kind, "orbit", None, params)],
+    )
+    key = list(params)[-1]
+    with pytest.raises(ConfigError, match=f"^checks.check.params: unknown parameter '{key}'$"):
+        spec.validate()
+
+
+def _walk_spec(trajectories, checks=(), sets=None):
+    return ScenarioSpec(
+        name="dims",
+        description="",
+        topic="",
+        sets=sets or {},
+        operators={"T": Negation(), "I": Identity()},
+        trajectories=[
+            TrajectoryDef("walk", "points", points=[[2.0, 0.0], [1.0, 0.0]]),
+            *trajectories,
+        ],
+        checks=list(checks),
+    )
+
+
+@pytest.mark.parametrize(
+    "trajectories, checks, sets, message",
+    [
+        (
+            [],
+            [CheckDef("fejer", "fejer", "walk", "pass", {"set": "p"})],
+            {"p": Point([0.0, 0.0, 0.0])},
+            "checks.fejer.params.set: set 'p' has dimension 3, trajectory 'walk' has dimension 2",
+        ),
+        (
+            [TrajectoryDef("circle", "harmonic_rotation")],
+            [CheckDef("dec", "sum_decoupling", "circle", "pass", {"summand": "p", "cone": "k"})],
+            {"p": Point([0.0, 0.0]), "k": Ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])},
+            "checks.dec.params.cone: set 'k' has dimension 3, trajectory 'circle' has dimension 2",
+        ),
+        (
+            [TrajectoryDef("orbit", "raw", operator="T", start=[1.0])],
+            [CheckDef("clusters", "cluster_orthogonality", "orbit", "pass", {"set": "p"})],
+            {"p": Point([0.0, 0.0])},
+            "checks.clusters.params.set: set 'p' has dimension 2, trajectory 'orbit' has dimension 1",
+        ),
+        (
+            [TrajectoryDef("shadow", "shadow", base="walk", set_name="b")],
+            [],
+            {"b": Ball([0.0, 0.0, 0.0], 1.0)},
+            "trajectories.shadow.set: set 'b' has dimension 3, base 'walk' has dimension 2",
+        ),
+        (
+            [TrajectoryDef("nz", "normalized", base="walk", shift=[1.0, 0.0, 0.0])],
+            [],
+            None,
+            "trajectories.nz.shift: expected dimension 2, got 3",
+        ),
+        (
+            [TrajectoryDef("nz", "normalized", operator="I", start=[1.0, 2.0], shift=[1.0])],
+            [],
+            None,
+            "trajectories.nz.shift: expected dimension 2, got 1",
+        ),
+        (
+            [TrajectoryDef("diff", "difference", operator="I", start=[1.0], partner=[1.0, 2.0])],
+            [],
+            None,
+            "trajectories.diff.partner: expected dimension 1, got 2",
+        ),
+    ],
+    ids=[
+        "fejer-set", "decoupling-cone", "orthogonality-set", "shadow-set", "base-shift",
+        "start-shift", "partner",
+    ],
+)
+def test_a_set_or_vector_of_another_dimension_than_its_trajectory_is_refused(
+    monkeypatch, trajectories, checks, sets, message
+):
+    # refused with the spec, before any orbit is computed
+    monkeypatch.setattr(scenarios, "iterate", lambda *a, **k: pytest.fail("orbit computed"))
+    spec = _walk_spec(trajectories, checks, sets)
+    with pytest.raises(ConfigError) as err:
+        run_scenario(spec)
+    assert str(err.value) == message
+
+
+def test_a_set_of_the_trajectory_dimension_passes_validation():
+    spec = _walk_spec(
+        [
+            TrajectoryDef("shadow", "shadow", base="walk", set_name="b"),
+            TrajectoryDef("nz", "normalized", base="shadow", shift=[1.0, 0.0]),
+        ],
+        [
+            CheckDef("fejer", "fejer", "nz", None, {"set": "b"}),
+            CheckDef("walk-fejer", "fejer", "walk", "pass", {"set": "b"}),
+        ],
+        {"b": Ball([0.0, 0.0], 1.0)},
+    )
+    assert all(o.matched for o in run_scenario(spec).summary)

@@ -1,0 +1,57 @@
+"""The measurement tools under ``tools/`` run end to end at a tiny size, each
+in a fresh process, and print one JSON object."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fejerlab
+
+SRC = Path(fejerlab.__file__).resolve().parents[1]
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def run_tool(name, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / name), *args],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)  # exactly one JSON object, nothing else
+
+
+def _all_positive(figures):
+    return figures and all(math.isfinite(v) and v > 0.0 for v in figures.values())
+
+
+def test_registry_at_scale_reports_every_check_matched():
+    out = run_tool("registry_at_scale.py", "--steps", "2000", "negation-r1", "codim1-reflection")
+    assert out["steps"] == 2000
+    assert list(out["scenarios"]) == ["negation-r1", "codim1-reflection"]
+    for run in out["scenarios"].values():
+        assert run["exit"] == 0
+        assert run["other_output"] == []
+        assert run["checks"]
+        assert all(check["matched"] for check in run["checks"].values())
+    assert set(out["scenarios"]["codim1-reflection"]["checks"]) == {
+        "fejer", "asymptotic-regularity", "guarantee", "limit",
+    }
+
+
+def test_iterate_per_step_times_every_family():
+    out = run_tool("iterate_per_step.py", "--steps", "1000", "--repeats", "1")
+    assert (out["steps"], out["repeats"]) == (1000, 1)
+    assert _all_positive(out["us_per_step"])
+
+
+def test_checker_per_point_times_every_dimension():
+    out = run_tool("checker_per_point.py", "--rows", "1000", "--repeats", "1")
+    assert (out["rows"], out["witnesses"], out["repeats"]) == (1000, 10, 1)
+    assert set(out["ns_per_row_witness"]) == {f"check_fejer.d{d}" for d in (1, 2, 3, 4)}
+    assert _all_positive(out["ns_per_row_witness"])
