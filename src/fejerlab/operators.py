@@ -572,12 +572,16 @@ def certify(T: OperatorExpr) -> AveragednessCertificate:
 
 
 def _resolve_dim(T: OperatorExpr, dim: int | None) -> int:
-    if T.dim is not None:
-        return T.dim
+    """``dim``, or the operator's own dimension when ``dim`` is None; a
+    ``dim`` other than the operator's own is an error."""
     if dim is None:
-        raise ValueError("operator is dimension-free; pass dim= explicitly")
+        if T.dim is None:
+            raise ValueError("operator is dimension-free; pass dim= explicitly")
+        return T.dim
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
         raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    if T.dim not in (None, dim):
+        raise ValueError(f"dim is {dim}, but the operator has dimension {T.dim}")
     return int(dim)
 
 

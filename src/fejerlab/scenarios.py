@@ -45,7 +45,7 @@ from .dynamics import (
     periodic_rows,
     shadow,
 )
-from .errors import ConfigError
+from .errors import ConfigError, MonotonicityViolationError
 from .exports import export_run
 from .geometry import (
     Ball,
@@ -114,23 +114,37 @@ def harmonic_rotation_sequence(n_steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _require_some(name: str, count) -> None:
-    """A sweep over no instances would pass having checked nothing."""
-    if not count >= 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
+def _sweep(run):
+    """The sweep ``run_<kind>``, its arguments checked as its check kind's
+    params are, or a ConfigError naming ``run_<kind>.<arg>``, before any
+    instance.  ``run`` returns its failures, its counts and, optionally, the
+    arguments it used in place of those given: all but ``seed`` are the
+    report's params, each list as a list.  The first failure is the witness.
+    """
+    kind = run.__name__[4:]
+    signature = inspect.signature(run)
+
+    @functools.wraps(run)
+    def sweep(*args, **kwargs) -> DiagnosticsReport:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        params = bound.arguments
+        CHECK_KINDS[kind].validate(params, None, run.__name__)
+        failures, counts, *used = run(**params)
+        params.update(*used)
+        seed = params.pop("seed")
+        return DiagnosticsReport.from_witness(
+            kind,
+            {"first_failure": failures[0]} if failures else None,
+            params={k: list(v) if isinstance(v, tuple) else v for k, v in params.items()},
+            seed=seed,
+            metadata={**counts, "failures": len(failures)},
+        )
+
+    return sweep
 
 
-def _sweep_report(checker, failures, params, seed, **counts) -> DiagnosticsReport:
-    """The first failed instance, if any, is the witness."""
-    return DiagnosticsReport.from_witness(
-        checker,
-        {"first_failure": failures[0]} if failures else None,
-        params=params,
-        seed=seed,
-        metadata={**counts, "failures": len(failures)},
-    )
-
-
+@_sweep
 def run_scalar_averaged_sweep(
     instances: int = 200,
     alphas: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
@@ -147,8 +161,6 @@ def run_scalar_averaged_sweep(
     ``max_steps``, (ii) |a_{n+1}| <= |a_n|, and (iii) the contraction
     |a_{n+1}| <= |1 - 2a| |a_n| at every sign change.
     """
-    _require_some("instances", instances)
-    _require_some("len(alphas)", len(alphas))
     # a tail of at most the orbit's rows, as the limit check takes it
     tail_window = min(tail_window, max_steps + 1)
     rng = np.random.default_rng(seed)
@@ -156,54 +168,39 @@ def run_scalar_averaged_sweep(
     converged = 0
     for i in range(instances):
         alpha = float(alphas[i % len(alphas)])
-        R = random_scalar_piecewise_linear(rng)
-        T = ConvexCombination(alpha, Identity(), R)
+        T = ConvexCombination(alpha, Identity(), random_scalar_piecewise_linear(rng))
         x = float(rng.uniform(-start_span, start_span))
         y = float(rng.uniform(-start_span, start_span))
-        orbit_x = iterate(T, [x], max_steps)
-        orbit_y = iterate(T, [y], max_steps)
-        # detect_limit reads the tail only
-        tail = orbit_x.tail(tail_window) - orbit_y.tail(tail_window)
-        est = detect_limit(Trajectory._own(tail), tail_window, tol)
+        orbit_x, orbit_y = iterate(T, [x], max_steps), iterate(T, [y], max_steps)
+        try:
+            diff = difference_orbit(orbit_x, orbit_y)
+        except MonotonicityViolationError:
+            failures.append(
+                {"instance": i, "alpha": alpha, "problem": "magnitude_monotonicity"}
+            )
+            continue
+        est = detect_limit(diff, tail_window, tol)
         if est.status != CONVERGED:
             failures.append(
                 {"instance": i, "alpha": alpha, "problem": "limit", "status": est.status}
             )
             continue
         converged += 1
-        # the per-step checks below see every value in the rows before the
-        # two orbits' joint cycle repeats
-        rows = periodic_rows(orbit_x, orbit_y)
-        head_x, head_y = orbit_x.rows(0, rows), orbit_y.rows(0, rows)
-        a = head_x[:, 0] - head_y[:, 0]
+        # every sign change is in the rows before the joint cycle repeats
+        a = diff.rows(0, periodic_rows(diff))[:, 0]
+        flips = np.nonzero(a[1:] * a[:-1] < 0.0)[0]
+        if not flips.size:
+            continue
         # slack scaled by the iterate magnitude: the difference of two large
         # floating-point orbits cannot be monotone to an absolute 1e-12
-        slack = difference_monotonicity_slack(head_x, head_y)
+        slack = difference_monotonicity_slack(orbit_x.rows(0, a.size), orbit_y.rows(0, a.size))
         mag = np.abs(a)
-        if float((mag[1:] - mag[:-1] - slack).max()) > 0.0:
-            failures.append(
-                {"instance": i, "alpha": alpha, "problem": "magnitude_monotonicity"}
-            )
-            continue
         beta = abs(1.0 - 2.0 * alpha)
-        flips = np.nonzero(a[1:] * a[:-1] < 0.0)[0]
-        if flips.size and float(
-            (mag[flips + 1] - beta * mag[flips] - slack[flips]).max()
-        ) > 0.0:
+        if float((mag[flips + 1] - beta * mag[flips] - slack[flips]).max()) > 0.0:
             failures.append(
                 {"instance": i, "alpha": alpha, "problem": "sign_flip_contraction"}
             )
-    params = {
-        "instances": instances,
-        "alphas": list(alphas),
-        "max_steps": max_steps,
-        "tail_window": tail_window,
-        "tol": tol,
-        "start_span": start_span,
-    }
-    return _sweep_report(
-        "scalar_averaged_sweep", failures, params, seed, converged=converged
-    )
+    return failures, {"converged": converged}, {"tail_window": tail_window}
 
 
 def _random_orthogonal(rng, dim: int, min_angle: float = 0.3) -> np.ndarray:
@@ -221,6 +218,7 @@ def _random_orthogonal(rng, dim: int, min_angle: float = 0.3) -> np.ndarray:
     raise RuntimeError("could not draw a well-conditioned rotation")
 
 
+@_sweep
 def run_affine_limit_sweep(
     instances: int = 50,
     dims: tuple = (2, 3, 4),
@@ -234,8 +232,6 @@ def run_affine_limit_sweep(
     L = (1-a) Id + a Q with Q orthogonal; the independent oracle projects
     x - y onto null(Id - L) via an orthonormal null-space basis.
     """
-    _require_some("instances", instances)
-    _require_some("len(dims)", len(dims))
     from scipy.linalg import null_space
 
     rng = np.random.default_rng(seed)
@@ -263,10 +259,10 @@ def run_affine_limit_sweep(
                     "gap": float(np.linalg.norm(est.limit - target)),
                 }
             )
-    params = {"instances": instances, "dims": list(dims), "n_steps": n_steps, "tol": tol}
-    return _sweep_report("affine_limit_sweep", failures, params, seed)
+    return failures, {}
 
 
+@_sweep
 def run_codim1_sweep(
     instances: int = 50,
     dims: tuple = (2, 3),
@@ -278,8 +274,6 @@ def run_codim1_sweep(
 
     Any hypotheses-pass/no-convergence outcome is a FAIL of the whole sweep.
     """
-    _require_some("instances", instances)
-    _require_some("len(dims)", len(dims))
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(instances):
@@ -290,13 +284,12 @@ def run_codim1_sweep(
         alpha = float(rng.uniform(0.05, 0.95))
         T = ConvexCombination(alpha, Identity(), Reflector(C))
         x0 = rng.uniform(-5, 5, d)
-        rep = check_codim1_theorem(C, iterate(T, x0, n_steps), seed=i, tail_window=500)
+        rep = check_codim1_theorem(C, iterate(T, x0, n_steps), seed=i)
         if not rep.passed:
             failures.append(
                 {"instance": i, "verdict": rep.verdict, "witness": rep.witness}
             )
-    params = {"instances": instances, "dims": list(dims), "n_steps": n_steps}
-    return _sweep_report("codim1_sweep", failures, params, seed)
+    return failures, {}
 
 
 def _dual_cone_interior_point(rng, K: ConvexSet, margin: float = 0.3) -> np.ndarray:
@@ -387,6 +380,7 @@ def _decoupling_instance(rng, kind: str):
     return Trajectory(pts), E, K, kind
 
 
+@_sweep
 def run_decoupling_sweep(
     instances: int = 50,
     seed: int = 2028,
@@ -395,7 +389,6 @@ def run_decoupling_sweep(
 ) -> DiagnosticsReport:
     """The decoupled Fejer check (vs E, plus steps in the dual cone) must
     agree in verdict with the direct check against E + K on every instance."""
-    _require_some("instances", instances)
     rng = np.random.default_rng(seed)
     kinds = ["good", "bad_fejer", "good", "bad_cone", "good"]
     failures = []
@@ -423,10 +416,10 @@ def run_decoupling_sweep(
                 }
             )
         built += 1
-    params = {"instances": instances, "witnesses": witnesses, "tol": tol}
-    return _sweep_report("decoupling_sweep", failures, params, seed)
+    return failures, {}
 
 
+@_sweep
 def run_two_ball_sweep(
     pairs: int = 20,
     seed: int = 2029,
@@ -438,7 +431,6 @@ def run_two_ball_sweep(
     """Two-ball splitting drift: tail estimate vs closed form, plus Fejer
     monotonicity of the drift-compensated orbit with respect to the fixed ray.
     """
-    _require_some("pairs", pairs)
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(pairs):
@@ -452,27 +444,16 @@ def run_two_ball_sweep(
         T = DouglasRachford(A, B)
         x0 = ca + rng.uniform(-3, 3, 3)
         orbit = iterate(T, x0, n_steps)
-        v_est, residual = displacement_from_orbit(orbit, tail)
-        v_closed = two_ball_gap_vector(A, B)
-        gap = float(np.linalg.norm(v_est - v_closed))
-        if not gap <= match_tol:  # NaN fails
-            failures.append({"pair": i, "problem": "displacement", "gap": gap})
+        match = _displacement_match(orbit, T, tail, match_tol)
+        if match.failed:
+            failures.append({"pair": i, "problem": "displacement", **match.witness})
             continue
-        ray = fixed_set_description(T, v_closed)
-        normalized = normalized_from_raw(orbit, v_closed)
-        rep = check_fejer(
-            normalized, ray, witnesses=10, seed=i, tol=fejer_tol
-        )
+        v = match.metadata["closed_form"]
+        ray = fixed_set_description(T, v)
+        rep = check_fejer(normalized_from_raw(orbit, v), ray, seed=i, tol=fejer_tol)
         if not rep.passed:
             failures.append({"pair": i, "problem": "fejer", "witness": rep.witness})
-    params = {
-        "pairs": pairs,
-        "n_steps": n_steps,
-        "tail": tail,
-        "match_tol": match_tol,
-        "fejer_tol": fejer_tol,
-    }
-    return _sweep_report("two_ball_sweep", failures, params, seed)
+    return failures, {}
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +547,11 @@ class ScenarioSpec:
             # where it reads one and else its start's
             op_dim = self.operators[t.operator].dim if t.operator is not None else None
             dim = dims[t.base] if "base" in required else op_dim
+            if op_dim not in (None, dim):
+                raise ConfigError(
+                    f"{path}.operator: operator {t.operator!r} has dimension {op_dim}, "
+                    f"base {t.base!r} has dimension {dim}"
+                )
             for key in ("start", "partner", "shift"):
                 value = getattr(t, key)
                 if value is not None and not isinstance(value, str):
@@ -615,15 +601,23 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"checks.{c.name}: unknown expected outcome {c.expect!r}"
                 )
-            kind.validate(c.params, self, f"checks.{c.name}.params")
-            for key in kind.sets:  # each kind that names a set reads a trajectory
-                set_dim = self.sets[c.params[key]].dim
-                if set_dim != dims[c.trajectory]:
-                    raise ConfigError(
-                        f"checks.{c.name}.params.{key}: set {c.params[key]!r} has dimension "
-                        f"{set_dim}, trajectory {c.trajectory!r} has dimension "
-                        f"{dims[c.trajectory]}"
-                    )
+            path = f"checks.{c.name}.params"
+            kind.validate(c.params, self, path)
+            # a set, and an operator of a dimension, has the dimension of the
+            # trajectory the check reads and of the pairs it draws
+            for label, keys in (("set", kind.sets), ("operator", kind.operators)):
+                for key in keys:
+                    ref = f"{label} {c.params[key]!r} has dimension"
+                    ref_dim = getattr(self, f"{label}s")[c.params[key]].dim
+                    if ref_dim is None:  # an operator without one, such as identity
+                        continue
+                    if kind.needs_trajectory and ref_dim != dims[c.trajectory]:
+                        raise ConfigError(
+                            f"{path}.{key}: {ref} {ref_dim}, trajectory {c.trajectory!r} "
+                            f"has dimension {dims[c.trajectory]}"
+                        )
+                    if c.params.get("dim") not in (None, ref_dim):
+                        raise ConfigError(f"{path}.dim: {ref} {ref_dim}, got {c.params['dim']}")
 
 
 # What each number a scenario names must be: its type and least value.  The
@@ -799,13 +793,12 @@ class CheckKind:
                 raise ConfigError(f"{path}.{key}: must be finite, got {value}")
             elif key in _PARAM_RULES and not _PARAM_RULES[key][1](value):
                 raise ConfigError(f"{path}.{key}: must be {_PARAM_RULES[key][0]}, got {value!r}")
-        for label, keys, named in (
-            ("set", self.sets, spec.sets),
-            ("operator", self.operators, spec.operators),
-        ):
+        # only a kind that names a set or an operator reads the spec
+        for label, keys in (("set", self.sets), ("operator", self.operators)):
             for key in keys:
                 if params.get(key) is None:
                     raise ConfigError(f"{path}: missing parameter {key!r}")
+                named = getattr(spec, f"{label}s")
                 if not isinstance(params[key], str) or params[key] not in named:
                     raise ConfigError(
                         f"{path}.{key}: unknown {label} reference {params[key]!r}"

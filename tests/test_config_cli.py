@@ -1088,3 +1088,51 @@ def test_more_than_one_scenario_selector_is_a_config_error(tmp_path, capsys, com
         in capsys.readouterr().err
     )
     assert not out.exists()
+
+
+DR_3D = (
+    "  D:\n    kind: douglas_rachford\n"
+    "    first: {kind: ball, center: [0.0, 0.0, 0.0], radius: 1.0}\n"
+    "    second: {kind: ball, center: [5.0, 0.0, 0.0], radius: 1.0}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "trajectory, check, message",
+    [
+        (
+            "",
+            "{name: dm, kind: displacement_match, trajectory: orbit, params: {operator: D}}",
+            "checks.dm.params.operator: operator 'D' has dimension 3, "
+            "trajectory 'orbit' has dimension 2",
+        ),
+        (
+            "  - {name: nz, kind: normalized, base: orbit, operator: D, shift: two_ball}\n",
+            "{name: nz-limit, kind: limit, trajectory: nz}",
+            "trajectories.nz.operator: operator 'D' has dimension 3, "
+            "base 'orbit' has dimension 2",
+        ),
+        (
+            "",
+            "{name: nonexp, kind: nonexpansive, params: {operator: T, dim: 3}}",
+            "checks.nonexp.params.dim: operator 'T' has dimension 2, got 3",
+        ),
+    ],
+    ids=["check-operator", "shift-operator", "nonexpansive-dim"],
+)
+def test_an_operator_of_another_dimension_is_a_config_error(
+    tmp_path, capsys, trajectory, check, message
+):
+    # found with the spec, before any orbit is built: exit 2 with the field path
+    path = tmp_path / "operator-dim.yaml"
+    path.write_text(
+        CONFIG_TEXT.replace("operators:\n", "operators:\n" + DR_3D).replace(
+            "checks:\n", trajectory + "checks:\n"
+        )
+        + f"  - {check}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

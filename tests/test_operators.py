@@ -389,6 +389,17 @@ def test_a_bad_dim_is_a_value_error_that_names_dim(verify, dim):
         verify(Negation(), dim=dim)
 
 
+@pytest.mark.parametrize(
+    "verify",
+    [verify_nonexpansive, lambda T, **kw: verify_averaged(T, 0.5, **kw)],
+    ids=["nonexpansive", "averaged"],
+)
+def test_a_dim_other_than_the_operators_own_is_a_value_error(verify):
+    with pytest.raises(ValueError, match=r"^dim is 3, but the operator has dimension 2$"):
+        verify(Linear(np.eye(2)), dim=3, trials=5)
+    assert verify(Linear(np.eye(2)), dim=2, trials=5).params["dim"] == 2
+
+
 def test_verify_nonexpansive_dr_two_balls():
     T = DouglasRachford(Ball([0.0] * 3, 1.0), Ball([5.0, 0.0, 0.0], 1.0))
     assert verify_nonexpansive(T, trials=1000, seed=2, tol=1e-9).passed

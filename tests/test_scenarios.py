@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
+import math
 
 import numpy as np
 import pytest
 
-from fejerlab import scenarios
+from fejerlab import dynamics, scenarios
 from fejerlab.dynamics import (
     CONVERGED,
     Trajectory,
@@ -428,13 +430,6 @@ def _scalar_sweep_read_in_full(instances, seed, tol, slack_scale):
         y = float(rng.uniform(-10.0, 10.0))
         px, py = iterate(T, [x], 100_000).points, iterate(T, [y], 100_000).points
         diff = Trajectory(px - py)
-        est = detect_limit(diff, 1000, tol)
-        if est.status != CONVERGED:
-            failures.append(
-                {"instance": i, "alpha": alpha, "problem": "limit", "status": est.status}
-            )
-            continue
-        converged += 1
         a = diff.points[:, 0]
         slack = slack_scale * difference_monotonicity_slack(px, py)
         mag = np.abs(a)
@@ -443,6 +438,13 @@ def _scalar_sweep_read_in_full(instances, seed, tol, slack_scale):
                 {"instance": i, "alpha": alpha, "problem": "magnitude_monotonicity"}
             )
             continue
+        est = detect_limit(diff, 1000, tol)
+        if est.status != CONVERGED:
+            failures.append(
+                {"instance": i, "alpha": alpha, "problem": "limit", "status": est.status}
+            )
+            continue
+        converged += 1
         beta = abs(1.0 - 2.0 * alpha)
         flips = np.nonzero(a[1:] * a[:-1] < 0.0)[0]
         if flips.size and float(
@@ -470,23 +472,23 @@ def test_scalar_sweep_reads_orbits_up_to_their_joint_cycle(
     monkeypatch, seed, tol, slack_scale
 ):
     # the sweep reads its per-step checks up to the orbits' joint cycle and
-    # its limit from the two tails; every outcome is the whole-orbit one.
+    # its limit from their difference, which keeps that cycle; every outcome
+    # is the whole-orbit one.
     # Instances fail too: at tol = 0 only exact fixed points converge, and
     # with no slack any growth of |a_n| in a cycle counts
-    seen = []
-
-    def recording_report(checker, failures, params, seed, **counts):
-        seen.append((failures, counts["converged"]))
-
     def scaled_slack(a_points, b_points):
         return slack_scale * difference_monotonicity_slack(a_points, b_points)
 
-    monkeypatch.setattr(scenarios, "_sweep_report", recording_report)
+    # the growth test of difference_orbit and the sweep's sign-flip test
+    monkeypatch.setattr(dynamics, "difference_monotonicity_slack", scaled_slack)
     monkeypatch.setattr(scenarios, "difference_monotonicity_slack", scaled_slack)
-    run_scalar_averaged_sweep(instances=27, seed=seed, tol=tol)
-    assert seen == [_scalar_sweep_read_in_full(27, seed, tol, slack_scale)]
+    # every failure, not only the first that the report keeps
+    failures, counts, _ = run_scalar_averaged_sweep.__wrapped__(instances=27, seed=seed, tol=tol)
+    assert (failures, counts["converged"]) == _scalar_sweep_read_in_full(
+        27, seed, tol, slack_scale
+    )
     if tol == 0.0 or slack_scale == 0.0:
-        assert seen[0][0]
+        assert failures
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2026])
@@ -514,6 +516,90 @@ def test_small_sweeps_pass():
     assert run_codim1_sweep(instances=8, seed=3).passed
     assert run_decoupling_sweep(instances=10, seed=3).passed
     assert run_two_ball_sweep(pairs=2, n_steps=30000, seed=3).passed
+
+
+_ALPHAS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+_SCALAR = {"instances": 9, "alphas": _ALPHAS, "max_steps": 100_000, "tail_window": 1000,
+           "tol": 1e-9, "start_span": 10.0}
+_TWO_BALL = {"pairs": 2, "tail": 1000, "match_tol": 1e-6, "fejer_tol": 1e-9}
+
+# (sweep, arguments, verdict, failures, the first failure's instance and
+# problem, converged, params).  Every float compared is an argument, never a
+# computed figure, so the pins do not depend on the last bits of LAPACK.
+SWEEP_PINS = [
+    ("run_scalar_averaged_sweep", {"instances": 9, "seed": 0}, "pass", 0, None, 9, _SCALAR),
+    (
+        "run_scalar_averaged_sweep", {"instances": 9, "seed": 3, "max_steps": 20_000},
+        "pass", 0, None, 9, {**_SCALAR, "max_steps": 20_000},
+    ),
+    (
+        "run_scalar_averaged_sweep", {"instances": 9, "seed": 1, "tol": 0.0},
+        "fail", 2, (2, "limit"), 7, {**_SCALAR, "tol": 0.0},
+    ),
+    (
+        "run_scalar_averaged_sweep", {"instances": 3, "max_steps": 100},
+        "fail", 3, (0, "limit"), 0,
+        {**_SCALAR, "instances": 3, "max_steps": 100, "tail_window": 101},
+    ),
+    *(
+        ("run_affine_limit_sweep", {"instances": 6, "seed": seed}, "pass", 0, None, None,
+         {"instances": 6, "dims": [2, 3, 4], "n_steps": 4000, "tol": 1e-6})
+        for seed in (0, 3)
+    ),
+    *(
+        ("run_codim1_sweep", {"instances": 6, "seed": seed}, "pass", 0, None, None,
+         {"instances": 6, "dims": [2, 3], "n_steps": 3000})
+        for seed in (0, 3)
+    ),
+    *(
+        ("run_decoupling_sweep", {"instances": 10, "seed": seed}, *outcome, None,
+         {"instances": 10, "witnesses": 10, "tol": 1e-10})
+        for seed, outcome in (
+            (0, ("pass", 0, None)),
+            (1, ("fail", 1, (8, ["equivalence_disagrees"]))),
+            (61, ("fail", 1, (3, ["equivalence_disagrees"]))),
+        )
+    ),
+    (
+        "run_two_ball_sweep", {"pairs": 2, "n_steps": 30_000, "seed": 3}, "pass", 0, None,
+        None, {**_TWO_BALL, "n_steps": 30_000},
+    ),
+    (
+        "run_two_ball_sweep", {"pairs": 2, "n_steps": 1500}, "fail", 2, (0, "displacement"),
+        None, {**_TWO_BALL, "n_steps": 1500},
+    ),
+]
+
+
+def _typed(value):
+    """``value`` with the type of each number, list and string it holds."""
+    if isinstance(value, dict):
+        return {key: _typed(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, verdict, failures, first, converged, params",
+    SWEEP_PINS,
+    ids=[f"{pin[0][4:]}-{i}" for i, pin in enumerate(SWEEP_PINS)],
+)
+def test_each_sweep_reports_its_pinned_outcome(
+    sweep, kwargs, verdict, failures, first, converged, params
+):
+    report = getattr(scenarios, sweep)(**kwargs)
+    assert (report.verdict, report.metadata["failures"]) == (verdict, failures)
+    if first is None:
+        assert report.witness == {}
+    else:
+        failure = report.witness["first_failure"]
+        instance = failure.get("instance", failure.get("pair"))
+        assert (instance, failure.get("problem", failure.get("problems"))) == first
+    assert report.metadata.get("converged") == converged
+    assert _typed(report.params) == _typed(params)
+    default_seed = inspect.signature(getattr(scenarios, sweep)).parameters["seed"].default
+    assert report.seed == kwargs.get("seed", default_seed)
 
 
 def test_decoupling_sweep_instances_cover_failure_modes():
@@ -625,16 +711,23 @@ def test_validate_stores_each_number_as_the_rule_reads_it():
     assert spec.checks[1].params == {"pairs": 2, "match_tol": 1e-6}
 
 
-def test_a_nan_tolerance_fails_a_sweep_comparison():
-    # NaN compares false: a gap "above" a NaN tolerance must count as a failure
+def test_a_nan_tolerance_fails_a_sweep_comparison(monkeypatch):
+    # a NaN tolerance is refused before any orbit, as in a config
     nan = float("nan")
-    fails = run_two_ball_sweep(pairs=2, n_steps=1500, match_tol=1e-6)
-    assert (fails.verdict, fails.metadata["failures"]) == ("fail", 2)
-    nan_tol = run_two_ball_sweep(pairs=2, n_steps=1500, match_tol=nan)
-    assert (nan_tol.verdict, nan_tol.metadata["failures"]) == ("fail", 2)
-    assert run_affine_limit_sweep(instances=2).verdict == "pass"
-    nan_tol = run_affine_limit_sweep(instances=2, tol=nan)
-    assert (nan_tol.verdict, nan_tol.metadata["failures"]) == ("fail", 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(scenarios, "iterate", lambda *a, **k: pytest.fail("orbit computed"))
+        for sweep, key in ((run_two_ball_sweep, "match_tol"), (run_affine_limit_sweep, "tol")):
+            with pytest.raises(ConfigError) as err:
+                sweep(**{key: nan})
+            assert str(err.value) == f"{sweep.__name__}.{key}: must be at least 0.0, got nan"
+    # NaN compares false: a NaN gap must count as a failure
+    assert run_two_ball_sweep(pairs=2, n_steps=30_000, seed=3).verdict == "pass"
+    monkeypatch.setattr(
+        scenarios, "displacement_from_orbit", lambda orbit, tail: (np.full(3, nan), 0.0)
+    )
+    nan_gap = run_two_ball_sweep(pairs=2, n_steps=30_000, seed=3)
+    assert (nan_gap.verdict, nan_gap.metadata["failures"]) == ("fail", 2)
+    assert math.isnan(nan_gap.witness["first_failure"]["gap"])
 
 
 def test_the_scalar_sweep_takes_a_tail_of_at_most_the_whole_orbit():
@@ -655,8 +748,12 @@ def test_the_scalar_sweep_takes_a_tail_of_at_most_the_whole_orbit():
     ],
 )
 def test_a_sweep_over_an_empty_list_is_a_value_error(sweep, key):
-    with pytest.raises(ValueError, match=rf"^len\({key}\) must be >= 1, got 0$"):
+    # a ConfigError, which is a ValueError, as for a config's check params
+    with pytest.raises(ValueError) as err:
         sweep(instances=2, **{key: ()})
+    assert isinstance(err.value, ConfigError)
+    assert str(err.value).startswith(f"{sweep.__name__}.{key}: must be a nonempty list of ")
+    assert str(err.value).endswith(", got ()")
 
 
 def test_a_trajectory_step_count_is_checked_with_the_spec():
@@ -723,8 +820,9 @@ def test_a_sweep_over_no_instances_is_an_error_not_a_pass(kind, params):
     with pytest.raises(ConfigError) as err:
         run_scenario(spec, n_steps=20)
     assert str(err.value) == f"checks.sweep.params.{key}: must be at least 1, got {count}"
-    with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {count}$"):
+    with pytest.raises(ConfigError) as err:
         getattr(scenarios, f"run_{kind}")(**params)
+    assert str(err.value) == f"run_{kind}.{key}: must be at least 1, got {count}"
 
 
 # Every check kind's config surface: the params it accepts with their resolved
@@ -910,3 +1008,57 @@ def test_a_set_of_the_trajectory_dimension_passes_validation():
         {"b": Ball([0.0, 0.0], 1.0)},
     )
     assert all(o.matched for o in run_scenario(spec).summary)
+
+
+def _operator_spec(trajectories, checks):
+    spec = _walk_spec(trajectories, checks)
+    spec.operators.update(
+        D=DouglasRachford(Ball([0.0, 0.0, 0.0], 1.0), Ball([5.0, 0.0, 0.0], 1.0)),
+        L=Linear(np.eye(2)),
+    )
+    return spec
+
+
+@pytest.mark.parametrize(
+    "trajectories, checks, message",
+    [
+        (
+            [],
+            [CheckDef("dm", "displacement_match", "walk", "pass", {"operator": "D", "tail": 1})],
+            "checks.dm.params.operator: operator 'D' has dimension 3, "
+            "trajectory 'walk' has dimension 2",
+        ),
+        (
+            [TrajectoryDef("nz", "normalized", operator="D", base="walk", shift="two_ball")],
+            [],
+            "trajectories.nz.operator: operator 'D' has dimension 3, base 'walk' has dimension 2",
+        ),
+        (
+            [],
+            [CheckDef("ne", "nonexpansive", None, "pass", {"operator": "L", "dim": 3})],
+            "checks.ne.params.dim: operator 'L' has dimension 2, got 3",
+        ),
+    ],
+    ids=["check-operator", "shift-operator", "nonexpansive-dim"],
+)
+def test_an_operator_of_another_dimension_is_refused(monkeypatch, trajectories, checks, message):
+    # refused with the spec, before any orbit is computed
+    monkeypatch.setattr(scenarios, "iterate", lambda *a, **k: pytest.fail("orbit computed"))
+    with pytest.raises(ConfigError) as err:
+        run_scenario(_operator_spec(trajectories, checks))
+    assert str(err.value) == message
+
+
+def test_an_operator_of_the_dimension_or_of_none_passes_validation():
+    # identity has no dimension: it fits the 2-D walk and a 3-D dim
+    nz = TrajectoryDef("nz", "normalized", operator="I", base="walk", shift="estimate")
+    _operator_spec([nz], []).validate()
+    spec = _operator_spec(
+        [],
+        [
+            CheckDef("ne-own", "nonexpansive", None, "pass", {"operator": "L", "dim": 2}),
+            CheckDef("ne-free", "nonexpansive", None, "pass", {"operator": "I", "dim": 3}),
+        ],
+    )
+    reports = run_scenario(spec).reports
+    assert (reports["ne-own"].params["dim"], reports["ne-free"].params["dim"]) == (2, 3)

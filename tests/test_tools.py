@@ -55,3 +55,15 @@ def test_checker_per_point_times_every_dimension():
     assert (out["rows"], out["witnesses"], out["repeats"]) == (1000, 10, 1)
     assert set(out["ns_per_row_witness"]) == {f"check_fejer.d{d}" for d in (1, 2, 3, 4)}
     assert _all_positive(out["ns_per_row_witness"])
+
+
+def test_sweep_scan_records_each_failing_seed():
+    out = run_tool("sweep_scan.py", "--first", "0", "--last", "1", "codim1_sweep", "decoupling_sweep")
+    assert list(out["sweeps"]) == ["codim1_sweep", "decoupling_sweep"]
+    for scan in out["sweeps"].values():
+        assert (scan["seeds"], scan["runs"], scan["arguments"]) == ([0, 1], 2, {"instances": 50})
+        assert len(scan["sha256"]) == 64 and scan["wall_s"] > 0.0
+    assert out["sweeps"]["codim1_sweep"]["failing"] == {}
+    # seed 1 of the decoupling sweep fails at instance 8
+    ((seed, first),) = out["sweeps"]["decoupling_sweep"]["failing"].items()
+    assert (seed, first["instance"], first["problems"]) == ("1", 8, ["equivalence_disagrees"])
