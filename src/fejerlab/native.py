@@ -51,28 +51,42 @@ from .errors import DimensionMismatchError
 #
 # ``fejer_csv`` writes the CSV rows ``index,v1,...,vd\n`` of the (n, d) array
 # ``pts``, numbered from ``start``, and returns the count of bytes written.
-# The index is written by a plain digit loop.  A row equal bit for bit to the
+# The index is written two digits at a time.  A row equal bit for bit to the
 # row before it (so -0.0 and 0.0 differ, and so do NaNs of other bits) gets a
 # copy of that row's text ``,v1,...,vd\n``, formatted once.  Each value is
 # the text of Python's ``format(v, ".17g")``.  Where 1e-16 <= |v| < 1e17,
-# v = m * 2**e exactly and its 17 digits are
-# D = round-half-even(m * 5**k * 2**(e + k)) with k = 16 - E, exact in
-# 128-bit integers since 5**32 < 2**75; the decimal
-# exponent E is read from the floor of the scaled value, not from its
-# rounding.  Zeros are written "0" and "-0", NaN "nan"; every other value (a
-# subnormal, |v| outside that range, an infinity, or the double 1e-16, which
-# lies below 10**-16 and so needs k = 33) is written by snprintf's correctly
-# rounded "%.17g" under the C numeric locale.
+# v = m * 2**e exactly and one product gives its 17 digits D and decimal
+# exponent E.  With k = 16 - F, where F = floor((e + 52) log10(2)) is E or
+# one less, m * 5**k * 2**(e + k) is exact in 128-bit integers since
+# 5**32 < 2**75; its integer part has 17 digits, or 18 where F is one less
+# than E.  D is that part rounded half to even: by its remainder below the
+# unit, or, where it has 18 digits, by the last digit, which it drops, and
+# that remainder.  E is read from the floor, not from the rounding, and
+# grows by one where D rounds up to 10**17.  Zeros are written "0" and "-0",
+# NaN "nan"; every other value (a subnormal, |v| outside that range, an
+# infinity, or the double 1e-16, which lies below 10**-16 and so needs
+# k = 33) is written by snprintf's correctly rounded "%.17g" under the C
+# numeric locale.
 #
 # ``fejer_reprs`` writes the text of Python's ``repr(v)`` for each of the n
 # values ``v``, joined by ``sep``, and returns the count of bytes written, or
 # -1, before writing, where a value is neither 0 nor 1e-16 <= |v| < 1e17.  In
 # that range it finds, on the same integer scale as the 17 digits, the least
-# count p of digits for which some p-digit decimal lies in the interval of
-# values that read back as v: v -+ ulp/2, or [v - ulp/4, v + ulp/2] at a
-# power of two, its ends included only where v's mantissa is even.  Of the
-# p-digit decimals in that interval it writes the one nearest v, ties to an
-# even last digit.
+# count of digits for which a decimal of that many digits lies in the
+# interval of values that read back as v: v -+ ulp/2, or [v - ulp/4, v + ulp/2]
+# at a power of two, its ends included only where v's mantissa is even.  It
+# drops the last digit of the scaled v and of the bounds of the integers in
+# the interval, dividing by the constant 10, while the interval still holds a
+# multiple of the coarser unit.  Of the multiples of the coarsest unit in the
+# interval it writes the one nearest v, ties to an even last digit.
+#
+# Both writers lay out the 17 digits alike.  D is split into its leading
+# digit and two 8-digit halves in 32-bit arithmetic, and each half is written
+# two digits at a time from the table of "00" to "99".  The text, at most 22
+# characters after the sign, is written by copies of fixed length that reach
+# up to 22 bytes past the sign, for which both writers' buffers leave room;
+# the fixed-point form, whose digits after the point move by one, is laid out
+# in a buffer first.
 _SOURCE = r"""
 #define _POSIX_C_SOURCE 200809L  /* newlocale, uselocale */
 #include <locale.h>
@@ -218,6 +232,14 @@ void fejer_pass(const double *pts, int64_t n, int64_t d, const double *ws, int64
 
 typedef unsigned __int128 u128;
 
+/* The two digits of i < 100 at PAIRS + 2 * i. */
+static const char PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
 /* Powers of 5 from 5**0 to 5**32 and of 10 from 10**0 to 10**18. */
 static void powers(u128 *pow5, uint64_t *pow10)
 {
@@ -257,48 +279,36 @@ static int exponent_floor(int e)
 }
 
 /* The 17 digits D of a > 0 and its decimal exponent E: a rounds to
-   D * 10**(E - 16) with 10**16 <= D < 10**17.  Returns 0 where k = 16 - E
-   is not in 0..32, the range of pow5. */
+   D * 10**(E - 16) with 10**16 <= D < 10**17.  One product gives the floor
+   of a * 10**k, k = 16 - exponent_floor; where the exponent is one more,
+   that floor has 18 digits and drops the last, and that digit and the
+   remainder below it round the rest.  Returns 0 where k is not in 0..32,
+   the range of pow5, or a < 10**-16. */
 static int digits17(double a, const u128 *pow5, uint64_t *digits, int *exponent)
 {
     const uint64_t ten16 = 10000000000000000ULL;
-    uint64_t D = 0;
-    int e, E;
-    uint64_t m = mantissa(a, &e);
-    for (E = exponent_floor(e), E = E < -16 ? -16 : E; E >= -16 && E <= 16;
-         E += D < ten16 ? -1 : 1) {
-        u128 rest, half;  /* a * 10**k == m * 5**k * 2**(e + k) */
-        D = split((u128)m * pow5[16 - E], e + 16 - E, &rest, &half);
-        if (D < ten16 || D >= 10 * ten16)
-            continue;
-        D += rest > half || (rest == half && (D & 1));  /* round half to even */
-        *digits = D == 10 * ten16 ? ten16 : D;
-        *exponent = E + (D == 10 * ten16);
-        return 1;
+    int e;
+    uint64_t m = mantissa(a, &e), up;
+    int E = exponent_floor(e);
+    E = E < -16 ? -16 : E;
+    if (E > 16)
+        return 0;
+    u128 rest, half;  /* a * 10**k == m * 5**k * 2**(e + k) */
+    uint64_t D = split((u128)m * pow5[16 - E], e + 16 - E, &rest, &half);
+    if (D < ten16)  /* the double 1e-16 */
+        return 0;
+    if (D >= 10 * ten16) {
+        uint64_t last = D % 10;
+        D /= 10;
+        E++;
+        up = (last > 5) | ((last == 5) & ((rest != 0) | (D & 1)));
+    } else {
+        up = (rest > half) | ((rest == half) & (D & 1));
     }
-    return 0;
-}
-
-/* The values that read back as a double, scaled by 10**k: the open interval
-   (lo, hi), closed where the double's mantissa is even.  lo and hi are
-   floors, exact says which of them has no remainder. */
-struct interval { uint64_t lo, hi; int lo_exact, hi_exact, closed; };
-
-static int below_hi(const struct interval *r, uint64_t c)
-{
-    return c < r->hi || (c == r->hi && (!r->hi_exact || r->closed));
-}
-
-static int above_lo(const struct interval *r, uint64_t c)
-{
-    return c > r->lo || (c == r->lo && r->lo_exact && r->closed);
-}
-
-/* Whether a multiple of g lies in the interval. */
-static int holds(const struct interval *r, uint64_t g)
-{
-    uint64_t c = r->hi / g * g;
-    return above_lo(r, below_hi(r, c) ? c : c - g);
+    D += up;  /* round half to even */
+    *digits = D == 10 * ten16 ? ten16 : D;
+    *exponent = E + (D == 10 * ten16);
+    return 1;
 }
 
 /* The shortest digits of 1e-16 <= a < 1e17 that read back as a, the nearest
@@ -308,77 +318,89 @@ static int holds(const struct interval *r, uint64_t g)
 static int shortest(double a, const u128 *pow5, const uint64_t *pow10,
                     uint64_t *digits, int *exponent)
 {
-    int e, n = 14;
+    int e;
     uint64_t m = mantissa(a, &e);
     int k = 16 - exponent_floor(e);
     k = k > 31 ? 31 : k;  /* so 4 * m * 5**k < 2**127 */
-    /* a * 10**k == x * 2**t; the interval is x -+ 2 w * 2**t, but reaches
-       only x - w * 2**t below a power of two.  One t, so one half. */
+    /* a * 10**k == x * 2**t; the values that read back as a are x -+ 2 w * 2**t,
+       but only down to x - w * 2**t at a power of two, the ends included
+       where m is even.  One t, so one half. */
     u128 w = pow5[k], x = 4 * (u128)m * w, r_x, r_lo, r_hi, half;
     int t = e + k - 2;
     uint64_t ax = split(x, t, &r_x, &half);
     uint64_t lo = split(x - (m == 1ULL << 52 ? w : 2 * w), t, &r_lo, &half);
     uint64_t hi = split(x + 2 * w, t, &r_hi, &half);
-    struct interval r = {lo, hi, !r_lo, !r_hi, !(m & 1)};
-    while (ax >= pow10[n + 1])  /* 10**n <= a * 10**k < 10**(n + 1) */
-        n++;
-    /* the least count p of digits, whose grid is 10**(n + 1 - p): probe 16,
-       then 15, then bisect */
-    int top = n + 1 < 16 ? n + 1 : 16, least = 1, most = top, p = top - 1;
-    if (!holds(&r, pow10[n + 1 - top]))
-        least = most = top + 1;
-    while (least < most) {
-        if (holds(&r, pow10[n + 1 - p]))
-            most = p;
-        else
-            least = p + 1;
-        p = (least + most) / 2;
-    }
-    if (least > n + 1)  /* 17 digits, on a grid finer than 10**-k */
+    /* the integers in the interval are those above l up to h; 10**n <= ax < 10**(n + 1) */
+    uint64_t l = lo - (!r_lo && !(m & 1)), h = hi - (!r_hi && (m & 1)), c = ax;
+    int n = 14 + (ax >= pow10[15]) + (ax >= pow10[16]) + (ax >= pow10[17]);
+    if (h <= l)  /* 17 digits, on a grid finer than 10**-k */
         return digits17(a, pow5, digits, exponent);
-    uint64_t g = pow10[n + 1 - least], c = ax / g, rem = ax - c * g;
-    if (g > 1 ? rem > g / 2 || (rem == g / 2 && (r_x || (c & 1)))
-              : r_x > half || (r_x == half && (c & 1)))
-        c++;  /* the multiple of g nearest a, ties to even */
-    c *= g;
-    if (!below_hi(&r, c))
-        c -= g;
-    else if (!above_lo(&r, c))
-        c += g;
-    *exponent = n - k + (c == pow10[n + 1]);
-    *digits = c == pow10[n + 1] ? pow10[16]
-              : n >= 16 ? c / pow10[n - 16] : c * pow10[16 - n];
+    /* the coarsest grid 10**j with a multiple in the interval: drop the last
+       digit of c, l and h while a multiple remains; last is the digit c
+       dropped last, and below is set where a digit it dropped before, or
+       the remainder r_x, is not 0 */
+    int j = 0, last = 0, below = r_x != 0;
+    while (h / 10 > l / 10) {
+        below |= last;
+        last = (int)(c % 10);
+        c /= 10, l /= 10, h /= 10, j++;
+    }
+    c += j ? (last > 5) | ((last == 5) & (below | (c & 1)))
+           : (r_x > half) | ((r_x == half) & (c & 1));  /* the multiple nearest a, ties to even */
+    c -= c > h;  /* or the next one inside */
+    c += c <= l;
+    uint64_t D = c * pow10[16 - n + j];  /* j <= n + 1, and j >= 1 where n = 17 */
+    *exponent = n - k + (D == pow10[17]);
+    *digits = D == pow10[17] ? pow10[16] : D;
     return 1;
+}
+
+/* The 8 digits of v < 10**8 at p. */
+static void put8(char *p, uint32_t v)
+{
+    uint32_t a = v / 10000, b = v % 10000;
+    memcpy(p, PAIRS + 2 * (a / 100), 2);
+    memcpy(p + 2, PAIRS + 2 * (a % 100), 2);
+    memcpy(p + 4, PAIRS + 2 * (b / 100), 2);
+    memcpy(p + 6, PAIRS + 2 * (b % 100), 2);
 }
 
 /* The 17 digits D at decimal exponent E as Python writes them: by
    format(., ".17g"), or by repr where repr is set, which writes the
-   exponent form from E >= 16 on and ".0" after an integer. */
+   exponent form from E >= 16 on and ".0" after an integer.  The text has at
+   most 22 characters; every copy has a fixed length, and up to 22 bytes at
+   p are written. */
 static char *put_digits(char *p, uint64_t D, int E, int repr)
 {
-    char dig[17];
-    int n = 17, sci = E < -4 || (repr && E >= 16), point = sci ? 0 : E;  /* "." follows digit point */
-    for (int i = 16; i >= 0; i--, D /= 10)
-        dig[i] = (char)('0' + D % 10);
+    char dig[33], text[40];
+    uint32_t top = (uint32_t)(D / 100000000), lead = top / 100000000;  /* D < 10**17 */
+    int n = 17;
+    dig[0] = (char)('0' + lead);
+    put8(dig + 1, top - lead * 100000000);
+    put8(dig + 9, (uint32_t)(D - (uint64_t)top * 100000000));
     while (dig[n - 1] == '0')  /* the significant digits */
         n--;
-    if (point < 0)  /* 0.000ddd */
-        p = (char *)memcpy(p, "0.0000", 1 - point) + 1 - point;
-    for (int i = 0; i < n || i <= point; i++) {
-        *p++ = dig[i];
-        if (i == point && i + 1 < n)
-            *p++ = '.';
+    if (E < -4 || (repr && E >= 16)) {  /* d.ddde-XX, or e+16 */
+        p[0] = dig[0];
+        p[1] = '.';
+        memcpy(p + 2, dig + 1, 16);
+        p += n > 1 ? n + 1 : 1;
+        memcpy(p, E < 0 ? "e-" : "e+", 2);
+        return (char *)memcpy(p + 2, PAIRS + 2 * (E < 0 ? -E : E), 2) + 2;
     }
-    if (repr && !sci && n <= point + 1)
-        p = (char *)memcpy(p, ".0", 2) + 2;
-    if (sci) {  /* e-XX, or e+16 */
-        *p++ = 'e';
-        *p++ = E < 0 ? '-' : '+';
-        E = E < 0 ? -E : E;
-        *p++ = (char)('0' + E / 10);
-        *p++ = (char)('0' + E % 10);
+    if (E < 0) {  /* 0.000ddd */
+        memcpy(p, "0.0000", 6);
+        memcpy(p + 1 - E, dig, 17);
+        return p + 1 - E + n;
     }
-    return p;
+    /* ddd.ddd, laid out in a buffer, as the digits after the point move by
+       one; zeros follow the digits */
+    memcpy(dig + 17, "0000000000000000", 16);
+    memcpy(text, dig, 17);
+    text[E + 1] = '.';
+    memcpy(text + E + 2, dig + E + 1, 16);
+    memcpy(p, text, 22);
+    return p + (n > E + 1 ? n + 1 : E + 1 + 2 * repr);  /* ddd, or ddd.0 by repr */
 }
 
 /* "," and Python's format(a, ".17g") at p; returns the end of the text. */
@@ -389,10 +411,9 @@ static char *put_g17(char *p, double a, const u128 *pow5, locale_t *c_numeric)
     *p++ = ',';
     if (isnan(a))
         return (char *)memcpy(p, "nan", 3) + 3;
-    if (signbit(a)) {
-        *p++ = '-';
-        a = -a;
-    }
+    *p = '-';  /* kept where a is negative */
+    p += signbit(a) != 0;
+    a = fabs(a);
     if (a == 0.0) {
         *p++ = '0';
     } else if (a >= 1e-16 && a < 1e17 && digits17(a, pow5, &D, &E)) {
@@ -407,20 +428,20 @@ static char *put_g17(char *p, double a, const u128 *pow5, locale_t *c_numeric)
     return p;
 }
 
-/* v in decimal at p; returns the end of the text. */
+/* v in decimal at p, two digits at a time; returns the end of the text. */
 static char *put_index(char *p, int64_t v)
 {
-    char dig[20];
-    int n = 0;
+    char dig[20], *q = dig + 20;
     uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
     if (v < 0)
         *p++ = '-';
-    do
-        dig[n++] = (char)('0' + u % 10);
-    while (u /= 10);
-    while (n)
-        *p++ = dig[--n];
-    return p;
+    for (; u >= 100; u /= 100)
+        q = (char *)memcpy(q - 2, PAIRS + 2 * (u % 100), 2);
+    if (u >= 10)
+        q = (char *)memcpy(q - 2, PAIRS + 2 * u, 2);
+    else
+        *--q = (char)('0' + u);
+    return (char *)memcpy(p, q, dig + 20 - q) + (dig + 20 - q);
 }
 
 int64_t fejer_csv(const double *pts, int64_t n, int64_t d, int64_t start, char *out)
@@ -466,10 +487,9 @@ int64_t fejer_reprs(const double *v, int64_t n, const char *sep, int64_t n_sep, 
         double a = v[i];
         if (i)
             p = (char *)memcpy(p, sep, n_sep) + n_sep;
-        if (signbit(a)) {
-            *p++ = '-';
-            a = -a;
-        }
+        *p = '-';  /* kept where a is negative */
+        p += signbit(a) != 0;
+        a = fabs(a);
         if (a == 0.0)
             p = (char *)memcpy(p, "0.0", 3) + 3;
         else if (shortest(a, pow5, pow10, &D, &E))

@@ -251,14 +251,10 @@ def run_affine_limit_sweep(
         target = null @ (null.T @ (x0 - y0)) if null.size else np.zeros(d)
         if est.status != CONVERGED:
             failures.append({"instance": i, "problem": "limit", "status": est.status})
-        elif not float(np.linalg.norm(est.limit - target)) <= tol:  # NaN fails
-            failures.append(
-                {
-                    "instance": i,
-                    "problem": "limit_mismatch",
-                    "gap": float(np.linalg.norm(est.limit - target)),
-                }
-            )
+            continue
+        gap = float(np.linalg.norm(est.limit - target))
+        if not gap <= tol:  # NaN fails
+            failures.append({"instance": i, "problem": "limit_mismatch", "gap": gap})
     return failures, {}
 
 
@@ -509,9 +505,11 @@ class ScenarioSpec:
     trajectories: list = field(default_factory=list)
     checks: list = field(default_factory=list)
 
-    def validate(self) -> None:
+    def validate(self, n_steps: int | None = None) -> None:
         """Check every name, kind and check parameter against the tables, and
-        each set and vector against the dimension of its trajectory.
+        each set and vector against the dimension of its trajectory, and each
+        named shift against the rows of the orbit it reads.  ``n_steps``,
+        where given, is the run's step count in place of the spec's.
 
         Each number the spec names, a check param of a name in
         :data:`SPEC_LEAST` included, is stored back as :func:`spec_number`
@@ -519,7 +517,8 @@ class ScenarioSpec:
         """
         for key in ("n_steps", "seed", "tol", "tail_window"):
             setattr(self, key, spec_number(key, getattr(self, key), f"scenario.{key}"))
-        dims = {}  # the dimension of each trajectory's points
+        n_steps = self.n_steps if n_steps is None else spec_number("n_steps", n_steps, "n_steps")
+        dims, rows = {}, {}  # the dimension and the row count of each trajectory
         for t in self.trajectories:
             path = f"trajectories.{t.name}"
             if t.name in dims:
@@ -569,6 +568,12 @@ class ScenarioSpec:
                 if pts.ndim != 2 or not pts.size or not np.isfinite(pts).all():
                     raise ConfigError(f"{path}.points: expected a nonempty finite (n, d) array")
                 dim = pts.shape[1]
+            if "points" in required:
+                rows[t.name] = len(t.points)
+            elif "base" in required:
+                rows[t.name] = rows[t.base]
+            else:
+                rows[t.name] = 1 + (t.n_steps if t.n_steps is not None else n_steps)
             if t.kind == "harmonic_rotation":
                 dim = 2  # a walk on the unit circle
             if "set_name" in required and self.sets[t.set_name].dim != dim:
@@ -580,9 +585,14 @@ class ScenarioSpec:
             if "shift" in required and isinstance(t.shift, str):
                 if t.shift not in _SHIFTS:
                     raise ConfigError(f"{path}: unknown shift {t.shift!r}")
-                needs, accepts, _ = _SHIFTS[t.shift]
+                needs, accepts, least, _ = _SHIFTS[t.shift]
                 if not accepts(self.operators[t.operator]):
                     raise ConfigError(f"{path}: shift {t.shift!r} needs {needs}")
+                if rows[t.name] < least:
+                    raise ConfigError(
+                        f"{path}: shift {t.shift!r} needs an orbit of at least {least} "
+                        f"rows, got {rows[t.name]}"
+                    )
         check_names = set()
         for c in self.checks:
             if c.name in check_names:
@@ -696,15 +706,19 @@ _TWO_BALL_DR = (
 )
 
 # Named shifts of a normalized trajectory: what the operator must be, the
-# test for it, and v computed from the operator and the orbit being shifted.
+# test for it, the least row count of the orbit being shifted, and v computed
+# from the operator and that orbit.  The estimate reads the last
+# min(1000, (rows - 1) // 2) steps, at least one.
 _SHIFTS = {
     "two_ball": (
         *_TWO_BALL_DR,
+        1,
         lambda op, raw: two_ball_gap_vector(op.first, op.second),
     ),
     "estimate": (
         "an operator certified averaged",
         lambda op: certify(op).is_averaged,
+        3,
         lambda op, raw: estimate_displacement(op, raw, min(1000, (len(raw) - 1) // 2)).v,
     ),
 }
@@ -713,7 +727,7 @@ _SHIFTS = {
 def _normalized(spec, t, built, n, orbit):
     raw = built[t.base] if t.base is not None else orbit(t.start)
     if isinstance(t.shift, str):
-        v = _SHIFTS[t.shift][2](spec.operators[t.operator], raw)
+        v = _SHIFTS[t.shift][3](spec.operators[t.operator], raw)
     else:
         v = _vector(t.shift)
     return normalized_from_raw(raw, v)
@@ -983,7 +997,7 @@ def run_scenario(
     out_dir: str | Path | None = None,
 ) -> RunArtifacts:
     """Build all trajectories, run all checks, optionally export artifacts."""
-    spec.validate()
+    spec.validate(n_steps)
     run_values = {
         key: getattr(spec, key) if value is None else spec_number(key, value, key)
         for key, value in (("n_steps", n_steps), ("seed", seed), ("tol", tol))

@@ -57,7 +57,13 @@ from fejerlab.operators import (
     Translation,
 )
 from fejerlab.report import DiagnosticsReport
-from fejerlab.scenarios import CHECK_KINDS, TRAJECTORY_KINDS, get_scenario, list_scenarios
+from fejerlab.scenarios import (
+    CHECK_KINDS,
+    TRAJECTORY_KINDS,
+    get_scenario,
+    list_scenarios,
+    run_scenario,
+)
 
 
 POINTS_MESSAGE = r"trajectories.t.points: expected a nonempty finite \(n, d\) array"
@@ -369,8 +375,6 @@ def test_custom_config_runs(tmp_path):
     path = tmp_path / "custom.yaml"
     path.write_text(CONFIG_TEXT, encoding="utf-8")
     spec = load_scenario(path)
-    from fejerlab.scenarios import run_scenario
-
     artifacts = run_scenario(spec)
     assert artifacts.all_matched
 
@@ -835,6 +839,30 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         )
         assert main(["run", "--config", str(bad_steps)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_an_estimated_shift_of_a_two_row_orbit_is_a_config_error(tmp_path, capsys):
+    # the estimate reads at least one step of the tail, so the orbit it
+    # shifts needs three rows: a one-step orbit, a two-row base and a run at
+    # --steps 1 are refused on load, before any orbit is computed
+    data = yaml.safe_load(CONFIG_TEXT)
+    data["trajectories"].append(
+        {"name": "pair", "kind": "points", "points": [[0.0, 1.0], [1.0, 0.0]]}
+    )
+    shifted = {"name": "nz", "kind": "normalized", "operator": "T", "shift": "estimate"}
+    path = tmp_path / "two-rows.yaml"
+    for trajectory, steps in [
+        ({**shifted, "start": [4.0, -1.0], "n_steps": 1}, []),
+        ({**shifted, "base": "pair"}, []),
+        ({**shifted, "start": [4.0, -1.0]}, ["--steps", "1"]),
+    ]:
+        case = {**data, "trajectories": [*data["trajectories"], trajectory]}
+        path.write_text(yaml.safe_dump(case), encoding="utf-8")
+        assert main(["run", "--config", str(path), *steps]) == 2
+        err = capsys.readouterr().err
+        assert "trajectories.nz: shift 'estimate' needs an orbit of at least 3 rows, got 2" in err
+    # three rows are enough
+    assert run_scenario(load_scenario(path), n_steps=2).trajectories["nz"].points.shape == (3, 2)
 
 
 def test_cli_trajectory_errors_fail_their_checks(tmp_path, capsys):

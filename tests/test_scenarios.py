@@ -1050,9 +1050,11 @@ def test_an_operator_of_another_dimension_is_refused(monkeypatch, trajectories, 
 
 
 def test_an_operator_of_the_dimension_or_of_none_passes_validation():
-    # identity has no dimension: it fits the 2-D walk and a 3-D dim
-    nz = TrajectoryDef("nz", "normalized", operator="I", base="walk", shift="estimate")
-    _operator_spec([nz], []).validate()
+    # identity has no dimension: it fits a 2-D walk and a 3-D dim; the
+    # estimated shift reads a walk of three rows, the least it accepts
+    walk3 = TrajectoryDef("walk3", "points", points=[[2.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
+    nz = TrajectoryDef("nz", "normalized", operator="I", base="walk3", shift="estimate")
+    _operator_spec([walk3, nz], []).validate()
     spec = _operator_spec(
         [],
         [

@@ -14,8 +14,8 @@ SRC = Path(fejerlab.__file__).resolve().parents[1]
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def run_tool(name, *args):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def run_tool(name, *args, env=None):
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )}
     proc = subprocess.run(
@@ -32,7 +32,7 @@ def _all_positive(figures):
 
 def test_registry_at_scale_reports_every_check_matched():
     out = run_tool("registry_at_scale.py", "--steps", "2000", "negation-r1", "codim1-reflection")
-    assert out["steps"] == 2000
+    assert (out["steps"], out["out"]) == (2000, False)
     assert list(out["scenarios"]) == ["negation-r1", "codim1-reflection"]
     for run in out["scenarios"].values():
         assert run["exit"] == 0
@@ -42,6 +42,29 @@ def test_registry_at_scale_reports_every_check_matched():
     assert set(out["scenarios"]["codim1-reflection"]["checks"]) == {
         "fejer", "asymptotic-regularity", "guarantee", "limit",
     }
+
+
+def test_registry_at_scale_out_counts_what_each_scenario_wrote(tmp_path):
+    out = run_tool(
+        "registry_at_scale.py", "--steps", "2000", "--out", "negation-r1", "codim1-reflection",
+        env={"TMPDIR": str(tmp_path)},
+    )
+    assert out["out"] is True
+    for run in out["scenarios"].values():
+        assert run["exit"] == 0 and run["other_output"] == []
+        assert all(check["matched"] for check in run["checks"].values())
+        assert run["files"] > 0 and run["bytes_written"] > 0
+    # each scenario's directory is gone once it has ended
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_per_value_times_both_writers():
+    out = run_tool("export_per_value.py", "--values", "1200", "--repeats", "1")
+    assert (out["values"], out["repeats"]) == (1200, 1)
+    assert set(out["ns_per_value"]) == {
+        *(f"csv_rows.d{d}" for d in (1, 2, 3, 4)), "csv_rows.d3.repeated", "reprs",
+    }
+    assert _all_positive(out["ns_per_value"])
 
 
 def test_iterate_per_step_times_every_family():
