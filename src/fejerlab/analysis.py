@@ -42,6 +42,7 @@ from .errors import NonFiniteValueError, UnsupportedSetError
 from .geometry import (
     ConvexSet,
     MinkowskiSum,
+    _sample_witnesses,
     codimension,
     dual_cone_residuals,
     sample_witnesses,
@@ -85,7 +86,8 @@ def _witness_points(points, C: ConvexSet, count, seed, radius):
     nonexpansive, so no squared distance of a point to one exceeds
     (reach + radius)**2; where that bound overflows, NonFiniteValueError.
     """
-    reach = math.sqrt(native.reach2(points, C.anchor()))
+    anchor = C.anchor()
+    reach = math.sqrt(native.reach2(points, anchor))
     if radius is None:
         # sqrt is correctly rounded, so monotone: the largest distance's bits
         radius = max(1.0, 2.0 * reach)
@@ -97,7 +99,7 @@ def _witness_points(points, C: ConvexSet, count, seed, radius):
             "trajectory points lie too far from the witnesses of C: "
             "their squared distances overflow"
         )
-    return radius, sample_witnesses(C, count, seed=seed, radius=radius)
+    return radius, _sample_witnesses(C, anchor, count, seed, radius)
 
 
 def check_fejer(

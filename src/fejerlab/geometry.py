@@ -699,9 +699,15 @@ def sample_witnesses(
     of a random point of the ball around the anchor, so membership is exact
     and the radius bound follows from nonexpansiveness of the projector.
     """
+    return _sample_witnesses(C, C.anchor(), count, seed, radius)
+
+
+def _sample_witnesses(
+    C: ConvexSet, anchor: np.ndarray, count: int, seed: int, radius: float
+) -> np.ndarray:
+    """``sample_witnesses`` around ``anchor``, which is ``C.anchor()``."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    anchor = C.anchor()
     rng = np.random.default_rng(seed)
     draws = [anchor + _ball_sample(rng, C.dim, radius) for _ in range(count - 1)]
     return np.vstack([anchor, C.project_many(np.reshape(draws, (count - 1, C.dim)))])

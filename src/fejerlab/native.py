@@ -23,9 +23,21 @@ from .errors import DimensionMismatchError
 # the same float source as an operator's ``apply``, lowered by
 # ``operators._Lowering``, in plain IEEE double arithmetic: a zero divisor or
 # the root of a negative gives inf or NaN, and WHERE picks one of two values
-# computed before it.  An instruction is five ints: an opcode, the register it
-# writes and its operand registers.  A list parameter's register holds the
-# index of the register that holds its length, and its items follow that one.
+# computed before it.  An instruction is six ints: an opcode, the register it
+# writes, its operand registers a, b and c, and a PAIR's second target u.  A
+# PAIR is two arithmetic operations (ADD, SUB, MUL, DIV, SQRT) in one row:
+# t = a op1 b is stored, then u = t op2 c, c op2 t or t op2 t, the same two
+# roundings in the same order; -ffp-contract=off keeps them from becoming one
+# FMA.  Its opcode is PAIR + 13 * i1 + 3 * i2 + side, with i1 and i2 the
+# places of op1 and op2 in that list and side 0, 1 or 2 as t is the left, the
+# right or both operands; SQRT reads its left operand only, so its side is 0.
+# A list parameter's register holds the index of the register that holds its
+# length, and its items follow that one.  At entry ``fejer_run`` decodes the
+# program once, into a malloc'ed array of records that hold a handler's
+# address and pointers to the registers, closed by END; ``step`` jumps from
+# handler to handler by GNU C's labels as values, so it needs gcc or clang.
+# Each arithmetic expression is written once, in a macro, and the 65 PAIR
+# handlers are generated from those macros.
 # ``fejer_run`` writes rows 1..n_steps of the (n_steps + 1, d) array ``pts``
 # from row 0, which r[0..d-1] also hold.  It stops at an exact cycle of any
 # period by Brent's method (R. P. Brent, BIT 20, 1980): each new state is
@@ -35,7 +47,8 @@ from .errors import DimensionMismatchError
 # repeats row q bit for bit, sign of zero included; LEFT_RANGE at step i when
 # the squared norm of row i (summed left to right) is not at most ``cap2``,
 # NaN and inf included; RAISED at step i where a list index is out of range,
-# so that no step reads past a list; RAN otherwise.
+# so that no step reads past a list; NO_MEMORY, before any step, where the
+# decoded program could not be allocated; RAN otherwise.
 #
 # ``fejer_reach2`` returns the largest squared distance of a row of the (n, d)
 # array ``pts`` to the point ``a``.  ``fejer_pass`` makes one sweep over the
@@ -93,63 +106,112 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
-enum op { MOV, NEG, ADD, SUB, MUL, DIV, SQRT, LT, LE, GT, GE, WHERE, BISECT, INDEX };
-enum stop { RAN, CYCLED, LEFT_RANGE, RAISED };
+enum op { MOV, NEG, ADD, SUB, MUL, DIV, SQRT, LT, LE, GT, GE, WHERE, BISECT, INDEX, END, PAIR };
+enum stop { RAN, CYCLED, LEFT_RANGE, RAISED, NO_MEMORY };
 
-/* One step over the registers r; nonzero where an index is out of range. */
-static int step(const int32_t *code, int64_t n_code, double *r)
+/* Each arithmetic operation, written once: x op y; SQRT reads x only. */
+#define ADD_OF(x, y) ((x) + (y))
+#define SUB_OF(x, y) ((x) - (y))
+#define MUL_OF(x, y) ((x) * (y))
+#define DIV_OF(x, y) ((x) / (y))
+#define SQRT_OF(x, y) sqrt(x)
+#define ARITH(X) X(ADD) X(SUB) X(MUL) X(DIV) X(SQRT)
+/* The operands of a pair's second operation, by where it reads t. */
+#define LEFT(t, c) (t, c)
+#define RIGHT(t, c) (c, t)
+#define BOTH(t, c) (t, t)
+#define APPLY(f, args) f args
+/* The second halves of the pairs of op1, in the order of their codes. */
+#define SECONDS(X, op1) \
+    X(op1, ADD, LEFT) X(op1, ADD, RIGHT) X(op1, ADD, BOTH) \
+    X(op1, SUB, LEFT) X(op1, SUB, RIGHT) X(op1, SUB, BOTH) \
+    X(op1, MUL, LEFT) X(op1, MUL, RIGHT) X(op1, MUL, BOTH) \
+    X(op1, DIV, LEFT) X(op1, DIV, RIGHT) X(op1, DIV, BOTH) \
+    X(op1, SQRT, LEFT)
+
+/* A decoded instruction: its handler in step and its registers. */
+struct ins {
+    const void *go;
+    double *t, *u;
+    const double *a, *b, *c;
+};
+
+/* One step over the registers r by the decoded program I, which END closes;
+   nonzero where an index is out of range.  With I null it only gives its
+   handler of each opcode at *go. */
+static int step(const struct ins *I, double *r, const void *const **go)
 {
-    for (const int32_t *op = code; op < code + 5 * n_code; op += 5) {
-        double a = r[op[2]], b = r[op[3]];
-        switch (op[0]) {
-        case MOV: r[op[1]] = a; break;
-        case NEG: r[op[1]] = -a; break;
-        case ADD: r[op[1]] = a + b; break;
-        case SUB: r[op[1]] = a - b; break;
-        case MUL: r[op[1]] = a * b; break;
-        case DIV: r[op[1]] = a / b; break;
-        case SQRT: r[op[1]] = sqrt(a); break;
-        case LT: r[op[1]] = a < b; break;
-        case LE: r[op[1]] = a <= b; break;
-        case GT: r[op[1]] = a > b; break;
-        case GE: r[op[1]] = a >= b; break;
-        case WHERE: r[op[1]] = a != 0.0 ? b : r[op[4]]; break;
-        case BISECT: {  /* numpy's searchsorted(list a, b, side="right") */
-            const double *list = r + (int64_t)a;
-            int64_t lo = 0, hi = (int64_t)list[0];
-            while (lo < hi) {
-                int64_t mid = (lo + hi) / 2;
-                if (b < list[1 + mid])
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            r[op[1]] = (double)lo;
-            break;
-        }
-        case INDEX: {  /* list a [b] */
-            const double *list = r + (int64_t)a;
-            if (!(b >= 0.0 && b < list[0]))
-                return 1;
-            r[op[1]] = list[1 + (int64_t)b];
-            break;
-        }
-        }
+#define LABEL(op) &&op_##op,
+#define PAIR_LABEL(op1, op2, side) &&pair_##op1##_##op2##_##side,
+#define PAIR_LABELS(op1) SECONDS(PAIR_LABEL, op1)
+    static const void *const handlers[] = {
+        &&op_MOV, &&op_NEG, ARITH(LABEL) &&op_LT, &&op_LE, &&op_GT, &&op_GE,
+        &&op_WHERE, &&op_BISECT, &&op_INDEX, &&op_END, ARITH(PAIR_LABELS)
+    };
+    if (!I) {
+        *go = handlers;
+        return 0;
     }
+#define NEXT goto *(++I)->go
+    goto *I->go;
+op_MOV: *I->t = *I->a; NEXT;
+op_NEG: *I->t = -*I->a; NEXT;
+#define ONE(op) op_##op: *I->t = op##_OF(*I->a, *I->b); NEXT;
+    ARITH(ONE)
+op_LT: *I->t = *I->a < *I->b; NEXT;
+op_LE: *I->t = *I->a <= *I->b; NEXT;
+op_GT: *I->t = *I->a > *I->b; NEXT;
+op_GE: *I->t = *I->a >= *I->b; NEXT;
+op_WHERE: *I->t = *I->a != 0.0 ? *I->b : *I->c; NEXT;
+op_BISECT: {  /* numpy's searchsorted(list a, b, side="right") */
+        const double *list = r + (int64_t)*I->a;
+        double b = *I->b;
+        int64_t lo = 0, hi = (int64_t)list[0];
+        while (lo < hi) {
+            int64_t mid = (lo + hi) / 2;
+            if (b < list[1 + mid])
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        *I->t = (double)lo;
+        NEXT;
+    }
+op_INDEX: {  /* list a [b] */
+        const double *list = r + (int64_t)*I->a;
+        double b = *I->b;
+        if (!(b >= 0.0 && b < list[0]))
+            return 1;
+        *I->t = list[1 + (int64_t)b];
+        NEXT;
+    }
+    /* t = a op1 b, stored, then u = t op2 c, c op2 t or t op2 t */
+#define FUSED(op1, op2, side) \
+pair_##op1##_##op2##_##side: { \
+        double t = op1##_OF(*I->a, *I->b); \
+        *I->t = t; \
+        *I->u = APPLY(op2##_OF, side(t, *I->c)); \
+        NEXT; \
+    }
+#define FUSED_OF(op1) SECONDS(FUSED, op1)
+    ARITH(FUSED_OF)
+op_END:
     return 0;
 }
 
-int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
-                  double *r, double *pts, int64_t n_steps, double cap2, int64_t *found)
+/* The orbit of the decoded program I from r[0..d-1], as fejer_run states it. */
+static int64_t orbit(const struct ins *I, const int32_t *out, int64_t d, double *r,
+                     double *pts, int64_t n_steps, double cap2, int64_t *found)
 {
     double anchor[d], y[d];
     int64_t q = 0, span = 1, move = 1;
     for (int64_t k = 0; k < d; k++)
         anchor[k] = r[k];
     for (int64_t i = 1; i <= n_steps; i++) {
-        if (step(code, n_code, r)) {
+        if (step(I, r, NULL)) {
             found[0] = i;
             return RAISED;
         }
@@ -183,6 +245,23 @@ int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64
     return RAN;
 }
 
+int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
+                  double *r, double *pts, int64_t n_steps, double cap2, int64_t *found)
+{
+    const void *const *go;
+    struct ins *prog = malloc((size_t)(n_code + 1) * sizeof *prog);
+    if (!prog)
+        return NO_MEMORY;
+    step(NULL, r, &go);
+    for (int64_t i = 0; i < n_code; i++, code += 6)
+        prog[i] = (struct ins){go[code[0]], r + code[1], r + code[5],
+                               r + code[2], r + code[3], r + code[4]};
+    prog[n_code] = (struct ins){.go = go[END]};
+    int64_t stop = orbit(prog, out, d, r, pts, n_steps, cap2, found);
+    free(prog);
+    return stop;
+}
+
 /* The squared distance of the d-vectors a and b, summed left to right. */
 static double dist2(const double *a, const double *b, int64_t d)
 {
@@ -202,6 +281,9 @@ double fejer_reach2(const double *pts, int64_t n, int64_t d, const double *a)
     return most;
 }
 
+/* On a 64-byte line: its inner loop ran 30-50% slower starting 32 bytes past
+   one, where the code in front of it had moved it. */
+__attribute__((aligned(64)))
 void fejer_pass(const double *pts, int64_t n, int64_t d, const double *ws, int64_t w,
                 double *dist, double *drops, double *worst, int64_t *at)
 {

@@ -11,12 +11,15 @@ columns (``apply``, ``value_at``, the verifiers), by the column function that
 :func:`fejerlab.dynamics.iterate` runs it lowered with :mod:`ast` into the
 instructions of one fixed C register machine, ``fejer_run`` of
 :mod:`fejerlab.native`, so every orbit equals the ``apply`` orbit bit for
-bit.  A zero divisor or the square root of a negative gives inf or NaN in
-both, and an orbit step that yields one makes ``iterate`` raise
-NonFiniteValueError there, as past its norm cap; a list index out of range
-raises IndexError in both.  Parameter values are bound per operator, so the
-operators of one tree shape and dimension share one program and one compiled
-column source.  The machine is
+bit.  The lowering's last pass merges an arithmetic instruction and the
+next one, where that one reads its result, into one PAIR row: the machine
+runs the pair with one dispatch, with the same two roundings in the same
+order (no FMA), and still stores the first result.  A zero divisor or the
+square root of a negative gives inf or NaN in both, and an orbit step that
+yields one makes ``iterate`` raise NonFiniteValueError there, as past its
+norm cap; a list index out of range raises IndexError in both.  Parameter
+values are bound per operator, so the operators of one tree shape and
+dimension share one program and one compiled column source.  The machine is
 part of fejerlab's one C library, which :mod:`fejerlab.native` builds at the
 first ``iterate`` or export of a process, once; nothing is compiled at
 import.
@@ -181,7 +184,7 @@ _OPCODES, _STOPS = native.enum("op"), native.enum("stop")
 class _Program(NamedTuple):
     """One float source, lowered to the instructions of ``fejer_run``."""
 
-    code: np.ndarray  # int32, one row of five per instruction
+    code: np.ndarray  # int32, one row of six per instruction, pairs fused
     outputs: np.ndarray  # int32, the registers of the step's result
     size: int  # registers ahead of the lists' items
     constants: tuple  # (register, value)
@@ -208,6 +211,56 @@ class _Program(NamedTuple):
 _BINARY = {ast.Add: "ADD", ast.Sub: "SUB", ast.Mult: "MUL", ast.Div: "DIV"}
 _COMPARE = {ast.Lt: "LT", ast.LtE: "LE", ast.Gt: "GT", ast.GtE: "GE"}
 
+# the operations a PAIR fuses, in the order of their codes; SQRT reads a only
+_ARITH = ("ADD", "SUB", "MUL", "DIV", "SQRT")
+_ARITH_OPS = {_OPCODES[op]: op for op in _ARITH}
+# where a pair's second operation reads the first's result t: t op2 c, c op2 t, t op2 t
+LEFT, RIGHT, BOTH = range(3)
+
+
+def _pair_code(op1: str, op2: str, side: int) -> int:
+    """The opcode of the pair t = a op1 b, then u = t op2 c, c op2 t or t op2 t."""
+    return _OPCODES["PAIR"] + 13 * _ARITH.index(op1) + 3 * _ARITH.index(op2) + side
+
+
+def _pair_parts(code: int) -> tuple:
+    """(op1, op2, side) of a PAIR opcode, read back from it."""
+    k = code - _OPCODES["PAIR"]
+    return _ARITH[k // 13], _ARITH[k % 13 // 3], k % 13 % 3
+
+
+def _reads(first: list, second: list) -> int | None:
+    """Where the arithmetic instruction ``second`` reads the target of the
+    arithmetic instruction ``first``; None where it does not read it, or
+    where either is not arithmetic."""
+    if first[0] not in _ARITH_OPS or second[0] not in _ARITH_OPS:
+        return None
+    t = first[1]
+    if second[0] == _OPCODES["SQRT"]:
+        return LEFT if second[2] == t else None
+    return {(True, False): LEFT, (False, True): RIGHT, (True, True): BOTH}.get(
+        (second[2] == t, second[3] == t)
+    )
+
+
+def _fuse(code: list) -> list:
+    """``code`` with each arithmetic instruction whose result the next one
+    reads fused with it into one PAIR row, left to right.  A pair stores
+    both results, so a later reader of the first still finds it."""
+    out, i = [], 0
+    while i < len(code):
+        first = code[i]
+        side = _reads(first, code[i + 1]) if i + 1 < len(code) else None
+        if side is None:
+            out.append(first)
+            i += 1
+            continue
+        (op1, t, a, b, _, _), (op2, u, left, right, _, _) = first, code[i + 1]
+        c = {LEFT: right, RIGHT: left, BOTH: 0}[side]
+        out.append([_pair_code(_ARITH_OPS[op1], _ARITH_OPS[op2], side), t, a, b, c, u])
+        i += 2
+    return out
+
 
 class _Lowering:
     """``fejer_run`` instructions of a float source: a register per name,
@@ -225,7 +278,7 @@ class _Lowering:
         for node in ast.parse(body).body:
             self.assign(self.name(node.targets[0].id), node.value)
         return _Program(
-            np.array(self.code, dtype=np.int32).reshape(-1, 5),
+            np.array(_fuse(self.code), dtype=np.int32).reshape(-1, 6),
             np.array([self.name(y) for y in ys], dtype=np.int32),
             self.size,
             tuple((reg, value) for value, reg in self.constants.values()),
@@ -281,8 +334,9 @@ class _Lowering:
             op = ["INDEX", self.name(node.value.id, listed=True), self.operand(node.slice)]
         else:
             raise ValueError(f"cannot lower {ast.unparse(node)!r}")
-        # five ints: opcode, target, operands; an unused operand reads register 0
-        self.code.append([_OPCODES[op[0]], reg, *op[1:], 0, 0][:5])
+        # six ints: opcode, target, three operands and a PAIR's second target;
+        # an unused operand reads register 0
+        self.code.append([_OPCODES[op[0]], reg, *op[1:], 0, 0, 0][:6])
 
 
 # (float source, result names) -> its _Program; grows only with the shapes in use
@@ -318,6 +372,8 @@ class _Kernel(NamedTuple):
             raise NonFiniteValueError(f"orbit left the representable range at step {i}")
         if stop == _STOPS["RAISED"]:
             raise IndexError(f"list index out of range at step {i}")
+        if stop == _STOPS["NO_MEMORY"]:
+            raise MemoryError("no memory for the decoded orbit program")
         return (i, int(found[1])) if stop == _STOPS["CYCLED"] else None
 
 

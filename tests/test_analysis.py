@@ -297,6 +297,18 @@ def test_check_fejer_matches_broadcast_formula(d, scale):
     assert rep.witness["increase"] == increases.max()
 
 
+def test_check_fejer_takes_the_sets_anchor_once(monkeypatch):
+    # the reach and the witnesses share one anchor, a projection for a halfspace
+    C = Halfspace(np.array([1.0, 2.0]), 0.5)
+    calls = []
+    anchor = Halfspace.anchor
+    monkeypatch.setattr(Halfspace, "anchor", lambda self: calls.append(self) or anchor(self))
+    pts = np.random.default_rng(1).normal(size=(50, 2)) + 3.0
+    rep = check_fejer(pts, C, witnesses=6, seed=2)
+    assert calls == [C]
+    _assert_cdist_report(rep, pts, C, 6, 2)
+
+
 def _cdist_fejer(pts, C, witnesses, seed, radius=None):
     """check_fejer's figures from whole-array ``cdist``: the radius, the
     witnesses, the (n, w) distances, per_step and the first argmax step and

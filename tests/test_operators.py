@@ -576,11 +576,13 @@ def test_every_constructed_operator_is_nonexpansive(T):
 
 
 def test_the_orbit_loop_source_compiles_without_warnings(tmp_path):
-    # the whole C library: the orbit loop, the CSV writer and the float writer
+    # the whole C library: the orbit loop, the CSV writer and the float writer;
+    # also with the product's flags, as some warnings need the optimizer
     source = tmp_path / "native.c"
     source.write_text(native._SOURCE, encoding="ascii")
-    flags = ["-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
-    proc = subprocess.run(
-        [*native._compiler(), *flags, str(source)], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    warnings = ["-Wall", "-Wextra", "-Werror"]
+    for flags in (["-fsyntax-only"], [*native._CFLAGS, "-c", "-o", str(tmp_path / "native.o")]):
+        proc = subprocess.run(
+            [*native._compiler(), *warnings, *flags, str(source)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -71,6 +71,14 @@ def test_iterate_per_step_times_every_family():
     out = run_tool("iterate_per_step.py", "--steps", "1000", "--repeats", "1")
     assert (out["steps"], out["repeats"]) == (1000, 1)
     assert _all_positive(out["us_per_step"])
+    assert set(out["instructions"]) == set(out["dispatches"]) == set(out["us_per_step"])
+    # two-ball Douglas-Rachford at d = 3: 58 instructions in 37 dispatches
+    key = "douglas_rachford_two_balls.d3"
+    assert (out["instructions"][key], out["dispatches"][key]) == (58, 37)
+    assert all(
+        out["instructions"][k] // 2 <= out["dispatches"][k] <= out["instructions"][k]
+        for k in out["dispatches"]
+    )
 
 
 def test_checker_per_point_times_every_dimension():

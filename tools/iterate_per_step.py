@@ -1,5 +1,6 @@
 """Microseconds per step of ``fejerlab.dynamics.iterate``, per operator family
-and dimension, printed as one JSON object.
+and dimension, with the instructions and dispatches of each step, printed as
+one JSON object.
 
 Run from the root of a checkout, against the ``fejerlab`` on ``PYTHONPATH``:
 
@@ -14,6 +15,11 @@ coordinate after their map, inside a set far larger than the orbit, so each
 step takes the same arm of every choice: the inside arm for box, ball and
 half-space.  Two-ball Douglas-Rachford drifts away from both balls, so its
 reflections take the outside arm.
+
+``instructions`` counts the instructions that a family's float source lowers
+to, and ``dispatches`` the rows that the orbit machine runs per step once
+dependent pairs are fused.  Both are exact counts, so a per-step figure can
+be read against them.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 from fejerlab.dynamics import iterate
 from fejerlab.geometry import Ball, Box, Halfspace
 from fejerlab.operators import (
+    _OPCODES,
     Composition,
     ConvexCombination,
     DouglasRachford,
@@ -94,17 +101,35 @@ def per_step(T, x0, steps: int, repeats: int) -> float:
     return best / steps * 1e6
 
 
+def counts(T, d: int) -> tuple:
+    """(instructions, dispatches) of one step of ``T`` at dimension d."""
+    code = T._kernel(d).program.code
+    pairs = int((code[:, 0] >= _OPCODES["PAIR"]).sum())
+    return len(code) + pairs, len(code)
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--steps", type=int, default=200_000)
     p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args()
-    result = {
-        f"{name}.d{d}": round(per_step(T, x0, args.steps, args.repeats), 4)
-        for d in DIMS
-        for name, (T, x0) in families(d).items()
-    }
-    print(json.dumps({"steps": args.steps, "repeats": args.repeats, "us_per_step": result}))
+    result, instructions, dispatches = {}, {}, {}
+    for d in DIMS:
+        for name, (T, x0) in families(d).items():
+            key = f"{name}.d{d}"
+            result[key] = round(per_step(T, x0, args.steps, args.repeats), 4)
+            instructions[key], dispatches[key] = counts(T, d)
+    print(
+        json.dumps(
+            {
+                "steps": args.steps,
+                "repeats": args.repeats,
+                "us_per_step": result,
+                "instructions": instructions,
+                "dispatches": dispatches,
+            }
+        )
+    )
 
 
 if __name__ == "__main__":
