@@ -5,21 +5,19 @@ trajectories, drift estimates and limit verdicts take the orbits it returns,
 so a caller that needs one orbit several times computes it once.
 
 Trajectories are immutable: every array they hand out is read-only.
-:func:`iterate` runs the C orbit loop of :mod:`fejerlab.operators` on the
-operator's lowered float source: one engine for every tree and dimension.
-``T.apply`` runs the same source with numpy, in the same plain IEEE double
-arithmetic and fixed order, independent of BLAS, so the orbit equals the
-orbit of ``T.apply`` bit for bit.  The loop terminates a run early when the
-orbit enters an exact cycle of any period; it raises NonFiniteValueError at
-the first step past ``DEFAULT_NORM_CAP`` or not finite, such as a step that
-divides by zero.  The trajectory records the row from which it repeats and
-the period (``periodic_from``, ``period``) and keeps only the rows the loop
-computed, as do the differences and shadows formed from such orbits: their
-tails and row ranges are read from those rows by index arithmetic, and the
-whole array is built only for a caller that asks for ``points``.
-:func:`periodic_rows` turns the cycle into the leading rows that a check of
-per-step values needs to read, and :func:`periodic_steps` extends the values
-read there to every step.
+:func:`iterate` runs the C orbit loop of :mod:`fejerlab.native` on the
+program of the operator's float source that ``T.apply`` runs on one row, so
+the orbit equals the orbit of ``T.apply`` bit for bit.  The loop ends a run
+early when the orbit enters an exact cycle of any period; it raises
+NonFiniteValueError at the first step past ``DEFAULT_NORM_CAP`` or not
+finite, such as a step that divides by zero.  The trajectory records the row
+from which it repeats and the period (``periodic_from``, ``period``) and
+keeps only the rows the loop computed, as do the differences and shadows
+formed from such orbits: their tails and row ranges are read from those rows
+by index arithmetic, and the whole array is built only for a caller that
+asks for ``points``.  :func:`periodic_rows` turns the cycle into the leading
+rows that a check of per-step values needs to read, and
+:func:`periodic_steps` extends the values read there to every step.
 
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
 diameter over one period of a recorded cycle, or else over the rows that do
@@ -180,10 +178,9 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n}")
     x0 = as_vector(x0, T.dim)
-    kernel = T._kernel(x0.size)
     pts = np.empty((n + 1, x0.size))
     pts[0] = x0
-    cycle = kernel.run(pts, DEFAULT_NORM_CAP * DEFAULT_NORM_CAP)
+    cycle = T._kernel(x0.size).run(pts, DEFAULT_NORM_CAP * DEFAULT_NORM_CAP)
     if cycle is None:
         return Trajectory._own(pts)
     # row q + p repeats row q: keep the rows computed up to it

@@ -1,6 +1,11 @@
-"""fejerlab's C library: the orbit loop of ``iterate``, the witness pass of
-``check_fejer``, the CSV writer of ``export_trajectory`` and the float writer
-of ``export_report``.
+"""fejerlab's C library: the register machine that evaluates every set's
+projection and operator's map, on orbits for ``iterate`` and on rows for
+``project``, ``project_many``, ``apply``, ``value_at`` and the verifiers; the
+witness pass of ``check_fejer``; the CSV writer of ``export_trajectory`` and
+the float writer of ``export_report``.  The machine's instruction format
+lives here alone: ``_Lowering`` turns a node's float source (its ``_emit``)
+into instructions, once per source text, and a node's :class:`Kernel` pairs
+that program with the node's own register file.
 
 The whole library is one C translation unit, ``_SOURCE``.  The interpreter's
 C compiler builds it at the first call that needs it, once per process, with
@@ -11,33 +16,35 @@ directory is deleted as soon as it is loaded.
 
 from __future__ import annotations
 
+import ast
 import functools
 import os
 import re
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteValueError
 
-# ``fejer_run`` is the orbit loop of every tree: a register machine that runs
-# the same float source as an operator's ``apply``, lowered by
-# ``operators._Lowering``, in plain IEEE double arithmetic: a zero divisor or
-# the root of a negative gives inf or NaN, and WHERE picks one of two values
-# computed before it.  An instruction is six ints: an opcode, the register it
-# writes, its operand registers a, b and c, and a PAIR's second target u.  A
-# PAIR is two arithmetic operations (ADD, SUB, MUL, DIV, SQRT) in one row:
-# t = a op1 b is stored, then u = t op2 c, c op2 t or t op2 t, the same two
-# roundings in the same order; -ffp-contract=off keeps them from becoming one
-# FMA.  Its opcode is PAIR + 13 * i1 + 3 * i2 + side, with i1 and i2 the
-# places of op1 and op2 in that list and side 0, 1 or 2 as t is the left, the
-# right or both operands; SQRT reads its left operand only, so its side is 0.
-# A list parameter's register holds the index of the register that holds its
-# length, and its items follow that one.  At entry ``fejer_run`` decodes the
-# program once, into a malloc'ed array of records that hold a handler's
-# address and pointers to the registers, closed by END; ``step`` jumps from
-# handler to handler by GNU C's labels as values, so it needs gcc or clang.
-# Each arithmetic expression is written once, in a macro, and the 65 PAIR
-# handlers are generated from those macros.
+# ``fejer_run`` and ``fejer_map`` run a register machine on the float source
+# of a set's projection or an operator's map, lowered by ``_Lowering``, in
+# plain IEEE double arithmetic: a zero divisor or the root of a negative gives
+# inf or NaN, and WHERE picks one of two values computed before it.  An
+# instruction is six ints: an opcode, the register it writes, its operand
+# registers a, b and c, and a PAIR's second target u.  A PAIR is two
+# arithmetic operations (ADD, SUB, MUL, DIV, SQRT) in one row: t = a op1 b is
+# stored, then u = t op2 c, c op2 t or t op2 t, the same two roundings in the
+# same order; -ffp-contract=off keeps them from becoming one FMA.  Its opcode
+# is PAIR + 13 * i1 + 3 * i2 + side, with i1 and i2 the places of op1 and op2
+# in that list and side 0, 1 or 2 as t is the left, the right or both
+# operands; SQRT reads its left operand only, so its side is 0.  A list
+# parameter's register holds the index of the register that holds its length,
+# and its items follow that one.  At entry both decode the program once, by
+# ``decode``, into a malloc'ed array of records that hold a handler's address
+# and pointers to the registers, closed by END; ``step`` jumps from handler to
+# handler by GNU C's labels as values, so it needs gcc or clang.  Each
+# arithmetic expression is written once, in a macro, and the 65 PAIR handlers
+# are generated from those macros.
 # ``fejer_run`` writes rows 1..n_steps of the (n_steps + 1, d) array ``pts``
 # from row 0, which r[0..d-1] also hold.  It stops at an exact cycle of any
 # period by Brent's method (R. P. Brent, BIT 20, 1980): each new state is
@@ -49,6 +56,11 @@ from .errors import DimensionMismatchError
 # NaN and inf included; RAISED at step i where a list index is out of range,
 # so that no step reads past a list; NO_MEMORY, before any step, where the
 # decoded program could not be allocated; RAN otherwise.
+#
+# ``fejer_map`` runs one step from each row of the (m, d) array ``in`` and
+# writes the registers ``out`` names to that row of ``y``; RAISED gives the
+# row in ``found[0]``.  It comes last, and every entry point starts on a
+# 64-byte line, so that code added in front of one does not move its loops.
 #
 # ``fejer_reach2`` returns the largest squared distance of a row of the (n, d)
 # array ``pts`` to the point ``a``.  ``fejer_pass`` makes one sweep over the
@@ -245,18 +257,30 @@ static int64_t orbit(const struct ins *I, const int32_t *out, int64_t d, double 
     return RAN;
 }
 
-int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
-                  double *r, double *pts, int64_t n_steps, double cap2, int64_t *found)
+/* The n_code six-int rows of code over the registers r, decoded for step
+   into a malloc'ed array that END closes; NULL where malloc fails. */
+static struct ins *decode(const int32_t *code, int64_t n_code, double *r)
 {
     const void *const *go;
     struct ins *prog = malloc((size_t)(n_code + 1) * sizeof *prog);
     if (!prog)
-        return NO_MEMORY;
+        return NULL;
     step(NULL, r, &go);
     for (int64_t i = 0; i < n_code; i++, code += 6)
         prog[i] = (struct ins){go[code[0]], r + code[1], r + code[5],
                                r + code[2], r + code[3], r + code[4]};
     prog[n_code] = (struct ins){.go = go[END]};
+    return prog;
+}
+
+/* fejer_pass ran 30-50% slower starting 32 bytes past a 64-byte line */
+__attribute__((aligned(64)))
+int64_t fejer_run(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
+                  double *r, double *pts, int64_t n_steps, double cap2, int64_t *found)
+{
+    struct ins *prog = decode(code, n_code, r);
+    if (!prog)
+        return NO_MEMORY;
     int64_t stop = orbit(prog, out, d, r, pts, n_steps, cap2, found);
     free(prog);
     return stop;
@@ -271,6 +295,7 @@ static double dist2(const double *a, const double *b, int64_t d)
     return s;
 }
 
+__attribute__((aligned(64)))
 double fejer_reach2(const double *pts, int64_t n, int64_t d, const double *a)
 {
     double most = 0.0;
@@ -281,8 +306,6 @@ double fejer_reach2(const double *pts, int64_t n, int64_t d, const double *a)
     return most;
 }
 
-/* On a 64-byte line: its inner loop ran 30-50% slower starting 32 bytes past
-   one, where the code in front of it had moved it. */
 __attribute__((aligned(64)))
 void fejer_pass(const double *pts, int64_t n, int64_t d, const double *ws, int64_t w,
                 double *dist, double *drops, double *worst, int64_t *at)
@@ -526,6 +549,7 @@ static char *put_index(char *p, int64_t v)
     return (char *)memcpy(p, q, dig + 20 - q) + (dig + 20 - q);
 }
 
+__attribute__((aligned(64)))
 int64_t fejer_csv(const double *pts, int64_t n, int64_t d, int64_t start, char *out)
 {
     u128 pow5[33];
@@ -553,6 +577,7 @@ int64_t fejer_csv(const double *pts, int64_t n, int64_t d, int64_t start, char *
     return p - out;
 }
 
+__attribute__((aligned(64)))
 int64_t fejer_reprs(const double *v, int64_t n, const char *sep, int64_t n_sep, char *out)
 {
     u128 pow5[33];
@@ -581,14 +606,37 @@ int64_t fejer_reprs(const double *v, int64_t n, const char *sep, int64_t n_sep, 
     }
     return p - out;
 }
+
+__attribute__((aligned(64)))
+int64_t fejer_map(const int32_t *code, int64_t n_code, const int32_t *out, int64_t d,
+                  double *r, const double *in, double *y, int64_t m, int64_t *found)
+{
+    struct ins *prog = decode(code, n_code, r);
+    int64_t i = 0;
+    if (!prog)
+        return NO_MEMORY;
+    for (; i < m; i++, in += d, y += d) {
+        for (int64_t k = 0; k < d; k++)
+            r[k] = in[k];
+        if (step(prog, r, NULL))
+            break;
+        for (int64_t k = 0; k < d; k++)
+            y[k] = r[out[k]];
+    }
+    free(prog);
+    found[0] = i;
+    return i < m ? RAISED : RAN;
+}
 """
 
 
-def enum(name: str) -> dict:
+def _enum(name: str) -> dict:
     """The values of the C ``enum name``, by member name."""
     names = re.search(rf"enum {name} {{([^}}]*)}}", _SOURCE).group(1).split(",")
     return {key.strip(): i for i, key in enumerate(names)}
 
+
+_OPCODES, _STOPS = _enum("op"), _enum("stop")
 
 # no -ffast-math or -march=native: contracting a * b + c into one FMA changes bits
 _CFLAGS = ("-O2", "-ffp-contract=off")
@@ -621,15 +669,17 @@ def library():
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
             raise RuntimeError(
-                "iterate needs a C compiler for its orbit loop, check_fejer for its "
-                "witness pass, export_trajectory for its CSV writer and export_report "
-                "for its float writer, all in fejerlab's C library; "
-                f"{' '.join(cmd)} failed: {detail}"
+                "iterate needs a C compiler for its orbit loop, project and apply "
+                "for their map, check_fejer for its witness pass, export_trajectory "
+                "for its CSV writer and export_report for its float writer, all in "
+                f"fejerlab's C library; {' '.join(cmd)} failed: {detail}"
             ) from exc
         lib = ctypes.CDLL(path)
     p, i64 = ctypes.c_void_p, ctypes.c_int64
     lib.fejer_run.argtypes = [p, i64, p, i64, p, p, i64, ctypes.c_double, p]
     lib.fejer_run.restype = i64
+    lib.fejer_map.argtypes = [p, i64, p, i64, p, p, p, i64, p]
+    lib.fejer_map.restype = i64
     lib.fejer_reach2.argtypes = [p, i64, i64, p]
     lib.fejer_reach2.restype = ctypes.c_double
     lib.fejer_pass.argtypes = [p, i64, i64, p, i64, p, p, p, p]
@@ -639,6 +689,230 @@ def library():
     lib.fejer_reprs.argtypes = [p, i64, ctypes.c_char_p, i64, p]
     lib.fejer_reprs.restype = i64
     return lib
+
+
+class _Program(NamedTuple):
+    """One float source, lowered to the instructions of the machine."""
+
+    code: np.ndarray  # int32, one row of six per instruction, pairs fused
+    outputs: np.ndarray  # int32, the registers of the source's results
+    size: int  # registers ahead of the lists' items
+    constants: tuple  # (register, value)
+    scalars: tuple  # (parameter index, register)
+    lists: tuple  # (parameter index, register)
+    head: tuple  # fejer_run's and fejer_map's code, n_code, outputs and d
+
+    def registers(self, params: list) -> np.ndarray:
+        """The register file with one node's parameter values bound."""
+        r = np.zeros(self.size + sum(len(params[k]) + 1 for k, _ in self.lists))
+        for reg, value in self.constants:
+            r[reg] = value
+        for k, reg in self.scalars:
+            r[reg] = params[k]
+        end = self.size
+        for k, reg in self.lists:
+            items = params[k]
+            r[reg], r[end] = end, len(items)
+            r[end + 1 : end + 1 + len(items)] = items
+            end += len(items) + 1
+        r.setflags(write=False)
+        return r
+
+
+_BINARY = {ast.Add: "ADD", ast.Sub: "SUB", ast.Mult: "MUL", ast.Div: "DIV"}
+_COMPARE = {ast.Lt: "LT", ast.LtE: "LE", ast.Gt: "GT", ast.GtE: "GE"}
+
+# the operations a PAIR fuses, in the order of their codes; SQRT reads a only
+_ARITH = ("ADD", "SUB", "MUL", "DIV", "SQRT")
+_ARITH_OPS = {_OPCODES[op]: op for op in _ARITH}
+# where a pair's second operation reads the first's result t: t op2 c, c op2 t, t op2 t
+LEFT, RIGHT, BOTH = range(3)
+
+
+def _pair_code(op1: str, op2: str, side: int) -> int:
+    """The opcode of the pair t = a op1 b, then u = t op2 c, c op2 t or t op2 t."""
+    return _OPCODES["PAIR"] + 13 * _ARITH.index(op1) + 3 * _ARITH.index(op2) + side
+
+
+def _pair_parts(code: int) -> tuple:
+    """(op1, op2, side) of a PAIR opcode, read back from it."""
+    k = code - _OPCODES["PAIR"]
+    return _ARITH[k // 13], _ARITH[k % 13 // 3], k % 13 % 3
+
+
+def _reads(first: list, second: list) -> int | None:
+    """Where the arithmetic instruction ``second`` reads the target of the
+    arithmetic instruction ``first``; None where it does not read it, or
+    where either is not arithmetic."""
+    if first[0] not in _ARITH_OPS or second[0] not in _ARITH_OPS:
+        return None
+    t = first[1]
+    if second[0] == _OPCODES["SQRT"]:
+        return LEFT if second[2] == t else None
+    return {(True, False): LEFT, (False, True): RIGHT, (True, True): BOTH}.get(
+        (second[2] == t, second[3] == t)
+    )
+
+
+def _fuse(code: list) -> list:
+    """``code`` with each arithmetic instruction whose result the next one
+    reads fused with it into one PAIR row, left to right.  A pair stores
+    both results, so a later reader of the first still finds it."""
+    out, i = [], 0
+    while i < len(code):
+        first = code[i]
+        side = _reads(first, code[i + 1]) if i + 1 < len(code) else None
+        if side is None:
+            out.append(first)
+            i += 1
+            continue
+        (op1, t, a, b, _, _), (op2, u, left, right, _, _) = first, code[i + 1]
+        c = {LEFT: right, RIGHT: left, BOTH: 0}[side]
+        out.append([_pair_code(_ARITH_OPS[op1], _ARITH_OPS[op2], side), t, a, b, c, u])
+        i += 2
+    return out
+
+
+class _Lowering:
+    """The machine's instructions of a float source: a register per name,
+    constant and intermediate value, in the order the source computes them."""
+
+    def __init__(self, d: int):
+        self.code: list[list[int]] = []
+        self.names = {f"x{i}": i for i in range(d)}
+        self.constants: dict = {}
+        self.scalars: list = []
+        self.lists: list = []
+        self.size = d
+
+    def program(self, body: str, ys: list[str]) -> _Program:
+        for node in ast.parse(body).body:
+            self.assign(self.name(node.targets[0].id), node.value)
+        code = np.array(_fuse(self.code), dtype=np.int32).reshape(-1, 6)
+        outputs = np.array([self.name(y) for y in ys], dtype=np.int32)
+        return _Program(
+            code,
+            outputs,
+            self.size,
+            tuple((reg, value) for value, reg in self.constants.values()),
+            tuple(self.scalars),
+            tuple(self.lists),
+            (code.ctypes.data, len(code), outputs.ctypes.data, len(outputs)),
+        )
+
+    def new(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+    def name(self, name: str, listed: bool = False) -> int:
+        if name not in self.names:
+            self.names[name] = reg = self.new()
+            if name.startswith("p"):
+                (self.lists if listed else self.scalars).append((int(name[1:]), reg))
+        return self.names[name]
+
+    def operand(self, node) -> int:
+        """The register holding the value of the expression ``node``."""
+        if isinstance(node, ast.Name):
+            return self.name(node.id)
+        if isinstance(node, ast.Constant):
+            value = float(node.value)
+            key = value.hex()  # keeps 0.0 and -0.0 apart
+            if key not in self.constants:
+                self.constants[key] = (value, self.new())
+            return self.constants[key][1]
+        reg = self.new()
+        self.assign(reg, node)
+        return reg
+
+    def assign(self, reg: int, node) -> None:
+        kind = type(node)
+        call = node.func.id if kind is ast.Call else None
+        if kind in (ast.Name, ast.Constant):
+            op = ["MOV", self.operand(node)]
+        elif kind is ast.BinOp and type(node.op) in _BINARY:
+            op = [_BINARY[type(node.op)], self.operand(node.left), self.operand(node.right)]
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            op = ["NEG", self.operand(node.operand)]
+        elif kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) in _COMPARE:
+            left, right = self.operand(node.left), self.operand(node.comparators[0])
+            op = [_COMPARE[type(node.ops[0])], left, right]
+        elif call == "sqrt":
+            op = ["SQRT", self.operand(node.args[0])]
+        elif call == "where":
+            op = ["WHERE", *map(self.operand, node.args)]
+        elif call == "bisect_right":
+            items, x = node.args
+            op = ["BISECT", self.name(items.id, listed=True), self.operand(x)]
+        elif kind is ast.Subscript:
+            op = ["INDEX", self.name(node.value.id, listed=True), self.operand(node.slice)]
+        else:
+            raise ValueError(f"cannot lower {ast.unparse(node)!r}")
+        # six ints: opcode, target, three operands and a PAIR's second target;
+        # an unused operand reads register 0
+        self.code.append([_OPCODES[op[0]], reg, *op[1:], 0, 0, 0][:6])
+
+
+# (float source, result names) -> its _Program; grows only with the shapes in use
+_PROGRAMS: dict = {}
+
+
+def _stopped(stop: int, i: int, where: str) -> None:
+    """Raise for a run of the machine that ``stop`` ended at ``where`` i."""
+    if stop == _STOPS["LEFT_RANGE"]:
+        raise NonFiniteValueError(f"orbit left the representable range at {where} {i}")
+    if stop == _STOPS["RAISED"]:
+        raise IndexError(f"list index out of range at {where} {i}")
+    if stop == _STOPS["NO_MEMORY"]:
+        raise MemoryError("no memory for the decoded program")
+
+
+class Kernel(NamedTuple):
+    """A node's value at one dimension d: the program of its float source,
+    shared by the nodes of one shape, and its register file with this node's
+    parameters bound."""
+
+    program: _Program
+    registers: np.ndarray
+
+    def map(self, rows: np.ndarray) -> np.ndarray:
+        """The value at each row of the (m, d) array ``rows``, by ``fejer_map``."""
+        head = self.program.head
+        x = np.ascontiguousarray(rows, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != head[3]:
+            raise DimensionMismatchError(f"expected shape (n, {head[3]}), got {x.shape}")
+        y, r, found = np.empty(x.shape), self.registers.copy(), np.empty(1, dtype=np.int64)
+        stop = library().fejer_map(
+            *head, r.ctypes.data, x.ctypes.data, y.ctypes.data, len(x), found.ctypes.data
+        )
+        _stopped(stop, int(found[0]), "row")
+        return y
+
+    def run(self, pts: np.ndarray, cap2: float):
+        """Fill rows 1.. of ``pts`` with the orbit of its row 0 by ``fejer_run``;
+        (q, p) where row q + p repeats row q, else None.  An orbit past
+        ``cap2``, or not finite, raises NonFiniteValueError."""
+        n, d = pts.shape[0] - 1, pts.shape[1]
+        head = self.program.head
+        if not pts.flags.c_contiguous or pts.dtype != np.float64 or d != head[3]:
+            raise ValueError("pts must be a C-ordered float64 array of the kernel's dimension")
+        r = self.registers.copy()
+        r[:d] = pts[0]
+        found = np.zeros(2, dtype=np.int64)
+        stop = library().fejer_run(
+            *head, r.ctypes.data, pts.ctypes.data, n, cap2, found.ctypes.data
+        )
+        _stopped(stop, int(found[0]), "step")
+        return (int(found[0]), int(found[1])) if stop == _STOPS["CYCLED"] else None
+
+
+def kernel(lines: list, ys: list, d: int, params: list) -> Kernel:
+    """The source ``lines`` with results ``ys``, lowered once, and ``params`` bound."""
+    key = ("\n".join(lines), tuple(ys))
+    program = _PROGRAMS.get(key)
+    if program is None:
+        program = _PROGRAMS[key] = _Lowering(d).program(*key)
+    return Kernel(program, program.registers(params))
 
 
 def _same_dim(pts: np.ndarray, shape: tuple) -> None:

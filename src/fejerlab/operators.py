@@ -4,24 +4,19 @@ Operator expressions are immutable trees.  Each node has one evaluator, its
 ``_emit``: straight-line float source for its value over the coordinates
 ``x0 .. x{d-1}``; a set kind's is its one projection formula, in
 :mod:`fejerlab.geometry`.  A choice computes both arms and picks one with
-``where``, so the source has no control flow and one arithmetic, plain IEEE
-doubles, unfused, wherever it runs.  numpy runs it on float64 scalars and
-columns (``apply``, ``value_at``, the verifiers), by the column function that
-:class:`fejerlab.geometry.Emitted` compiles.  The orbit loop of
-:func:`fejerlab.dynamics.iterate` runs it lowered with :mod:`ast` into the
-instructions of one fixed C register machine, ``fejer_run`` of
-:mod:`fejerlab.native`, so every orbit equals the ``apply`` orbit bit for
-bit.  The lowering's last pass merges an arithmetic instruction and the
-next one, where that one reads its result, into one PAIR row: the machine
-runs the pair with one dispatch, with the same two roundings in the same
-order (no FMA), and still stores the first result.  A zero divisor or the
-square root of a negative gives inf or NaN in both, and an orbit step that
-yields one makes ``iterate`` raise NonFiniteValueError there, as past its
-norm cap; a list index out of range raises IndexError in both.  Parameter
-values are bound per operator, so the operators of one tree shape and
-dimension share one program and one compiled column source.  The machine is
-part of fejerlab's one C library, which :mod:`fejerlab.native` builds at the
-first ``iterate`` or export of a process, once; nothing is compiled at
+``where``, so the source has no control flow.  :mod:`fejerlab.native` lowers
+the source once per text into the instructions of one fixed C register
+machine, which runs it in plain IEEE double arithmetic, unfused: on one row
+for ``apply`` and ``value_at``, on all trials at once for the verifiers, and
+as the orbit loop of :func:`fejerlab.dynamics.iterate`, with the same
+program and the same register file, so every orbit equals the ``apply``
+orbit by construction.  A zero divisor or the square root of a negative
+gives inf or NaN; an orbit step that yields one makes ``iterate`` raise
+NonFiniteValueError there, as past its norm cap, and a list index out of
+range raises IndexError.  Parameter values are bound per node, so the
+operators of one tree shape and dimension share one program.  The machine
+is part of fejerlab's one C library, which :mod:`fejerlab.native` builds at
+the first call of a process that needs it, once; nothing is compiled at
 import.
 
 Inner products are plain left-to-right sums of rounded products.  At d = 1
@@ -38,15 +33,12 @@ is expected to survive :func:`verify_averaged` empirically.
 
 from __future__ import annotations
 
-import ast
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from . import native
-from .errors import DimensionMismatchError, NonFiniteValueError
+from .errors import DimensionMismatchError
 from .geometry import (
     AffineSubspace,
     Ball,
@@ -178,214 +170,6 @@ def _linear_certificate(mat: np.ndarray) -> AveragednessCertificate:
     return _UNKNOWN_CERT
 
 
-_OPCODES, _STOPS = native.enum("op"), native.enum("stop")
-
-
-class _Program(NamedTuple):
-    """One float source, lowered to the instructions of ``fejer_run``."""
-
-    code: np.ndarray  # int32, one row of six per instruction, pairs fused
-    outputs: np.ndarray  # int32, the registers of the step's result
-    size: int  # registers ahead of the lists' items
-    constants: tuple  # (register, value)
-    scalars: tuple  # (parameter index, register)
-    lists: tuple  # (parameter index, register)
-
-    def registers(self, params: list) -> np.ndarray:
-        """The register file with one operator's parameter values bound."""
-        r = np.zeros(self.size + sum(len(params[k]) + 1 for k, _ in self.lists))
-        for reg, value in self.constants:
-            r[reg] = value
-        for k, reg in self.scalars:
-            r[reg] = params[k]
-        end = self.size
-        for k, reg in self.lists:
-            items = params[k]
-            r[reg], r[end] = end, len(items)
-            r[end + 1 : end + 1 + len(items)] = items
-            end += len(items) + 1
-        r.setflags(write=False)
-        return r
-
-
-_BINARY = {ast.Add: "ADD", ast.Sub: "SUB", ast.Mult: "MUL", ast.Div: "DIV"}
-_COMPARE = {ast.Lt: "LT", ast.LtE: "LE", ast.Gt: "GT", ast.GtE: "GE"}
-
-# the operations a PAIR fuses, in the order of their codes; SQRT reads a only
-_ARITH = ("ADD", "SUB", "MUL", "DIV", "SQRT")
-_ARITH_OPS = {_OPCODES[op]: op for op in _ARITH}
-# where a pair's second operation reads the first's result t: t op2 c, c op2 t, t op2 t
-LEFT, RIGHT, BOTH = range(3)
-
-
-def _pair_code(op1: str, op2: str, side: int) -> int:
-    """The opcode of the pair t = a op1 b, then u = t op2 c, c op2 t or t op2 t."""
-    return _OPCODES["PAIR"] + 13 * _ARITH.index(op1) + 3 * _ARITH.index(op2) + side
-
-
-def _pair_parts(code: int) -> tuple:
-    """(op1, op2, side) of a PAIR opcode, read back from it."""
-    k = code - _OPCODES["PAIR"]
-    return _ARITH[k // 13], _ARITH[k % 13 // 3], k % 13 % 3
-
-
-def _reads(first: list, second: list) -> int | None:
-    """Where the arithmetic instruction ``second`` reads the target of the
-    arithmetic instruction ``first``; None where it does not read it, or
-    where either is not arithmetic."""
-    if first[0] not in _ARITH_OPS or second[0] not in _ARITH_OPS:
-        return None
-    t = first[1]
-    if second[0] == _OPCODES["SQRT"]:
-        return LEFT if second[2] == t else None
-    return {(True, False): LEFT, (False, True): RIGHT, (True, True): BOTH}.get(
-        (second[2] == t, second[3] == t)
-    )
-
-
-def _fuse(code: list) -> list:
-    """``code`` with each arithmetic instruction whose result the next one
-    reads fused with it into one PAIR row, left to right.  A pair stores
-    both results, so a later reader of the first still finds it."""
-    out, i = [], 0
-    while i < len(code):
-        first = code[i]
-        side = _reads(first, code[i + 1]) if i + 1 < len(code) else None
-        if side is None:
-            out.append(first)
-            i += 1
-            continue
-        (op1, t, a, b, _, _), (op2, u, left, right, _, _) = first, code[i + 1]
-        c = {LEFT: right, RIGHT: left, BOTH: 0}[side]
-        out.append([_pair_code(_ARITH_OPS[op1], _ARITH_OPS[op2], side), t, a, b, c, u])
-        i += 2
-    return out
-
-
-class _Lowering:
-    """``fejer_run`` instructions of a float source: a register per name,
-    constant and intermediate value, in the order the source computes them."""
-
-    def __init__(self, d: int):
-        self.code: list[list[int]] = []
-        self.names = {f"x{i}": i for i in range(d)}
-        self.constants: dict = {}
-        self.scalars: list = []
-        self.lists: list = []
-        self.size = d
-
-    def program(self, body: str, ys: list[str]) -> _Program:
-        for node in ast.parse(body).body:
-            self.assign(self.name(node.targets[0].id), node.value)
-        return _Program(
-            np.array(_fuse(self.code), dtype=np.int32).reshape(-1, 6),
-            np.array([self.name(y) for y in ys], dtype=np.int32),
-            self.size,
-            tuple((reg, value) for value, reg in self.constants.values()),
-            tuple(self.scalars),
-            tuple(self.lists),
-        )
-
-    def new(self) -> int:
-        self.size += 1
-        return self.size - 1
-
-    def name(self, name: str, listed: bool = False) -> int:
-        if name not in self.names:
-            self.names[name] = reg = self.new()
-            if name.startswith("p"):
-                (self.lists if listed else self.scalars).append((int(name[1:]), reg))
-        return self.names[name]
-
-    def operand(self, node) -> int:
-        """The register holding the value of the expression ``node``."""
-        if isinstance(node, ast.Name):
-            return self.name(node.id)
-        if isinstance(node, ast.Constant):
-            value = float(node.value)
-            key = value.hex()  # keeps 0.0 and -0.0 apart
-            if key not in self.constants:
-                self.constants[key] = (value, self.new())
-            return self.constants[key][1]
-        reg = self.new()
-        self.assign(reg, node)
-        return reg
-
-    def assign(self, reg: int, node) -> None:
-        kind = type(node)
-        call = node.func.id if kind is ast.Call else None
-        if kind in (ast.Name, ast.Constant):
-            op = ["MOV", self.operand(node)]
-        elif kind is ast.BinOp and type(node.op) in _BINARY:
-            op = [_BINARY[type(node.op)], self.operand(node.left), self.operand(node.right)]
-        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
-            op = ["NEG", self.operand(node.operand)]
-        elif kind is ast.Compare and len(node.ops) == 1 and type(node.ops[0]) in _COMPARE:
-            left, right = self.operand(node.left), self.operand(node.comparators[0])
-            op = [_COMPARE[type(node.ops[0])], left, right]
-        elif call == "sqrt":
-            op = ["SQRT", self.operand(node.args[0])]
-        elif call == "where":
-            op = ["WHERE", *map(self.operand, node.args)]
-        elif call == "bisect_right":
-            items, x = node.args
-            op = ["BISECT", self.name(items.id, listed=True), self.operand(x)]
-        elif kind is ast.Subscript:
-            op = ["INDEX", self.name(node.value.id, listed=True), self.operand(node.slice)]
-        else:
-            raise ValueError(f"cannot lower {ast.unparse(node)!r}")
-        # six ints: opcode, target, three operands and a PAIR's second target;
-        # an unused operand reads register 0
-        self.code.append([_OPCODES[op[0]], reg, *op[1:], 0, 0, 0][:6])
-
-
-# (float source, result names) -> its _Program; grows only with the shapes in use
-_PROGRAMS: dict = {}
-
-
-class _Kernel(NamedTuple):
-    """A tree's orbit loop at one start dimension d."""
-
-    program: _Program  # shared by the trees of one shape
-    registers: np.ndarray  # the program's register file with this tree's parameters
-
-    def run(self, pts: np.ndarray, cap2: float):
-        """Fill rows 1.. of the float array ``pts`` with the orbit of its row 0.
-
-        Returns (q, p) when row q + p repeats row q, and None if no state
-        repeats.  An orbit past ``cap2``, or not finite, raises
-        NonFiniteValueError.
-        """
-        n, d = pts.shape[0] - 1, pts.shape[1]
-        program = self.program
-        if not pts.flags.c_contiguous or pts.dtype != np.float64 or d != len(program.outputs):
-            raise ValueError("pts must be a C-ordered float64 array of the kernel's dimension")
-        r = self.registers.copy()
-        r[:d] = pts[0]
-        found = np.zeros(2, dtype=np.int64)
-        stop = native.library().fejer_run(
-            program.code.ctypes.data, len(program.code), program.outputs.ctypes.data,
-            d, r.ctypes.data, pts.ctypes.data, n, cap2, found.ctypes.data,
-        )
-        i = int(found[0])
-        if stop == _STOPS["LEFT_RANGE"]:
-            raise NonFiniteValueError(f"orbit left the representable range at step {i}")
-        if stop == _STOPS["RAISED"]:
-            raise IndexError(f"list index out of range at step {i}")
-        if stop == _STOPS["NO_MEMORY"]:
-            raise MemoryError("no memory for the decoded orbit program")
-        return (i, int(found[1])) if stop == _STOPS["CYCLED"] else None
-
-
-def _compile(T: "OperatorExpr", d: int) -> _Kernel:
-    src = KernelSource()
-    ys = T._emit(src, [f"x{i}" for i in range(d)])
-    key = ("\n".join(src.lines), tuple(ys))
-    if key not in _PROGRAMS:
-        _PROGRAMS[key] = _Lowering(d).program(*key)
-    return _Kernel(_PROGRAMS[key], _PROGRAMS[key].registers(src.params))
-
-
 class OperatorExpr(Emitted):
     """Base class for nonexpansive-map expression nodes."""
 
@@ -396,14 +180,8 @@ class OperatorExpr(Emitted):
 
     def apply(self, x) -> np.ndarray:
         """Evaluate the expression at ``x``."""
-        return np.array(self._columns(*as_vector(x, self.dim)))
-
-    def _kernel(self, d: int) -> _Kernel:
-        """The orbit loop at start dimension ``d``, built on first use."""
-        kernels = self.__dict__.setdefault("_kernels", {})
-        if d not in kernels:
-            kernels[d] = _compile(self, d)
-        return kernels[d]
+        v = as_vector(x, self.dim)
+        return self._kernel(v.size).map(v[None])[0]
 
     def _install(self, dim, cert=_UNKNOWN_CERT) -> None:
         object.__setattr__(self, "_dim", dim)
@@ -606,7 +384,7 @@ class ScalarPiecewiseLinear(OperatorExpr):
         return [src.let(f"{ys}[{k}] + {sl}[{j}] * ({t} - {xs}[{k}])")]
 
     def value_at(self, t: float) -> float:
-        return float(self._columns(np.float64(t))[0])
+        return float(self._kernel(1).map(np.array([[t]], dtype=float))[0, 0])
 
 
 def _emit_matvec(src: KernelSource, matrix: np.ndarray, x: list[str]) -> list[str]:
@@ -649,7 +427,8 @@ def _verify_pairs(checker, T, violation, params, trials, seed, tol, dim, box):
     # x and then y of each trial, in one draw
     xy = np.random.default_rng(seed).uniform(-box, box, (trials, 2, d))
     x, y = xy[:, 0], xy[:, 1]
-    tx, ty = T._rows(x), T._rows(y)
+    txy = T._kernel(d).map(xy.reshape(-1, d)).reshape(xy.shape)
+    tx, ty = txy[:, 0], txy[:, 1]
     worst, witness = -np.inf, None
     for i in range(trials):
         viol = float(violation(x[i], y[i], tx[i], ty[i]))

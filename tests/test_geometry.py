@@ -11,7 +11,6 @@ from fejerlab.errors import (
     UnsupportedSetError,
 )
 from fejerlab.geometry import (
-    _BLOCK_ROWS,
     AffineSubspace,
     Ball,
     Box,
@@ -203,14 +202,12 @@ _ZOO_KINDS = [type(C).__name__ for C in _set_zoo()]
 @pytest.mark.parametrize("kind", range(len(_ZOO_KINDS)), ids=_ZOO_KINDS)
 def test_project_many_matches_pointwise(kind):
     # each row is bit for bit the projection of its point, signed zeros
-    # included, in every block of project_many and on both sides of its edges;
-    # the rows repeat the probe rows, whose count divides no block
-    B = _BLOCK_ROWS
+    # included, from no rows to some thousands; the rows repeat the probe rows
     for dim in (1, 2, 3, 4):
         C = _set_zoo(dim)[kind]
         pts = _probe_rows(C, seed=23)
         expected = np.array([C.project(x) for x in pts])
-        for n in (0, 1, len(pts), B - 1, B, B + 1, 2 * B + 1):
+        for n in (0, 1, len(pts), 8191, 8192, 8193, 16385):
             batch = C.project_many(np.resize(pts, (n, dim)))
             assert batch.shape == (n, dim)
             assert batch.tobytes() == np.resize(expected, (n, dim)).tobytes(), (C, n)
@@ -304,9 +301,9 @@ def test_single_vector_projection_keeps_reference_bits(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_float_kernels_follow_project(dim):
-    # each set kind has one projection formula, its _emit, compiled over
-    # scalars for the operator kernels and over columns for project and
-    # project_many: the same float operations in the same order, so the same bits
+    # each set kind has one projection formula, its _emit, which one register
+    # machine runs for project, project_many and the operators' maps: the same
+    # float operations in the same order, so the same bits
     for C in _set_zoo(dim) + _zero_parameter_sets(dim):
         P, R = Projector(C), Reflector(C)
         pts = _probe_rows(C, seed=dim)
@@ -326,7 +323,7 @@ def test_center_rows_among_outside_rows_raise_no_warning(dim):
         MinkowskiSum(Ball(c, 0.8), Orthant(np.ones(dim))),
         MinkowskiSum(Ball(c, 1.0), LinearSubspace(np.eye(dim)[:1])),
     ):
-        rows = np.resize(np.vstack([c, c - 5.0, c, c + 5.0]), (_BLOCK_ROWS + 3, dim))
+        rows = np.resize(np.vstack([c, c - 5.0, c, c + 5.0]), (8195, dim))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = C.project_many(rows)

@@ -1,7 +1,8 @@
 """``import fejerlab`` loads no scipy; each scipy subpackage loads at first use.
-The C library is compiled once per process, at the first ``iterate``, Fejér
-check or export of a trajectory or of a float ``per_step``, whichever comes
-first."""
+The C library is compiled once per process, at the first ``iterate``,
+projection or map, Fejér check or export of a trajectory or of a float
+``per_step``, whichever comes first; building and writing out the registry's
+specs compiles nothing."""
 
 import json
 import subprocess
@@ -54,7 +55,7 @@ def test_scipy_loads_only_where_a_run_first_needs_it():
 # counts the processes started through subprocess, runs ``list``, then the
 # calls named in argv, each a statement; prints the processes started by each
 COMPILER_PROBE = """
-import contextlib, io, json, subprocess, sys
+import contextlib, io, json, os, subprocess, sys, tempfile
 sys.path.insert(0, {src!r})
 started = []
 
@@ -81,13 +82,24 @@ after_list = {{
     "started": len(started),
     "loaded": native.library.cache_info().currsize,
 }}
+# what the benchmark's registry set-up does
+from fejerlab import config, scenarios
+names = [name for name, _, _ in scenarios.list_scenarios()]
+with tempfile.TemporaryDirectory() as tmp:
+    for name in names:
+        config.dump_scenario(scenarios.get_scenario(name), os.path.join(tmp, name + ".yaml"))
+after_specs = {{
+    "specs": len(names),
+    "started": len(started),
+    "loaded": native.library.cache_info().currsize,
+}}
 balls = geometry.Ball([0.0, 0.0], 1.0), geometry.Ball([3.0, 0.0], 1.0)
 calls = []
 for statement in sys.argv[1:]:
     before = len(started)
     exec(statement)
     calls.append(started[before:])
-print(json.dumps({{"after_list": after_list, "calls": calls}}))
+print(json.dumps({{"after_list": after_list, "after_specs": after_specs, "calls": calls}}))
 """
 
 ITERATE = [
@@ -106,6 +118,7 @@ def _compiler_probe(*statements) -> dict:
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     # import fejerlab and list build nothing and load no ctypes
     assert out["after_list"] == {"code": 0, "ctypes": [], "started": 0, "loaded": 0}
+    assert out["after_specs"] == {"specs": 13, "started": 0, "loaded": 0}
     return out
 
 
@@ -152,6 +165,13 @@ def _without_compiler(call: str, cwd) -> str:
 def test_a_missing_compiler_fails_the_first_iterate_clearly(tmp_path):
     message = _without_compiler("dynamics.iterate(operators.Negation(), [1.0], 3)", tmp_path)
     assert "iterate needs a C compiler for its orbit loop" in message
+    assert "fejerlab's C library" in message
+
+
+def test_a_missing_compiler_fails_the_first_projection_clearly(tmp_path):
+    call = "from fejerlab import geometry; geometry.Ball([0.0], 1.0).project([2.0])"
+    message = _without_compiler(call, tmp_path)
+    assert "project and apply for their map" in message
     assert "fejerlab's C library" in message
 
 

@@ -3,7 +3,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from fejerlab import geometry, native, operators
+from fejerlab import native
 from fejerlab.dynamics import iterate
 from fejerlab.errors import DimensionMismatchError, UnsupportedSetError
 from fejerlab.geometry import (
@@ -177,12 +177,10 @@ def test_scalar_flag_per_node_kind(T):
 
 
 def test_sweep_operators_share_compiled_kernels(monkeypatch):
-    # kernels are compiled and lowered per tree shape and dimension, and
-    # parameters are bound per operator: the scalar sweep's trees share one
-    # kernel and the codim1 sweep's one per dimension, however many operators
-    # a sweep builds
-    monkeypatch.setattr(geometry, "_COMPILED", {})
-    monkeypatch.setattr(operators, "_PROGRAMS", {})
+    # programs are lowered per tree shape and dimension, and parameters are
+    # bound per node: the scalar sweep's trees share one program and the
+    # codim1 sweep's one per dimension, however many operators a sweep builds
+    monkeypatch.setattr(native, "_PROGRAMS", {})
     rng = np.random.default_rng(3)
     for i in range(200):
         R = random_scalar_piecewise_linear(rng)
@@ -194,8 +192,17 @@ def test_sweep_operators_share_compiled_kernels(monkeypatch):
         C = Hyperplane(normal / np.linalg.norm(normal), rng.uniform(-2, 2))
         T = ConvexCombination(rng.uniform(0.05, 0.95), Identity(), Reflector(C))
         iterate(T, rng.uniform(-5, 5, d), 50)
-    assert len(geometry._COMPILED) <= 3
-    assert len(operators._PROGRAMS) == 3
+    assert len(native._PROGRAMS) == 3
+    # a set's projection, its projector's map and a projector orbit run one
+    # lowered program, each node with its own registers
+    C = Ball([0.5, -1.0], 2.0)
+    x = np.array([4.0, 3.0])
+    P = Projector(C)
+    y = C.project(x)
+    assert P.apply(x).tobytes() == y.tobytes()
+    assert iterate(P, x, 3).points[1].tobytes() == y.tobytes()
+    assert len(native._PROGRAMS) == 4
+    assert P._kernel(2).program is C._kernel(2).program
 
 
 def test_unsupported_minkowski_sum_raises_on_use():

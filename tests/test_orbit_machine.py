@@ -1,11 +1,11 @@
-"""The C orbit machine, one instruction kind at a time.
+"""The C register machine, one instruction kind at a time.
 
-Each test lowers a hand-written float source with ``operators._Lowering`` and
-runs it in ``fejer_run``, against the column executor
-(``geometry.Emitted._columns``) on the same source, bit for bit.  The
-operands include both zeros, both infinities and NaN, so every kind is
-checked where IEEE arithmetic has its special cases; every NaN compares
-equal to every other.
+Each test lowers a hand-written float source with ``native._Lowering`` and
+runs it in ``fejer_run`` and ``fejer_map``, bit for bit against a column
+executor: the source's unfused instructions, each run by its numpy ufunc on
+float64 columns, one column per register.  The operands include both zeros,
+both infinities and NaN, so every kind is checked where IEEE arithmetic has
+its special cases; every NaN compares equal to every other.
 """
 
 import itertools
@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 from fejerlab import native
-from fejerlab.geometry import Emitted
-from fejerlab.operators import (
+from fejerlab.native import (
     _ARITH,
     _OPCODES,
     _STOPS,
     BOTH,
     LEFT,
     RIGHT,
+    Kernel,
     _fuse,
-    _Kernel,
     _Lowering,
     _pair_code,
     _pair_parts,
@@ -33,17 +32,30 @@ SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -3.0, 0.1)
 # x0, x1, x2 over every triple of special operands
 GRID = np.array(list(itertools.product(SPECIAL, repeat=3)))
 
+# each plain opcode's numpy function and its count of operands; BISECT and
+# INDEX read a list, and the column executor runs them itself
+_UFUNCS = {
+    "MOV": (np.positive, 1),
+    "NEG": (np.negative, 1),
+    "ADD": (np.add, 2),
+    "SUB": (np.subtract, 2),
+    "MUL": (np.multiply, 2),
+    "DIV": (np.divide, 2),
+    "SQRT": (np.sqrt, 1),
+    "LT": (np.less, 2),
+    "LE": (np.less_equal, 2),
+    "GT": (np.greater, 2),
+    "GE": (np.greater_equal, 2),
+    "WHERE": (np.where, 3),
+}
+_NAMES = {code: name for name, code in _OPCODES.items()}
 
-class _Source(Emitted):
+
+class _Source:
     """A hand-written float source over x0 .. x{d-1} with results ``ys``."""
 
     def __init__(self, lines, ys, params=()):
         self.lines, self.ys, self.params = lines, ys, list(params)
-
-    def _emit(self, src, x):
-        src.lines.extend(self.lines)
-        src.params.extend(self.params)
-        return self.ys
 
     def program(self):
         return _Lowering(len(self.ys)).program("\n".join(self.lines), self.ys)
@@ -51,8 +63,27 @@ class _Source(Emitted):
 
 def _columns(source: _Source, rows: np.ndarray) -> np.ndarray:
     """Row-wise results of ``source`` by the column executor, as float64."""
-    values = source._columns(*rows.T)
-    return np.stack([np.broadcast_to(np.asarray(v, dtype=np.float64), len(rows)) for v in values], 1)
+    lowering = _Lowering(len(source.ys))
+    program = lowering.program("\n".join(source.lines), source.ys)  # code stays unfused
+    bound = program.registers(source.params)
+    regs = [np.full(len(rows), value) for value in bound[: program.size]]
+    regs[: rows.shape[1]] = rows.T
+    lists = {reg: np.asarray(source.params[k], dtype=np.float64) for k, reg in program.lists}
+    with np.errstate(all="ignore"):
+        for op, t, a, b, c, _ in lowering.code:
+            name = _NAMES[op]
+            if name == "BISECT":
+                value = np.searchsorted(lists[a], regs[b], side="right")
+            elif name == "INDEX":
+                items, i = lists[a], regs[b]
+                if not np.all((i >= 0.0) & (i < len(items))):
+                    raise IndexError("list index out of range")
+                value = items[i.astype(np.int64)]
+            else:
+                function, arity = _UFUNCS[name]
+                value = function(*(regs[k] for k in (a, b, c)[:arity]))
+            regs[t] = np.asarray(value, dtype=np.float64)
+    return np.stack([regs[k] for k in program.outputs], 1)
 
 
 def _one_step(program, params, x):
@@ -88,6 +119,9 @@ def _assert_same_on_grid(source: _Source, rows: np.ndarray = GRID) -> None:
         got, stop = _one_step(program, source.params, x)
         assert stop in (_STOPS["RAN"], _STOPS["LEFT_RANGE"], _STOPS["CYCLED"])
         assert _bits(got) == _bits(expected), (x.tolist(), got.tolist(), expected.tolist())
+    # fejer_map runs the same program on every row in one call
+    mapped = Kernel(program, program.registers(source.params)).map(rows)
+    assert _bits(mapped) == _bits(want)
 
 
 def _opcodes(source: _Source) -> list:
@@ -218,7 +252,7 @@ def test_an_orbit_of_pairs_equals_the_column_orbit():
     program = source.program()
     pts = np.zeros((201, 2))
     pts[0] = [0.3, -1.7]
-    assert _Kernel(program, program.registers([])).run(pts, np.inf) is None
+    assert Kernel(program, program.registers([])).run(pts, np.inf) is None
     assert pts.tobytes() == _column_orbit(source, pts[0], 200).tobytes()
 
 
@@ -230,7 +264,7 @@ def test_an_index_out_of_range_raises_at_the_same_step():
     pts = np.zeros((21, 2))
     pts[0] = [-3.5, 0.25]
     with pytest.raises(IndexError, match="at step 7$"):
-        _Kernel(program, program.registers(source.params)).run(pts, np.inf)
+        Kernel(program, program.registers(source.params)).run(pts, np.inf)
     rows = _column_orbit(source, pts[0], 6)
     assert pts[:7].tobytes() == rows.tobytes()
     with pytest.raises(IndexError):

@@ -1,17 +1,19 @@
 """Property tests over random operator trees of every set kind in d = 1..4.
 
-They assert that ``iterate`` computes the orbit of ``T.apply`` bit for bit,
-and that every certificate ``certify`` gives survives the empirical
-verifier, also on trees drawn at the boundaries of the calculus rules.  The
-calculus follows Bauschke & Combettes, *Convex Analysis and Monotone
-Operator Theory in Hilbert Spaces*.
+They assert that ``iterate`` and ``apply`` compute the orbit of a plain-float
+reference bit for bit, and that every certificate ``certify`` gives survives
+the empirical verifier, also on trees drawn at the boundaries of the
+calculus rules.  The calculus follows Bauschke & Combettes, *Convex Analysis
+and Monotone Operator Theory in Hilbert Spaces*.
 """
 
+import bisect
 import functools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_geometry import _dot, _reference_project
 
 from fejerlab.dynamics import iterate
 from fejerlab.geometry import (
@@ -36,6 +38,7 @@ from fejerlab.operators import (
     Negation,
     Projector,
     Reflector,
+    ScalarPiecewiseLinear,
     Translation,
     certify,
     random_scalar_piecewise_linear,
@@ -185,10 +188,47 @@ def _assert_certificate_holds(T, d):
     assert rep.passed, rep.witness
 
 
-def _naive_orbit(T, x0, n):
+def _reflect(C, x):
+    return 2.0 * _reference_project(C, x) - x
+
+
+def _reference_apply(T, x):
+    """T(x) node by node, in the order of operations of each node's ``_emit``,
+    on plain floats: every inner product a ``_dot`` sum, every projection
+    ``_reference_project``'s."""
+    if isinstance(T, Identity):
+        return x.copy()
+    if isinstance(T, Negation):
+        return -x
+    if isinstance(T, Translation):
+        return x + T.shift
+    if isinstance(T, (Linear, AffineMap)):
+        mx = np.array([_dot(row, x) for row in T.matrix])
+        return mx + T.shift if isinstance(T, AffineMap) else mx
+    if isinstance(T, Projector):
+        return _reference_project(T.target, x)
+    if isinstance(T, Reflector):
+        return _reflect(T.target, x)
+    if isinstance(T, ConvexCombination):
+        left, right = _reference_apply(T.left, x), _reference_apply(T.right, x)
+        return (1.0 - T.alpha) * left + T.alpha * right
+    if isinstance(T, Composition):
+        return _reference_apply(T.outer, _reference_apply(T.inner, x))
+    if isinstance(T, DouglasRachford):
+        return 0.5 * (x + _reflect(T.second, _reflect(T.first, x)))
+    assert isinstance(T, ScalarPiecewiseLinear)
+    xs, sl, a = T.breakpoints, T.slopes, T.anchor_value
+    ys = np.concatenate([[a], a + np.cumsum(sl[1:-1] * np.diff(xs))])
+    t = float(x[0])
+    j = bisect.bisect_right(xs.tolist(), t)  # slopes[j] applies at t
+    k = j - 1 if j > 0 else 0
+    return np.array([ys[k] + sl[j] * (t - xs[k])])
+
+
+def _reference_orbit(T, x0, n):
     pts = [np.asarray(x0, dtype=float)]
     for _ in range(n):
-        pts.append(T.apply(pts[-1]))
+        pts.append(_reference_apply(T, pts[-1]))
     return np.stack(pts)
 
 
@@ -196,8 +236,10 @@ def _naive_orbit(T, x0, n):
 @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), operators(d), vectors(d))))
 def test_random_trees_iterate_exactly_and_certify_soundly(case):
     d, T, x0 = case
-    traj = iterate(T, x0, STEPS)
-    assert traj.points.tobytes() == _naive_orbit(T, x0, STEPS).tobytes()
+    want = _reference_orbit(T, x0, STEPS)
+    assert iterate(T, x0, STEPS).points.tobytes() == want.tobytes()
+    for x, y in zip(want[:-1], want[1:]):
+        assert T.apply(x).tobytes() == y.tobytes(), x
     _assert_certificate_holds(T, d)
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from fejerlab.dynamics import iterate
 from fejerlab.geometry import Ball, Box, Halfspace
+from fejerlab.native import _OPCODES
 from fejerlab.operators import (
-    _OPCODES,
     Composition,
     ConvexCombination,
     DouglasRachford,
