@@ -7,9 +7,11 @@ Failures always carry a concrete witness.
 
 :func:`check_fejer` takes its witness distances in one C pass over the rows
 (:func:`~fejerlab.native.fejer_pass`), with the bits of ``cdist``: no (n, w)
-or (n, d) array is made, only ``per_step``.  The other checkers make batched
-calls, such as one projection for the dual-cone test or the membership
-residuals.
+or (n, d) array is made, only ``per_step``.
+:func:`check_asymptotic_regularity` takes its step norms in one C pass as
+well (:func:`~fejerlab.native.fejer_step_norms`), with numpy's bits, and
+makes only ``per_step``.  The other checkers make batched calls, such as
+one projection for the dual-cone test or the membership residuals.
 
 An orbit that ends in an exact cycle repeats its per-step values from the
 cycle on.  :func:`check_fejer` and :func:`check_asymptotic_regularity` (and so
@@ -65,11 +67,11 @@ def _points_of(trajectory) -> np.ndarray:
 
 
 def _head_of(trajectory) -> np.ndarray:
-    """The leading rows that hold every per-step value (:func:`periodic_rows`):
-    an orbit's rows past them repeat rows in them."""
+    """The leading rows that hold every per-step value (:func:`periodic_rows`),
+    not yet checked finite: an orbit's rows past them repeat rows in them."""
     if isinstance(trajectory, Trajectory):
-        return _finite(trajectory.rows(0, periodic_rows(trajectory)))
-    return _points_of(trajectory)
+        return trajectory.rows(0, periodic_rows(trajectory))
+    return np.asarray(trajectory, dtype=float)
 
 
 def _every_step(trajectory, values: np.ndarray) -> np.ndarray:
@@ -118,7 +120,7 @@ def check_fejer(
     """
     # past an orbit's exact cycle the rows repeat, so the largest distance,
     # the first largest increase and each per-step value lie in the rows before
-    head = _head_of(trajectory)
+    head = _finite(_head_of(trajectory))
     if head.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
     radius, ws = _witness_points(head, C, witnesses, seed, witness_radius)
@@ -146,11 +148,16 @@ def check_fejer(
 
 
 def check_asymptotic_regularity(trajectory, tol: float = 1e-9) -> DiagnosticsReport:
-    """Consecutive steps must vanish: the last 10% of step norms stay <= tol."""
+    """Consecutive steps must vanish: the last 10% of step norms stay <= tol.
+
+    The step norms are taken in one C pass over the rows
+    (:func:`~fejerlab.native.fejer_step_norms`), which makes only ``per_step``.
+    """
     head = _head_of(trajectory)
+    norms = native.fejer_step_norms(head)  # a row not finite raises first
     if head.shape[0] < 2:
         raise ValueError("need at least two trajectory points")
-    steps = _every_step(trajectory, np.linalg.norm(head[1:] - head[:-1], axis=1))
+    steps = _every_step(trajectory, norms)
     tail_len = max(1, steps.size // 10)
     tail_max = float(steps[-tail_len:].max())
     idx = steps.size - tail_len + int(np.argmax(steps[-tail_len:]))

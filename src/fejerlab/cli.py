@@ -16,6 +16,7 @@ FEJERLAB_OUT environment variable; --out overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,7 +29,9 @@ EXIT_MISMATCH = 1
 EXIT_CONFIG = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="fejerlab",
         description="Sequence diagnostics and nonexpansive fixed-point iteration lab",

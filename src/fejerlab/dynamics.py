@@ -19,6 +19,15 @@ asks for ``points``.  :func:`periodic_rows` turns the cycle into the leading
 rows that a check of per-step values needs to read, and
 :func:`periodic_steps` extends the values read there to every step.
 
+Every other shadow, drift-compensated orbit and difference computes its rows
+from the rows of its bases when a check or an export reads them, with the
+bits the whole array would have: a check that reads a tail, such as a limit
+check, computes that tail alone.  A read of every row builds ``points`` once
+and keeps it, so a check that reads every row and an export after it compute
+each row once.  What a builder refuses it still refuses at build: a
+dimension that does not match, and a difference whose norm grows, which
+:func:`difference_orbit` finds in one C pass over both orbits.
+
 So most tails are a few points repeated.  :func:`detect_limit` takes the tail
 diameter over one period of a recorded cycle, or else over the rows that do
 not repeat the row one or two steps before (the full-tail diameter bit for bit
@@ -28,11 +37,13 @@ tails must be finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .clustering import single_linkage
 from .errors import (
     CertificateRequiredError,
@@ -46,6 +57,9 @@ from .operators import OperatorExpr, certify
 DEFAULT_TAIL_WINDOW = 1000
 DEFAULT_TOL = 1e-9
 DEFAULT_NORM_CAP = 1e12
+# the growth of a difference orbit's norm that its guard allows, per unit of
+# iterate magnitude
+DIFFERENCE_TOL = 1e-12
 
 CONVERGED = "converged"
 DIVERGING = "diverging"
@@ -58,16 +72,25 @@ class Trajectory:
 
     Every array a trajectory hands out is read-only.  The constructor copies
     what it is given; the orbit builders hand over arrays they have just made
-    with :meth:`_own`.
+    with :meth:`_own`, and the derived builders (:func:`shadow`,
+    :func:`normalized_from_raw`, :func:`difference_orbit`) hand over a
+    function of a row range with :meth:`_derived`.
 
-    ``periodic_from`` and ``period`` are set by :func:`iterate`, when its
-    kernel saw the orbit repeat, and kept by :func:`difference_orbit` and
-    :func:`shadow`: row j + period equals row j bit for bit for every
-    j >= periodic_from.  Every other trajectory has None for both.  Such a
-    trajectory keeps only its rows [0, q + p], for q = periodic_from and
-    p = period, and reads row j >= q as row q + (j - q) mod p.  ``len``,
-    ``dim``, :meth:`tail` and :meth:`rows` work from those rows; ``points``,
-    the whole (len, dim) array, is built on first use and kept.
+    A trajectory holds its rows in one of three ways, each a function of a
+    row range: the whole array, whose rows are slices of it; the leading rows
+    of a recorded cycle; or a function of its base trajectories, which
+    computes the rows asked for from theirs.  ``periodic_from`` and
+    ``period`` are set by :func:`iterate`, when its kernel saw the orbit
+    repeat, and kept by :func:`difference_orbit` and :func:`shadow`: row
+    j + period equals row j bit for bit for every j >= periodic_from.  Every
+    other trajectory has None for both.  Such a trajectory keeps only its
+    rows [0, q + p], for q = periodic_from and p = period, and reads row
+    j >= q as row q + (j - q) mod p.  ``len``, ``dim``, :meth:`tail` and
+    :meth:`rows` compute only the rows they return; ``points``, the whole
+    (len, dim) array, is built on first use and kept.  A read of every row
+    of a derived trajectory builds ``points`` too, so no derived row is
+    computed twice after it; the rows of a cycle are only index arithmetic
+    on the rows it holds, and a read of all of them keeps nothing.
     """
 
     def __init__(self, points):
@@ -85,16 +108,31 @@ class Trajectory:
         traj._set_rows(rows, cycle, length)
         return traj
 
+    @classmethod
+    def _derived(cls, fill, length: int, dim: int) -> "Trajectory":
+        """A trajectory of ``length`` rows in R^dim whose rows [start, stop)
+        are ``fill(start, stop)``, a fresh array computed from the
+        trajectories that ``fill`` reads."""
+        traj = cls.__new__(cls)
+        traj._hold(fill, None, length, dim, (None, None))
+        return traj
+
     def _set_rows(self, rows, cycle=None, length=None) -> None:
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("trajectory points must form a nonempty (n, d) array")
         if rows.shape[1] < 1:
             raise DimensionMismatchError("vectors must have positive dimension")
         rows.setflags(write=False)
-        self._rows = rows
-        self._len = rows.shape[0] if length is None else length
-        self._points = rows if self._len == rows.shape[0] else None
-        self._periodic_from, self._period = cycle or (None, None)
+        cycle = cycle or (None, None)
+        length = rows.shape[0] if length is None else length
+        self._hold(functools.partial(_held, rows, *cycle), rows, length, rows.shape[1], cycle)
+
+    def _hold(self, fill, rows, length: int, dim: int, cycle) -> None:
+        """Rows [start, stop) are ``fill(start, stop)``; ``rows`` is the
+        array the trajectory holds, or None for a derived one."""
+        self._fill, self._rows, self._len, self._dim = fill, rows, length, dim
+        self._points = rows if rows is not None and rows.shape[0] == length else None
+        self._periodic_from, self._period = cycle
 
     @property
     def periodic_from(self) -> int | None:
@@ -108,7 +146,9 @@ class Trajectory:
     def points(self) -> np.ndarray:
         """The whole (len, dim) array, built on first use and kept."""
         if self._points is None:
-            self._points = self.rows(0, self._len)
+            points = self._fill(0, self._len)
+            points.setflags(write=False)
+            self._points = points
         return self._points
 
     def __len__(self) -> int:
@@ -116,24 +156,25 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self._rows.shape[1]
+        return self._dim
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop), for 0 <= start <= stop <= len."""
+        """Rows [start, stop), for 0 <= start <= stop <= len, computed alone;
+        every row of a derived trajectory builds ``points`` and keeps it."""
         if not 0 <= start <= stop <= self._len:
             raise ValueError(
                 f"rows [{start}, {stop}) outside a trajectory of {self._len} rows"
             )
         if self._points is not None:
             return self._points[start:stop]
-        if stop <= self._rows.shape[0]:
-            return self._rows[start:stop]
-        out = _repeated(self._rows, self._periodic_from, self._period, start, stop)
+        if stop - start == self._len and self._rows is None:
+            return self.points  # every row of a derived trajectory: kept
+        out = self._fill(start, stop)
         out.setflags(write=False)
         return out
 
     def tail(self, count: int) -> np.ndarray:
-        """The last ``count`` rows, for 1 <= count <= len."""
+        """The last ``count`` rows, for 1 <= count <= len, computed alone."""
         if not 1 <= count <= self._len:
             raise ValueError(
                 f"tail of {count} rows outside a trajectory of {self._len} rows"
@@ -188,6 +229,14 @@ def iterate(T: OperatorExpr, x0, n_steps: int) -> Trajectory:
     return Trajectory._own(rows, cycle, n + 1)
 
 
+def _held(rows: np.ndarray, q, p, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of a trajectory that holds ``rows``: its whole
+    array, or its leading rows when it repeats from row q with period p."""
+    if stop <= rows.shape[0]:
+        return rows[start:stop]
+    return _repeated(rows, q, p, start, stop)
+
+
 def _repeated(head: np.ndarray, q: int, p: int, start: int, stop: int) -> np.ndarray:
     """Entries [start, stop), stop > q, of the sequence that starts with the
     q + p entries of ``head`` and repeats with period p from entry q on: the
@@ -237,22 +286,31 @@ def periodic_steps(values: np.ndarray, *orbits: Trajectory) -> np.ndarray:
 
 
 def normalized_from_raw(raw: Trajectory, v) -> Trajectory:
-    """Drift-compensated orbit points[n] = T^n x0 + n * v of a raw orbit."""
+    """Drift-compensated orbit points[n] = T^n x0 + n * v of a raw orbit.
+
+    Its rows are computed from the rows of ``raw`` when they are read: row n
+    is the product n * v plus row n of ``raw``, two roundings per coordinate.
+    """
     v = as_vector(v, raw.dim)
-    pts = np.arange(len(raw), dtype=float)[:, None] * v
-    pts += raw.points  # in place: the sum is the same either way round
-    return Trajectory._own(pts)
+
+    def fill(start: int, stop: int) -> np.ndarray:
+        out = np.arange(start, stop, dtype=float)[:, None] * v
+        out += raw.rows(start, stop)  # in place: the sum is the same either way round
+        return out
+
+    return Trajectory._derived(fill, len(raw), raw.dim)
 
 
 def difference_monotonicity_slack(
-    a_points: np.ndarray, b_points: np.ndarray, tol: float = 1e-12
+    a_points: np.ndarray, b_points: np.ndarray, tol: float = DIFFERENCE_TOL
 ) -> np.ndarray:
     """Per-step slack for the nonincreasing-norm guard on orbit differences.
 
     The difference of two floating-point orbits carries cancellation error
     proportional to the iterate magnitude, so the admissible growth is
     ``tol`` scaled by max(1, iterate magnitude); it reduces to plain ``tol``
-    for orbits of unit scale.
+    for orbits of unit scale.  :func:`difference_orbit` applies the same
+    slack, with ``DIFFERENCE_TOL``, in one C pass.
     """
     scale = np.maximum(
         1.0,
@@ -267,32 +325,54 @@ def difference_orbit(a: Trajectory, b: Trajectory) -> Trajectory:
     """Orbit of differences T^n x0 - T^n y0 from the raw orbits of x0 and y0.
 
     Nonexpansiveness forces the norms to be nonincreasing; growth beyond
-    :func:`difference_monotonicity_slack` raises MonotonicityViolationError
-    since it signals a broken operator rather than interesting dynamics.
-    Both are formed on the :func:`periodic_rows` of the orbits alone; the
-    difference keeps their joint cycle.
+    :func:`difference_monotonicity_slack` at ``DIFFERENCE_TOL`` raises
+    MonotonicityViolationError at build, since it signals a broken operator
+    rather than interesting dynamics.  The guard is one pass of
+    :func:`~fejerlab.native.fejer_difference` over the :func:`periodic_rows`
+    of the orbits, which keeps no per-row array.  When both orbits repeat,
+    the same pass writes those rows of the difference, which keeps their
+    joint cycle; otherwise its rows are computed from the orbits' rows when
+    they are read.
     """
     if len(a) != len(b) or a.dim != b.dim:
         raise ValueError("the two orbits must have the same length and dimension")
+    cycle = _joint_cycle((a, b))
     head = periodic_rows(a, b)
-    a_rows, b_rows = a.rows(0, head), b.rows(0, head)
-    diff = a_rows - b_rows
-    norms = np.linalg.norm(diff, axis=1)
-    growth = norms[1:] - norms[:-1]
-    excess = growth - difference_monotonicity_slack(a_rows, b_rows)
-    if excess.size and float(excess.max()) > 0.0:
-        idx = int(np.argmax(excess))
+    diff = None if cycle is None else np.empty((head, a.dim))
+    step, growth = native.fejer_difference(
+        a.rows(0, head), b.rows(0, head), DIFFERENCE_TOL, diff
+    )
+    if step >= 0:
         raise MonotonicityViolationError(
-            f"difference norm grew by {growth[idx]:.3e} at step {idx}; "
+            f"difference norm grew by {growth:.3e} at step {step}; "
             "the operator is not nonexpansive"
         )
-    return Trajectory._own(diff, _joint_cycle((a, b)), len(a))
+    if cycle is not None:
+        return Trajectory._own(diff, cycle, len(a))
+    return Trajectory._derived(
+        lambda start, stop: a.rows(start, stop) - b.rows(start, stop), len(a), a.dim
+    )
 
 
 def shadow(trajectory: Trajectory, C: ConvexSet) -> Trajectory:
-    """Projection of every trajectory point onto ``C``, keeping its cycle."""
-    rows = C.project_many(trajectory.rows(0, periodic_rows(trajectory)))
-    return Trajectory._own(rows, _joint_cycle((trajectory,)), len(trajectory))
+    """Projection of every trajectory point onto ``C``.
+
+    The shadow of an orbit that repeats is projected at build, on its
+    :func:`periodic_rows` alone, and keeps its cycle.  Any other shadow
+    projects the rows of ``trajectory`` that are read, when they are read.
+    """
+    cycle = _joint_cycle((trajectory,))
+    if cycle is not None:
+        rows = C.project_many(trajectory.rows(0, periodic_rows(trajectory)))
+        return Trajectory._own(rows, cycle, len(trajectory))
+    if C.dim != trajectory.dim:
+        raise DimensionMismatchError(
+            f"expected shape (n, {C.dim}), got {(len(trajectory), trajectory.dim)}"
+        )
+    return Trajectory._derived(
+        lambda start, stop: C.project_many(trajectory.rows(start, stop)),
+        len(trajectory), trajectory.dim,
+    )
 
 
 def displacement_from_orbit(orbit: Trajectory, tail: int) -> tuple[np.ndarray, float]:

@@ -1,11 +1,12 @@
 """fejerlab's C library: the register machine that evaluates every set's
 projection and operator's map, on orbits for ``iterate`` and on rows for
 ``project``, ``project_many``, ``apply``, ``value_at`` and the verifiers; the
-witness pass of ``check_fejer``; the CSV writer of ``export_trajectory`` and
-the float writer of ``export_report``.  The machine's instruction format
-lives here alone: ``_Lowering`` turns a node's float source (its ``_emit``)
-into instructions, once per source text, and a node's :class:`Kernel` pairs
-that program with the node's own register file.
+witness pass of ``check_fejer``; the guard of ``difference_orbit`` and the
+step norms of ``check_asymptotic_regularity``; the CSV writer of
+``export_trajectory`` and the float writer of ``export_report``.  The
+machine's instruction format lives here alone: ``_Lowering`` turns a node's
+float source (its ``_emit``) into instructions, once per source text, and a
+node's :class:`Kernel` pairs that program with the node's own register file.
 
 The whole library is one C translation unit, ``_SOURCE``.  The interpreter's
 C compiler builds it at the first call that needs it, once per process, with
@@ -59,8 +60,23 @@ from .errors import DimensionMismatchError, NonFiniteValueError
 #
 # ``fejer_map`` runs one step from each row of the (m, d) array ``in`` and
 # writes the registers ``out`` names to that row of ``y``; RAISED gives the
-# row in ``found[0]``.  It comes last, and every entry point starts on a
-# 64-byte line, so that code added in front of one does not move its loops.
+# row in ``found[0]``.  It and the two passes below come after the writers,
+# and every entry point starts on a 64-byte line, so that code added in front
+# of one does not move its loops.
+#
+# ``fejer_difference`` is the guard of ``difference_orbit`` over the (n, d)
+# arrays ``a`` and ``b``, with numpy's bits: the norms of the rows of a - b,
+# each the sqrt of its squares summed left to right as ``np.linalg.norm``
+# sums them; their growth from row i to i + 1; and its excess over the slack
+# tol * max(s(i), s(i + 1)), where s is the largest of 1 and every |a| and
+# |b| of a row.  ``np.maximum`` makes s NaN where a value is NaN, and these
+# maxima need not, but such a row's norm is NaN, so the excess of both its
+# steps is NaN either way.  It returns the first step of the largest excess, and
+# writes its growth, where that excess is above 0 and no excess is NaN, as
+# ``excess.max() > 0`` and ``argmax`` decide; -1 otherwise.  Where ``diff`` is not null it gets the
+# rows of a - b; no other per-row value is kept.  ``fejer_step_norms``
+# writes the norm of row i + 1 minus row i to ``norms[i]``, summed as above,
+# and returns the first row with a value that is not finite, or -1.
 #
 # ``fejer_reach2`` returns the largest squared distance of a row of the (n, d)
 # array ``pts`` to the point ``a``.  ``fejer_pass`` makes one sweep over the
@@ -627,6 +643,52 @@ int64_t fejer_map(const int32_t *code, int64_t n_code, const int32_t *out, int64
     found[0] = i;
     return i < m ? RAISED : RAN;
 }
+
+__attribute__((aligned(64)))
+int64_t fejer_difference(const double *a, const double *b, int64_t n, int64_t d, double tol,
+                         double *diff, double *growth)
+{
+    double norm = 0.0, scale = 0.0, worst = -INFINITY;
+    int64_t at = -1, nan_excess = 0;
+    for (int64_t i = 0; i < n; i++, a += d, b += d) {
+        double s = 0.0, big = 1.0;
+        for (int64_t k = 0; k < d; k++) {
+            double t = a[k] - b[k];
+            if (diff)
+                diff[i * d + k] = t;
+            double m = fabs(a[k]) > fabs(b[k]) ? fabs(a[k]) : fabs(b[k]);
+            s += t * t;
+            big = m > big ? m : big;
+        }
+        double r = sqrt(s);
+        if (i) {
+            double up = r - norm, excess = up - tol * (big > scale ? big : scale);
+            if (isnan(excess)) {
+                nan_excess = 1;
+            } else if (excess > worst) {
+                worst = excess;
+                growth[0] = up;
+                at = i - 1;
+            }
+        }
+        norm = r;
+        scale = big;
+    }
+    return !nan_excess && worst > 0.0 ? at : -1;
+}
+
+__attribute__((aligned(64)))
+int64_t fejer_step_norms(const double *pts, int64_t n, int64_t d, double *norms)
+{
+    for (int64_t i = 0; i < n; i++, pts += d) {
+        for (int64_t k = 0; k < d; k++)
+            if (!isfinite(pts[k]))
+                return i;
+        if (i)
+            norms[i - 1] = sqrt(dist2(pts, pts - d, d));
+    }
+    return -1;
+}
 """
 
 
@@ -670,7 +732,8 @@ def library():
             detail = getattr(exc, "stderr", None) or exc
             raise RuntimeError(
                 "iterate needs a C compiler for its orbit loop, project and apply "
-                "for their map, check_fejer for its witness pass, export_trajectory "
+                "for their map, check_fejer for its witness pass, difference_orbit "
+                "and check_asymptotic_regularity for their norms, export_trajectory "
                 "for its CSV writer and export_report for its float writer, all in "
                 f"fejerlab's C library; {' '.join(cmd)} failed: {detail}"
             ) from exc
@@ -688,6 +751,10 @@ def library():
     lib.fejer_csv.restype = i64
     lib.fejer_reprs.argtypes = [p, i64, ctypes.c_char_p, i64, p]
     lib.fejer_reprs.restype = i64
+    lib.fejer_difference.argtypes = [p, p, i64, i64, ctypes.c_double, p, p]
+    lib.fejer_difference.restype = i64
+    lib.fejer_step_norms.argtypes = [p, i64, i64, p]
+    lib.fejer_step_norms.restype = i64
     return lib
 
 
@@ -950,6 +1017,41 @@ def fejer_pass(points: np.ndarray, witnesses: np.ndarray):
         drops.ctypes.data, worst.ctypes.data, at.ctypes.data,
     )
     return drops, float(worst[0]), int(at[0]), int(at[1]), float(worst[1]), float(worst[2])
+
+
+def fejer_difference(a: np.ndarray, b: np.ndarray, tol: float, diff=None):
+    """The guard of ``difference_orbit`` on the (n, d) arrays ``a`` and ``b``:
+    (step, growth) of the first largest excess of the growth of the norms of
+    a - b over their slack, where it is above 0 and none is NaN, else
+    (-1, nan).  A C-ordered float64 array ``diff`` of their shape gets
+    a - b."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionMismatchError(f"rows of shape {a.shape} against rows of shape {b.shape}")
+    if diff is not None and not (
+        diff.shape == a.shape and diff.dtype == np.float64 and diff.flags.c_contiguous
+    ):
+        raise ValueError("diff must be a C-ordered float64 array of the rows' shape")
+    growth = np.full(1, np.nan)
+    step = library().fejer_difference(
+        a.ctypes.data, b.ctypes.data, *a.shape, tol,
+        None if diff is None else diff.ctypes.data, growth.ctypes.data,
+    )
+    return int(step), float(growth[0])
+
+
+def fejer_step_norms(points: np.ndarray) -> np.ndarray:
+    """The norms of the steps between consecutive rows of ``points``, with
+    the bits of ``np.linalg.norm(points[1:] - points[:-1], axis=1)``;
+    NonFiniteValueError where a row is not finite."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("points must form a nonempty (n, d) array")
+    norms = np.empty(pts.shape[0] - 1)
+    if library().fejer_step_norms(pts.ctypes.data, *pts.shape, norms.ctypes.data) >= 0:
+        raise NonFiniteValueError("trajectory points must be finite")
+    return norms
 
 
 def csv_rows(points: np.ndarray, start: int) -> np.ndarray:

@@ -131,6 +131,41 @@ def test_asymptotic_regularity_constant_trajectory():
     assert np.all(rep.per_step == 0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_step_norms_have_the_bits_of_numpy(d):
+    rng = np.random.default_rng(40 + d)
+    pts = rng.normal(size=(5000, d)) * 10.0 ** rng.integers(-150, 150, (5000, d))
+    with np.errstate(over="ignore", under="ignore"):
+        numpy_norms = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+    assert native.fejer_step_norms(pts).tobytes() == numpy_norms.tobytes()
+    rep = check_asymptotic_regularity(pts)
+    assert rep.per_step.tobytes() == numpy_norms.tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in (0, 2500, 4999):
+            broken = pts.copy()
+            broken[row, d - 1] = bad
+            with pytest.raises(NonFiniteValueError, match="trajectory points must be finite"):
+                check_asymptotic_regularity(Trajectory(broken))
+
+
+def test_asymptotic_regularity_allocates_little_more_than_per_step():
+    import tracemalloc
+
+    n = 10**6
+    orbit = iterate(Translation([1e-3, -2e-3]), [1.0, 2.0], n - 1)
+    assert orbit.period is None and orbit.dim == 2
+    check_asymptotic_regularity(orbit.rows(0, 10))  # builds the C library outside
+    tracemalloc.start()
+    try:
+        rep = check_asymptotic_regularity(orbit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the step differences, their squares and an (n, d) finiteness mask are gone
+    assert rep.per_step.shape == (n - 1,)
+    assert peak <= 1.25 * rep.per_step.nbytes, peak / rep.per_step.nbytes
+
+
 # ---------------------------------------------------------------------------
 # sum decoupling
 # ---------------------------------------------------------------------------

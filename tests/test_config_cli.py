@@ -908,6 +908,29 @@ def test_cli_missing_scenario_is_config_error(capsys):
     assert main(["run", "definitely-not-a-scenario"]) == 2
 
 
+def test_cli_parses_each_call_afresh_with_one_parser(monkeypatch, capsys):
+    # the parser is built once per process, and no parsed value carries over
+    # into the next call: the second run takes the spec's own seed and steps
+    from fejerlab import cli, scenarios
+
+    seen = []
+
+    def recording_run(spec, **overrides):
+        artifacts = scenarios.run_scenario(spec, **overrides)
+        length = len(artifacts.trajectories["orbit"])
+        seen.append((overrides["n_steps"], overrides["seed"], length, artifacts.reports))
+        return artifacts
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    main(["run", "alternating-pair", "--seed", "3", "--steps", "5"])
+    assert main(["run", "alternating-pair"]) == 0
+    spec = get_scenario("alternating-pair")
+    assert [s[:3] for s in seen] == [(5, 3, 6), (None, None, spec.n_steps + 1)]
+    assert {rep.seed for rep in seen[0][3].values()} - {None} == {3}
+    assert {rep.seed for rep in seen[1][3].values()} - {None} == {spec.seed}
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_cli_export_writes_artifacts(tmp_path, capsys):
     assert main(["export", "negation-r1", "--out", str(tmp_path)]) == 0
     run_dir = tmp_path / "negation-r1"

@@ -45,13 +45,16 @@ from fejerlab.operators import (
     fixed_set_description,
     two_ball_gap_vector,
 )
+from fejerlab import native
 from fejerlab.dynamics import (
     CONVERGED,
+    DIFFERENCE_TOL,
     DIVERGING,
     INCONCLUSIVE,
     OSCILLATING,
     Trajectory,
     detect_limit,
+    difference_monotonicity_slack,
     difference_orbit,
     displacement_from_orbit,
     estimate_displacement,
@@ -288,6 +291,229 @@ def test_a_difference_of_two_long_cycles_allocates_only_its_rows():
     assert peak < 2**20, peak
     assert (diff.periodic_from, diff.period) == (1, 2)
     assert diff.tail(3)[:, 0].tolist() == [0.75, -0.75, 0.75]
+
+
+def _peak_of(build):
+    """What ``build()`` returns, and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_a_difference_of_two_long_orbits_allocates_nothing_at_build():
+    # no joint cycle: the guard reads both orbits in one pass and keeps no
+    # per-row array, and the rows are computed when they are read
+    T = Translation([1e-3, -2e-3])
+    a, b = iterate(T, [1.0, 2.0], 10**6), iterate(T, [0.5, -1.0], 10**6)
+    assert a.period is None and b.period is None
+    diff, peak = _peak_of(lambda: difference_orbit(a, b))
+    # a whole (10**6 + 1, 2) array alone takes 16 MB
+    assert peak < 2**20, peak
+    assert diff.tail(3).tobytes() == (a.tail(3) - b.tail(3)).tobytes()
+    assert diff._points is None
+
+
+def test_a_shadow_of_a_long_orbit_allocates_nothing_at_build():
+    raw = iterate(Translation([1e-3, -2e-3]), [1.0, 2.0], 10**6)
+    ball = Ball([0.0, 0.0], 1.0)
+    assert raw.period is None
+    sh, peak = _peak_of(lambda: shadow(raw, ball))
+    assert peak < 2**20, peak
+    assert sh.tail(2).tobytes() == ball.project_many(raw.tail(2)).tobytes()
+    assert sh._points is None
+
+
+# The derived builders and the difference guard as they were before their
+# rows were computed on demand: every derived row formed at build, from the
+# rows up to the joint cycle, and the guard in numpy.
+
+
+def _guard_before(a_rows, b_rows, tol=DIFFERENCE_TOL):
+    """The message the numpy guard raised with, or None."""
+    with np.errstate(all="ignore"):  # NaN and inf rows of the parity test
+        diff = a_rows - b_rows
+        norms = np.linalg.norm(diff, axis=1)
+        growth = norms[1:] - norms[:-1]
+        excess = growth - difference_monotonicity_slack(a_rows, b_rows, tol)
+    if excess.size and float(excess.max()) > 0.0:
+        idx = int(np.argmax(excess))
+        return (
+            f"difference norm grew by {growth[idx]:.3e} at step {idx}; "
+            "the operator is not nonexpansive"
+        )
+    return None
+
+
+def _joint_rows(*orbits):
+    """The rows of the orbits' joint cycle the builders formed, and the cycle."""
+    if any(o.period is None for o in orbits):
+        return len(orbits[0]), None
+    q = max(o.periodic_from for o in orbits)
+    p = math.lcm(*(o.period for o in orbits))
+    return min(len(orbits[0]), q + p + 1), (q, p)
+
+
+def _shadow_before(traj, C):
+    head, cycle = _joint_rows(traj)
+    return Trajectory._own(C.project_many(traj.rows(0, head)), cycle, len(traj))
+
+
+def _normalized_before(raw, v):
+    pts = np.arange(len(raw), dtype=float)[:, None] * np.asarray(v, dtype=float)
+    pts += raw.points
+    return Trajectory._own(pts)
+
+
+def _difference_before(a, b):
+    head, cycle = _joint_rows(a, b)
+    a_rows, b_rows = a.rows(0, head), b.rows(0, head)
+    message = _guard_before(a_rows, b_rows)
+    if message is not None:
+        raise MonotonicityViolationError(message)
+    return Trajectory._own(a_rows - b_rows, cycle, len(a))
+
+
+def _guarded_rows(rng):
+    """Two (n, d) arrays for the guard: random rows, or a difference whose
+    norm shrinks, with some values NaN or +-inf."""
+    n, d = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+    b = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 8, (n, d))
+    if rng.random() < 0.5:
+        diff = rng.normal(size=(n, d))
+    else:  # norms that shrink, up to a rounding of the iterates' magnitude
+        diff = rng.normal(size=(1, d)) * 0.9 ** np.arange(n)[:, None]
+    a = b + diff
+    if rng.random() < 0.3:
+        for _ in range(int(rng.integers(1, 3))):
+            target = a if rng.random() < 0.5 else b
+            target[rng.integers(0, n), rng.integers(0, d)] = rng.choice([np.nan, np.inf, -np.inf])
+    return a, b
+
+
+def test_the_c_guard_raises_where_the_numpy_guard_raised():
+    rng = np.random.default_rng(20261022)
+    outcomes = set()
+    for _ in range(3000):
+        a, b = _guarded_rows(rng)
+        message = _guard_before(a, b)
+        step, growth = native.fejer_difference(a, b, DIFFERENCE_TOL)
+        if message is None:
+            assert step == -1
+        else:
+            assert f"by {growth:.3e} at step {step};" in message
+        try:
+            difference_orbit(Trajectory(a), Trajectory(b))
+        except MonotonicityViolationError as exc:
+            assert str(exc) == message
+        else:
+            assert message is None
+        outcomes.add((message is None, bool(np.isfinite(a).all() and np.isfinite(b).all())))
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_the_c_guard_allows_a_growth_equal_to_its_slack():
+    # the difference grows from 0 to g: its slack is 1e-12 times the rows'
+    # largest magnitude, 8, which multiplies exactly
+    b = np.array([[0.0, 8.0], [0.0, 8.0]])
+    slack = float(difference_monotonicity_slack(b, b)[0])
+    assert slack == 8.0 * DIFFERENCE_TOL
+    for g, grows in ((slack, False), (np.nextafter(slack, 1.0), True)):
+        a = b + [[0.0, 0.0], [g, 0.0]]
+        assert (_guard_before(a, b) is not None) == grows
+        step, growth = native.fejer_difference(a, b, DIFFERENCE_TOL)
+        if not grows:
+            assert step == -1
+            difference_orbit(Trajectory(a), Trajectory(b))
+        else:
+            assert (step, growth) == (0, g)
+            with pytest.raises(MonotonicityViolationError, match="at step 0"):
+                difference_orbit(Trajectory(a), Trajectory(b))
+
+
+def _bases(rng, d, n):
+    """Orbits at dimension d, two of each map, with and without a recorded
+    cycle, and arrays of random rows."""
+    starts = rng.uniform(-3, 3, (2, d))
+    maps = [
+        _cyclic_permutation(d),
+        Negation(),
+        Projector(Ball(rng.uniform(-1, 1, d), 0.5)),
+        Translation(rng.uniform(-1e-2, 1e-2, d)),
+    ]
+    orbits = [iterate(T, x0, n) for T in maps for x0 in starts]
+    assert [t.period is not None for t in orbits] == [True] * 6 + [False] * 2
+    arrays = [
+        Trajectory(rng.normal(size=(n + 1, d)) * 10.0 ** rng.integers(-3, 4, (n + 1, d)))
+        for _ in range(2)
+    ]
+    return orbits + arrays
+
+
+def _assert_reads_bit_for_bit(rng, traj, ref):
+    n = len(ref)
+    assert len(traj) == n and traj.dim == ref.shape[1]
+    for _ in range(12):
+        start = int(rng.integers(0, n + 1))
+        stop = int(rng.integers(start, n + 1))
+        rows = traj.rows(start, stop)
+        assert rows.tobytes() == ref[start:stop].tobytes(), (start, stop)
+        assert rows.shape == (stop - start, ref.shape[1]) and not rows.flags.writeable
+        count = int(rng.integers(1, n + 1))
+        tail = traj.tail(count)
+        assert tail.tobytes() == ref[n - count :].tobytes(), count
+        assert not tail.flags.writeable
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_derived_rows_on_demand_equal_the_rows_formed_at_build(d):
+    rng = np.random.default_rng(1000 + d)
+    n = int(rng.integers(40, 90))
+    bases = _bases(rng, d, n)
+    ball = Ball(rng.uniform(-1, 1, d), 0.8)
+    shift = rng.uniform(-2, 2, d)
+    cases = [(shadow, _shadow_before, (base, ball)) for base in bases]
+    cases += [(normalized_from_raw, _normalized_before, (base, shift)) for base in bases]
+    # two orbits of one map, with a joint cycle or none; orbits of two maps,
+    # whose difference may grow; an orbit and the same rows with no cycle
+    # recorded; two arrays
+    pairs = [bases[2 * k : 2 * k + 2] for k in range(5)]
+    pairs += [(bases[0], bases[2]), (bases[0], bases[7]), (bases[2], bases[5])]
+    pairs += [(bases[3], Trajectory(bases[2].points)), (bases[4], Trajectory(bases[5].points))]
+    cases += [(difference_orbit, _difference_before, pair) for pair in pairs]
+    raised = 0
+    for build, build_before, args in cases:
+        try:
+            ref = build_before(*args)
+        except MonotonicityViolationError as exc:
+            with pytest.raises(MonotonicityViolationError) as now:
+                build(*args)
+            assert str(now.value) == str(exc)
+            raised += 1
+            continue
+        traj = build(*args)
+        assert (traj.periodic_from, traj.period) == (ref.periodic_from, ref.period)
+        whole = ref.points
+        _assert_reads_bit_for_bit(rng, traj, whole)
+        assert traj.points.tobytes() == whole.tobytes()
+        assert not traj.points.flags.writeable
+        _assert_reads_bit_for_bit(rng, traj, whole)  # now read from points
+    assert 0 < raised < len(pairs)
+def test_a_read_of_every_derived_row_builds_points_and_keeps_it():
+    # a check that reads every row, and an export after it, compute each row once
+    T = Translation([0.5, -1.0])
+    raw, other = iterate(T, [1.0, 2.0], 50), iterate(T, [0.0, 2.0], 50)
+    for traj in (
+        shadow(raw, Ball([0.0, 0.0], 1.0)),
+        normalized_from_raw(raw, [-0.5, 1.0]),
+        difference_orbit(raw, other),
+    ):
+        assert traj._points is None
+        whole = traj.rows(0, len(traj))
+        assert traj.points is whole and traj.tail(3).base is whole
 
 
 def test_periodic_rows_cover_one_joint_period():

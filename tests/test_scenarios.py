@@ -479,8 +479,9 @@ def test_scalar_sweep_reads_orbits_up_to_their_joint_cycle(
     def scaled_slack(a_points, b_points):
         return slack_scale * difference_monotonicity_slack(a_points, b_points)
 
-    # the growth test of difference_orbit and the sweep's sign-flip test
-    monkeypatch.setattr(dynamics, "difference_monotonicity_slack", scaled_slack)
+    # the growth test of difference_orbit, by the tol its C pass receives,
+    # and the sweep's sign-flip test
+    monkeypatch.setattr(dynamics, "DIFFERENCE_TOL", slack_scale * dynamics.DIFFERENCE_TOL)
     monkeypatch.setattr(scenarios, "difference_monotonicity_slack", scaled_slack)
     # every failure, not only the first that the report keeps
     failures, counts, _ = run_scalar_averaged_sweep.__wrapped__(instances=27, seed=seed, tol=tol)
